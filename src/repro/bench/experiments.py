@@ -91,6 +91,9 @@ def fig2_codecs(
     amplitudes carry full-entropy mantissas — but collapse the exact-zero
     runs of sparse (low-excitation) states by an O(2^n / n) factor.  Lossy
     transforms (Tab. 2) and MPS (Tab. 5) are the tools for the dense case.
+    The ``zlib-N`` rows show the codec's probe acting on that: dense states
+    are framed as stored DEFLATE blocks (latency near ``none``), sparse ones
+    deflated as ever.
     """
     rows = []
     for n in qubit_counts:
@@ -98,10 +101,17 @@ def fig2_codecs(
             snapshot = synthetic_snapshot(n, statevector_kind=kind)
             raw = snapshot.nbytes()
             for codec in codecs:
+                # The dense-vs-"none" latency asserts of bench_fig2_codecs
+                # compare zlib and "none" rows a millisecond apart: best of
+                # five for those, the usual three for the slow codecs.
+                repeat = 5 if codec == "none" or codec.startswith("zlib") else 3
                 data, enc_seconds = _timed(
-                    lambda c=codec: pack_snapshot(snapshot, codec=c)
+                    lambda c=codec: pack_snapshot(snapshot, codec=c),
+                    repeat=repeat,
                 )
-                _, dec_seconds = _timed(lambda d=data: unpack_snapshot(d))
+                _, dec_seconds = _timed(
+                    lambda d=data: unpack_snapshot(d), repeat=repeat
+                )
                 rows.append(
                     {
                         "n_qubits": n,

@@ -680,6 +680,20 @@ def _engine_line(snapshot: dict) -> str:
     return text
 
 
+def _encode_line(snapshot: dict) -> str:
+    """How new blocks were encoded, from the ``save.encode.*`` series: a
+    store of dense amplitude data is all stored blocks (ratio ~1.0)."""
+    stored = _series_value(snapshot, "save.encode.stored_blocks")
+    deflated = _series_value(snapshot, "save.encode.deflated_blocks")
+    if not stored and not deflated:
+        return ""
+    stored_mib = _series_value(snapshot, "save.encode.stored_bytes") / (1 << 20)
+    return (
+        f"encode: {stored:.0f} blocks stored as-is ({stored_mib:.2f} MiB), "
+        f"{deflated:.0f} deflated"
+    )
+
+
 def _print_metrics(response: dict) -> None:
     snapshot = response.get("metrics", {})
     if "daemon_id" in response:
@@ -694,9 +708,9 @@ def _print_metrics(response: dict) -> None:
             f"{response.get('epoch')})"
         )
     print(f"dedup ratio: {response.get('dedup_ratio', 0.0):.2f}x")
-    engine_line = _engine_line(snapshot)
-    if engine_line:
-        print(engine_line)
+    for line in (_encode_line(snapshot), _engine_line(snapshot)):
+        if line:
+            print(line)
     fast_hits = _series_value(snapshot, "tier.fast_hits", tier="fast")
     fast_misses = _series_value(snapshot, "tier.fast_misses", tier="fast")
     if fast_hits or fast_misses:
@@ -1074,6 +1088,7 @@ def _profile_json(trees, selected, obs_profile) -> dict:
             "status": node.status,
             "synthetic": node.synthetic,
             "bytes": node.bytes,
+            "encode": node.attrs.get("encode"),
             "children": [node_dict(child) for child in node.children],
         }
 
@@ -1115,6 +1130,12 @@ def _print_profile_node(node, root_ms: float, depth: int = 0) -> None:
     extra = ""
     if node.bytes:
         extra = f"  {node.bytes / (1 << 20):.2f} MiB"
+    encode = node.attrs.get("encode")
+    if isinstance(encode, dict):
+        extra += (
+            f"  new blocks: {encode.get('stored_blocks', 0)} stored, "
+            f"{encode.get('deflated_blocks', 0)} deflated"
+        )
     if node.status != "ok":
         extra += f"  [{node.status}]"
     print(

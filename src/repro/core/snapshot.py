@@ -33,58 +33,58 @@ def split_tree(tree: Any, prefix: str = "") -> Tuple[Any, Dict[str, np.ndarray]]
     side serializes cleanly.
     """
     tensors: Dict[str, np.ndarray] = {}
+    return _split(tree, prefix, tensors), tensors
 
-    def walk(node: Any, path: str) -> Any:
-        if isinstance(node, np.ndarray):
-            tensors[path] = node
-            return {_TENSOR_MARKER: path}
-        if isinstance(node, (np.integer,)):
-            return int(node)
-        if isinstance(node, (np.floating,)):
-            return float(node)
-        if isinstance(node, (np.bool_,)):
-            return bool(node)
-        if isinstance(node, dict):
-            out = {}
-            for key, value in node.items():
-                if not isinstance(key, str):
-                    raise SerializationError(
-                        f"tree keys must be strings, got {key!r} at {path!r}"
-                    )
-                if _TENSOR_MARKER in key or "/" in key:
-                    raise SerializationError(
-                        f"tree key {key!r} may not contain '/' or the tensor marker"
-                    )
-                out[key] = walk(value, f"{path}/{key}" if path else key)
-            return out
-        if isinstance(node, (list, tuple)):
-            return [walk(v, f"{path}/{i}") for i, v in enumerate(node)]
-        if node is None or isinstance(node, (bool, int, float, str)):
-            return node
-        raise SerializationError(
-            f"unsupported leaf type {type(node).__name__} at {path!r}"
-        )
 
-    json_tree = walk(tree, prefix)
-    return json_tree, tensors
+# The two walkers are module-level functions, not closures inside
+# split_tree / join_tree: a nested function that calls itself is a reference
+# cycle, and one that also captures ``tensors`` keeps every array of the
+# snapshot (a statevector of megabytes) alive after each save, restore and
+# comparison until the cyclic collector next runs.
+def _split(node: Any, path: str, tensors: Dict[str, np.ndarray]) -> Any:
+    if isinstance(node, np.ndarray):
+        tensors[path] = node
+        return {_TENSOR_MARKER: path}
+    if isinstance(node, (np.integer,)):
+        return int(node)
+    if isinstance(node, (np.floating,)):
+        return float(node)
+    if isinstance(node, (np.bool_,)):
+        return bool(node)
+    if isinstance(node, dict):
+        out = {}
+        for key, value in node.items():
+            if not isinstance(key, str):
+                raise SerializationError(
+                    f"tree keys must be strings, got {key!r} at {path!r}"
+                )
+            if _TENSOR_MARKER in key or "/" in key:
+                raise SerializationError(
+                    f"tree key {key!r} may not contain '/' or the tensor marker"
+                )
+            out[key] = _split(value, f"{path}/{key}" if path else key, tensors)
+        return out
+    if isinstance(node, (list, tuple)):
+        return [_split(v, f"{path}/{i}", tensors) for i, v in enumerate(node)]
+    if node is None or isinstance(node, (bool, int, float, str)):
+        return node
+    raise SerializationError(
+        f"unsupported leaf type {type(node).__name__} at {path!r}"
+    )
 
 
 def join_tree(json_tree: Any, tensors: Dict[str, np.ndarray]) -> Any:
     """Inverse of :func:`split_tree`."""
-
-    def walk(node: Any) -> Any:
-        if isinstance(node, dict):
-            if set(node.keys()) == {_TENSOR_MARKER}:
-                path = node[_TENSOR_MARKER]
-                if path not in tensors:
-                    raise SerializationError(f"missing tensor {path!r}")
-                return tensors[path]
-            return {key: walk(value) for key, value in node.items()}
-        if isinstance(node, list):
-            return [walk(v) for v in node]
-        return node
-
-    return walk(json_tree)
+    if isinstance(json_tree, dict):
+        if set(json_tree.keys()) == {_TENSOR_MARKER}:
+            path = json_tree[_TENSOR_MARKER]
+            if path not in tensors:
+                raise SerializationError(f"missing tensor {path!r}")
+            return tensors[path]
+        return {key: join_tree(value, tensors) for key, value in json_tree.items()}
+    if isinstance(json_tree, list):
+        return [join_tree(v, tensors) for v in json_tree]
+    return json_tree
 
 
 def tree_equal(a: Any, b: Any) -> bool:

@@ -200,7 +200,7 @@ class Trainer:
             rng_state=capture_rng_state(self.rng),
             model_fingerprint=self.model.fingerprint(),
             sampler_state=self.sampler.state() if self.sampler else None,
-            loss_history=np.asarray(self.loss_history, dtype=np.float64),
+            loss_history=np.array(self.loss_history, dtype=np.float64),
             statevector=statevector,
             wall_time=self.wall_time,
             extra=extra,

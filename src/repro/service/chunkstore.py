@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.codecs import get_codec
+from repro.core.codecs import COSTLY, STORED, get_codec
 from repro.core.hashing import block_address_stream
 from repro.core.restore import (
     CONTENT_ADDRESS_PREFIX,
@@ -513,8 +513,11 @@ class ChunkStore:
         """
         started = time.perf_counter()
         stages: Dict[str, float] = {}
+        # How this save's new blocks get encoded, by the codec's verdict:
+        # stored as they are (and their raw bytes), or compressed.
+        split = {"stored_blocks": 0, "stored_bytes": 0, "deflated_blocks": 0}
         with span_scope("store.save", job=job_id) as span:
-            record = self._save_snapshot(job_id, snapshot, extra, stages)
+            record = self._save_snapshot(job_id, snapshot, extra, stages, split)
             if span is not None:
                 # Stage attribution for `qckpt profile`: wall seconds per
                 # pipeline stage plus byte counts, accumulated inline by
@@ -525,8 +528,12 @@ class ChunkStore:
                     for stage, seconds in stages.items()
                     if seconds > 0
                 }
+                span.attrs["encode"] = dict(split)
                 span.attrs["bytes"] = record.logical_bytes
                 span.attrs["new_bytes"] = record.physical_bytes
+        for key, amount in split.items():
+            if amount:
+                self.metrics.counter(f"save.encode.{key}").inc(amount)
         self.metrics.histogram("save.seconds", job=job_id).observe(
             time.perf_counter() - started
         )
@@ -538,6 +545,7 @@ class ChunkStore:
         snapshot: TrainingSnapshot,
         extra: Optional[Dict] = None,
         stages: Optional[Dict[str, float]] = None,
+        split: Optional[Dict[str, int]] = None,
     ) -> ChunkCheckpointRecord:
         """The actual commit (see :meth:`save_snapshot`).
 
@@ -554,12 +562,18 @@ class ChunkStore:
         ``memoryview`` slice of the serialized stream fed straight into the
         address hash (:func:`repro.core.hashing.block_address_stream`), so no
         per-block ``bytes`` copy exists before the dedup decision.  Encoding
-        is *pipelined*: a single packer thread speculatively compresses the
-        next likely-new block while this thread writes the current one, so
+        takes one of three paths per likely-new block, chosen by the codec's
+        own probe of the block's bytes (:meth:`repro.core.codecs.Codec.probe`,
+        run once): a block that will not shrink is *stored* inline, a block
+        too small to be worth a thread hop is compressed inline, and only a
+        block with real compression work is *pipelined* — a single packer
+        thread, created when the first such block appears, speculatively
+        compresses it while this thread writes the current one, so
         compression CPU overlaps backend I/O within one save.  Speculation is
         a pure perf hint — a block that turns out to dedup just discards the
         encode (``save.pipeline.wasted`` counts those, ``.speculated`` the
-        attempts).
+        attempts).  ``split`` tallies the verdicts of the blocks this save
+        encoded (the ``save.encode.*`` counters and the span's ``encode``).
         """
         _validate_job_id(job_id)
         if stages is None:
@@ -577,10 +591,13 @@ class ChunkStore:
         physical = 0
         reserved: List[str] = []
         pinned: List[str] = []
-        # Speculative compress-ahead pays only when encoding costs CPU.
-        speculative = self.codec.name != "none"
+        # Each block that looks new is probed once (Codec.probe): only a
+        # COSTLY verdict is compressed ahead on the packer thread; a STORED
+        # or CHEAP block is encoded inline when its turn comes, since that
+        # takes less time than the hop to another thread.
         packer: Optional[ThreadPoolExecutor] = None
         futures: Dict[int, Future] = {}
+        verdicts: Dict[int, str] = {}
 
         def pin(address: str) -> None:
             self._inflight[address] = self._inflight.get(address, 0) + 1
@@ -597,35 +614,42 @@ class ChunkStore:
                 )
                 stages["hash"] += time.perf_counter() - stage_t1
                 futures.clear()
+                verdicts.clear()
                 blocks = []
                 for idx, (piece, address) in enumerate(pairs):
-                    if speculative:
-                        for ahead in (idx, idx + 1):
-                            if ahead >= len(pairs) or ahead in futures:
-                                continue
-                            with self._lock:
-                                likely_new = (
-                                    self._known.get(pairs[ahead][1]) is None
+                    for ahead in (idx, idx + 1):
+                        if ahead >= len(pairs) or ahead in verdicts:
+                            continue
+                        with self._lock:
+                            likely_new = (
+                                self._known.get(pairs[ahead][1]) is None
+                            )
+                        if not likely_new:
+                            continue
+                        stage_t0 = time.perf_counter()
+                        verdict = self.codec.probe(pairs[ahead][0])
+                        stages["encode"] += time.perf_counter() - stage_t0
+                        verdicts[ahead] = verdict
+                        if verdict == COSTLY:
+                            if packer is None:
+                                packer = ThreadPoolExecutor(
+                                    max_workers=1,
+                                    thread_name_prefix="qckpt-pack",
                                 )
-                            if likely_new:
-                                if packer is None:
-                                    packer = ThreadPoolExecutor(
-                                        max_workers=1,
-                                        thread_name_prefix="qckpt-pack",
-                                    )
-                                futures[ahead] = packer.submit(
-                                    self.codec.encode, pairs[ahead][0]
-                                )
-                                self.metrics.counter(
-                                    "save.pipeline.speculated"
-                                ).inc()
+                            futures[ahead] = packer.submit(
+                                self.codec.encode, pairs[ahead][0], verdict
+                            )
+                            self.metrics.counter(
+                                "save.pipeline.speculated"
+                            ).inc()
                     n_blocks += 1
                     with self._lock:
                         pin(address)
                     encoded = futures.pop(idx, None)
                     stored_nbytes, was_new = self._ensure_block(
                         piece, address, reserved, encoded=encoded,
-                        stages=stages,
+                        verdict=verdicts.get(idx), stages=stages,
+                        split=split,
                     )
                     if encoded is not None and not was_new:
                         self.metrics.counter("save.pipeline.wasted").inc()
@@ -726,7 +750,9 @@ class ChunkStore:
         address: str,
         reserved: List[str],
         encoded: Optional[Future] = None,
+        verdict: Optional[str] = None,
         stages: Optional[Dict[str, float]] = None,
+        split: Optional[Dict[str, int]] = None,
     ) -> Tuple[int, bool]:
         """Make sure ``address`` holds ``piece``; returns ``(size, was_new)``.
 
@@ -739,7 +765,9 @@ class ChunkStore:
 
         ``piece`` is any bytes-like view of the block; ``encoded`` optionally
         carries a speculative compress-ahead future whose result replaces the
-        inline ``codec.encode`` when this thread wins the claim.
+        inline ``codec.encode`` when this thread wins the claim, and
+        ``verdict`` the codec's probe of the block when the caller already
+        ran it (``split`` tallies the verdicts of the blocks encoded here).
         """
         while True:
             with self._lock:
@@ -757,10 +785,12 @@ class ChunkStore:
                     return int(stored_nbytes), False
             if claimed:
                 stage_t0 = time.perf_counter()
+                if verdict is None:
+                    verdict = self.codec.probe(piece)
                 if encoded is not None:
                     stored = encoded.result()
                 else:
-                    stored = self.codec.encode(piece)
+                    stored = self.codec.encode(piece, verdict)
                 if not isinstance(stored, bytes):
                     # The identity codec hands the input view back; the
                     # backend must never hold a view aliasing a live tensor.
@@ -773,6 +803,12 @@ class ChunkStore:
                     stage_t2 = time.perf_counter()
                     stages["encode"] += stage_t1 - stage_t0
                     stages["write"] += stage_t2 - stage_t1
+                if split is not None:
+                    if verdict == STORED:
+                        split["stored_blocks"] += 1
+                        split["stored_bytes"] += len(piece)
+                    else:
+                        split["deflated_blocks"] += 1
                 with self._lock:
                     # Write landed: now (and only now) publish it, so a
                     # racing save deduping against this entry can safely

@@ -98,7 +98,9 @@ class ServiceCheckpointManager:
                 if self.channel.backpressure == "degrade"
                 else None
             )
-            self.save(trainer.capture(), lite_factory=lite_factory)
+            # capture() hands over deep copies nothing else references, so
+            # they go to the channel as they are (save() would copy again).
+            self._submit(trainer.capture(), lite_factory=lite_factory)
 
     def on_run_end(self, trainer) -> None:
         """Trainer hook: wait for this job's queue to empty."""
@@ -112,13 +114,27 @@ class ServiceCheckpointManager:
         lite_snapshot: Optional[TrainingSnapshot] = None,
         lite_factory=None,
     ) -> None:
-        """Submit ``snapshot`` through the channel.
+        """Submit a copy of ``snapshot`` through the channel.
 
-        The degrade fallback comes either ready-made (``lite_snapshot``) or
-        lazily (``lite_factory``, a zero-arg callable returning a snapshot,
-        invoked only if the channel's queue is full at submit time).
+        The caller keeps its snapshot (and may mutate it at once): what the
+        writer persists is a deep copy taken here.  The degrade fallback
+        comes either ready-made (``lite_snapshot``) or lazily
+        (``lite_factory``, a zero-arg callable returning a snapshot, invoked
+        only if the channel's queue is full at submit time).
         """
-        snapshot = snapshot.copy()
+        self._submit(
+            snapshot.copy(),
+            None if lite_snapshot is None else lite_snapshot.copy(),
+            None if lite_factory is None else (lambda: lite_factory().copy()),
+        )
+
+    def _submit(
+        self,
+        snapshot: TrainingSnapshot,
+        lite_snapshot: Optional[TrainingSnapshot] = None,
+        lite_factory=None,
+    ) -> None:
+        """Queue snapshots the manager owns (no copies are taken here)."""
 
         def task() -> None:
             self._commit(snapshot, lite=False)
@@ -126,15 +142,14 @@ class ServiceCheckpointManager:
         fallback = None
         fallback_factory = None
         if lite_snapshot is not None:
-            lite = lite_snapshot.copy()
 
             def fallback() -> None:
-                self._commit(lite, lite=True)
+                self._commit(lite_snapshot, lite=True)
 
         elif lite_factory is not None:
 
             def fallback_factory() -> "object":
-                lite = lite_factory().copy()
+                lite = lite_factory()
                 return lambda: self._commit(lite, lite=True)
 
         self.channel.submit(

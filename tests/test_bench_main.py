@@ -116,3 +116,62 @@ class TestQuickSweepShapes:
         rows = section.run(True)
         checks = section.checks(rows)
         assert checks and all(c.startswith("PASS") for c in checks)
+
+
+class TestBenchTrendGate:
+    """``tools/bench_trend.py`` warns on seconds but fails on a paired ratio
+    above the ceiling its benchmark wrote next to it (``X`` / ``X_max``)."""
+
+    @staticmethod
+    def _run(tmp_path, base, fresh):
+        import importlib.util
+        import json
+        from pathlib import Path
+
+        tool = Path(__file__).resolve().parents[1] / "tools" / "bench_trend.py"
+        spec = importlib.util.spec_from_file_location("bench_trend", tool)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        paths = []
+        for name, doc in (("base", base), ("fresh", fresh)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            paths.append(str(path))
+        return module.main(paths)
+
+    @staticmethod
+    def _doc(ratio, seconds=0.002):
+        return {
+            "cpu_count": 2,
+            "encode_bypass": {
+                "dense": {
+                    "encode_seconds_ratio": ratio,
+                    "encode_seconds_ratio_max": 0.15,
+                    "adaptive_encode_seconds": seconds,
+                }
+            },
+        }
+
+    def test_ratio_above_its_ceiling_fails_the_run(self, tmp_path, capsys):
+        assert self._run(tmp_path, self._doc(0.07), self._doc(0.90)) == 1
+        assert "ABOVE THEIR CEILING" in capsys.readouterr().out
+
+    def test_a_rise_under_the_ceiling_only_warns(self, tmp_path, capsys):
+        # +86% against a baseline from another machine, still healthy by
+        # the benchmark's own assert: listed, not failed.
+        assert self._run(tmp_path, self._doc(0.07), self._doc(0.13)) == 0
+        assert "encode_seconds_ratio" in capsys.readouterr().out
+        assert self._run(tmp_path, self._doc(0.07), self._doc(0.01)) == 0
+
+    def test_seconds_only_warn(self, tmp_path, capsys):
+        slow = self._doc(0.07, seconds=0.2)
+        assert self._run(tmp_path, self._doc(0.07), slow) == 0
+        assert "warn-only" in capsys.readouterr().out
+
+    def test_the_committed_generation_carries_its_ceilings(self):
+        import json
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "BENCH_substrate.json"
+        dense = json.loads(path.read_text())["encode_bypass"]["dense"]
+        assert dense["encode_seconds_ratio"] <= dense["encode_seconds_ratio_max"]

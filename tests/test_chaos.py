@@ -107,6 +107,62 @@ class TestSweep:
         assert failing == []
 
 
+class TestAbortedSaveLeavesNoPackerThread:
+    """A save killed at any chunk-store barrier, whichever encode path the
+    dying block was on (stored inline, deflated inline, compress-ahead on
+    the packer thread), leaves no ``qckpt-pack`` thread behind and a store
+    that reopens to the last committed checkpoint."""
+
+    @staticmethod
+    def _snapshot(step):
+        import numpy as np
+
+        from repro.core.snapshot import TrainingSnapshot
+
+        rng = np.random.default_rng(step)
+        ramp = np.arange(4096, dtype=np.float64) + step  # deflates: packer
+        return TrainingSnapshot(
+            step=step,
+            params=rng.normal(size=48),  # under the probe floor: inline
+            optimizer_state={"lr": 0.01},
+            rng_state={"seed": step},
+            model_fingerprint="chaos-model",
+            loss_history=ramp,
+            statevector=rng.normal(size=2048) + 1j * rng.normal(size=2048),  # stored
+        )
+
+    @pytest.mark.parametrize("on_hit", [1, 2, 5, 9])
+    @pytest.mark.parametrize(
+        "point",
+        [p for p in sorted(REGISTRY.describe()) if p.startswith("chunkstore.")],
+    )
+    def test_kill_reopen_bitwise_and_no_thread(self, point, on_hit):
+        import threading
+
+        from repro.service.chunkstore import ChunkStore
+        from repro.storage.memory import InMemoryBackend
+
+        backend = InMemoryBackend()
+        store = ChunkStore(backend, block_bytes=8192)
+        first, second = self._snapshot(1), self._snapshot(2)
+        store.save_snapshot("chaos", first)
+        assert store.metrics.counter("save.pipeline.speculated").value >= 4
+        assert store.metrics.counter("save.encode.stored_blocks").value >= 4
+        hit = on_hit if ".chunk." in point else 1  # one manifest per save
+        with pytest.raises(CrashPointTriggered):
+            with REGISTRY.armed(point, on_hit=hit):
+                store.save_snapshot("chaos", second)
+        assert not [
+            t.name for t in threading.enumerate()
+            if t.name.startswith("qckpt-pack")
+        ]
+        expected = second if point.endswith("manifest.after-write") else first
+        _, restored, _ = ChunkStore(backend, block_bytes=8192).latest_valid(
+            "chaos"
+        )
+        assert restored == expected
+
+
 class TestChaosCli:
     def test_list_mode(self, capsys):
         assert chaos.main(["--list"]) == 0

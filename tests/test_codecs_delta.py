@@ -1,10 +1,18 @@
 """Unit tests for byte codecs, lossy transforms, and XOR delta encoding."""
 
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.codecs import (
+    CHEAP,
     CODECS,
+    COSTLY,
+    PROBE_MIN_BYTES,
+    STORED,
     TRANSFORMS,
     get_codec,
     get_transform,
@@ -63,6 +71,138 @@ class TestCodecs:
             LzmaCodec(10)
         with pytest.raises(ConfigError):
             Bz2Codec(0)
+
+
+def _block(kind: str, size: int) -> bytes:
+    """Byte patterns the probe must tell apart, at any size."""
+    rng = np.random.default_rng([size, len(kind)])
+    noise = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
+    if kind == "zeros":
+        return bytes(size)
+    if kind == "random":
+        return noise
+    if kind == "half-and-half":
+        return noise[: size // 2] + bytes(size - size // 2)
+    if kind == "sparse-random-tail":
+        return bytes(size - size // 16) + noise[: size // 16]
+    if kind == "random-head-sparse":  # what a one-window probe would misjudge
+        return noise[: size // 8] + bytes(size - size // 8)
+    raise AssertionError(kind)
+
+
+_KINDS = (
+    "zeros", "random", "half-and-half", "sparse-random-tail",
+    "random-head-sparse",
+)
+_SIZES = (0, 1, 4095, 4096, 65535, 65536, 1 << 20)
+
+
+class TestZlibProbe:
+    """The ``zlib-N`` contract: whatever the probe decides, the output is a
+    zlib stream the parent commit's decoder (bare ``zlib.decompress``) reads,
+    never larger than the stored framing of the input."""
+
+    @pytest.mark.parametrize("size", _SIZES)
+    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize("name", ["zlib-1", "zlib-6", "zlib-9"])
+    def test_roundtrip_bound_and_bare_zlib(self, name, kind, size):
+        codec = get_codec(name)
+        data = _block(kind, size)
+        encoded = codec.encode(data)
+        assert codec.decode(encoded) == data
+        assert zlib.decompress(encoded) == data
+        assert len(encoded) <= len(zlib.compress(data, 0))
+        if size <= 65536:
+            assert len(encoded) <= size + 16
+        # views (what the chunk store hands over) encode like bytes
+        assert codec.encode(memoryview(data)) == encoded
+
+    @pytest.mark.parametrize("size", [s for s in _SIZES if s >= PROBE_MIN_BYTES])
+    def test_verdict_follows_the_bytes(self, size):
+        codec = get_codec("zlib-6")
+        assert codec.probe(_block("random", size)) == STORED
+        for kind in _KINDS:
+            if kind != "random":
+                assert codec.probe(_block(kind, size)) == COSTLY, kind
+
+    @pytest.mark.parametrize("size", [0, 1, 4095])
+    def test_small_inputs_skip_the_probe(self, size):
+        assert get_codec("zlib-6").probe(_block("random", size)) == CHEAP
+
+    def test_dense_amplitudes_are_stored_sparse_states_deflated(self, rng):
+        codec = get_codec("zlib-6")
+        dense = haar_state(12, rng).tobytes()
+        sparse = np.zeros(4096, dtype=np.complex128)
+        sparse[:13] = haar_state(4, rng)[:13]
+        assert codec.probe(dense) == STORED
+        assert codec.encode(dense) == zlib.compress(dense, 0)
+        assert codec.probe(sparse.tobytes()) == COSTLY
+        # a deflated block is byte-identical to what the parent wrote
+        assert codec.encode(sparse.tobytes()) == zlib.compress(sparse.tobytes(), 6)
+
+    def test_verdict_passed_in_is_not_probed_again(self, monkeypatch):
+        codec = get_codec("zlib-6")
+        data = _block("random", 65536)
+        monkeypatch.setattr(
+            type(codec), "probe", lambda self, data: pytest.fail("probed twice")
+        )
+        assert codec.encode(data, STORED) == zlib.compress(data, 0)
+        assert codec.encode(data, COSTLY) == zlib.compress(data, 6)
+
+    def test_other_codecs_keep_their_behaviour(self):
+        data = _block("random", 65536)
+        assert get_codec("none").probe(data) == STORED
+        assert get_codec("none").encode(data, STORED) is data
+        for name in ("lzma", "lzma-6", "bz2"):
+            codec = get_codec(name)
+            assert codec.probe(data) == COSTLY
+            assert codec.probe(b"") == COSTLY
+            assert codec.decode(codec.encode(data, COSTLY)) == data
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(
+        runs=st.lists(
+            st.tuples(
+                st.sampled_from(["zeros", "noise", "ramp"]),
+                st.integers(min_value=0, max_value=40_000),
+                st.integers(min_value=0, max_value=2**32 - 1),
+            ),
+            max_size=6,
+        ),
+        level=st.sampled_from([1, 6, 9]),
+    )
+    def test_any_mix_of_runs_roundtrips_within_the_stored_bound(
+        self, runs, level
+    ):
+        parts = []
+        for kind, length, seed in runs:
+            if kind == "zeros":
+                parts.append(bytes(length))
+            elif kind == "noise":
+                parts.append(
+                    np.random.default_rng(seed)
+                    .integers(0, 256, length, dtype=np.uint8)
+                    .tobytes()
+                )
+            else:
+                parts.append(bytes(i & 0xFF for i in range(length)))
+        data = b"".join(parts)
+        encoded = get_codec(f"zlib-{level}").encode(data)
+        assert zlib.decompress(encoded) == data
+        assert len(encoded) <= len(zlib.compress(data, 0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.binary(max_size=PROBE_MIN_BYTES - 1))
+    def test_small_inputs_never_exceed_their_stored_form(self, data):
+        # Why inputs under the probe floor need no stored fallback: zlib's
+        # block chooser already emits a stored block when deflate loses.
+        assert len(get_codec("zlib-6").encode(data)) <= len(
+            zlib.compress(data, 0)
+        )
 
 
 class TestTransforms:

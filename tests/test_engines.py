@@ -396,21 +396,57 @@ class TestChunkStorePipeline:
         from repro.service.chunkstore import ChunkStore
         from repro.storage.memory import InMemoryBackend
 
-        store = ChunkStore(InMemoryBackend(), codec="zlib-6", block_bytes=256)
-        rng = np.random.default_rng(8)
-        params = rng.standard_normal(400)
+        store = ChunkStore(InMemoryBackend(), codec="zlib-6", block_bytes=8192)
+        # distinct full-size blocks that really deflate: the packer's work
+        params = np.arange(4096, dtype=np.float64)
         record = store.save_snapshot("job-a", _snapshot(1, params))
-        assert record.n_blocks >= 2
+        assert record.n_blocks >= 4
         speculated = store.metrics.counter("save.pipeline.speculated").value
-        assert speculated >= 1
-        # identical content re-saved: every block dedups, speculation that
-        # did run is counted wasted, stored bytes stay put
+        assert speculated >= 4
+        # identical content re-saved: every block dedups, nothing is probed
+        # or speculated again, stored bytes stay put
         record2 = store.save_snapshot("job-a", _snapshot(2, params))
         assert record2.n_new_blocks == 0
+        assert (
+            store.metrics.counter("save.pipeline.speculated").value
+            == speculated
+        )
         loaded = store.load_snapshot("job-a", record.ckpt_id)
         assert np.array_equal(
             loaded.params.view(np.uint8), params.view(np.uint8)
         )
+
+    def test_only_blocks_that_deflate_reach_the_packer_thread(self):
+        import threading
+
+        from repro.service.chunkstore import ChunkStore
+        from repro.storage.memory import InMemoryBackend
+
+        created = []
+        original = threading.Thread.start
+
+        def recording_start(thread):
+            created.append(thread.name)
+            return original(thread)
+
+        rng = np.random.default_rng(8)
+        store = ChunkStore(InMemoryBackend(), codec="zlib-6", block_bytes=8192)
+        threading.Thread.start = recording_start
+        try:
+            # full blocks of dense data: stored inline
+            store.save_snapshot("dense", _snapshot(1, rng.standard_normal(4096)))
+            # blocks under the probe floor: deflated inline
+            small = ChunkStore(InMemoryBackend(), codec="zlib-6", block_bytes=256)
+            small.save_snapshot("small", _snapshot(1, rng.standard_normal(400)))
+        finally:
+            threading.Thread.start = original
+        assert not [name for name in created if name.startswith("qckpt-pack")]
+        assert store.metrics.counter("save.pipeline.speculated").value == 0
+        assert small.metrics.counter("save.pipeline.speculated").value == 0
+        assert store.metrics.counter("save.encode.stored_blocks").value == 4
+        assert store.metrics.counter("save.encode.stored_bytes").value == 4 * 8192
+        assert small.metrics.counter("save.encode.stored_blocks").value == 0
+        assert small.metrics.counter("save.encode.deflated_blocks").value >= 13
 
     def test_none_codec_never_aliases_tensor_memory(self):
         from repro.service.chunkstore import ChunkStore

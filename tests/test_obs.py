@@ -699,12 +699,18 @@ class TestCliMetrics:
         registry.histogram("save.seconds", job="j0").observe(0.01)
         registry.counter("store.logical_bytes").inc(200)
         registry.counter("store.physical_bytes").inc(100)
+        registry.counter("save.encode.stored_blocks").inc(16)
+        registry.counter("save.encode.stored_bytes").inc(1 << 20)
+        registry.counter("save.encode.deflated_blocks").inc(5)
         obs = ObsDir(store_obs_dir(tmp_path))
         obs.save_registry(registry)
 
         assert main(["metrics", str(tmp_path)]) == 0
         output = capsys.readouterr().out
         assert "dedup ratio: 2.00x" in output
+        assert (
+            "encode: 16 blocks stored as-is (1.00 MiB), 5 deflated" in output
+        )
         assert "j0" in output
 
         assert main(["metrics", str(tmp_path), "--json"]) == 0

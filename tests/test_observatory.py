@@ -407,6 +407,11 @@ def _save_trace(trace="t1", start=100.0, dur_ms=100.0):
                     "write": 0.050,
                     "manifest": 0.005,
                 },
+                "encode": {
+                    "stored_blocks": 3,
+                    "stored_bytes": 3 << 16,
+                    "deflated_blocks": 1,
+                },
                 "bytes": 4 << 20,
                 "blocks": 4,
             },
@@ -940,7 +945,9 @@ class TestObservatoryCli:
         assert "stage coverage:" in out
 
         assert main(["profile", str(tmp_path), "--last-save"]) == 0
-        assert "trace t1" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "trace t1" in out
+        assert "new blocks: 3 stored, 1 deflated" in out
 
         assert main(["profile", str(tmp_path), "--folded"]) == 0
         folded = capsys.readouterr().out
@@ -949,6 +956,9 @@ class TestObservatoryCli:
         assert main(["profile", str(tmp_path), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert any(a["name"] == "store.save" for a in doc["aggregate"])
+        assert main(["profile", str(tmp_path), "--last-save", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["spans"][0]["encode"]["stored_blocks"] == 3
 
     def test_profile_unknown_trace_is_an_error(self, tmp_path, capsys):
         trace_path = store_obs_dir(tmp_path) / TRACE_FILENAME

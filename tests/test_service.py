@@ -2,6 +2,7 @@
 
 import threading
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from repro.service import (
     WriterPool,
     chunk_name,
 )
+from repro.service.scrub import scrub_store
 from repro.storage.flaky import FlakyBackend
 from repro.storage.memory import InMemoryBackend
 from repro.storage.sharded import ShardedBackend
@@ -477,6 +479,160 @@ class TestChunkStoreGC:
 
 
 # ---------------------------------------------------------------------------
+# Stored and deflated chunks side by side (the zlib codec's probe)
+# ---------------------------------------------------------------------------
+
+
+class _ParentZlib6:
+    """The parent commit's ``zlib-6``: DEFLATE level 6 on every block."""
+
+    name = "zlib-6"
+
+    def probe(self, data):
+        return "costly"
+
+    def encode(self, data, verdict=None):
+        return zlib.compress(data, 6)
+
+    def decode(self, data):
+        return zlib.decompress(data)
+
+
+def _mixed_snapshot(step=1, seed=0):
+    """A statevector whose 4 KiB blocks alternate between dense amplitudes
+    (stored) and exact zeros with a few amplitudes (deflated)."""
+    rng = np.random.default_rng(seed)
+    state = np.zeros(4096, dtype=np.complex128)
+    for start in range(0, 4096, 512):  # every other 4 KiB block is dense
+        state[start : start + 256] = rng.standard_normal(
+            256
+        ) + 1j * rng.standard_normal(256)
+        state[start + 256 + 7] = 0.25 + start  # no two sparse blocks equal
+    snapshot = make_snapshot(step=step, seed=seed)
+    snapshot.statevector = state
+    return snapshot
+
+
+class TestStoredAndDeflatedChunks:
+    BLOCK = 4096
+
+    def _parent_store(self, backend):
+        store = ChunkStore(backend, block_bytes=self.BLOCK)
+        store.codec = _ParentZlib6()
+        return store
+
+    def test_parent_written_store_restores_dedups_scrubs_and_gcs(self):
+        backend = InMemoryBackend()
+        parent = self._parent_store(backend)
+        snap1, snap2 = _mixed_snapshot(1, seed=1), _mixed_snapshot(2, seed=2)
+        parent.save_snapshot("job", snap1)
+        parent.save_snapshot("job", snap2)
+        parent_chunks = {
+            name: backend.read(name) for name in backend.list("ch-")
+        }
+
+        store = ChunkStore(backend, block_bytes=self.BLOCK)  # this commit
+        assert store.load_snapshot("job", "ckpt-000001") == snap1
+        assert store.latest_valid("job")[1] == snap2
+        # same raw blocks, same addresses: a re-save writes nothing, and no
+        # parent chunk is rewritten in the new encoding
+        record = store.save_snapshot("job", snap2)
+        assert record.n_new_blocks == 0
+        assert {
+            name: backend.read(name) for name in backend.list("ch-")
+        } == parent_chunks
+        assert scrub_store(backend, repair=False).clean
+        swept = store.gc(keep_last_per_job=1)
+        assert swept["manifests"] == 2 and swept["chunks"] > 0
+        assert store.latest_valid("job")[1] == snap2
+        assert scrub_store(backend, repair=False).clean
+
+    def test_chunks_written_here_decode_with_bare_zlib(self):
+        from repro.obs import trace
+
+        backend = InMemoryBackend()
+        store = ChunkStore(backend, block_bytes=self.BLOCK)
+        snapshot = _mixed_snapshot()
+        sink = trace.MemoryTraceSink()
+        previous = trace.set_trace_sink(sink)
+        try:
+            store.save_snapshot("job", snapshot)
+        finally:
+            trace.set_trace_sink(previous)
+        (span,) = [r for r in sink.records() if r["name"] == "store.save"]
+        assert span["attrs"]["encode"] == {
+            "stored_blocks": 8,
+            "stored_bytes": 8 * self.BLOCK,
+            "deflated_blocks": 10,  # 8 sparse blocks, params, loss history
+        }
+        assert "encode" in span["attrs"]["stages"]
+        raw = snapshot.statevector.tobytes()
+        blocks = {
+            chunk_name(raw[i : i + self.BLOCK], "zlib-6"): raw[i : i + self.BLOCK]
+            for i in range(0, len(raw), self.BLOCK)
+        }
+        kinds = set()
+        for address, block in blocks.items():
+            stored = backend.read(address)
+            assert zlib.decompress(stored) == block  # the parent's decoder
+            kinds.add(len(stored) > len(block))
+        assert kinds == {True, False}  # stored and deflated, side by side
+        assert store.metrics.counter("save.encode.stored_blocks").value == 8
+        assert (
+            store.metrics.counter("save.encode.stored_bytes").value
+            == 8 * self.BLOCK
+        )
+        assert store.metrics.counter("save.encode.deflated_blocks").value >= 8
+
+    def test_mixed_tensor_restores_through_every_path(self, tmp_path, capsys):
+        from repro.cli import main as qckpt_main
+        from repro.storage.local import LocalDirectoryBackend
+
+        directory = tmp_path / "store"
+        store = ChunkStore(
+            LocalDirectoryBackend(directory), block_bytes=self.BLOCK
+        )
+        snapshot = _mixed_snapshot()
+        store.save_snapshot("job", snapshot)
+
+        reopened = ChunkStore(
+            LocalDirectoryBackend(directory), block_bytes=self.BLOCK
+        )
+        assert reopened.latest_valid("job")[1] == snapshot
+        _, tensors, _ = reopened.latest_valid_partial("job", ["statevector"])
+        assert np.array_equal(
+            tensors["statevector"].view(np.uint8),
+            snapshot.statevector.view(np.uint8),
+        )
+        assert qckpt_main(["scrub", str(directory)]) == 0
+        assert "0 finding(s)" in capsys.readouterr().out
+
+    def test_qckpt_ranged_reads_of_stored_and_deflated_tensors(self):
+        # The monolithic store encodes whole tensors through the same codec:
+        # params (dense, stored) and a sparse statevector (deflated) sit in
+        # one file and are read back by byte range.
+        backend = InMemoryBackend()
+        assert backend.supports_ranged_reads
+        store = CheckpointStore(backend)
+        snapshot = make_snapshot(n_params=1024, seed=5)
+        snapshot.statevector = np.zeros(1 << 12, dtype=np.complex128)
+        snapshot.statevector[3] = 1.0
+        record = store.save_full(snapshot)
+        (plan,) = store.restore_plan(record.id)
+        (params_block,) = plan.tensors["params"].blocks
+        (state_block,) = plan.tensors["statevector"].blocks
+        assert params_block.stored_nbytes > params_block.raw_nbytes  # stored
+        assert state_block.stored_nbytes < state_block.raw_nbytes // 50
+        for name in ("params", "statevector"):
+            _, tensors = store.load_partial(record.id, [name])
+            assert np.array_equal(
+                tensors[name].view(np.uint8),
+                getattr(snapshot, name).view(np.uint8),
+            )
+        assert store.load(record.id) == snapshot
+
+
+# ---------------------------------------------------------------------------
 # WriterPool
 # ---------------------------------------------------------------------------
 
@@ -763,6 +919,36 @@ class TestServiceCheckpointManager:
         assert manager.stats.saves == 2
         assert store.latest("vqe") == "ckpt-000002"
         assert store.load_snapshot("vqe") == trainer.capture()
+
+    def test_save_copies_the_callers_snapshot_but_the_hook_does_not(
+        self, monkeypatch
+    ):
+        store = ChunkStore(InMemoryBackend())
+        pool = WriterPool(workers=1)
+        manager = ServiceCheckpointManager(
+            store, "vqe", pool.channel("vqe"), policy=EveryKSteps(1)
+        )
+        copies = []
+        original = TrainingSnapshot.copy
+        monkeypatch.setattr(
+            TrainingSnapshot,
+            "copy",
+            lambda self: copies.append(self.step) or original(self),
+        )
+        # the hook queues Trainer.capture()'s deep copies as they are
+        trainer = make_vqe_trainer()
+        trainer.run(2, hooks=[manager])
+        assert copies == []
+        # save() takes a snapshot the caller still owns: mutating it right
+        # after the call must not reach the store
+        snapshot = make_snapshot(step=7, seed=3)
+        expected = original(snapshot)
+        manager.save(snapshot)
+        snapshot.params += 1.0
+        assert copies == [7]
+        manager.close()
+        pool.close()
+        assert store.load_snapshot("vqe") == expected
 
     def test_write_failure_surfaces_on_manager_close(self):
         flaky = FlakyBackend(InMemoryBackend())

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ConfigError, IncompatibleCheckpointError
 from repro.ml.dataset import make_moons
 from repro.ml.models import VariationalClassifier, VQEModel
-from repro.ml.optimizers import Adam, SGD
+from repro.ml.optimizers import SGD, AdaGrad, Adam, RMSProp
 from repro.ml.trainer import Trainer, TrainerConfig
 from repro.quantum.observables import Hamiltonian
 from repro.quantum.templates import hardware_efficient
@@ -181,6 +181,59 @@ class TestCaptureRestore:
         trainer.run(2)
         assert snapshot.step == 2
         assert len(snapshot.loss_history) == 2
+
+    @pytest.mark.parametrize("lite", [False, True])
+    @pytest.mark.parametrize(
+        "optimizer",
+        [
+            lambda: SGD(lr=0.1, momentum=0.9),
+            lambda: Adam(lr=0.1, amsgrad=True),
+            lambda: RMSProp(lr=0.05, momentum=0.5),
+            lambda: AdaGrad(lr=0.1),
+        ],
+    )
+    def test_capture_owns_everything_it_holds(self, optimizer, lite):
+        """``capture`` is the one place that guarantees ownership: the
+        service manager queues its result without another copy, so nothing
+        the trainer does afterwards, in place or not, may reach it."""
+        dataset = make_moons(24, np.random.default_rng(7), noise=0.1)
+        trainer = Trainer(
+            VariationalClassifier(hardware_efficient(2, 1)),
+            optimizer(),
+            dataset,
+            TrainerConfig(batch_size=6, seed=11, capture_statevector=True),
+        )
+        trainer.model.statevector = lambda params: np.full(
+            4, 0.5, dtype=np.complex128
+        )
+        trainer.run(3)
+        snapshot = trainer.capture(lite=lite)
+        frozen = snapshot.copy()
+        assert (snapshot.statevector is None) == lite
+
+        # in-place mutation of every array the trainer and optimizer hold
+        trainer.params += 1.0
+        for value in vars(trainer.optimizer).values():
+            if isinstance(value, np.ndarray):
+                value += 1.0
+        trainer.optimizer.t += 5
+        trainer.sampler._permutation[:] = trainer.sampler._permutation[::-1]
+        trainer.loss_history.append(123.0)
+        trainer.rng.standard_normal(8)
+        trainer.run(4)  # and the ordinary way: more training
+
+        assert snapshot == frozen
+        held = [snapshot.params, snapshot.loss_history]
+        held += [
+            v for v in snapshot.optimizer_state["slots"].values()
+            if isinstance(v, np.ndarray)
+        ]
+        held.append(snapshot.sampler_state["permutation"])
+        live = [trainer.params, trainer.sampler._permutation] + [
+            v for v in vars(trainer.optimizer).values()
+            if isinstance(v, np.ndarray)
+        ]
+        assert not any(np.shares_memory(a, b) for a in held for b in live)
 
     def test_capture_includes_statevector_when_configured(self):
         trainer = make_vqe_trainer(capture_statevector=True)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Warn-only benchmark trend diff: fresh results vs a committed baseline.
+"""Benchmark trend diff vs a committed baseline; gates on paired ratios.
 
 CI runs the benchmark smoke suites (which rewrite ``BENCH_fleet.json`` /
 ``BENCH_substrate.json`` in the workspace) and then calls this tool with
@@ -16,9 +16,17 @@ one that says "per_second"/"speedup"/"dedup_ratio" regresses
 *downward*; metrics with no recognizable direction are reported as
 informational changes only.
 
-The exit code is always 0 — a trend warning must never fail the build
-(`--annotate` additionally emits GitHub ``::warning::`` lines so
-regressions surface on the workflow summary without gating it).
+A trend warning never fails the build (`--annotate` additionally emits
+GitHub ``::warning::`` lines so regressions surface on the workflow
+summary).  *Paired ratios* are different: both sides of such a ratio were
+measured in the same run on the same machine, so they hold on a noisy
+runner where seconds do not.  A benchmark marks one as gated by writing its
+ceiling next to it — leaf ``X`` with a sibling ``X_max``, today the
+``encode_bypass`` ratios of ``BENCH_substrate.json`` (adaptive zlib encode
+over forced level-6) — and a fresh ``X`` above the fresh ``X_max`` fails
+the run: exit code 1.  The ceiling is absolute, not relative to the
+baseline, because the baseline was measured on another machine: the same
+number the benchmark itself asserts, so the two cannot disagree.
 """
 
 import argparse
@@ -106,6 +114,13 @@ def main(argv=None):
     walk("", baseline_doc, baseline)
     walk("", fresh_doc, fresh)
 
+    # Gated leaves: every fresh ``X`` that carries its ceiling ``X_max``.
+    failures = [
+        (key, fresh[f"{key}_max"], value)
+        for key, value in sorted(fresh.items())
+        if value > fresh.get(f"{key}_max", float("inf"))
+    ]
+
     regressions, improvements, changes = [], [], []
     for key in sorted(set(baseline) & set(fresh)):
         base, new = baseline[key], fresh[key]
@@ -117,7 +132,7 @@ def main(argv=None):
         if abs(rel) <= args.threshold:
             continue
         row = (key, base, new, rel)
-        kind = direction(key)
+        kind = "lower" if f"{key}_max" in fresh else direction(key)
         if kind == "lower":
             (regressions if rel > 0 else improvements).append(row)
         elif kind == "higher":
@@ -126,7 +141,7 @@ def main(argv=None):
             changes.append(row)
 
     only = sorted(set(baseline) ^ set(fresh))
-    if not (regressions or improvements or changes or only):
+    if not (regressions or improvements or changes or only or failures):
         print(
             f"bench-trend: no leaf moved more than "
             f"{args.threshold:.0%} ({args.fresh} vs {args.baseline})"
@@ -141,6 +156,11 @@ def main(argv=None):
         for key, base, new, rel in sorted(rows, key=lambda r: -abs(r[3])):
             print(f"  {key:<58} {base:>12.4g} {new:>12.4g} {rel:>+8.0%}")
 
+    if failures:
+        print("\nGATED PAIRED RATIOS ABOVE THEIR CEILING")
+        print(f"  {'METRIC':<58} {'CEILING':>12} {'FRESH':>12}")
+        for key, cap, new in failures:
+            print(f"  {key:<58} {cap:>12.4g} {new:>12.4g}")
     show(f"POSSIBLE REGRESSIONS (>{args.threshold:.0%}, warn-only)",
          regressions)
     show("IMPROVEMENTS", improvements)
@@ -156,7 +176,12 @@ def main(argv=None):
                 f"::warning title=bench trend::{key} moved {rel:+.0%} "
                 f"({base:.4g} -> {new:.4g})"
             )
-    return 0
+        for key, cap, new in failures:
+            print(
+                f"::error title=bench gate::{key} is {new:.4g}, above its "
+                f"ceiling {cap:.4g}"
+            )
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
