@@ -76,7 +76,11 @@ def adjoint_gradient(
 
     for op in reversed(circuit.ops):
         resolved = op.resolve(values)
-        dagger = _kernels.cached_matrix(op.gate, resolved).conj().T
+        # Made contiguous once here: the compiled tier would otherwise copy
+        # the transposed view in both applications below.
+        dagger = np.ascontiguousarray(
+            _kernels.cached_matrix(op.gate, resolved).conj().T
+        )
         _kernels.apply_matrix_inplace(psi, dagger, op.wires, n, scratch)
         if op.is_trainable:
             for slot, value_ref in enumerate(op.params):

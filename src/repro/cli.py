@@ -667,6 +667,13 @@ def _engine_line(snapshot: dict) -> str:
     if not tiers:
         return ""
     text = f"engine: {'/'.join(sorted(set(tiers)))}"
+    kept = _series_value(snapshot, "engine.kernel_calls", gil="kept")
+    released = _series_value(snapshot, "engine.kernel_calls", gil="released")
+    if kept or released:
+        text += (
+            f"  kernel calls {kept:.0f} lock-kept / "
+            f"{released:.0f} lock-released"
+        )
     workers = _series_value(snapshot, "shard.workers")
     shifts = _series_value(snapshot, "shard.shifts")
     if workers or shifts:

@@ -44,6 +44,8 @@ import os
 import threading
 from typing import Dict, Optional
 
+import numpy as np
+
 from repro.errors import ConfigError
 from repro.obs.metrics import MetricsRegistry
 
@@ -111,11 +113,40 @@ def select_engine(name: Optional[str] = None) -> str:
         return tier
 
 
+#: Bytes :func:`_prime_malloc_thresholds` frees: a 16-qubit statevector.  A
+#: process that trains that size raises the thresholds this far by itself,
+#: so priming holds back no more memory than such a process already does.
+_PRIME_BYTES = (1 << 16) * 16
+
+
+def _prime_malloc_thresholds() -> None:
+    """Free one 16-qubit statevector's worth of memory, so that glibc's
+    malloc raises its self-adjusting thresholds when the engine starts and
+    not whenever the process first happens to free a large buffer.
+
+    glibc serves a request from ``mmap`` when it is at least the *mmap
+    threshold* (128 KiB at first) and trims the top of the heap when more
+    than the *trim threshold* is free there; freeing a mapped buffer raises
+    the first to that buffer's size and the second to twice that.  A process
+    that never frees more than 256 KiB therefore trims at 512 KiB, and a
+    14-qubit step's few 256 KiB temporaries are trimmed away and
+    page-faulted back on every step: 2280 faults and 21.5 ms a step (14q/2L
+    VQE), 7 faults and 16.5 ms once this has run (thresholds 1 MiB, 2 MiB).
+    Neighbours in the process feel it too: whether the e2e benchmark's
+    yardstick (256 KiB numpy temporaries on the measured thread) takes 0 or
+    96 faults a tick otherwise depends on what the program has left above
+    them in the heap, and its clock reads 0.65 or 0.82 ms from one run to the
+    next.  Other allocators ignore the hint.
+    """
+    np.empty(_PRIME_BYTES, dtype=np.uint8)
+
+
 def _activate(tier: str) -> None:
     from repro.quantum import kernels
     from repro.quantum.engines import compiled
 
     global _active
+    _prime_malloc_thresholds()
     kernels._set_compiled_kernels(
         compiled.kernel_library() if tier == TIER_COMPILED else None
     )
@@ -143,6 +174,7 @@ def engine_info() -> Dict[str, object]:
         "requested": _resolve_request(None),
         "compiled_available": compiled.available(),
         "compiled_reason": compiled.availability_reason(),
+        "release_gil_min_work": compiled.RELEASE_GIL_MIN_WORK,
         "cpu_count": os.cpu_count(),
         "shard_workers": resolve_shard_workers(None),
     }
@@ -233,5 +265,25 @@ def resolve_shard_workers(explicit: Optional[int]) -> int:
 
 
 def metrics_snapshot() -> dict:
-    """Snapshot of the engine/shard registry (for the daemon's metrics op)."""
-    return METRICS.snapshot()
+    """Snapshot of the engine/shard registry (for the daemon's metrics op).
+
+    The compiled facade counts its calls in two plain integers (nothing on
+    the kernel hot path touches the registry); they are read here and added
+    to the returned snapshot as ``engine.kernel_calls{gil=kept|released}``.
+    """
+    from repro.quantum.engines import compiled
+
+    snapshot = METRICS.snapshot()
+    counts = compiled.call_counts()
+    if counts is not None:
+        snapshot["series"] = list(snapshot["series"]) + [
+            {
+                "name": "engine.kernel_calls",
+                "labels": {"gil": side},
+                "type": "counter",
+                "epoch": snapshot["epoch"],
+                "value": value,
+            }
+            for side, value in sorted(counts.items())
+        ]
+    return snapshot

@@ -21,6 +21,10 @@ flags) marks the tier unavailable rather than silently changing results.
 
 Also exported: ``xor_into`` (delta-XOR for :mod:`repro.core.delta`) and
 ``fnv1a64`` (the fast pre-filter digest for :mod:`repro.core.hashing`).
+
+The library is loaded through two handles, ``ctypes.PyDLL`` (a call keeps
+the interpreter lock) and ``ctypes.CDLL`` (a call releases it); the size of
+a call picks the handle (:data:`RELEASE_GIL_MIN_WORK`).
 """
 
 from __future__ import annotations
@@ -283,6 +287,46 @@ def _build(compiler: str) -> str:
     )
 
 
+_VOID_P, _LONG = ctypes.c_void_p, ctypes.c_long
+
+#: Work of a call -- amplitudes for the gate kernels (``states.size``, so a
+#: batch counts its columns), bytes for ``xor_into`` / ``xor_to`` /
+#: ``fnv1a64`` -- from which it releases the interpreter lock.  Smaller calls
+#: keep it.  Measured on the 2-CPU reference box at the sizes the e2e
+#: benchmark runs:
+#:
+#: * 2^8-2^10 (the daemon's 8q classifier step, 448 calls of 1-2 us):
+#:   releasing beside threads queued for the lock costs ~25 us of futex
+#:   traffic per call -- the step's thread-CPU time beside a saturated
+#:   ``WriterPool(2)`` is 16.1 ms against 5.0 ms alone, (16.1 - 5.0) / 448;
+#:   keeping it, 3.7 against 3.5 ms, and ``fleet8_daemon`` does 2.5x the
+#:   useful steps/s (``BENCH_substrate.json`` ``contended_step`` gates this).
+#: * 2^12 (``vqe12_crashloop``, 3 us kernels, a writer busy a quarter of
+#:   the time, so the hand-off is rarely contended): keeping the lock lets
+#:   the writer in only at the interpreter's 5 ms switch interval.  Ten
+#:   seed-paired runs, kept -> released: ``service.pool.queue_wait_ms`` 21
+#:   -> 0.9, ``save_commit_p50_ms`` 53 -> 35, ``ckpt_overhead_ratio`` 1.029
+#:   -> 1.017 (9 of 10), useful steps/s 67.3 -> 69.7 (7 of 10).
+#: * 2^16 (``vqe16_bigstate``, 40-60 us kernels) and 64 KiB ``fnv1a64``
+#:   blocks: no difference either way; released, so that other threads and a
+#:   column-partitioning thread pool can run beside a long kernel.
+#:
+#: Nothing runs between 2^10 and 2^12, so the constant sits at the smallest
+#: size measured where releasing is the better side.
+RELEASE_GIL_MIN_WORK = 1 << 12
+
+
+def _bind(dlls, name: str, restype, argtypes):
+    """``name`` from each handle, indexed by "releases the lock"."""
+    functions = []
+    for dll in dlls:
+        function = getattr(dll, name)
+        function.restype = restype
+        function.argtypes = argtypes
+        functions.append(function)
+    return tuple(functions)
+
+
 class CompiledKernels:
     """ctypes facade over the compiled library.
 
@@ -290,50 +334,43 @@ class CompiledKernels:
     handled the update and ``False`` when the array is not eligible
     (wrong dtype / non-contiguous), in which case the caller falls through
     to the numpy path.
+
+    ``kept`` and ``released`` are the same library through ``ctypes.PyDLL``
+    and ``ctypes.CDLL``; every function slot holds the pair and a call
+    indexes it with ``work >= RELEASE_GIL_MIN_WORK``.  Both run the same
+    machine code, so the choice cannot change a result bit.  ``calls`` counts
+    the calls on each side (plain integers: two threads on the releasing
+    side may lose an increment, which a tally can afford).
+
+    Arrays cross as plain addresses (``arr.ctypes.data``): building a
+    ``POINTER(c_double)`` per argument through ``data_as`` -> ``ctypes.cast``
+    cost more than the small kernels themselves.
     """
 
-    def __init__(self, cdll: ctypes.CDLL, so_path: str):
+    def __init__(self, kept, released, so_path: str):
         self.so_path = so_path
-        self._k1q = cdll.qk_apply_1q
-        self._k1q.restype = None
-        self._k1q.argtypes = [
-            ctypes.POINTER(ctypes.c_double),
-            ctypes.c_long,
-            ctypes.c_long,
-            ctypes.POINTER(ctypes.c_double),
-        ]
-        self._k2q = cdll.qk_apply_2q
-        self._k2q.restype = ctypes.c_int
-        self._k2q.argtypes = [
-            ctypes.POINTER(ctypes.c_double),
-            ctypes.c_long,
-            ctypes.c_long,
-            ctypes.c_long,
-            ctypes.POINTER(ctypes.c_double),
-            ctypes.POINTER(ctypes.c_long),
-        ]
-        self._xor = cdll.qk_xor_bytes
-        self._xor.restype = None
-        self._xor.argtypes = [
-            ctypes.POINTER(ctypes.c_ubyte),
-            ctypes.POINTER(ctypes.c_ubyte),
-            ctypes.c_long,
-        ]
-        self._xor3 = cdll.qk_xor3
-        self._xor3.restype = None
-        self._xor3.argtypes = [
-            ctypes.POINTER(ctypes.c_ubyte),
-            ctypes.POINTER(ctypes.c_ubyte),
-            ctypes.POINTER(ctypes.c_ubyte),
-            ctypes.c_long,
-        ]
-        self._fnv = cdll.qk_fnv1a64
-        self._fnv.restype = ctypes.c_uint64
-        self._fnv.argtypes = [ctypes.POINTER(ctypes.c_ubyte), ctypes.c_long]
-        self._vmaps = {
-            False: (ctypes.c_long * 4)(0, 1, 2, 3),
-            True: (ctypes.c_long * 4)(0, 2, 1, 3),
-        }
+        self.calls = [0, 0]  # [kept, released]
+        self._dlls = dlls = (kept, released)
+        self._k1q = _bind(dlls, "qk_apply_1q", None, [_VOID_P, _LONG, _LONG, _VOID_P])
+        self._k2q = _bind(
+            dlls,
+            "qk_apply_2q",
+            ctypes.c_int,
+            [_VOID_P, _LONG, _LONG, _LONG, _VOID_P, _VOID_P],
+        )
+        self._xor = _bind(dlls, "qk_xor_bytes", None, [_VOID_P, _VOID_P, _LONG])
+        self._xor3 = _bind(dlls, "qk_xor3", None, [_VOID_P, _VOID_P, _VOID_P, _LONG])
+        self._fnv = _bind(dlls, "qk_fnv1a64", ctypes.c_uint64, [_VOID_P, _LONG])
+        # indexed by "wires reversed"
+        self._vmaps = (
+            (ctypes.c_long * 4)(0, 1, 2, 3),
+            (ctypes.c_long * 4)(0, 2, 1, 3),
+        )
+
+    def _side(self, work: int) -> bool:
+        released = work >= RELEASE_GIL_MIN_WORK
+        self.calls[released] += 1
+        return released
 
     @staticmethod
     def _eligible(states: np.ndarray, matrix: np.ndarray) -> bool:
@@ -343,25 +380,19 @@ class CompiledKernels:
             and matrix.dtype == np.complex128
         )
 
-    @staticmethod
-    def _matrix_ptr(matrix: np.ndarray):
-        if not matrix.flags["C_CONTIGUOUS"]:
-            matrix = np.ascontiguousarray(matrix)
-        return matrix, matrix.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
-
     def apply_1q(
         self, states: np.ndarray, matrix: np.ndarray, wire: int, n: int, tail: int
     ) -> bool:
         if not self._eligible(states, matrix):
             return False
+        if not matrix.flags["C_CONTIGUOUS"]:
+            matrix = np.ascontiguousarray(matrix)
         block = (1 << (n - wire - 1)) * tail
-        groups = states.size // (2 * block)
-        matrix, mptr = self._matrix_ptr(matrix)
-        self._k1q(
-            states.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-            groups,
+        self._k1q[self._side(states.size)](
+            states.ctypes.data,
+            states.size // (2 * block),
             block,
-            mptr,
+            matrix.ctypes.data,
         )
         return True
 
@@ -375,18 +406,18 @@ class CompiledKernels:
     ) -> bool:
         if not self._eligible(states, matrix):
             return False
+        if not matrix.flags["C_CONTIGUOUS"]:
+            matrix = np.ascontiguousarray(matrix)
         w0, w1 = wires
         i, j = (w0, w1) if w0 < w1 else (w1, w0)
         block = (1 << (n - j - 1)) * tail
         mid = 1 << (j - i - 1)
-        groups = states.size // (4 * mid * block)
-        matrix, mptr = self._matrix_ptr(matrix)
-        handled = self._k2q(
-            states.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-            groups,
+        handled = self._k2q[self._side(states.size)](
+            states.ctypes.data,
+            states.size // (4 * mid * block),
             mid,
             block,
-            mptr,
+            matrix.ctypes.data,
             self._vmaps[w0 > w1],
         )
         return bool(handled)
@@ -401,11 +432,7 @@ class CompiledKernels:
             or dst.size != src.size
         ):
             return False
-        self._xor(
-            dst.ctypes.data_as(ctypes.POINTER(ctypes.c_ubyte)),
-            src.ctypes.data_as(ctypes.POINTER(ctypes.c_ubyte)),
-            dst.size,
-        )
+        self._xor[self._side(dst.size)](dst.ctypes.data, src.ctypes.data, dst.size)
         return True
 
     def xor_to(self, out: np.ndarray, a: np.ndarray, b: np.ndarray) -> bool:
@@ -416,12 +443,8 @@ class CompiledKernels:
             for arr in arrays
         ) or not (out.size == a.size == b.size):
             return False
-        ptr = ctypes.POINTER(ctypes.c_ubyte)
-        self._xor3(
-            out.ctypes.data_as(ptr),
-            a.ctypes.data_as(ptr),
-            b.ctypes.data_as(ptr),
-            out.size,
+        self._xor3[self._side(out.size)](
+            out.ctypes.data, a.ctypes.data, b.ctypes.data, out.size
         )
         return True
 
@@ -436,11 +459,21 @@ class CompiledKernels:
         # np.frombuffer is zero-copy even over read-only buffers, unlike
         # ctypes' from_buffer (writable-only) / from_buffer_copy (copies).
         arr = np.frombuffer(view, dtype=np.uint8).reshape(-1)
-        return int(self._fnv(arr.ctypes.data_as(ctypes.POINTER(ctypes.c_ubyte)), n))
+        return int(self._fnv[self._side(n)](arr.ctypes.data, n))
 
 
 def _self_test(lib: CompiledKernels) -> Optional[str]:
-    """Bitwise parity check against the numpy oracle; returns failure reason."""
+    """Bitwise parity check of both handles against the numpy oracle; returns
+    the failure reason.  The check's arrays are small, so each handle is
+    tested as a facade of its own with that handle on both sides."""
+    for name, dll in zip(("lock-keeping", "lock-releasing"), lib._dlls):
+        failure = _parity_failure(CompiledKernels(dll, dll, lib.so_path))
+        if failure is not None:
+            return f"{name} handle: {failure}"
+    return None
+
+
+def _parity_failure(lib: CompiledKernels) -> Optional[str]:
     rng = np.random.default_rng(20250807)
     n, tail = 5, 6
     dim = 1 << n
@@ -542,7 +575,7 @@ def _probe() -> None:
         return
     try:
         so_path = _build(compiler)
-        lib = CompiledKernels(ctypes.CDLL(so_path), so_path)
+        lib = CompiledKernels(ctypes.PyDLL(so_path), ctypes.CDLL(so_path), so_path)
     except (OSError, RuntimeError, subprocess.SubprocessError, AttributeError) as exc:
         _reason = f"build/load failed: {exc}"
         return
@@ -572,6 +605,16 @@ def availability_reason() -> str:
     """Why the tier is (un)available — surfaced by ``engine_info`` and errors."""
     kernel_library()
     return _reason
+
+
+def call_counts() -> Optional[dict]:
+    """Calls made through each handle so far (``None`` before a library is
+    loaded): which side of :data:`RELEASE_GIL_MIN_WORK` this process runs on."""
+    with _lock:
+        if _library is None:
+            return None
+        kept, released = _library.calls
+    return {"kept": kept, "released": released}
 
 
 def reset_probe() -> None:

@@ -88,7 +88,15 @@ def _ensure_engine() -> None:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=16384)
+# Entries per cache.  A trained gate's ``(gate, params)`` key never repeats once
+# the optimizer has moved, so any bound fills with dead entries at a step's
+# gates per step; at 16384 the pair of caches grew to 12 MiB and pushed the
+# fleet benchmark's ``peak_rss_mb`` over its bound.  The hit ratio is flat
+# from 1024 to 4096 (0.937-0.943 on the e2e fleet stream).
+MATRIX_CACHE_SIZE = 2048
+
+
+@lru_cache(maxsize=MATRIX_CACHE_SIZE)
 def cached_matrix(gate: str, params: Tuple[float, ...]) -> np.ndarray:
     """Resolved gate matrix, cached per ``(gate, params)`` and frozen."""
     matrix = _gates.matrix_for(gate, params)
@@ -96,7 +104,7 @@ def cached_matrix(gate: str, params: Tuple[float, ...]) -> np.ndarray:
     return matrix
 
 
-@lru_cache(maxsize=16384)
+@lru_cache(maxsize=MATRIX_CACHE_SIZE)
 def cached_derivative(gate: str, params: Tuple[float, ...], k: int) -> np.ndarray:
     """Analytic gate derivative, cached per ``(gate, params, k)`` and frozen."""
     matrix = _gates.derivative_for(gate, params, k)
@@ -153,7 +161,9 @@ def prime_circuit_cache(circuit: Circuit, values: Sequence[float]) -> None:
     """Warm the matrix cache with every gate of ``circuit`` at ``values``.
 
     Called by the trainer at construction so the first step does not pay the
-    cold-cache matrix builds for fixed and constant-parameter gates.
+    cold-cache matrix builds for fixed and constant-parameter gates.  The
+    cache holds :data:`MATRIX_CACHE_SIZE` entries, so of a longer circuit only
+    the last that many stay primed.
     """
     values = np.asarray(values, dtype=np.float64)
     for op in circuit.ops:

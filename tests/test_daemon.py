@@ -302,7 +302,10 @@ class TestDrain:
     def test_submit_while_draining_refused_then_drained(self, fixture_factory):
         fixture = fixture_factory()
         client = fixture.start()
-        client.submit(_tiny_spec("j1", steps=15))
+        # Long enough (some hundred ms) to outlast the three control round
+        # trips below: a job of 15 such steps could finish, and the daemon
+        # stop, between two of them.
+        client.submit(_tiny_spec("j1", steps=300))
         response = client.drain(wait=False)
         assert response["state"] == "draining"
         refused = client.submit(_tiny_spec("j2"))
@@ -311,7 +314,7 @@ class TestDrain:
         client.drain(wait=True, timeout=60.0)
         fixture.thread.join(timeout=10.0)
         assert not fixture.thread.is_alive()
-        assert fixture.store.load_snapshot("j1").step == 15
+        assert fixture.store.load_snapshot("j1").step == 300
 
     def test_drain_with_no_jobs_stops_immediately(self, fixture_factory):
         fixture = fixture_factory()

@@ -8,7 +8,12 @@ parity against numpy is enforced by its load-time self-test; these tests
 cover the seams above it.
 """
 
+import ctypes
 import os
+import platform
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -98,6 +103,62 @@ class TestEngineSelection:
         assert info["compiled_available"] == COMPILED_AVAILABLE
         assert isinstance(info["compiled_reason"], str)
         assert info["shard_workers"] == 0
+        assert info["release_gil_min_work"] == compiled.RELEASE_GIL_MIN_WORK
+
+    @pytest.mark.skipif(not COMPILED_AVAILABLE, reason="no compiled tier")
+    def test_kernel_calls_are_reported_by_side(self):
+        from repro import cli
+
+        def sides():
+            return {
+                record["labels"]["gil"]: record["value"]
+                for record in engines.metrics_snapshot()["series"]
+                if record["name"] == "engine.kernel_calls"
+            }
+
+        engines.select_engine("compiled")
+        before = sides()
+        kernels.run(hardware_efficient(3, 1), np.zeros(6))
+        assert compiled.RELEASE_GIL_MIN_WORK > 1 << 3
+        after = sides()
+        assert after["kept"] > before["kept"]
+        assert after["released"] == before["released"]
+        line = cli._engine_line(engines.metrics_snapshot())
+        assert f"kernel calls {after['kept']} lock-kept" in line
+        # Reading the counts leaves the registry as it was.
+        names = {r["name"] for r in engines.METRICS.snapshot()["series"]}
+        assert "engine.kernel_calls" not in names
+
+    @pytest.mark.skipif(
+        platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds"
+    )
+    def test_activation_stops_the_heap_top_being_faulted_again(self):
+        # In a process of its own: thresholds only ever go up, and an earlier
+        # test may have freed something large.
+        script = """
+import resource
+import numpy as np
+from repro.quantum import engines
+
+engines.select_engine("numpy")
+
+def temporaries():  # what ``a * b + c`` holds at once on 14-qubit states
+    held = [np.ones(1 << 18, dtype=np.uint8) for _ in range(3)]
+
+temporaries()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(8):
+    temporaries()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        # 8 x 192 pages when the freed top is trimmed every time (what a
+        # process that has not activated an engine reads)
+        assert int(out.stdout.strip()) < 64
 
     def test_selection_is_counted(self):
         engines.select_engine("numpy")
@@ -141,6 +202,206 @@ class TestEngineSelection:
         monkeypatch.delenv(engines.ENGINE_ENV)
         lib = engines.storage_library()
         assert (lib is not None) == COMPILED_AVAILABLE
+
+
+class _Broken:
+    """A library handle whose named symbols return without doing anything."""
+
+    def __init__(self, dll, broken):
+        self._dll = dll
+        self._broken = broken
+
+    def __getattr__(self, name):
+        if name in self._broken:
+            return lambda *args: 0
+        return getattr(self._dll, name)
+
+
+def _bits(array):
+    return np.ascontiguousarray(array).view(np.uint8)
+
+
+def _facade(kept=None, released=None):
+    """A facade of its own over the loaded library (fresh counters/slots)."""
+    path = compiled.kernel_library().so_path
+    return compiled.CompiledKernels(
+        kept or ctypes.PyDLL(path), released or ctypes.CDLL(path), path
+    )
+
+
+def _recording(lib, slot, log):
+    """Wrap both functions of ``slot`` so each call appends its side."""
+    kept, released = getattr(lib, slot)
+
+    def wrap(side, function):
+        def call(*args):
+            log.append(side)
+            return function(*args)
+
+        return call
+
+    setattr(lib, slot, (wrap("kept", kept), wrap("released", released)))
+
+
+def _random_states(rng, n, tail):
+    shape = (1 << n, tail) if tail > 1 else (1 << n,)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+LIMIT = compiled.RELEASE_GIL_MIN_WORK
+LIMIT_QUBITS = LIMIT.bit_length() - 1
+#: ``(n, tail)`` just below and at the constant: flat states, and batches of
+#: 3-qubit columns one column short of it and at it.
+BELOW_AT = [
+    ((LIMIT_QUBITS - 1, 1), (LIMIT_QUBITS, 1)),
+    ((3, LIMIT // 8 - 1), (3, LIMIT // 8)),
+]
+CYCLE = np.zeros((4, 4), dtype=np.complex128)  # a phase permutation
+CYCLE[0, 0], CYCLE[1, 2], CYCLE[2, 3], CYCLE[3, 1] = 1, 1j, 1, -1
+
+
+@pytest.mark.skipif(not COMPILED_AVAILABLE, reason="no compiled tier on this host")
+class TestKernelBoundary:
+    """The size of a call picks the handle; arrays cross as addresses."""
+
+    def test_the_constant_is_a_power_of_two_state(self):
+        assert LIMIT == 1 << LIMIT_QUBITS and LIMIT_QUBITS >= 4
+
+    @pytest.mark.parametrize("below,at", BELOW_AT)
+    def test_gate_calls_pick_the_handle_by_amplitudes(self, below, at):
+        lib, log = _facade(), []
+        _recording(lib, "_k1q", log)
+        _recording(lib, "_k2q", log)
+        rng = np.random.default_rng(5)
+        ry = kernels.cached_matrix("ry", (0.7853981,))
+        for (n, tail), side in ((below, "kept"), (at, "released")):
+            states = np.ascontiguousarray(_random_states(rng, n, tail))
+            assert lib.apply_1q(states, ry, 1, n, tail)
+            assert lib.apply_2q(states, CYCLE, (0, 2), n, tail)
+            assert lib.apply_2q(states, CYCLE, (2, 0), n, tail)
+            assert log == [side] * 3
+            del log[:]
+        assert lib.calls == [3, 3]
+
+    def test_storage_calls_pick_the_handle_by_bytes(self):
+        lib, log = _facade(), []
+        for slot in ("_xor", "_xor3", "_fnv"):
+            _recording(lib, slot, log)
+        rng = np.random.default_rng(6)
+        for size, side in ((LIMIT - 1, "kept"), (LIMIT, "released")):
+            a = rng.integers(0, 256, size=size, dtype=np.uint8)
+            b = rng.integers(0, 256, size=size, dtype=np.uint8)
+            out, acc = np.empty_like(a), a.copy()
+            assert lib.xor_into(acc, b)
+            assert lib.xor_to(out, a, b)
+            assert np.array_equal(acc, a ^ b) and np.array_equal(out, a ^ b)
+            assert lib.fnv1a64(a) == _hashing._fast_digest_python(memoryview(a))
+            assert log == [side] * 3
+            del log[:]
+        assert lib.calls == [3, 3]
+
+    @pytest.mark.parametrize("n,tail", [case for pair in BELOW_AT for case in pair])
+    def test_either_handle_gives_the_numpy_bits(self, monkeypatch, n, tail):
+        path = compiled.kernel_library().so_path
+        kept, released = ctypes.PyDLL(path), ctypes.CDLL(path)
+        rng = np.random.default_rng(n * 1000 + tail)
+        start = np.ascontiguousarray(_random_states(rng, n, tail))
+        ry = kernels.cached_matrix("ry", (0.7853981,))
+        results = []
+        for dll in (kept, released):
+            lib = _facade(dll, dll)
+            states = start.copy()
+            assert lib.apply_1q(states, ry, n - 1, n, tail)
+            assert lib.apply_2q(states, CYCLE, (0, 2), n, tail)
+            assert lib.apply_2q(states, CYCLE, (2, 1), n, tail)
+            results.append(states)
+        monkeypatch.setattr(kernels, "_COMPILED", None)  # the numpy oracle
+        want = start.copy()
+        kernels._apply_1q(want, ry, n - 1, n, tail=tail)
+        kernels._apply_2q(want, CYCLE, (0, 2), n, tail=tail)
+        kernels._apply_2q(want, CYCLE, (2, 1), n, tail=tail)
+        assert not np.array_equal(_bits(want), _bits(start))
+        for states in results:
+            assert np.array_equal(_bits(states), _bits(want))
+
+    @pytest.mark.parametrize("tail", [1, 5])
+    def test_transposed_matrix_view_matches_its_copy(self, tail):
+        # An address says nothing about strides: the facade must copy a view.
+        lib = compiled.kernel_library()
+        start = _random_states(np.random.default_rng(3), 6, tail)
+        ry = kernels.cached_matrix("ry", (0.7853981,))
+        for matrix, wires in ((ry, (2,)), (CYCLE, (4, 1))):
+            view = matrix.T
+            assert not view.flags["C_CONTIGUOUS"]
+            got, want = start.copy(), start.copy()
+            for states, m in ((got, view), (want, np.ascontiguousarray(view))):
+                if len(wires) == 1:
+                    assert lib.apply_1q(states, m, wires[0], 6, tail)
+                else:
+                    assert lib.apply_2q(states, m, wires, 6, tail)
+            assert not np.array_equal(_bits(got), _bits(start))
+            assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("side", ["kept", "released"])
+    @pytest.mark.parametrize("symbol", ["qk_apply_1q", "qk_apply_2q", "qk_xor3"])
+    def test_self_test_rejects_a_broken_handle(self, side, symbol):
+        real = compiled.kernel_library()
+        assert compiled._self_test(real) is None
+        path = real.so_path
+        handles = {"kept": ctypes.PyDLL(path), "released": ctypes.CDLL(path)}
+        handles[side] = _Broken(handles[side], (symbol,))
+        failure = compiled._self_test(_facade(**handles))
+        assert failure is not None
+        assert failure.startswith(
+            "lock-keeping" if side == "kept" else "lock-releasing"
+        )
+
+    @pytest.mark.parametrize("loader", ["PyDLL", "CDLL"])
+    def test_unloadable_library_means_no_tier(self, monkeypatch, loader):
+        def refuse(path):
+            raise OSError(f"{loader} refused (test)")
+
+        monkeypatch.setattr(ctypes, loader, refuse)
+        compiled.reset_probe()
+        try:
+            assert not compiled.available()
+            assert f"{loader} refused" in compiled.availability_reason()
+            assert engines.select_engine("auto") == "numpy"
+        finally:
+            monkeypatch.undo()
+            compiled.reset_probe()
+        assert compiled.available()
+
+    def test_two_threads_on_separate_states_match_one_thread(self):
+        # 6-qubit kernels keep the lock, so nothing overlaps in C; what two
+        # threads share is the facade, the matrix caches and the scratch
+        # discipline.  Switch as often as the interpreter allows.
+        circuit = hardware_efficient(6, 3)
+        assert 1 << 6 < LIMIT
+        rng = np.random.default_rng(21)
+        jobs = [initial_parameters(circuit, rng, 0.8) for _ in range(2)]
+        rounds = 30
+        want = [kernels.run(circuit, params) for params in jobs]
+        got = [[], []]
+
+        def drive(slot):
+            for _ in range(rounds):
+                got[slot].append(kernels.run(circuit, jobs[slot]))
+
+        threads = [threading.Thread(target=drive, args=(i,)) for i in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for slot in (0, 1):
+            assert len(got[slot]) == rounds
+            assert all(np.array_equal(_bits(s), _bits(want[slot])) for s in got[slot])
 
 
 class TestScopeResolution:

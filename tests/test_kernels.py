@@ -330,6 +330,43 @@ class TestMatrixCache:
             set((op.gate, op.resolve(np.zeros(circuit.n_params))) for op in circuit.ops)
         )
 
+    def test_caches_stay_bounded_over_moving_parameters(self):
+        # An optimizer never revisits a parameter vector: every step's trained
+        # gates are new keys.  The caches must hold their bound regardless.
+        kernels.clear_caches()
+        bound = kernels.MATRIX_CACHE_SIZE
+        for k in range(3 * bound):
+            kernels.cached_matrix("ry", (1e-3 * k,))
+            kernels.cached_derivative("ry", (1e-3 * k,), 0)
+        info = kernels.cache_info()
+        assert info["matrix"]["maxsize"] == info["derivative"]["maxsize"] == bound
+        assert info["matrix"]["currsize"] <= bound
+        assert info["derivative"]["currsize"] <= bound
+
+    def test_gradients_of_a_circuit_larger_than_the_cache(self):
+        # More distinct gates than the cache holds: every lookup of the sweep
+        # evicts, and the gradients must not notice.
+        from repro.autodiff import adjoint_gradient
+
+        kernels.clear_caches()
+        n_fixed = kernels.MATRIX_CACHE_SIZE + 64
+        circuit = Circuit(3)
+        trained = circuit.new_params(6)
+        for k in range(n_fixed):
+            (circuit.rx if k % 2 else circuit.rz)(k % 3, 0.01 + 1e-4 * k)
+            if k % (n_fixed // 6) == 0 and trained:
+                circuit.ry(k % 3, trained.pop())
+                circuit.cnot(k % 3, (k + 1) % 3)
+        assert not trained
+        params = np.linspace(0.2, 1.4, circuit.n_params)
+        obs = Hamiltonian.transverse_field_ising(3, 1.0, 0.6)
+        ref = parameter_shift_gradient(circuit, params, obs, engine="reference")
+        assert np.allclose(
+            parameter_shift_gradient(circuit, params, obs), ref, atol=1e-9
+        )
+        assert np.allclose(adjoint_gradient(circuit, params, obs), ref, atol=1e-9)
+        assert kernels.cache_info()["matrix"]["currsize"] <= kernels.MATRIX_CACHE_SIZE
+
     def test_cached_derivative_matches_gates_module(self):
         d_cached = kernels.cached_derivative("ry", (0.7,), 0)
         d_direct = G.derivative_for("ry", (0.7,), 0)

@@ -1068,7 +1068,36 @@ class TestFleetHarness:
         assert finishes[0] < finishes[2]
 
     def test_brownout_engages_backpressure(self):
-        throttle = ThrottledBackend(InMemoryBackend())
+        class HeldBrownout(ThrottledBackend):
+            """A brownout that cannot end before one write has felt it.
+
+            The window is in ticks, the worker's writes in wall time: three
+            ticks of these steps are over in a few milliseconds, and a worker
+            waiting its turn at the interpreter lock may not have written
+            anything by then.
+            """
+
+            def __init__(self, inner):
+                self.felt = threading.Event()
+                self._delay = 0.0
+                super().__init__(inner)
+
+            @property
+            def write_delay_seconds(self):
+                return self._delay
+
+            @write_delay_seconds.setter
+            def write_delay_seconds(self, value):
+                if self._delay > 0 and value == 0:
+                    assert self.felt.wait(timeout=30.0)
+                self._delay = value
+
+            def write(self, name, data):
+                super().write(name, data)
+                if self.delayed_writes:
+                    self.felt.set()
+
+        throttle = HeldBrownout(InMemoryBackend())
         specs = [
             FleetJobSpec(
                 job_id=f"job{i}",
