@@ -12,6 +12,7 @@ tracked across PRs.
 import json
 import os
 import time
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -36,7 +37,9 @@ from repro.quantum.engines import compiled, sharding
 from repro.quantum.statevector import apply_circuit, apply_gate, zero_state
 from repro.quantum.templates import hardware_efficient, initial_parameters
 from repro.service import ChunkStore, WriterPool
+from repro.storage.local import LocalDirectoryBackend
 from repro.storage.memory import InMemoryBackend
+from repro.storage.metadb import DB_FILENAME, MetaDB
 
 _JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_substrate.json"
 
@@ -76,6 +79,22 @@ ENCODE_BYPASS_MAX = {
 # ms), 1.04-1.08 with the compiled tier keeping it.  On the numpy tier no
 # small kernel releases the lock and the ratio sits near 1.
 CONTENDED_STEP_MAX = 1.6
+
+
+# Paired ceiling for reopening an indexed store four times the size over
+# reopening it as it was, same run (``test_reopen_scaling``): 1 is a reopen
+# that does not know how big the store is, 4 one that does nothing but walk
+# it.  The sizes (25 and 100 checkpoints, ~150 and ~600 objects) are where the
+# two separate: the index's fixed cost (0.8 ms) plus one ``stat``-free pass
+# over the names (1.3 us an object) reads 1.3-1.6; a ``stat`` per object, two
+# passes and the dedup map loaded on open (12 us an object) read 2.4-2.6.
+REOPEN_SCALING_MAX = 2.2
+
+# Ceiling for the bytes allocated, at the peak, to restore one byte
+# (``test_restore_allocations``, a count): the fetched blocks, the tensor they
+# are decoded into and one block in flight are 2.2; fetched + decoded + joined
+# + copied read 4.0.
+RESTORE_ALLOC_MAX = 3.0
 
 
 def _merge_json(update: dict) -> None:
@@ -372,6 +391,97 @@ def test_encode_bypass(report):
     for name, caps in ENCODE_BYPASS_MAX.items():
         for key, cap in caps.items():
             assert payload[name][key] <= cap, (name, key, payload[name][key])
+
+
+def test_reopen_scaling(report, tmp_path):
+    """Reopen of an indexed directory store of 25 checkpoints and of one of
+    100, in alternating rounds of one run.
+
+    Each sample is a fresh ``LocalDirectoryBackend`` + ``MetaDB`` +
+    ``ChunkStore`` over the directory; each side is the median of 25.  The
+    ratio goes to ``BENCH_substrate.json`` as ``reopen_scaling`` beside its
+    ceiling, where ``tools/bench_trend.py`` gates on it.
+    """
+    base, rounds = 25, 25
+
+    def open_store(root):
+        return ChunkStore(
+            LocalDirectoryBackend(root, fsync=False),
+            metadb=MetaDB(root / DB_FILENAME),
+        )
+
+    roots = {1: tmp_path / "store1x", 4: tmp_path / "store4x"}
+    for scale, root in roots.items():
+        writer = open_store(root)
+        for saved in range(scale * base):
+            writer.save_snapshot(
+                f"job{saved % 4}",
+                synthetic_snapshot(6, seed=saved, history_len=saved),
+            )
+        writer.metadb.close()
+
+    samples = {1: [], 4: []}
+    for _ in range(rounds):
+        for scale, root in roots.items():
+            started = time.perf_counter()
+            store = open_store(root)
+            samples[scale].append(time.perf_counter() - started)
+            store.metadb.close()
+    seconds = {scale: float(np.median(times)) for scale, times in samples.items()}
+    objects = {scale: len(os.listdir(root)) for scale, root in roots.items()}
+    payload = {
+        "cpu_count": os.cpu_count(),
+        "checkpoints": [base, 4 * base],
+        "objects": [objects[1], objects[4]],
+        "reopen_1x_seconds": seconds[1],
+        "reopen_4x_seconds": seconds[4],
+        "reopen_seconds_per_object": (seconds[4] - seconds[1])
+        / (objects[4] - objects[1]),
+        "reopen_scaling": seconds[4] / seconds[1],
+        "reopen_scaling_max": REOPEN_SCALING_MAX,
+    }
+    _merge_json({"reopen_scaling": payload})
+    report(
+        f"Reopen scaling: indexed directory stores of {base} and {4 * base} checkpoints",
+        f"{'1x (ms)':>10} {'4x (ms)':>10} {'us/object':>10} {'ratio':>8} {'ceiling':>8}\n"
+        f"{1e3 * seconds[1]:>10.2f} {1e3 * seconds[4]:>10.2f} "
+        f"{1e6 * payload['reopen_seconds_per_object']:>10.2f} "
+        f"{payload['reopen_scaling']:>8.2f} {REOPEN_SCALING_MAX:>8.2f}",
+    )
+    assert payload["reopen_scaling"] <= REOPEN_SCALING_MAX, payload
+
+
+def test_restore_allocations(report, tmp_path):
+    """Bytes allocated at the peak of one warm ``latest_valid`` of a 16-qubit
+    (1 MiB) snapshot, per byte restored: ``tracemalloc`` around the call, a
+    count that repeats, written beside its ceiling like the paired ratios."""
+    store = ChunkStore(LocalDirectoryBackend(tmp_path / "store", fsync=False))
+    snapshot = synthetic_snapshot(16, seed=3)
+    store.save_snapshot("job", snapshot)
+    assert store.latest_valid("job")[1] == snapshot  # warm: threads, caches
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        restored = store.latest_valid("job")[1]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert restored == snapshot
+    payload = {
+        "restored_bytes": snapshot.nbytes(),
+        "peak_allocated_bytes": peak - before,
+        "restore_alloc_bytes_per_byte": (peak - before) / snapshot.nbytes(),
+        "restore_alloc_bytes_per_byte_max": RESTORE_ALLOC_MAX,
+    }
+    _merge_json({"restore_allocations": payload})
+    report(
+        "Restore allocations: one warm latest_valid, 16q snapshot, directory store",
+        f"{'restored (B)':>14} {'peak (B)':>12} {'per byte':>9} {'ceiling':>8}\n"
+        f"{payload['restored_bytes']:>14d} {payload['peak_allocated_bytes']:>12d} "
+        f"{payload['restore_alloc_bytes_per_byte']:>9.2f} {RESTORE_ALLOC_MAX:>8.2f}",
+    )
+    assert payload["restore_alloc_bytes_per_byte"] <= RESTORE_ALLOC_MAX, payload
 
 
 def test_step_beside_writers(report):

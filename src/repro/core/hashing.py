@@ -21,10 +21,9 @@ changed) and never a substitute for the SHA-256 address.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Iterator, List, Tuple
 
-from repro.core.restore import content_address
+from repro.core.restore import address_prefix, content_address
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -53,43 +52,14 @@ def block_address_stream(
 ) -> Iterator[Tuple[memoryview, str]]:
     """``(block_view, content_address)`` pairs in one zero-copy pass.
 
-    Addresses match :func:`repro.core.restore.content_address` exactly: the
-    codec-name prefix is hashed first and each block view is streamed into
-    the same SHA-256, so no intermediate ``prefix + block`` concatenation
-    (and no block ``bytes`` copy) is ever materialized.
+    Addresses *are* :func:`repro.core.restore.content_address` of each view:
+    the codec-name prefix is hashed once and each block view is streamed
+    into a copy of that state, so no intermediate ``prefix + block``
+    concatenation (and no block ``bytes`` copy) is ever materialized.
     """
-    prefix = hashlib.sha256(codec_name.encode("utf-8") + b"\x00")
-    # content_address truncates the hex digest; recover its exact format
-    # from one call so this module can never drift from the canonical one.
+    prefix = address_prefix(codec_name)
     for view in iter_blocks(buffer, block_bytes):
-        digest = prefix.copy()
-        digest.update(view)
-        yield view, _format_address(digest.hexdigest())
-
-
-def _format_address(hex_digest: str) -> str:
-    template = _address_template()
-    return template[0] + hex_digest[: template[1]]
-
-
-_TEMPLATE = None
-
-
-def _address_template() -> Tuple[str, int]:
-    """(prefix, digest_chars) of the canonical address format, probed once."""
-    global _TEMPLATE
-    if _TEMPLATE is None:
-        sample = content_address(b"", "probe")
-        digest = hashlib.sha256(b"probe\x00").hexdigest()
-        # The canonical form is "<prefix><first-k-hex-chars>"; find k by
-        # locating the digest suffix inside the sample.
-        for k in range(len(sample), 0, -1):
-            if sample.endswith(digest[:k]):
-                _TEMPLATE = (sample[: len(sample) - k], k)
-                break
-        else:  # pragma: no cover - canonical format always hex-suffixed
-            raise RuntimeError("cannot derive content-address format")
-    return _TEMPLATE
+        yield view, content_address(view, codec_name, prefix)
 
 
 def block_addresses(

@@ -13,8 +13,10 @@ through the same three stages:
    whole-file integrity is wanted, in parallel when the plan has independent
    blocks — and verifies every transferred byte (CRC32, content address, or
    whole-object SHA-256),
-3. verified raw blocks are reassembled into tensors
-   (:func:`~repro.core.serialize.tensor_from_bytes` + transform decode).
+3. each verified raw block is copied into its place in the tensor's
+   preallocated array (:func:`~repro.core.serialize.empty_tensor`), which is
+   what the caller gets once the transform is decoded: no joined byte
+   string, no final copy.
 
 Two sources exist: :class:`QckptSource` for the monolithic QCKPT container
 (`core.serialize` / `core.store`) and
@@ -42,9 +44,11 @@ chunk store uses it to stage (and tier-promote) a restore before it runs.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import time
 from abc import ABC, abstractmethod
+from collections import Counter
 from concurrent.futures import CancelledError, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
@@ -56,8 +60,8 @@ from repro.core.codecs import get_codec, get_transform
 from repro.core.integrity import SHA256_NBYTES, sha256_hex
 from repro.core.serialize import (
     decode_stored_chunk,
+    empty_tensor,
     read_header_ranged,
-    tensor_from_bytes,
 )
 from repro.errors import (
     ConfigError,
@@ -76,16 +80,25 @@ CONTENT_ADDRESS_PREFIX = "ch-"
 _CONTENT_ADDRESS_CHARS = 32  # 128 bits of SHA-256: collision-safe at fleet scale
 
 
-def content_address(raw: bytes, codec_name: str) -> str:
-    """Content address of one raw block under one codec.
+def address_prefix(codec_name: str):
+    """SHA-256 state after the codec name: where every content address
+    under one codec starts (a caller addressing many blocks makes it once
+    and hands it to :func:`content_address`)."""
+    return hashlib.sha256(codec_name.encode("utf-8") + b"\x00")
+
+
+def content_address(raw, codec_name: str, prefix=None) -> str:
+    """Content address of one raw block (any bytes-like) under one codec.
 
     The codec is part of the identity: the same raw content stored under two
     codecs is two different objects.  This is the canonical address format of
     the service chunk store; it lives here so the restore executor can verify
-    fetched chunks without importing the service layer.
+    fetched chunks without importing the service layer.  The block is
+    streamed into the hash after the name, never concatenated with it.
     """
-    digest = sha256_hex(codec_name.encode("utf-8") + b"\x00" + raw)
-    return CONTENT_ADDRESS_PREFIX + digest[:_CONTENT_ADDRESS_CHARS]
+    digest = address_prefix(codec_name) if prefix is None else prefix.copy()
+    digest.update(raw)
+    return CONTENT_ADDRESS_PREFIX + digest.hexdigest()[:_CONTENT_ADDRESS_CHARS]
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +246,10 @@ class RestoreSource(ABC):
         """
 
     @abstractmethod
-    def read_object(self, name: str) -> bytes:
-        """Whole content of one backend object in the plan."""
+    def read_object(self, name: str, into=None) -> bytes:
+        """Whole content of one backend object in the plan — read into the
+        writable buffer ``into`` (a view of the filled part is returned) when
+        one is given, which only happens if :attr:`supports_read_into`."""
 
     @abstractmethod
     def read_range(self, name: str, start: int, length: int) -> bytes:
@@ -243,6 +258,11 @@ class RestoreSource(ABC):
     @property
     def supports_ranged(self) -> bool:
         """Whether ranged reads transfer less than whole objects here."""
+        return False
+
+    @property
+    def supports_read_into(self) -> bool:
+        """Whether :meth:`read_object` fills a buffer the caller hands it."""
         return False
 
 
@@ -339,8 +359,11 @@ class RestoreExecutor:
     fetch units (distinct chunk objects, distinct byte ranges) run
     concurrently — backend reads release the GIL for files and sleep for
     simulated remotes, so restore latency approaches the slowest single
-    fetch rather than the sum.  Verification and decode run on the fetching
-    thread; assembly order is deterministic regardless of completion order.
+    fetch rather than the sum.  Verification, decode and the copy into the
+    destination run on the calling thread, block by block in plan order, so
+    the result does not depend on completion order; where the source can
+    read into a buffer (:attr:`RestoreSource.supports_read_into`) the fetch
+    threads fill one the caller allocated and allocate nothing themselves.
 
     Read-ahead: :meth:`prefetch` starts a plan's fetches in the background —
     bounded by ``prefetch_window_bytes``, cancellable — so a delta-chain
@@ -475,25 +498,46 @@ class RestoreExecutor:
         )
         fetch_s = time.perf_counter() - stage_t0
 
+        # Each whole object is dropped with the last block that reads it,
+        # so the fetched bytes shrink as the destinations fill.
+        uses = Counter(
+            block.object_name
+            for tensor_plan in plan.tensors.values()
+            for block in tensor_plan.blocks
+            if block.object_name in buffers
+        )
         verify_s = 0.0
         assemble_s = 0.0
         tensors: Dict[str, np.ndarray] = {}
         for name, tensor_plan in plan.tensors.items():
-            raws: List[bytes] = []
-            for block in tensor_plan.blocks:
-                if block.object_name in buffers:
-                    data = buffers[block.object_name]
-                    stored = data[block.start : block.start + block.stored_nbytes]
-                else:
-                    stored = ranged_bytes[id(block)]
-                stage_t0 = time.perf_counter()
-                raws.append(
-                    self._block_raw(source, block, stored, codec_obj, verify)
-                )
-                verify_s += time.perf_counter() - stage_t0
             stage_t0 = time.perf_counter()
-            raw = raws[0] if len(raws) == 1 else b"".join(raws)
-            array = tensor_from_bytes(raw, tensor_plan.dtype, tensor_plan.shape)
+            array, dest = empty_tensor(
+                tensor_plan.dtype,
+                tensor_plan.shape,
+                sum(block.raw_nbytes for block in tensor_plan.blocks),
+            )
+            assemble_s += time.perf_counter() - stage_t0
+            filled = 0
+            for block in tensor_plan.blocks:
+                stored = buffers.get(block.object_name)
+                if stored is None:
+                    stored = ranged_bytes.pop(id(block))
+                else:
+                    uses[block.object_name] -= 1
+                    if not uses[block.object_name]:
+                        del buffers[block.object_name]
+                    stored = stored[block.start : block.start + block.stored_nbytes]
+                stage_t0 = time.perf_counter()
+                raw = self._block_raw(source, block, stored, codec_obj, verify)
+                stage_t1 = time.perf_counter()
+                # The one copy after decode: the verified block lands in
+                # its place in the tensor the caller gets.
+                dest[filled : filled + block.raw_nbytes] = raw
+                filled += block.raw_nbytes
+                del stored, raw  # one block in hand at a time
+                verify_s += stage_t1 - stage_t0
+                assemble_s += time.perf_counter() - stage_t1
+            stage_t0 = time.perf_counter()
             transform = get_transform(tensor_plan.transform)
             tensors[name] = transform.decode(array, tensor_plan.transform_meta)
             assemble_s += time.perf_counter() - stage_t0
@@ -510,12 +554,25 @@ class RestoreExecutor:
         verify: bool,
         prefetched: Optional[PrefetchedPlan] = None,
     ) -> Dict[str, bytes]:
+        # Where the source can fill a buffer, each object still to be read
+        # gets one allocated here, on the calling thread: the fetch threads
+        # allocate nothing (what they allocate, their malloc arenas keep).
+        slots: Dict[str, memoryview] = {}
+        if source.supports_read_into:
+            ahead = prefetched.object_futures if prefetched is not None else ()
+            for obj in objects:
+                if obj.nbytes is not None and obj.name not in ahead:
+                    slots[obj.name] = memoryview(
+                        np.empty(obj.nbytes, dtype=np.uint8)
+                    )
+
         def fetch(obj: ObjectPlan) -> Tuple[str, bytes]:
             data = None
             if prefetched is not None:
                 data = prefetched.take_object(obj.name)
             if data is None:
-                data = self._read(lambda: source.read_object(obj.name))
+                into = slots.get(obj.name)
+                data = self._read(lambda: source.read_object(obj.name, into))
             if verify and obj.sha256 is not None:
                 actual = sha256_hex(data)
                 if actual != obj.sha256:
@@ -725,7 +782,7 @@ class QckptSource(RestoreSource):
                 self._verified = True
         return data
 
-    def read_object(self, name: str) -> bytes:
+    def read_object(self, name: str, into=None) -> bytes:
         return self._whole_verified()
 
     def read_range(self, name: str, start: int, length: int) -> bytes:

@@ -21,6 +21,7 @@ arbitrary bytecode on load).
 from __future__ import annotations
 
 import json
+import math
 import struct
 from typing import Dict, Optional, Tuple
 
@@ -61,7 +62,8 @@ def _canonical_dtype(array: np.ndarray) -> Tuple[np.ndarray, str]:
         raise SerializationError(
             f"dtype {token!r} is not in the QCKPT dtype whitelist"
         )
-    return np.ascontiguousarray(array), token
+    # ascontiguousarray alone would hand a 0-d tensor back as shape (1,).
+    return np.ascontiguousarray(array).reshape(array.shape), token
 
 
 def tensor_to_bytes(array: np.ndarray) -> Tuple[bytes, str, Tuple[int, ...]]:
@@ -80,15 +82,17 @@ def tensor_to_bytes(array: np.ndarray) -> Tuple[bytes, str, Tuple[int, ...]]:
     return canonical.tobytes(), token, tuple(canonical.shape)
 
 
-def tensor_from_bytes(
-    raw: bytes, dtype_token: str, shape: Tuple[int, ...]
-) -> np.ndarray:
-    """Inverse of :func:`tensor_to_bytes`.
+def empty_tensor(
+    dtype_token: str, shape: Tuple[int, ...], raw_nbytes: int
+) -> Tuple[np.ndarray, memoryview]:
+    """A writable array for one stored tensor, and the flat byte view its
+    ``raw_nbytes`` canonical bytes are written through.
 
     Validates against the dtype whitelist and requires every dim to be an
     explicit non-negative int whose product matches the byte count — a
     malicious ``-1`` dim from an untrusted directory must not let numpy
-    "resolve" a truncated buffer into a silently wrong shape.
+    "resolve" a truncated buffer into a silently wrong shape, and blocks
+    that under- or over-fill the tensor must not come back short or padded.
     """
     if dtype_token not in _ALLOWED_DTYPES:
         raise IntegrityError(f"illegal tensor dtype {dtype_token!r}")
@@ -98,14 +102,23 @@ def tensor_from_bytes(
             raise IntegrityError(f"illegal tensor shape {tuple(shape)!r}")
         dims.append(int(dim))
     dtype = np.dtype(dtype_token)
-    expected = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
-    if expected != len(raw):
+    expected = math.prod(dims) * dtype.itemsize
+    if expected != raw_nbytes:
         raise IntegrityError(
-            f"tensor bytes ({len(raw)}) do not match shape "
+            f"tensor bytes ({raw_nbytes}) do not match shape "
             f"{tuple(dims)!r} of dtype {dtype_token!r}"
         )
-    array = np.frombuffer(raw, dtype=dtype).reshape(tuple(dims))
-    return np.array(array, copy=True)
+    array = np.empty(tuple(dims), dtype=dtype)
+    return array, memoryview(array.reshape(-1).view(np.uint8))
+
+
+def tensor_from_bytes(
+    raw: bytes, dtype_token: str, shape: Tuple[int, ...]
+) -> np.ndarray:
+    """Inverse of :func:`tensor_to_bytes` (an array that owns its memory)."""
+    array, dest = empty_tensor(dtype_token, shape, len(raw))
+    dest[:] = raw
+    return array
 
 
 def pack_payload(

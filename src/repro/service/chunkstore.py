@@ -66,6 +66,7 @@ from repro.faults.crashpoints import crash_point, register_crash_point
 from repro.obs.metrics import MetricsRegistry, StatsView
 from repro.obs.trace import span_scope
 from repro.storage.backend import StorageBackend, validate_name
+from repro.storage.metadb import index_manifest
 
 CP_CHUNK_BEFORE_WRITE = register_crash_point(
     "chunkstore.chunk.before-write",
@@ -150,9 +151,15 @@ class ChunkManifestSource(RestoreSource):
         self.object_name = object_name
         self.manifest = manifest
 
-    def read_object(self, name: str) -> bytes:
+    @property
+    def supports_read_into(self) -> bool:
+        return self.backend.supports_read_into
+
+    def read_object(self, name: str, into=None) -> bytes:
         try:
-            return self.backend.read(name)
+            if into is None:
+                return self.backend.read(name)
+            return self.backend.read(name, into=into)
         except TransientStorageError:
             # Retryable by contract: let the executor's retry policy see
             # it instead of laundering it into permanent-looking damage.
@@ -306,61 +313,84 @@ class ChunkStore:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.stats = ChunkStoreStats(self.metrics)
         self._lock = threading.RLock()
-        # raw-hash name -> stored (compressed) size.  -1 marks a chunk another
-        # save is currently packing+writing; a real size is published only
-        # AFTER the chunk's backend write landed, so deduping against a known
-        # entry never references bytes that might not exist.
-        self._known: Dict[str, int] = {}
+        # raw-hash name -> stored (compressed) size, built by the first save
+        # (_dedup_map).  -1 marks a chunk another save is currently
+        # packing+writing; a real size is published only AFTER the chunk's
+        # backend write landed, so deduping against a known entry never
+        # references bytes that might not exist.
+        self._known: Optional[Dict[str, int]] = None
         # addresses pinned by in-flight saves (written or about to be
         # referenced, manifest not yet committed); gc treats them as live.
         self._inflight: Dict[str, int] = {}
         self._next_seq: Dict[str, int] = {}
         # job id -> the manifest object currently pinned to its fast tier.
         self._pinned_manifests: Dict[str, str] = {}
+        # Whether the index's answers stand in for a scan of the files: set
+        # by a successful reconcile, cleared when a write to it fails.
+        self._index_current = False
         self._adopt_existing()
 
     def _adopt_existing(self) -> None:
-        """Rebuild the dedup index of a reopened store from its manifests.
+        """Pick up a reopened store's jobs: each one's next sequence number
+        and its newest manifest (re-pinned to the fast tier).
+
+        One listing of the manifest *names* is all the backend is asked for.
+        With a metadata index the names only reconcile it (reading just the
+        manifests it does not know) and the rest is one query; without one,
+        or when it fails, the names themselves say it.  The dedup map is not
+        needed to restore and is left to the first save (:meth:`_dedup_map`).
+        """
+        listed = self.backend.list("job-")
+        newest = None
+        if self.metadb is not None:
+            try:
+                unindexed = self._reconcile_index(set(listed))
+                newest = self.metadb.newest_manifests()
+            except StorageError:
+                self._index_current = False
+        if newest is None:
+            newest, unindexed = {}, listed
+        # A listed manifest the index would not take (torn, another build's
+        # version, unreadable just now) still owns its sequence number: the
+        # next save must step past the file, never replace it.
+        for object_name in unindexed:
+            job_id, seq = _parse_manifest_name(object_name)
+            if job_id is not None:
+                newest[job_id] = max(
+                    newest.get(job_id, (0, "")), (seq, object_name)
+                )
+        for job_id, (seq, object_name) in newest.items():
+            self._next_seq[job_id] = seq + 1
+            self._pin_manifest(object_name)
+
+    def _dedup_map(self) -> Dict[str, int]:
+        """The dedup map, built by the first save (caller holds the lock):
+        one query when the index is current, every manifest read otherwise
+        — the files are always enough.
 
         Only chunks actually present in the backend are adopted: a manifest
         may survive the loss of a chunk (a wiped shard), and deduping against
         a phantom entry would silently propagate the damage into brand-new
         checkpoints instead of letting the re-save heal it.
         """
-        present = set(self.backend.list(CHUNK_PREFIX))
-        listed: Dict[str, int] = {}
-        for object_name in self.backend.list("job-"):
-            job_id, seq = _parse_manifest_name(object_name)
-            if job_id is None:
-                continue
-            listed[object_name] = seq
-            self._next_seq[job_id] = max(self._next_seq.get(job_id, 1), seq + 1)
-        if self.metadb is not None:
-            # Index-assisted adopt: reconcile rows against the name listing
-            # (reading only manifests the index does not know), then pull
-            # the dedup map out of one query instead of O(store) reads.
-            try:
-                self._reconcile_index(set(listed))
-                for chunk, nbytes in self.metadb.chunk_sizes(
-                    self.codec.name
-                ).items():
-                    if chunk in present:
-                        self._known[chunk] = int(nbytes)
-            except StorageError:
-                self._adopt_by_scan(listed, present)
-        else:
-            self._adopt_by_scan(listed, present)
-        # Re-establish hot placement: each job's newest manifest goes back
-        # onto the fast tier of whatever shard holds it.
-        for job_id in list(self._next_seq):
-            names = self.manifest_names(job_id)
-            if names:
-                self._pin_manifest(names[-1])
+        if self._known is None:
+            present = set(self.backend.list(CHUNK_PREFIX))
+            sizes = self._from_index("chunk_sizes", self.codec.name)
+            if sizes is None:
+                sizes = self._chunk_sizes_by_scan()
+            self._known = {
+                chunk: int(nbytes)
+                for chunk, nbytes in sizes.items()
+                if chunk in present
+            }
+        return self._known
 
-    def _adopt_by_scan(self, listed: Dict[str, int], present: set) -> None:
-        """Read every manifest to rebuild the dedup index (no metadata
-        index, or the index failed — the files are always enough)."""
-        for object_name in listed:
+    def _chunk_sizes_by_scan(self) -> Dict[str, int]:
+        """``chunk -> stored_nbytes`` over this codec's readable manifests."""
+        sizes: Dict[str, int] = {}
+        for object_name in self.backend.list("job-"):
+            if _parse_manifest_name(object_name)[0] is None:
+                continue
             try:
                 manifest = self._read_manifest(object_name)
             except ReproError:
@@ -369,29 +399,61 @@ class ChunkStore:
                 continue  # other-codec chunks live in a disjoint address space
             for entry in manifest["tensors"]:
                 for block in entry["blocks"]:
-                    if block["chunk"] in present:
-                        self._known[block["chunk"]] = int(
-                            block["stored_nbytes"]
-                        )
+                    sizes[block["chunk"]] = int(block["stored_nbytes"])
+        return sizes
 
-    def _reconcile_index(self, listed: set) -> None:
-        """Make the index's manifest rows agree with the backend listing.
+    def _reconcile_index(self, listed: set) -> List[str]:
+        """Make the index's manifest rows agree with the backend listing
+        (``listed``: every ``job-`` name in it).
 
         Rows whose file is gone are deleted; listed manifests the index
         does not know are read (only the delta) and inserted.  Damaged
-        manifests stay out of the index, matching the recovery path.
+        manifests stay out of the index, matching the recovery path, and
+        their names are returned.  Once this has succeeded the index speaks
+        for the readable files, a "none" included, until a write to it
+        fails.
         """
-        from repro.storage.metadb import index_manifest
-
         known_rows = self.metadb.manifest_objects()
         for object_name in known_rows - listed:
             self.metadb.delete_manifest(object_name)
+        unindexed = []
         for object_name in sorted(listed - known_rows):
+            if _parse_manifest_name(object_name)[0] is None:
+                continue
             try:
                 manifest = self._read_manifest(object_name)
             except ReproError:
+                unindexed.append(object_name)
                 continue
             index_manifest(self.metadb, object_name, manifest)
+        self._index_current = True
+        return unindexed
+
+    def _from_index(self, query: str, *args):
+        """The index's answer to ``query``, or ``None`` when it cannot
+        speak for the files (no index, not reconciled by this store, or the
+        query failed) and the caller must scan."""
+        if not self._index_current:
+            return None
+        try:
+            return getattr(self.metadb, query)(*args)
+        except StorageError:
+            return None
+
+    def _index_write(self, object_name: str, manifest: Optional[Dict]) -> None:
+        """Mirror one committed manifest write — or, with ``manifest=None``,
+        delete — into the index (files first, index second).  A failed
+        write leaves the index behind the files, so its answers stop being
+        trusted until the next reconcile."""
+        if self.metadb is None:
+            return
+        try:
+            if manifest is None:
+                self.metadb.delete_manifest(object_name)
+            else:
+                index_manifest(self.metadb, object_name, manifest)
+        except StorageError:
+            self._index_current = False
 
     # -- tier-aware placement ---------------------------------------------------
 
@@ -583,6 +645,8 @@ class ChunkStore:
         stages.setdefault("encode", 0.0)
         stages.setdefault("write", 0.0)
         stages.setdefault("manifest", 0.0)
+        with self._lock:
+            self._dedup_map()
         meta, tensors = snapshot.to_payload()
         directory = []
         n_blocks = 0
@@ -695,15 +759,9 @@ class ChunkStore:
             crash_point(CP_MANIFEST_BEFORE_WRITE)
             self.backend.write(object_name, manifest_bytes)
             crash_point(CP_MANIFEST_AFTER_WRITE)
-            if self.metadb is not None:
-                # Manifest first, index second: a crash here leaves the
-                # index behind, and reconcile-on-open reads the delta.
-                from repro.storage.metadb import index_manifest
-
-                try:
-                    index_manifest(self.metadb, object_name, manifest)
-                except StorageError:
-                    pass
+            # Manifest first, index second: a crash here leaves the index
+            # behind, and reconcile-on-open reads the delta.
+            self._index_write(object_name, manifest)
             self._pin_manifest(object_name)
             stages["manifest"] += time.perf_counter() - stage_t0
         except BaseException:
@@ -859,15 +917,9 @@ class ChunkStore:
 
     def jobs(self) -> List[str]:
         """Job ids with at least one committed checkpoint."""
-        if self.metadb is not None:
-            try:
-                jobs = self.metadb.jobs()
-            except StorageError:
-                jobs = []
-            if jobs:
-                return jobs
-            # Empty index: fall through to the scan (a stale index must
-            # never hide checkpoints; an empty store scans for free).
+        jobs = self._from_index("jobs")
+        if jobs is not None:
+            return jobs
         found = set()
         for object_name in self.backend.list("job-"):
             job_id, _ = _parse_manifest_name(object_name)
@@ -878,25 +930,18 @@ class ChunkStore:
     def manifest_names(self, job_id: str) -> List[str]:
         """Manifest object names of ``job_id`` in commit (sequence) order."""
         _validate_job_id(job_id)
-        if self.metadb is not None:
-            try:
-                names = self.metadb.manifest_names(job_id)
-            except StorageError:
-                names = []
-            if names:
-                return names
+        names = self._from_index("manifest_names", job_id)
+        if names is not None:
+            return names
         return self.backend.list(f"job-{job_id}-ckpt-")
 
     def has_checkpoints(self, job_id: str) -> bool:
         """Whether ``job_id`` has at least one committed checkpoint — the
         daemon's resumability probe, one point query under an index."""
         _validate_job_id(job_id)
-        if self.metadb is not None:
-            try:
-                if self.metadb.has_manifests(job_id):
-                    return True
-            except StorageError:
-                pass
+        found = self._from_index("has_manifests", job_id)
+        if found is not None:
+            return found
         return bool(self.backend.list(f"job-{job_id}-ckpt-"))
 
     def latest(self, job_id: str) -> Optional[str]:
@@ -1108,11 +1153,7 @@ class ChunkStore:
         _validate_job_id(job_id)
         object_name = f"job-{job_id}-{ckpt_id}.json"
         self.backend.delete(object_name)
-        if self.metadb is not None:
-            try:
-                self.metadb.delete_manifest(object_name)
-            except StorageError:
-                pass
+        self._index_write(object_name, None)
 
     def _manifest_references(self, object_name: str) -> set:
         """Chunk addresses one manifest pins (empty if unreadable)."""
@@ -1152,11 +1193,7 @@ class ChunkStore:
                 names = self.manifest_names(job_id)
                 for object_name in names[:-keep_last_per_job]:
                     self.backend.delete(object_name)
-                    if self.metadb is not None:
-                        try:
-                            self.metadb.delete_manifest(object_name)
-                        except StorageError:
-                            pass
+                    self._index_write(object_name, None)
                     deleted_manifests += 1
         if self.metadb is not None:
             try:
@@ -1192,12 +1229,7 @@ class ChunkStore:
         listing (reading only the delta), then one query for the referenced
         set — no manifest walk."""
         with self._lock:
-            listed = set()
-            for object_name in self.backend.list("job-"):
-                job_id, _ = _parse_manifest_name(object_name)
-                if job_id is not None:
-                    listed.add(object_name)
-            self._reconcile_index(listed)
+            self._reconcile_index(set(self.backend.list("job-")))
             referenced = self.metadb.live_chunks()
             deleted_chunks, deleted_bytes = self._sweep_chunks(referenced)
         return {
@@ -1218,7 +1250,8 @@ class ChunkStore:
             if address not in referenced:
                 deleted_bytes += self.backend.size(address)
                 self.backend.delete(address)
-                self._known.pop(address, None)
+                if self._known is not None:
+                    self._known.pop(address, None)
                 deleted_chunks += 1
         return deleted_chunks, deleted_bytes
 

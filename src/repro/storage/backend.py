@@ -68,6 +68,14 @@ class StorageBackend(ABC):
         """
         return False
 
+    @property
+    def supports_read_into(self) -> bool:
+        """Whether :meth:`read` takes ``into=``: a writable buffer the object
+        is read into, a view of the filled part coming back in place of new
+        ``bytes`` (at most ``len(into)`` bytes are read).  ``False`` here and
+        on decorators; a restore then simply gets ``bytes`` back."""
+        return False
+
     def tier_for(self, name: str):
         """The :class:`~repro.storage.tiered.TieredBackend` holding ``name``.
 

@@ -59,14 +59,29 @@ class LocalDirectoryBackend(StorageBackend):
         finally:
             os.close(fd)
 
-    def read(self, name: str) -> bytes:
+    def read(self, name: str, into=None) -> bytes:
         path = self._path(name)
         try:
-            return path.read_bytes()
+            if into is None:
+                return path.read_bytes()
+            # Into the caller's memory: the reading thread allocates nothing.
+            view = memoryview(into)
+            filled = 0
+            with open(path, "rb", buffering=0) as handle:
+                while filled < len(view):
+                    got = handle.readinto(view[filled:])
+                    if not got:
+                        break
+                    filled += got
+            return view[:filled]
         except FileNotFoundError:
             raise StorageError(f"object {name!r} does not exist") from None
         except OSError as exc:
             raise StorageError(f"read of {name!r} failed: {exc}") from exc
+
+    @property
+    def supports_read_into(self) -> bool:
+        return True
 
     def read_range(self, name: str, start: int, length: int) -> bytes:
         if start < 0 or length < 0:
@@ -97,12 +112,21 @@ class LocalDirectoryBackend(StorageBackend):
             raise StorageError(f"delete of {name!r} failed: {exc}") from exc
 
     def list(self, prefix: str = "") -> List[str]:
-        names = [
-            entry.name
-            for entry in self.root.iterdir()
-            if entry.is_file() and not entry.name.startswith(".")
-        ]
-        return sorted(name for name in names if name.startswith(prefix))
+        # One directory pass.  Names are filtered first and the file-type
+        # test comes from the directory entry itself (``d_type``), so a
+        # listing issues no ``stat``; dot-files (the index sidecar, the
+        # ``.*.tmp`` of a killed write) are skipped by name.
+        try:
+            with os.scandir(self.root) as entries:
+                return sorted(
+                    entry.name
+                    for entry in entries
+                    if entry.name.startswith(prefix)
+                    and not entry.name.startswith(".")
+                    and entry.is_file()
+                )
+        except OSError as exc:
+            raise StorageError(f"listing of {self.root} failed: {exc}") from exc
 
     def size(self, name: str) -> int:
         path = self._path(name)

@@ -599,18 +599,31 @@ class MetaDB:
             for (chunk,) in self._query("SELECT DISTINCT chunk FROM chunk_refs")
         }
 
-    def chunk_sizes(self, codec: str) -> Dict[str, int]:
-        """``chunk -> stored_nbytes`` over manifests of one codec (the
-        reopened store's dedup index, no manifest reads)."""
+    def newest_manifests(self) -> Dict[str, Tuple[int, str]]:
+        """``job -> (highest seq, its manifest object)`` in one query: what
+        a reopening store needs to continue every job's sequence and pin
+        its newest manifest.  (SQLite takes a bare column beside ``MAX``
+        from the row that holds the maximum.)"""
         return {
-            chunk: int(nbytes)
-            for (chunk, nbytes) in self._query(
-                "SELECT c.chunk, c.stored_nbytes FROM chunk_refs c "
-                "JOIN manifests m ON m.object_name = c.object_name "
-                "WHERE m.codec = ?",
-                (codec,),
+            job: (int(seq), name)
+            for (job, seq, name) in self._query(
+                "SELECT job, MAX(seq), object_name FROM manifests GROUP BY job"
             )
         }
+
+    def chunk_sizes(self, codec: str) -> Dict[str, int]:
+        """``chunk -> stored_nbytes`` over manifests of one codec (the
+        reopened store's dedup index, no manifest reads), one row per
+        chunk however many manifests reference it."""
+        return dict(
+            self._query(
+                "SELECT chunk, MAX(stored_nbytes) FROM chunk_refs "
+                "WHERE object_name IN "
+                "(SELECT object_name FROM manifests WHERE codec = ?) "
+                "GROUP BY chunk",
+                (codec,),
+            )
+        )
 
     def manifest_refs(self, object_name: str) -> Dict[str, int]:
         return {

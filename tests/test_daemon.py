@@ -18,6 +18,7 @@ from repro.service import (
 )
 from repro.service.daemon import STATE_STOPPED
 from repro.storage.memory import InMemoryBackend
+from repro.storage.metadb import MetaDB
 from repro.storage.tiered import TieredBackend
 
 
@@ -35,10 +36,10 @@ def _tiny_spec(job_id: str, steps: int = 3, **overrides) -> dict:
 class _DaemonFixture:
     """One daemon serving in a background thread, plus its client."""
 
-    def __init__(self, tmp_path, backend=None, **config):
+    def __init__(self, tmp_path, backend=None, metadb=None, **config):
         config.setdefault("tick_seconds", 0.002)
         self.backend = backend if backend is not None else InMemoryBackend()
-        self.store = ChunkStore(self.backend, block_bytes=2048)
+        self.store = ChunkStore(self.backend, block_bytes=2048, metadb=metadb)
         self.pool = WriterPool(workers=2)
         self.control = tmp_path / "ctl"
         self.daemon = FleetDaemon(
@@ -80,8 +81,10 @@ class _DaemonFixture:
 def fixture_factory(tmp_path):
     made = []
 
-    def make(subdir: str = "d0", backend=None, **config):
-        fixture = _DaemonFixture(tmp_path / subdir, backend=backend, **config)
+    def make(subdir: str = "d0", backend=None, metadb=None, **config):
+        fixture = _DaemonFixture(
+            tmp_path / subdir, backend=backend, metadb=metadb, **config
+        )
         made.append(fixture)
         return fixture
 
@@ -213,6 +216,36 @@ class TestReincarnation:
         assert status["final_step"] == 6
 
 
+class _ListCountingBackend(InMemoryBackend):
+    def __init__(self):
+        super().__init__()
+        self.lists = 0
+
+    def list(self, prefix=""):
+        self.lists += 1
+        return super().list(prefix)
+
+
+class TestSubmitProbe:
+    def test_fresh_job_over_an_indexed_store_lists_nothing(
+        self, fixture_factory, tmp_path
+    ):
+        """The resumability probe of a never-seen job id is one index query:
+        the scheduler thread does not walk the store on every submit."""
+        backend = _ListCountingBackend()
+        fixture = fixture_factory(
+            backend=backend, metadb=MetaDB(tmp_path / "index.db")
+        )
+        client = fixture.start()
+        client.submit(_tiny_spec("j1", steps=3))
+        fixture.wait_job("j1")  # the store is no longer empty
+        backend.lists = 0
+        response = client.submit(_tiny_spec("j2", steps=3))
+        assert response["ok"] and response["resumed_from_step"] == 0
+        assert fixture.wait_job("j2")["final_step"] == 3
+        assert backend.lists == 0
+
+
 class _ExplodingTrainer:
     """Delegating trainer that crashes at a chosen step."""
 
@@ -298,23 +331,58 @@ class TestFailedJobs:
             assert store.manifest_names(f"j{i}")[-1] in pinned
 
 
+class _HeldTrainer:
+    """Delegating trainer that will not take step ``hold_at`` until ``gate``
+    is set.  A held step trains nothing and reports the last real step
+    again, so the job stays active while the daemon's loop keeps serving."""
+
+    def __init__(self, inner, hold_at: int, gate: threading.Event):
+        self._inner = inner
+        self._hold_at = hold_at
+        self._gate = gate
+
+    def train_step(self):
+        from repro.ml.trainer import StepInfo
+
+        inner = self._inner
+        if inner.step_count + 1 >= self._hold_at and not self._gate.is_set():
+            return StepInfo(inner.step_count, inner.last_loss, 0.0, 0.0)
+        return inner.train_step()
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
 class TestDrain:
     def test_submit_while_draining_refused_then_drained(self, fixture_factory):
         fixture = fixture_factory()
+        from repro.service.daemon import BUILTIN_WORKLOADS
+
+        # j1 cannot finish before the test has seen the daemon refuse j2:
+        # its last step waits for the gate, however long the three control
+        # round trips below take.
+        gate = threading.Event()
+
+        def held(params):
+            inner_factory = BUILTIN_WORKLOADS["classifier"](params)
+            return lambda: _HeldTrainer(inner_factory(), hold_at=15, gate=gate)
+
+        fixture.daemon.register_workload("held", held)
         client = fixture.start()
-        # Long enough (some hundred ms) to outlast the three control round
-        # trips below: a job of 15 such steps could finish, and the daemon
-        # stop, between two of them.
-        client.submit(_tiny_spec("j1", steps=300))
+        # No checkpoint falls on the held step (14), so holding saves nothing.
+        client.submit(
+            _tiny_spec("j1", steps=15, workload="held", checkpoint_every=5)
+        )
         response = client.drain(wait=False)
         assert response["state"] == "draining"
         refused = client.submit(_tiny_spec("j2"))
         assert not refused["ok"] and "draining" in refused["error"]
-        # The already-running job still finishes before the daemon exits.
-        client.drain(wait=True, timeout=60.0)
-        fixture.thread.join(timeout=10.0)
+        gate.set()
+        # The already-running job still finishes before the daemon exits
+        # (no second request: the daemon may be gone before it is read).
+        fixture.thread.join(timeout=60.0)
         assert not fixture.thread.is_alive()
-        assert fixture.store.load_snapshot("j1").step == 300
+        assert fixture.store.load_snapshot("j1").step == 15
 
     def test_drain_with_no_jobs_stops_immediately(self, fixture_factory):
         fixture = fixture_factory()

@@ -20,6 +20,7 @@ import itertools
 import json
 import multiprocessing
 import os
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -136,10 +137,7 @@ class TestJournalDifferentialOracle:
         journal.compact()
         journal.pin("job-a-ckpt-000099.json")
         expect = _oracle_state(backend)
-        for suffix in ("", "-wal", "-shm"):
-            target = Path(str(db_path) + suffix)
-            if target.exists():
-                target.unlink()
+        _drop_index(db_path)
         reborn = PlacementJournal(
             backend, owner="reborn", refresh_seconds=0.0, metadb=_db(db_path)
         )
@@ -284,7 +282,7 @@ class TestChunkStoreDifferential:
         reopened = ChunkStore(backend, metadb=_db(db_path))
         oracle = ChunkStore(backend)
         assert reopened.jobs() == oracle.jobs()
-        assert reopened._known == oracle._known
+        assert reopened._dedup_map() == oracle._dedup_map()
         for job_id in oracle.jobs():
             indexed_ckpt, indexed_snap, _ = reopened.latest_valid(job_id)
             oracle_ckpt, oracle_snap, _ = oracle.latest_valid(job_id)
@@ -312,6 +310,180 @@ class TestChunkStoreDifferential:
         swept = before - set(backend.list("ch-"))
         assert result["chunks"] == len(swept)
         assert not (swept & set(store._known))
+
+
+class _CountingLocal(LocalDirectoryBackend):
+    """Directory backend that counts what a reopen may not do per object."""
+
+    def __init__(self, root):
+        super().__init__(root, fsync=False)
+        self.calls = Counter()
+
+    def list(self, prefix=""):
+        self.calls["list"] += 1
+        return super().list(prefix)
+
+    def read(self, name, into=None):
+        self.calls["manifest reads" if name.startswith("job-") else "reads"] += 1
+        return super().read(name, into=into)
+
+    def size(self, name):
+        self.calls["size"] += 1
+        return super().size(name)
+
+    def exists(self, name):
+        self.calls["exists"] += 1
+        return super().exists(name)
+
+
+def _drop_index(db_path):
+    for suffix in ("", "-wal", "-shm"):
+        Path(str(db_path) + suffix).unlink(missing_ok=True)
+
+
+class TestReopenCounts:
+    """Counts, not clocks: what opening a store asks of its backend."""
+
+    def _reopen(self, root, monkeypatch):
+        """A store reopened over ``root``, its backend's call counts while
+        it opened, and the ``stat`` calls on anything inside ``root``."""
+        backend = _CountingLocal(root)
+        stats = []
+        real_stat = os.stat
+
+        def counting_stat(path, *args, **kwargs):
+            if Path(path) != Path(root) and Path(root) in Path(path).parents:
+                stats.append(path)
+            return real_stat(path, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "stat", counting_stat)
+            store = ChunkStore(backend, metadb=_db(root / DB_FILENAME))
+        return store, Counter(backend.calls), stats
+
+    def test_reopen_cost_does_not_grow_with_the_store(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "store"
+        writer = ChunkStore(
+            LocalDirectoryBackend(root, fsync=False),
+            metadb=_db(root / DB_FILENAME),
+        )
+        seen = {}
+        saved = 0
+        for total in (40, 400):
+            while saved < total:
+                writer.save_snapshot(f"job{saved % 4}", _snap(saved))
+                saved += 1
+            store, calls, stats = self._reopen(root, monkeypatch)
+            seen[total] = calls
+            assert calls["list"] <= 1
+            assert calls["manifest reads"] == calls["reads"] == 0
+            assert calls["size"] == calls["exists"] == 0 and not stats
+            ckpt_id, restored, skipped = store.latest_valid("job3")
+            assert ckpt_id == f"ckpt-{total // 4:06d}" and not skipped
+            assert restored.params.tobytes() == _snap(total - 1).params.tobytes()
+        assert seen[40] == seen[400]
+        # The dedup map waited for the first save, and knows every chunk.
+        assert store.save_snapshot("late", _snap(saved - 1)).n_new_blocks == 0
+
+    @pytest.mark.parametrize("damage", ["deleted", "truncated", "behind"])
+    def test_lost_or_stale_index_reopens_to_the_same_state(
+        self, tmp_path, monkeypatch, damage
+    ):
+        root = tmp_path / "store"
+        db_path = root / DB_FILENAME
+        writer = ChunkStore(
+            LocalDirectoryBackend(root, fsync=False), metadb=_db(db_path)
+        )
+        for step in range(6):
+            writer.save_snapshot("alpha", _snap(step))
+        newest = 5
+        if USE_INDEX:
+            writer.metadb.close()
+        if damage == "deleted":
+            _drop_index(db_path)
+        elif damage == "truncated" and USE_INDEX:
+            db_path.write_bytes(db_path.read_bytes()[: db_path.stat().st_size // 2])
+        elif damage == "behind":
+            # A writer that bypassed the index: one manifest it never saw.
+            newest = 6
+            ChunkStore(LocalDirectoryBackend(root, fsync=False)).save_snapshot(
+                "alpha", _snap(newest)
+            )
+        store, calls, _ = self._reopen(root, monkeypatch)
+        if USE_INDEX:  # the scan path: exactly the manifests the index lacks
+            assert calls["manifest reads"] == (1 if damage == "behind" else 6)
+        ckpt_id, restored, skipped = store.latest_valid("alpha")
+        assert ckpt_id == f"ckpt-{newest + 1:06d}" and not skipped
+        assert restored == _snap(newest)
+        assert store.manifest_names("alpha") == ChunkStore(
+            LocalDirectoryBackend(root, fsync=False)
+        ).manifest_names("alpha")
+
+    @pytest.mark.parametrize("damage", ["torn", "foreign version"])
+    def test_next_save_steps_past_a_manifest_the_index_would_not_take(
+        self, tmp_path, damage
+    ):
+        """A listed manifest that cannot be read here (torn, or written by
+        another build) keeps its sequence number: the save after a reopen
+        gets the next id and the file is left as it was — with an index,
+        which never holds such a manifest, and without one."""
+        root = tmp_path / "store"
+        db_path = root / DB_FILENAME
+        writer = ChunkStore(
+            LocalDirectoryBackend(root, fsync=False), metadb=_db(db_path)
+        )
+        for step in range(3):
+            writer.save_snapshot("alpha", _snap(step))
+        writer.save_snapshot("lone", _snap(0))
+        for name in ("job-alpha-ckpt-000003.json", "job-lone-ckpt-000001.json"):
+            text = (root / name).read_text()
+            if damage == "torn":
+                (root / name).write_text(text[: len(text) // 2])
+            else:
+                (root / name).write_text(
+                    text.replace('"version": 1', '"version": 99')
+                )
+        if USE_INDEX:
+            # The index never saw them (as after a crash between the two).
+            writer.metadb.delete_manifest("job-alpha-ckpt-000003.json")
+            writer.metadb.delete_manifest("job-lone-ckpt-000001.json")
+            writer.metadb.close()
+        before = {
+            name: (root / name).read_bytes()
+            for name in ("job-alpha-ckpt-000003.json", "job-lone-ckpt-000001.json")
+        }
+        store = ChunkStore(
+            LocalDirectoryBackend(root, fsync=False), metadb=_db(db_path)
+        )
+        assert store.save_snapshot("alpha", _snap(7)).ckpt_id == "ckpt-000004"
+        assert store.save_snapshot("lone", _snap(8)).ckpt_id == "ckpt-000002"
+        for name, content in before.items():
+            assert (root / name).read_bytes() == content
+        ckpt_id, restored, _ = store.latest_valid("alpha")
+        assert ckpt_id == "ckpt-000004" and restored == _snap(7)
+
+    def test_a_reconciled_index_answers_none_without_a_scan(self, tmp_path):
+        """``has_checkpoints`` / ``manifest_names`` / ``jobs`` of a job the
+        store never saw: one point query each when an index is attached; a
+        scan, which also sees another writer's files, when none is."""
+        backend = _CountingLocal(tmp_path / "store")
+        store = ChunkStore(backend, metadb=_db(tmp_path / "store" / DB_FILENAME))
+        store.save_snapshot("seen", _snap(1))
+        backend.calls.clear()
+        assert not store.has_checkpoints("fresh")
+        assert store.manifest_names("fresh") == []
+        assert store.jobs() == ["seen"]
+        assert backend.calls["list"] == (0 if USE_INDEX else 3)
+        # A writer sharing the index file (or, index-less, just the files).
+        other = ChunkStore(
+            LocalDirectoryBackend(tmp_path / "store", fsync=False),
+            metadb=_db(tmp_path / "store" / DB_FILENAME),
+        )
+        other.save_snapshot("fresh", _snap(2))
+        assert store.has_checkpoints("fresh")
+        assert store.jobs() == ["fresh", "seen"]
 
 
 class TestScrubIndexCoherence:

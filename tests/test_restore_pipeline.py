@@ -14,9 +14,12 @@ Covers the acceptance criteria of the restore-path refactor:
 """
 
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.recovery import RecoveryManager, warm_start_trainer
 from repro.core.restore import (
@@ -210,6 +213,157 @@ class TestBitwiseIdentity:
         _, serial = store_serial.load_tensors("j")
         _, parallel = store_parallel.load_tensors("j")
         assert tensors_equal(serial, parallel)
+
+
+# ---------------------------------------------------------------------------
+# Block-by-block assembly: any tensor, any block size, any damage
+# ---------------------------------------------------------------------------
+
+
+def _tensor(kind: str, dtype: str, block_bytes: int, content: str, seed: int):
+    """One tensor whose canonical bytes sit in ``kind`` relation to the
+    store's block size; ``noise`` bytes are stored as they are by ``zlib-6``
+    (blocks of 4 KiB and more), ``runs`` are deflated."""
+    item = np.dtype(dtype).itemsize
+    nbytes = {
+        "empty": 0,
+        "scalar": item,
+        "one-block": max(item, block_bytes // 2),
+        "aligned": 2 * block_bytes,
+        "ragged": 2 * block_bytes + 3 * item,
+        "strided": 2 * block_bytes + 3 * item,
+    }[kind]
+    count = nbytes // item
+    if kind == "strided":
+        count *= 2
+    rng = np.random.default_rng(seed)
+    if content == "noise":
+        raw = rng.integers(0, 256, count * item, dtype=np.uint8)
+    else:
+        raw = np.repeat(rng.integers(0, 256, 8, dtype=np.uint8), -(-count * item // 8))
+    if dtype == "|b1":
+        raw = raw & 1
+    array = raw[: count * item].view(dtype)
+    if kind == "scalar":
+        return array.reshape(())
+    if kind == "empty":
+        return array.reshape(3, 0)
+    return array[::2] if kind == "strided" else array
+
+
+class TestBlockAssembly:
+    """What the executor hands back is the saved tensors or a typed error."""
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        kind=st.sampled_from(
+            ["empty", "scalar", "one-block", "aligned", "ragged", "strided"]
+        ),
+        dtype=st.sampled_from(["<f8", "<f4", "<c16", "<i8", "|u1", "|b1"]),
+        block_bytes=st.sampled_from([64, 4096, 8192]),
+        codec=st.sampled_from(["none", "zlib-6"]),
+        content=st.sampled_from(["noise", "runs"]),
+        local=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    # Always run: a flipped tensor byte in an uncompressed in-memory chunk.
+    @example(
+        kind="one-block",
+        dtype="<f8",
+        block_bytes=4096,
+        codec="none",
+        content="noise",
+        local=False,
+        seed=0,
+    )
+    def test_bitwise_owned_writable_or_integrity_error(
+        self, kind, dtype, block_bytes, codec, content, local, seed
+    ):
+        first = _tensor(kind, dtype, block_bytes, content, seed)
+        # The twin repeats the first tensor's blocks: one stored chunk, two
+        # destinations.
+        snapshot = TrainingSnapshot(
+            step=1,
+            params=np.arange(3.0),
+            optimizer_state={"first": first, "twin": first.copy()},
+            rng_state={},
+            model_fingerprint="block-assembly",
+        )
+        _, expected = snapshot.to_payload()
+        with tempfile.TemporaryDirectory() as root:
+            backend = (
+                LocalDirectoryBackend(root, fsync=False)
+                if local
+                else InMemoryBackend()
+            )
+            store = ChunkStore(backend, codec=codec, block_bytes=block_bytes)
+            store.save_snapshot("j", snapshot)
+
+            def assert_restores_bitwise():
+                _, restored = store.load_tensors("j")
+                assert set(restored) == set(expected)
+                arrays = list(restored.values())
+                for name, array in restored.items():
+                    want = expected[name]
+                    assert array.dtype == want.dtype and array.shape == want.shape
+                    assert array.tobytes() == want.tobytes(), name
+                    # Trainer.restore mutates what it is handed, in place.
+                    assert array.flags.writeable and array.flags.owndata
+                    assert not any(
+                        np.shares_memory(array, other)
+                        for other in arrays
+                        if other is not array
+                    )
+
+            assert_restores_bitwise()
+
+            manifest_name = store.manifest_names("j")[-1]
+            manifest = json.loads(backend.read(manifest_name).decode("utf-8"))
+            entry = next(
+                e for e in manifest["tensors"] if e["name"].endswith("first")
+            )
+
+            def rewritten_blocks(blocks):
+                entry["blocks"] = blocks
+                return json.dumps(manifest, sort_keys=True).encode("utf-8")
+
+            blocks = list(entry["blocks"])
+            must_raise = {manifest_name: []}
+            if first.size:
+                # (An empty tensor is one empty block: dropping it leaves the
+                # shape satisfied, and there is nothing to over-fill with.)
+                must_raise[manifest_name] = [
+                    rewritten_blocks(blocks[:-1]),  # under-fills the tensor
+                    rewritten_blocks(blocks + blocks[-1:]),  # over-fills it
+                ]
+            chunk = blocks[-1]["chunk"]
+            stored = backend.read(chunk)
+            flipped = bytearray(stored)
+            if stored:
+                must_raise[chunk] = [stored[:-1]]  # truncated
+                flipped[len(flipped) // 2] ^= 0x10
+                if codec == "none":  # every stored byte is a tensor byte
+                    must_raise[chunk].append(bytes(flipped))
+            for name, versions in must_raise.items():
+                original = backend.read(name)
+                for version in versions:
+                    backend.write(name, version)
+                    with pytest.raises(IntegrityError):
+                        store.load_tensors("j")
+                backend.write(name, original)
+            # A flipped bit of a deflate stream may be padding: the block
+            # then still decodes to its own address, which is no damage.
+            backend.write(chunk, bytes(flipped))
+            try:
+                assert_restores_bitwise()
+            except IntegrityError:
+                pass
+            backend.write(chunk, stored)
+            assert_restores_bitwise()
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from repro.errors import (
     CheckpointError,
     CheckpointNotFoundError,
     ConfigError,
-    IntegrityError,
     StorageError,
 )
 from repro.faults.injector import Brownout, PreemptionStorm
@@ -209,17 +208,6 @@ class TestChunkStoreDedup:
 
 
 class TestChunkStoreIntegrity:
-    def test_corrupted_chunk_detected(self):
-        backend = InMemoryBackend()
-        store = ChunkStore(backend, codec="none")
-        store.save_snapshot("alpha", make_snapshot(step=1))
-        victim = backend.list("ch-")[0]
-        data = bytearray(backend.read(victim))
-        data[0] ^= 0xFF
-        backend.write(victim, bytes(data))
-        with pytest.raises(IntegrityError):
-            store.load_snapshot("alpha")
-
     def test_corrupted_manifest_detected_and_skipped(self):
         backend = InMemoryBackend()
         store = ChunkStore(backend)
