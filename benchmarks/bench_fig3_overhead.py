@@ -9,8 +9,8 @@ Kernel timed: one synchronous full save of an 8-qubit VQE snapshot.
 from repro.bench.experiments import fig3_overhead
 from repro.bench.reporting import format_table
 from repro.bench.workloads import vqe_trainer
-from repro.core.manager import CheckpointManager
 from repro.core.store import CheckpointStore
+from repro.service.manager import ServiceCheckpointManager
 from repro.storage.memory import InMemoryBackend
 
 
@@ -27,6 +27,6 @@ def test_fig3_overhead(benchmark, report):
     trainer = vqe_trainer(n_qubits=8, seed=3)
     trainer.run(1)
     snapshot = trainer.capture()
-    store = CheckpointStore(InMemoryBackend())
-    manager = CheckpointManager(store, codec="zlib-1")
+    store = CheckpointStore(InMemoryBackend(), codec="zlib-1")
+    manager = ServiceCheckpointManager(store)
     benchmark(manager.save, snapshot)

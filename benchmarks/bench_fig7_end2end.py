@@ -9,10 +9,9 @@ Kernel timed: a resume (recover latest + trainer restore).
 from repro.bench.experiments import fig7_end_to_end
 from repro.bench.reporting import format_table
 from repro.bench.workloads import classifier_trainer
-from repro.core.manager import CheckpointManager
 from repro.core.policy import EveryKSteps
-from repro.core.recovery import resume_trainer
 from repro.core.store import CheckpointStore
+from repro.service.manager import ServiceCheckpointManager
 from repro.storage.memory import InMemoryBackend
 
 
@@ -36,11 +35,11 @@ def test_fig7_end_to_end(benchmark, report):
 
     store = CheckpointStore(InMemoryBackend())
     trainer = classifier_trainer(n_qubits=4, n_samples=32, batch_size=4)
-    manager = CheckpointManager(store, EveryKSteps(5))
+    manager = ServiceCheckpointManager(store, policy=EveryKSteps(5))
     trainer.run(5, hooks=[manager])
 
     def resume():
         fresh = classifier_trainer(n_qubits=4, n_samples=32, batch_size=4)
-        return resume_trainer(fresh, store)
+        return manager.resume(fresh, required=True)
 
     benchmark(resume)

@@ -9,9 +9,9 @@ Kernel timed: loading the final checkpoint of the classifier case.
 from repro.bench.experiments import tab3_exactness
 from repro.bench.reporting import format_table
 from repro.bench.workloads import classifier_trainer
-from repro.core.manager import CheckpointManager
 from repro.core.policy import EveryKSteps
 from repro.core.store import CheckpointStore
+from repro.service.manager import ServiceCheckpointManager
 from repro.storage.memory import InMemoryBackend
 
 
@@ -25,7 +25,7 @@ def test_tab3_exactness(benchmark, report):
 
     store = CheckpointStore(InMemoryBackend())
     trainer = classifier_trainer(n_qubits=4, n_samples=32, batch_size=4)
-    manager = CheckpointManager(store, EveryKSteps(5))
+    manager = ServiceCheckpointManager(store, policy=EveryKSteps(5))
     trainer.run(5, hooks=[manager])
     target = store.latest().id
     benchmark(store.load, target)

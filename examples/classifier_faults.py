@@ -44,7 +44,7 @@ def run(strategy_name: str, with_checkpoints: bool):
         MTBF_STEPS, seed=99, fixed_step_seconds=1.0
     )
     manager_factory = (
-        (lambda s: CheckpointManager(s, EveryKSteps(5)))
+        (lambda s: CheckpointManager(s, policy=EveryKSteps(5)))
         if with_checkpoints
         else None
     )

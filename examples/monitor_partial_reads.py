@@ -54,7 +54,7 @@ def main() -> None:
         Adam(lr=0.1),
         config=TrainerConfig(seed=5, capture_statevector=True),
     )
-    manager = CheckpointManager(store, EveryKSteps(5))
+    manager = CheckpointManager(store, policy=EveryKSteps(5))
 
     print(f"{N_QUBITS}-qubit VQE; checkpoints carry the full statevector cache")
     for _ in range(STEPS // 5):

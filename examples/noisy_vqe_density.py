@@ -23,7 +23,6 @@ from repro import (
     TrainerConfig,
     VQEModel,
     hardware_efficient,
-    resume_trainer,
 )
 from repro.faults import CrashAtStep
 from repro.quantum.density import density_nbytes, purity
@@ -58,7 +57,7 @@ def main() -> None:
     # Crash mid-run; every snapshot carries the density matrix.
     store = CheckpointStore(InMemoryBackend())
     trainer = make_trainer()
-    manager = CheckpointManager(store, EveryKSteps(5))
+    manager = CheckpointManager(store, policy=EveryKSteps(5))
     try:
         trainer.run(TOTAL_STEPS, hooks=[manager, CrashAtStep(17)])
     except SimulatedFailure:
@@ -75,8 +74,8 @@ def main() -> None:
 
     # Fresh process: resume and finish.
     resumed = make_trainer()
-    record = resume_trainer(resumed, store)
-    print(f"resumed from checkpoint {record.id} at step {record.step}")
+    ckpt_id = manager.resume(resumed, required=True)
+    print(f"resumed from checkpoint {ckpt_id} at step {resumed.step_count}")
     resumed.run(TOTAL_STEPS - resumed.step_count, hooks=[manager])
 
     noisy_energy = model.energy(resumed.params)

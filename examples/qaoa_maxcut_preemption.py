@@ -25,7 +25,6 @@ from repro import (
     SimulatedFailure,
     Trainer,
     TrainerConfig,
-    resume_trainer,
 )
 from repro.faults import CrashAtStep
 
@@ -63,9 +62,9 @@ def main() -> None:
     for preempt_step in PREEMPT_AT:
         sessions += 1
         trainer = make_trainer(model)
-        record = resume_trainer(trainer, store)
-        resumed_at = record.step if record else 0
-        manager = CheckpointManager(store, EveryKSteps(5))
+        manager = CheckpointManager(store, policy=EveryKSteps(5))
+        manager.resume(trainer)
+        resumed_at = trainer.step_count
         try:
             trainer.run(
                 TOTAL_STEPS - trainer.step_count,
@@ -82,11 +81,12 @@ def main() -> None:
     # Final session runs to completion.
     sessions += 1
     trainer = make_trainer(model)
-    record = resume_trainer(trainer, store)
-    manager = CheckpointManager(store, EveryKSteps(5))
+    manager = CheckpointManager(store, policy=EveryKSteps(5))
+    manager.resume(trainer, required=True)
+    resumed_at = trainer.step_count
     trainer.run(TOTAL_STEPS - trainer.step_count, hooks=[manager])
     manager.close()
-    print(f"session {sessions}: resumed at step {record.step}, finished")
+    print(f"session {sessions}: resumed at step {resumed_at}, finished")
 
     final_cut = model.expected_cut(trainer.params)
     print(

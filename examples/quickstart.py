@@ -24,7 +24,6 @@ from repro import (
     TrainerConfig,
     VQEModel,
     hardware_efficient,
-    resume_trainer,
 )
 
 CKPT_DIR = Path(__file__).with_name("quickstart_ckpts")
@@ -38,17 +37,17 @@ def main() -> None:
     trainer = Trainer(model, Adam(lr=0.1), config=TrainerConfig(seed=42))
 
     store = CheckpointStore(LocalDirectoryBackend(CKPT_DIR))
-    record = resume_trainer(trainer, store)
-    if record is None:
+    manager = CheckpointManager(store, policy=EveryKSteps(10))
+    ckpt_id = manager.resume(trainer)
+    if ckpt_id is None:
         print("no checkpoint found — starting fresh")
     else:
-        print(f"resumed from {record.id} at step {record.step}")
+        print(f"resumed from {ckpt_id} at step {trainer.step_count}")
 
     remaining = TOTAL_STEPS - trainer.step_count
     if remaining <= 0:
         print(f"training already complete at step {trainer.step_count}")
     else:
-        manager = CheckpointManager(store, EveryKSteps(10))
         print(f"running {remaining} steps...")
         trainer.run(remaining, hooks=[manager])
         print(

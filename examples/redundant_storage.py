@@ -26,7 +26,6 @@ from repro import (
     TrainerConfig,
     VQEModel,
     hardware_efficient,
-    resume_trainer,
 )
 
 TOTAL_STEPS = 20
@@ -42,7 +41,7 @@ def build_model() -> VQEModel:
 
 def train_with(store: CheckpointStore, model: VQEModel, steps: int) -> Trainer:
     trainer = Trainer(model, Adam(lr=0.1), config=TrainerConfig(seed=SEED))
-    manager = CheckpointManager(store, EveryKSteps(5))
+    manager = CheckpointManager(store, policy=EveryKSteps(5))
     trainer.run(steps, hooks=[manager])
     manager.close()
     return trainer
@@ -70,10 +69,11 @@ def replicated_scenario(model: VQEModel, reference: np.ndarray) -> None:
     print(f"scrub report: {report}")
 
     resumed = Trainer(model, Adam(lr=0.1), config=TrainerConfig(seed=SEED))
-    record = resume_trainer(resumed, CheckpointStore(backend))
+    CheckpointManager(CheckpointStore(backend)).resume(resumed, required=True)
+    resumed_at = resumed.step_count
     resumed.run(TOTAL_STEPS - resumed.step_count)
     assert np.array_equal(resumed.params, reference)
-    print(f"resumed from step {record.step}; final params match reference\n")
+    print(f"resumed from step {resumed_at}; final params match reference\n")
 
 
 def tiered_scenario(model: VQEModel, reference: np.ndarray) -> None:
@@ -91,11 +91,12 @@ def tiered_scenario(model: VQEModel, reference: np.ndarray) -> None:
 
     rebuilt = TieredBackend(InMemoryBackend(), slow, fast_capacity_bytes=1 << 20)
     resumed = Trainer(model, Adam(lr=0.1), config=TrainerConfig(seed=SEED))
-    record = resume_trainer(resumed, CheckpointStore(rebuilt))
+    CheckpointManager(CheckpointStore(rebuilt)).resume(resumed, required=True)
+    resumed_at = resumed.step_count
     resumed.run(TOTAL_STEPS - resumed.step_count)
     assert np.array_equal(resumed.params, reference)
     print(
-        f"resumed from step {record.step} via the slow tier "
+        f"resumed from step {resumed_at} via the slow tier "
         f"({rebuilt.stats.fast_misses} miss, {rebuilt.stats.promotions} promotion); "
         "final params match reference"
     )

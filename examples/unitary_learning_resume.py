@@ -19,7 +19,6 @@ from repro import (
     Trainer,
     TrainerConfig,
     UnitaryLearningModel,
-    resume_trainer,
     strongly_entangling,
 )
 from repro.faults import CrashAtStep
@@ -51,7 +50,7 @@ def main() -> None:
     # Crashing run with checkpoints every 10 steps.
     store = CheckpointStore(InMemoryBackend())
     trainer = make_trainer()
-    manager = CheckpointManager(store, EveryKSteps(10))
+    manager = CheckpointManager(store, policy=EveryKSteps(10))
     try:
         trainer.run(TOTAL_STEPS, hooks=[manager, CrashAtStep(30)])
     except SimulatedFailure as failure:
@@ -59,8 +58,8 @@ def main() -> None:
 
     # "New process": fresh trainer, resume, finish.
     survivor = make_trainer()
-    record = resume_trainer(survivor, store)
-    print(f"resumed from {record.id} at step {record.step}")
+    ckpt_id = manager.resume(survivor, required=True)
+    print(f"resumed from {ckpt_id} at step {survivor.step_count}")
     survivor.run(TOTAL_STEPS - survivor.step_count, hooks=[manager])
 
     identical = np.array_equal(survivor.params, reference.params)

@@ -10,13 +10,14 @@ Open-source reproduction of *"Quantum Neural Networks Need Checkpointing"*
 * ``repro.ml`` — optimizers, datasets, models, and a trainer whose state is
   fully capturable,
 * ``repro.core`` — the contribution: the QCKPT checkpoint format, codecs,
-  lossy statevector transforms, delta checkpoints, atomic/async writers,
-  manifest store, interval policies (Young–Daly), and recovery,
+  lossy statevector transforms, delta checkpoints, the manifest store with
+  its recovery walk, and interval policies (Young–Daly),
 * ``repro.storage`` — local / in-memory / simulated-remote / fault-injecting
   / replicated / tiered / hash-sharded backends,
 * ``repro.service`` — the multi-job checkpoint service: content-addressed
-  chunk store with cross-job dedup, shared writer pool with per-job
-  backpressure, and the fleet harness for preemption-storm scenarios,
+  chunk store with cross-job dedup, the trainer hook (``CheckpointManager``)
+  and the writer pool it saves through, and the fleet harness for
+  preemption-storm scenarios,
 * ``repro.faults`` — crash injection and makespan models,
 * ``repro.bench`` — the experiment harness regenerating every figure/table.
 
@@ -26,14 +27,15 @@ Quickstart::
     from repro import (
         Adam, CheckpointManager, CheckpointStore, EveryKSteps,
         Hamiltonian, LocalDirectoryBackend, Trainer, TrainerConfig,
-        VQEModel, hardware_efficient, resume_trainer,
+        VQEModel, hardware_efficient,
     )
 
     model = VQEModel(hardware_efficient(2, 2), Hamiltonian.h2_minimal())
     store = CheckpointStore(LocalDirectoryBackend("./ckpts"))
     trainer = Trainer(model, Adam(lr=0.1), config=TrainerConfig(seed=1))
-    resume_trainer(trainer, store)   # no-op on first run
-    trainer.run(100, hooks=[CheckpointManager(store, EveryKSteps(10))])
+    manager = CheckpointManager(store, policy=EveryKSteps(10))
+    manager.resume(trainer)          # no-op on first run
+    trainer.run(100, hooks=[manager])
 """
 
 from repro.autodiff import (
@@ -43,18 +45,13 @@ from repro.autodiff import (
 )
 from repro.core import (
     AdaptiveOverheadPolicy,
-    AsyncCheckpointWriter,
-    CheckpointManager,
     CheckpointRecord,
     CheckpointStore,
     EveryKSteps,
     FixedTimeInterval,
-    RecoveryManager,
     RetentionPolicy,
-    SyncCheckpointWriter,
     TrainingSnapshot,
     YoungDalyPolicy,
-    resume_trainer,
     young_daly_interval,
 )
 from repro.core.serialize import pack_snapshot, unpack_snapshot
@@ -101,6 +98,8 @@ from repro.quantum.templates import (
     real_amplitudes,
     strongly_entangling,
 )
+from repro.service.manager import ServiceCheckpointManager as CheckpointManager
+from repro.service.pool import WriterPool
 from repro.storage import (
     InMemoryBackend,
     LocalDirectoryBackend,
@@ -110,7 +109,7 @@ from repro.storage import (
     TransferCostModel,
 )
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",
@@ -146,10 +145,7 @@ __all__ = [
     "CheckpointRecord",
     "CheckpointManager",
     "RetentionPolicy",
-    "RecoveryManager",
-    "resume_trainer",
-    "SyncCheckpointWriter",
-    "AsyncCheckpointWriter",
+    "WriterPool",
     "EveryKSteps",
     "FixedTimeInterval",
     "YoungDalyPolicy",

@@ -23,12 +23,10 @@ from repro.bench.workloads import (
 )
 from repro.core.codecs import get_transform
 from repro.core.delta import delta_sparsity, encode_delta
-from repro.core.manager import CheckpointManager
 from repro.core.policy import EveryKSteps, young_daly_interval
 from repro.core.serialize import pack_payload, pack_snapshot, unpack_payload, unpack_snapshot
 from repro.core.snapshot import TrainingSnapshot
 from repro.core.store import CheckpointStore
-from repro.core.writer import AsyncCheckpointWriter, SyncCheckpointWriter
 from repro.faults.daly import (
     expected_makespan,
     mean_simulated_makespan,
@@ -42,6 +40,8 @@ from repro.quantum.haar import haar_state
 from repro.quantum.observables import Hamiltonian
 from repro.quantum.statevector import apply_circuit, zero_state
 from repro.quantum.templates import hardware_efficient
+from repro.service.manager import ServiceCheckpointManager as CheckpointManager
+from repro.service.pool import WriterPool
 from repro.storage.memory import InMemoryBackend
 from repro.storage.simulated import TransferCostModel
 
@@ -233,20 +233,20 @@ def fig3_overhead(
     for mode in ("sync", "async"):
         for interval in intervals:
             trainer = vqe_trainer(n_qubits=n_qubits, seed=3)
-            store = CheckpointStore(InMemoryBackend())
-            writer = (
-                SyncCheckpointWriter()
-                if mode == "sync"
-                else AsyncCheckpointWriter(max_pending=2)
-            )
+            store = CheckpointStore(InMemoryBackend(), codec="zlib-1")
+            pool = WriterPool(1) if mode == "async" else None
             manager = CheckpointManager(
-                store, EveryKSteps(interval), writer=writer, codec="zlib-1"
+                store,
+                channel=pool and pool.channel("default", max_pending=2),
+                policy=EveryKSteps(interval),
             )
             started = time.perf_counter()
             trainer.run(n_steps, hooks=[manager])
             manager.close()
             total = time.perf_counter() - started
-            blocked = writer.stats.blocked_seconds
+            if pool:
+                pool.close()
+            blocked = manager.channel.stats.blocked_seconds
             rows.append(
                 {
                     "mode": mode,
@@ -369,10 +369,10 @@ def _fig5_series(
     n_steps: int,
     full_every: int,
 ) -> List[Dict]:
-    store = CheckpointStore(InMemoryBackend())
-    manager = CheckpointManager(
-        store, EveryKSteps(1), delta=True, full_every=full_every, codec="zlib-6"
+    store = CheckpointStore(
+        InMemoryBackend(), delta=True, full_every=full_every, codec="zlib-6"
     )
+    manager = CheckpointManager(store)
     rows = []
     cumulative_delta_mode = 0
     cumulative_full_mode = 0
@@ -512,7 +512,7 @@ def _exactness_case(
     result = run_with_failures(
         make_trainer,
         store,
-        lambda s: CheckpointManager(s, EveryKSteps(checkpoint_every)),
+        lambda s: CheckpointManager(s, policy=EveryKSteps(checkpoint_every)),
         target_steps,
         failure_hooks=[CrashAtStep(crash_step)],
     )
@@ -582,7 +582,11 @@ def fig7_end_to_end(
                 mtbf_seconds=float(mtbf), seed=seed, fixed_step_seconds=1.0
             )
             manager_factory = (
-                (lambda s: CheckpointManager(s, EveryKSteps(checkpoint_every)))
+                (
+                    lambda s: CheckpointManager(
+                        s, policy=EveryKSteps(checkpoint_every)
+                    )
+                )
                 if strategy == "checkpoint"
                 else None
             )

@@ -264,32 +264,25 @@ def cmd_restore(args: argparse.Namespace) -> int:
 
 
 def _restore_core(args: argparse.Namespace, names) -> int:
-    from repro.core.recovery import RecoveryManager
+    from repro.core.store import DEFAULT_JOB
 
     store = _open_store(args.store)
     checkpoint_id = args.id
-    skipped = []
     if checkpoint_id is None:
+        job_id = args.job or DEFAULT_JOB
         if names is None:
-            report = RecoveryManager(store).latest_valid()
-            if not report.recovered:
-                raise ReproError(
-                    "no restorable checkpoint in store"
-                    + (f"; skipped: {report.skipped}" if report.skipped else "")
-                )
-            checkpoint_id, skipped = report.record.id, report.skipped
+            checkpoint_id, _, skipped = store.latest_valid(job_id)
         else:
-            record, _, skipped = RecoveryManager(store).latest_valid_tensors(
-                names
+            checkpoint_id, _, skipped = store.latest_valid_partial(
+                job_id, names
             )
-            if record is None:
-                raise ReproError(
-                    "no restorable checkpoint in store"
-                    + (f"; skipped: {skipped}" if skipped else "")
-                )
-            checkpoint_id = record.id
-    for ckpt_id, reason in skipped:
-        print(f"warning: skipped damaged checkpoint {ckpt_id}: {reason}")
+        for ckpt_id, reason in skipped:
+            print(f"warning: skipped damaged checkpoint {ckpt_id}: {reason}")
+        if checkpoint_id is None:
+            raise ReproError(
+                "no restorable checkpoint in store"
+                + (f"; skipped: {skipped}" if skipped else "")
+            )
     plans = store.restore_plan(checkpoint_id, names)
     for plan in plans:
         _print_plan(plan)
@@ -1382,7 +1375,6 @@ def cmd_daemon_start(args: argparse.Namespace) -> int:
         restart_delay_ticks=args.restart_delay,
         max_ticks=args.max_ticks if args.max_ticks > 0 else None,
         compact_journal_records=args.compact_journal_records,
-        metrics_export_seconds=args.metrics_export_seconds,
         obs_sample_seconds=args.obs_sample_seconds,
     )
     daemon = FleetDaemon(
@@ -1619,7 +1611,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_restore.add_argument(
         "--job",
         default=None,
-        help="job id (chunk stores; default: the store's only job)",
+        help="job id (default: a chunk store's only job; 'default' in a "
+        "checkpoint store)",
     )
     p_restore.add_argument(
         "--tensors",
@@ -2020,13 +2013,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="wrap the storage stack in a retry/circuit-breaker layer "
         "allowing N retries per op (0 = no reliability wrapper)",
-    )
-    d_start.add_argument(
-        "--metrics-export-seconds",
-        type=float,
-        default=5.0,
-        help="append a metrics snapshot to <store>/obs/metrics.jsonl "
-        "every N seconds (0 = only at shutdown)",
     )
     d_start.add_argument(
         "--obs-sample-seconds",

@@ -14,27 +14,22 @@ Mechanism
   transforms,
 * :mod:`repro.core.delta` — XOR-based incremental checkpoints,
 * :mod:`repro.core.integrity` — CRC32/SHA-256 validation,
-* :mod:`repro.core.writer` — atomic and asynchronous write paths,
-* :mod:`repro.core.store` — manifest, discovery, retention/GC,
+* :mod:`repro.core.store` — manifest, discovery, full/delta cadence,
+  retention/GC, and the newest-first damage-skipping recovery walk,
 * :mod:`repro.core.policy` — when to checkpoint (fixed, Young–Daly, adaptive),
 * :mod:`repro.core.restore` — the unified restore pipeline (plan → ranged
-  fetch → verify → assemble) every read path runs through,
-* :mod:`repro.core.recovery` — finding and applying the latest valid snapshot,
-* :mod:`repro.core.manager` — the trainer hook tying it all together.
+  fetch → verify → assemble) every read path runs through.
+
+The trainer hook tying it together and the writers it saves through live in
+:mod:`repro.service.manager` and :mod:`repro.service.pool`.
 """
 
-from repro.core.manager import CheckpointManager
 from repro.core.policy import (
     AdaptiveOverheadPolicy,
     EveryKSteps,
     FixedTimeInterval,
     YoungDalyPolicy,
     young_daly_interval,
-)
-from repro.core.recovery import (
-    RecoveryManager,
-    resume_trainer,
-    warm_start_trainer,
 )
 from repro.core.restore import (
     WARM_START_TENSORS,
@@ -46,7 +41,6 @@ from repro.core.restore import (
 )
 from repro.core.snapshot import TrainingSnapshot
 from repro.core.store import CheckpointRecord, CheckpointStore, RetentionPolicy
-from repro.core.writer import AsyncCheckpointWriter, SyncCheckpointWriter
 
 __all__ = [
     "TrainingSnapshot",
@@ -57,14 +51,8 @@ __all__ = [
     "QckptSource",
     "restore_tensors",
     "WARM_START_TENSORS",
-    "warm_start_trainer",
     "CheckpointRecord",
     "RetentionPolicy",
-    "CheckpointManager",
-    "RecoveryManager",
-    "resume_trainer",
-    "SyncCheckpointWriter",
-    "AsyncCheckpointWriter",
     "EveryKSteps",
     "FixedTimeInterval",
     "YoungDalyPolicy",

@@ -23,8 +23,7 @@ Two sources exist: :class:`QckptSource` for the monolithic QCKPT container
 :class:`~repro.service.chunkstore.ChunkManifestSource` for the
 content-addressed chunk format.  Callers —
 :class:`~repro.core.store.CheckpointStore`,
-:class:`~repro.service.chunkstore.ChunkStore`,
-:class:`~repro.core.recovery.RecoveryManager`, the trainer, the fleet
+:class:`~repro.service.chunkstore.ChunkStore`, the trainer hook, the fleet
 harness, and the CLI — never touch format bytes directly.
 
 Failure contract: a restore either returns tensors bitwise-identical to what

@@ -1,4 +1,4 @@
-"""Checkpoint store: manifest, discovery, delta chains, retention.
+"""Checkpoint store: manifest, discovery, delta chains, retention, recovery.
 
 Layout inside a storage backend::
 
@@ -14,6 +14,7 @@ never a dangling manifest entry.  Orphans are swept by :meth:`CheckpointStore.gc
 from __future__ import annotations
 
 import json
+import logging
 import threading
 import time
 from dataclasses import dataclass, field
@@ -40,6 +41,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.faults.crashpoints import crash_point, register_crash_point
+from repro.obs.metrics import MetricsRegistry
 from repro.storage.backend import StorageBackend
 
 CP_OBJECT_BEFORE_WRITE = register_crash_point(
@@ -62,6 +64,10 @@ _MAX_CHAIN_DEPTH = 64
 
 KIND_FULL = "full"
 KIND_DELTA = "delta"
+
+DEFAULT_JOB = "default"
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -112,11 +118,29 @@ class CheckpointRecord:
             raise IntegrityError(f"malformed manifest record: {exc}") from exc
 
 
+def _job_of(record: CheckpointRecord) -> str:
+    return record.extra.get("job", DEFAULT_JOB)
+
+
+def _recency(record: CheckpointRecord) -> Tuple[int, float, str]:
+    return (record.step, record.created, record.id)
+
+
+@dataclass
+class _DeltaBase:
+    """A job's last full save, which its next deltas are encoded against."""
+
+    record: CheckpointRecord
+    tensors: Dict[str, np.ndarray]
+    deltas: int = 0  # committed against this base so far
+
+
 @dataclass(frozen=True)
 class RetentionPolicy:
     """Which checkpoints :meth:`CheckpointStore.gc` keeps.
 
-    ``keep_last`` retains the N records with the highest steps; ``keep_every``
+    ``keep_last`` retains each job's N records with the highest steps (one
+    job's saves never evict another's); ``keep_every``
     additionally retains records whose step is a multiple of that stride
     (long-horizon history).  Bases of retained deltas are always retained,
     transitively — GC never breaks a restore chain.
@@ -147,6 +171,13 @@ class CheckpointStore:
     the executor's threads, and so on — transfer latency of later links
     hides behind decode/XOR-apply of earlier ones.  ``readahead_links=0``
     restores chains strictly sequentially (fetch, decode, fetch, ...).
+
+    How :meth:`save_snapshot` writes is the store's, since the store owns
+    the format: ``codec`` / ``transforms`` encode every object it packs;
+    with ``delta`` a job's saves are a full checkpoint every ``full_every``
+    saves and XOR deltas against that full in between (chain length bounded
+    by construction; the base's tensors are kept in memory, so a delta costs
+    no store round trip); ``retention`` is applied after every save.
     """
 
     def __init__(
@@ -155,13 +186,33 @@ class CheckpointStore:
         restore_workers: int = 4,
         readahead_links: int = 2,
         retry=None,
+        codec: str = "zlib-6",
+        transforms: Optional[Dict[str, str]] = None,
+        delta: bool = False,
+        full_every: int = 10,
+        retention: Optional[RetentionPolicy] = None,
     ):
         if readahead_links < 0:
             raise ConfigError(
                 f"readahead_links must be >= 0, got {readahead_links}"
             )
+        if full_every < 1:
+            raise ConfigError(f"full_every must be >= 1, got {full_every}")
+        if delta and transforms:
+            raise ConfigError(
+                "delta checkpoints require lossless storage; lossy transforms "
+                "would make XOR deltas diverge from the stored base"
+            )
         self.backend = backend
         self.readahead_links = int(readahead_links)
+        self.codec = codec
+        self.transforms = dict(transforms or {})
+        self.delta = bool(delta)
+        self.full_every = int(full_every)
+        self.retention = retention
+        self.metrics = MetricsRegistry()
+        # The delta cadence per job, advanced only when a save commits.
+        self._delta_base: Dict[str, _DeltaBase] = {}
         self._lock = threading.RLock()
         self._records: Dict[str, CheckpointRecord] = {}
         self._order: List[str] = []
@@ -212,6 +263,81 @@ class CheckpointStore:
 
     # -- saving -----------------------------------------------------------------
 
+    def _commit(
+        self,
+        kind: str,
+        step: int,
+        data: bytes,
+        codec: str,
+        base_id: Optional[str],
+        extra: Optional[Dict],
+    ) -> CheckpointRecord:
+        """Object first, manifest second, under the store's lock."""
+        with self._lock:
+            checkpoint_id = self._allocate_id()
+            record = CheckpointRecord(
+                id=checkpoint_id,
+                kind=kind,
+                step=step,
+                object_name=f"{checkpoint_id}.qckpt",
+                nbytes=len(data),
+                sha256=sha256_hex(data),
+                codec=codec,
+                created=time.time(),
+                base_id=base_id,
+                extra=dict(extra or {}),
+            )
+            crash_point(CP_OBJECT_BEFORE_WRITE)
+            self.backend.write(record.object_name, data)
+            self._records[record.id] = record
+            self._order.append(record.id)
+            self._write_manifest()
+        return record
+
+    def save_snapshot(
+        self,
+        job_id: str,
+        snapshot: TrainingSnapshot,
+        extra: Optional[Dict] = None,
+    ) -> CheckpointRecord:
+        """Commit ``snapshot`` for ``job_id`` as the store is configured.
+
+        Full or delta is decided here, at commit time and under the store's
+        lock, from what has actually been committed — a writer that queues
+        several saves ahead cannot skew the cadence.  The job id is recorded
+        as ``extra["job"]``; retention runs after the save.
+        """
+        extra = {**(extra or {}), "job": job_id}
+        with self._lock:
+            base = self._delta_base.get(job_id) if self.delta else None
+            if (
+                base is not None
+                and base.deltas < self.full_every - 1
+                and base.record.id in self._records  # not gc'd under us
+            ):
+                record = self.save_delta(
+                    snapshot,
+                    base.record.id,
+                    base_tensors=base.tensors,
+                    codec=self.codec,
+                    extra=extra,
+                )
+                base.deltas += 1
+            else:
+                record = self.save_full(
+                    snapshot,
+                    codec=self.codec,
+                    transforms=self.transforms,
+                    extra=extra,
+                )
+                if self.delta:
+                    # A private copy: the caller may mutate its snapshot.
+                    _, tensors = snapshot.copy().to_payload()
+                    self._delta_base[job_id] = _DeltaBase(record, tensors)
+            if self.retention is not None:
+                self.gc(self.retention)
+        return record
+
     def save_full(
         self,
         snapshot: TrainingSnapshot,
@@ -227,25 +353,7 @@ class CheckpointStore:
             codec=codec,
             transforms=transforms,
         )
-        with self._lock:
-            checkpoint_id = self._allocate_id()
-            record = CheckpointRecord(
-                id=checkpoint_id,
-                kind=KIND_FULL,
-                step=snapshot.step,
-                object_name=f"{checkpoint_id}.qckpt",
-                nbytes=len(data),
-                sha256=sha256_hex(data),
-                codec=codec,
-                created=time.time(),
-                extra=dict(extra or {}),
-            )
-            crash_point(CP_OBJECT_BEFORE_WRITE)
-            self.backend.write(record.object_name, data)
-            self._records[record.id] = record
-            self._order.append(record.id)
-            self._write_manifest()
-        return record
+        return self._commit(KIND_FULL, snapshot.step, data, codec, None, extra)
 
     def save_delta(
         self,
@@ -278,26 +386,9 @@ class CheckpointStore:
             delta_tensors,
             codec=codec,
         )
-        with self._lock:
-            checkpoint_id = self._allocate_id()
-            record = CheckpointRecord(
-                id=checkpoint_id,
-                kind=KIND_DELTA,
-                step=snapshot.step,
-                object_name=f"{checkpoint_id}.qckpt",
-                nbytes=len(data),
-                sha256=sha256_hex(data),
-                codec=codec,
-                created=time.time(),
-                base_id=base_id,
-                extra=dict(extra or {}),
-            )
-            crash_point(CP_OBJECT_BEFORE_WRITE)
-            self.backend.write(record.object_name, data)
-            self._records[record.id] = record
-            self._order.append(record.id)
-            self._write_manifest()
-        return record
+        return self._commit(
+            KIND_DELTA, snapshot.step, data, codec, base_id, extra
+        )
 
     # -- loading -----------------------------------------------------------------
 
@@ -322,8 +413,7 @@ class CheckpointStore:
             if not self._order:
                 return None
             return max(
-                (self._records[i] for i in self._order),
-                key=lambda r: (r.step, r.created, r.id),
+                (self._records[i] for i in self._order), key=_recency
             )
 
     def restore_source(self, checkpoint_id: str) -> QckptSource:
@@ -500,6 +590,54 @@ class CheckpointStore:
         meta, tensors = self.load_tensors(checkpoint_id)
         return TrainingSnapshot.from_payload(meta, tensors)
 
+    # -- recovery -----------------------------------------------------------------
+
+    def _newest_first(self, job_id: str) -> List[CheckpointRecord]:
+        """``job_id``'s records, highest step first (no ``extra["job"]``
+        means ``"default"``: stores written before jobs were recorded)."""
+        return sorted(
+            (r for r in self.records() if _job_of(r) == job_id),
+            key=_recency,
+            reverse=True,
+        )
+
+    def _first_restorable(self, job_id: str, load):
+        """Walk ``job_id``'s records newest-first; ``(id, load(id), skipped)``
+        for the first one ``load`` restores.  Recovery must tolerate damage:
+        a record may be torn (crash mid-write on a non-atomic store),
+        bit-rotted, or a delta whose base is gone."""
+        skipped: List[Tuple[str, str]] = []
+        for record in self._newest_first(job_id):
+            try:
+                return record.id, load(record.id), skipped
+            except ReproError as exc:
+                logger.warning(
+                    "skipping damaged checkpoint %s (step %d): %s",
+                    record.id,
+                    record.step,
+                    exc,
+                )
+                skipped.append((record.id, str(exc)))
+        return None, None, skipped
+
+    def latest_valid(
+        self, job_id: str
+    ) -> Tuple[Optional[str], Optional[TrainingSnapshot], List[Tuple[str, str]]]:
+        """Newest checkpoint of ``job_id`` that loads and validates end to
+        end, skipping damaged ones: ``(id, snapshot, skipped)``."""
+        return self._first_restorable(job_id, self.load)
+
+    def latest_valid_partial(
+        self, job_id: str, names: Sequence[str]
+    ) -> Tuple[Optional[str], Optional[Dict], List[Tuple[str, str]]]:
+        """Newest checkpoint whose named tensors restore:
+        ``(id, {name: array} or None, skipped)``.  Only the requested
+        tensors' chunks are planned and fetched per candidate, so probing a
+        damaged history costs ranged reads, not full transfers."""
+        return self._first_restorable(
+            job_id, lambda ckpt_id: self.load_partial(ckpt_id, names)[1]
+        )
+
     def chain_length(self, checkpoint_id: str) -> int:
         """Number of objects a restore of ``checkpoint_id`` must read."""
         length = 0
@@ -574,12 +712,12 @@ class CheckpointStore:
             self.backend.delete(record.object_name)
 
     def _retained_ids(self, retention: RetentionPolicy) -> Set[str]:
-        records = sorted(
-            self.records(), key=lambda r: (r.step, r.created, r.id), reverse=True
-        )
+        records = self.records()
         keep: Set[str] = set()
         if retention.keep_last is not None:
-            keep.update(r.id for r in records[: retention.keep_last])
+            for job_id in {_job_of(r) for r in records}:
+                newest = self._newest_first(job_id)
+                keep.update(r.id for r in newest[: retention.keep_last])
         if retention.keep_every is not None:
             keep.update(
                 r.id for r in records if r.step % retention.keep_every == 0

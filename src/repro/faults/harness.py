@@ -12,9 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
-from repro.core.manager import CheckpointManager
-from repro.core.recovery import resume_trainer
-from repro.core.store import CheckpointStore
 from repro.errors import ConfigError
 from repro.faults.injector import SimulatedFailure
 
@@ -38,17 +35,19 @@ class FaultRunResult:
 
 def run_with_failures(
     trainer_factory: Callable[[], "object"],
-    store: CheckpointStore,
-    manager_factory: Optional[Callable[[CheckpointStore], CheckpointManager]],
+    store,
+    manager_factory: Optional[Callable[["object"], "object"]],
     target_steps: int,
     failure_hooks: Sequence = (),
     max_failures: int = 1000,
 ) -> FaultRunResult:
     """Drive training to ``target_steps`` across crashes.
 
-    ``manager_factory`` builds the checkpoint hook per incarnation (``None``
-    disables checkpointing — the baseline).  ``failure_hooks`` are shared
-    across incarnations so failure schedules continue over restarts.
+    ``manager_factory`` builds the checkpoint hook per incarnation from
+    ``store`` (either store type; ``None`` disables checkpointing and
+    resuming — the baseline); each incarnation resumes through that hook.
+    ``failure_hooks`` are shared across incarnations so failure schedules
+    continue over restarts.
     """
     if target_steps < 1:
         raise ConfigError(f"target_steps must be >= 1, got {target_steps}")
@@ -56,15 +55,14 @@ def run_with_failures(
 
     while True:
         trainer = trainer_factory()
-        record = resume_trainer(trainer, store)
-        if record is not None:
-            result.restores += 1
-            result.resumed_from_steps.append(record.step)
         hooks: List = []
         manager = None
         if manager_factory is not None:
             manager = manager_factory(store)
             hooks.append(manager)
+            if manager.resume(trainer) is not None:
+                result.restores += 1
+                result.resumed_from_steps.append(trainer.step_count)
         hooks.extend(failure_hooks)
 
         remaining = target_steps - trainer.step_count

@@ -6,8 +6,8 @@ the training process dies between two instructions.  Hooks raise
 ``Trainer.run`` exactly like a real crash unwinds the stack.
 
 Hook ordering matters and is the caller's contract: place the
-:class:`~repro.core.manager.CheckpointManager` *before* the crash hook in the
-trainer's hook list so a checkpoint scheduled for the crashing step is
+:class:`~repro.service.manager.ServiceCheckpointManager` *before* the crash
+hook in the trainer's hook list so a checkpoint scheduled for the crashing step is
 persisted first (the manager's write is atomic either way).
 """
 

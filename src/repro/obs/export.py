@@ -6,10 +6,9 @@ A serving daemon (or a scrub run) keeps its observability artifacts under
 * ``registry.json`` — the persisted metrics snapshot, written at clean
   shutdown and after a scrub, reloaded (epoch-bumped) at the next start so
   cumulative counters survive restarts (the stats-loss-on-reopen fix);
-* ``trace.jsonl`` — one JSON object per finished span;
-* ``metrics.jsonl`` — periodic registry snapshots, one per line.
+* ``trace.jsonl`` — one JSON object per finished span.
 
-Both ``.jsonl`` files are *bounded*: when a file passes ``max_bytes`` it
+The ``.jsonl`` log is *bounded*: when the file passes ``max_bytes`` it
 is rotated — the whole file moves to a single ``<name>.1`` generation
 (replacing the previous rotation) and appends continue into a fresh
 file, so history survives one full rotation and the obs directory can
@@ -23,7 +22,6 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 from pathlib import Path
 from typing import Iterator, List, Optional
 
@@ -33,7 +31,6 @@ from repro.obs.trace import Span, TraceSink
 OBS_DIR_NAME = "obs"
 REGISTRY_FILENAME = "registry.json"
 TRACE_FILENAME = "trace.jsonl"
-METRICS_FILENAME = "metrics.jsonl"
 DEFAULT_MAX_LOG_BYTES = 4 << 20
 
 
@@ -111,7 +108,6 @@ class ObsDir:
         self.root = Path(root)
         self.max_log_bytes = int(max_log_bytes)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._metrics_writer: Optional[BoundedJsonlWriter] = None
 
     @property
     def registry_path(self) -> Path:
@@ -120,10 +116,6 @@ class ObsDir:
     @property
     def trace_path(self) -> Path:
         return self.root / TRACE_FILENAME
-
-    @property
-    def metrics_path(self) -> Path:
-        return self.root / METRICS_FILENAME
 
     def load_registry(self, registry: MetricsRegistry) -> bool:
         return registry.load(self.registry_path)
@@ -136,23 +128,6 @@ class ObsDir:
 
     def trace_sink(self) -> JsonlTraceSink:
         return JsonlTraceSink(self.trace_path, max_bytes=self.max_log_bytes)
-
-    def append_metrics(self, registry: MetricsRegistry, **extra) -> None:
-        """One metrics record (full snapshot) onto ``metrics.jsonl``."""
-        if self._metrics_writer is None:
-            self._metrics_writer = BoundedJsonlWriter(
-                self.metrics_path, max_bytes=self.max_log_bytes
-            )
-        snapshot = registry.snapshot()
-        self._metrics_writer.append(
-            {
-                "kind": "metrics",
-                "ts": time.time(),
-                "epoch": snapshot["epoch"],
-                "series": snapshot["series"],
-                **extra,
-            }
-        )
 
 
 def _prom_name(name: str) -> str:
@@ -258,7 +233,6 @@ def store_obs_dir(store_dir) -> Path:
 
 __all__ = [
     "DEFAULT_MAX_LOG_BYTES",
-    "METRICS_FILENAME",
     "OBS_DIR_NAME",
     "REGISTRY_FILENAME",
     "TRACE_FILENAME",

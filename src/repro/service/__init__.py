@@ -1,4 +1,4 @@
-"""Multi-job checkpoint service: the fleet-scale layer over ``repro.core``.
+"""The checkpoint service: trainer hook, writers, chunk store, fleet.
 
 The paper reproduces checkpointing one training job at a time; real QNN
 workloads are *fleets* — hyperparameter sweeps, architecture selection,
@@ -7,11 +7,11 @@ that service layer:
 
 * :mod:`repro.service.chunkstore` — content-addressed, sharded chunk store
   deduplicating blocks across checkpoints *and* across jobs,
-* :mod:`repro.service.pool` — a shared writer pool with bounded per-job
-  queues, round-robin fairness, and pluggable backpressure
+* :mod:`repro.service.pool` — the writers: inline, and a shared pool with
+  bounded per-job queues, round-robin fairness, and pluggable backpressure
   (block / drop-oldest / degrade-to-lite),
-* :mod:`repro.service.manager` — the per-job trainer hook submitting into
-  the pool,
+* :mod:`repro.service.manager` — the trainer hook (one per job, over either
+  store) submitting into a writer,
 * :mod:`repro.service.fleet` — the scheduler harness running N jobs against
   the shared stack under preemption storms and brownouts,
 * :mod:`repro.service.daemon` — the same scheduler as a long-running
@@ -51,7 +51,13 @@ from repro.service.fleet import (
     ThrottledBackend,
 )
 from repro.service.manager import ServiceCheckpointManager, ServiceCheckpointStats
-from repro.service.pool import ChannelStats, PoolChannel, WriterPool
+from repro.service.pool import (
+    ChannelStats,
+    InlineWriter,
+    PoolChannel,
+    WriteStats,
+    WriterPool,
+)
 from repro.service.scrub import (
     ScrubFinding,
     ScrubReport,
@@ -88,6 +94,8 @@ __all__ = [
     "WriterPool",
     "PoolChannel",
     "ChannelStats",
+    "InlineWriter",
+    "WriteStats",
     "ServiceCheckpointManager",
     "ServiceCheckpointStats",
     "FleetHarness",

@@ -264,6 +264,12 @@ class ChunkCheckpointRecord:
     physical_bytes: int
     extra: Dict = field(default_factory=dict)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes this save added to the store (what a
+        :class:`~repro.core.store.CheckpointRecord` calls its size)."""
+        return self.physical_bytes
+
 
 class ChunkStore:
     """Multi-tenant snapshot store with content-addressed block dedup.
@@ -1098,8 +1104,7 @@ class ChunkStore:
     ) -> Tuple[Optional[str], Optional[TrainingSnapshot], List[Tuple[str, str]]]:
         """Newest checkpoint of ``job_id`` that loads; skips damaged ones.
 
-        Returns ``(ckpt_id, snapshot, skipped)`` — the fleet-recovery analog
-        of :class:`repro.core.recovery.RecoveryManager`.
+        Returns ``(ckpt_id, snapshot, skipped)``.
         """
         skipped: List[Tuple[str, str]] = []
         for object_name in reversed(self.manifest_names(job_id)):

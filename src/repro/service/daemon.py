@@ -197,10 +197,6 @@ class DaemonConfig:
     # by the slowest training steps in flight — size this to the workload,
     # not the network.
     socket_response_timeout_seconds: float = 60.0
-    # Cadence of metrics-snapshot records appended to <obs>/metrics.jsonl
-    # while serving (only when an obs directory is configured).  0 disables
-    # the periodic export; the shutdown snapshot is always written.
-    metrics_export_seconds: float = 5.0
     # Cadence of registry samples into <obs>/timeseries.db and of health
     # rule evaluation.  None = the heartbeat cadence; 0 disables both the
     # sampler and in-loop health (the `health` op still evaluates fresh).
@@ -241,11 +237,6 @@ class DaemonConfig:
             raise ConfigError(
                 f"socket_response_timeout_seconds must be > 0, "
                 f"got {self.socket_response_timeout_seconds}"
-            )
-        if self.metrics_export_seconds < 0:
-            raise ConfigError(
-                f"metrics_export_seconds must be >= 0, "
-                f"got {self.metrics_export_seconds}"
             )
         if (
             self.obs_sample_seconds is not None
@@ -1204,7 +1195,6 @@ class FleetDaemon(JobLifecycle):
                     # (sparkline/rate columns and windowed rules go dark).
                     self.timeseries = None
                     self._sampler = None
-        next_metrics_export = 0.0
         next_obs_tick = 0.0
         try:
             for transport in self.transports:
@@ -1242,20 +1232,6 @@ class FleetDaemon(JobLifecycle):
                         time.monotonic() + self.config.heartbeat_seconds
                     )
                     self._maybe_compact_journal()
-                if (
-                    self._obs is not None
-                    and self.config.metrics_export_seconds > 0
-                    and time.monotonic() >= next_metrics_export
-                ):
-                    next_metrics_export = (
-                        time.monotonic() + self.config.metrics_export_seconds
-                    )
-                    self._refresh_gauges()
-                    self._obs.append_metrics(
-                        self.metrics,
-                        daemon_id=self.daemon_id,
-                        tick=self.tick,
-                    )
                 if (
                     self.config.resolved_obs_sample_seconds > 0
                     and time.monotonic() >= next_obs_tick
@@ -1309,12 +1285,6 @@ class FleetDaemon(JobLifecycle):
                     # survive the restart instead of resetting to zero
                     # (the stats-loss-on-reopen fix).
                     self._refresh_gauges()
-                    self._obs.append_metrics(
-                        self.metrics,
-                        daemon_id=self.daemon_id,
-                        tick=self.tick,
-                        final=True,
-                    )
                     self._obs.save_registry(self.metrics)
                     if self._sampler is not None:
                         # One terminal sample so offline readers see the

@@ -1,13 +1,19 @@
-"""Per-job checkpoint hook routing snapshots into the shared service stack.
+"""The trainer hook: when to save, through which writer, and the way back.
 
-The service analog of :class:`repro.core.manager.CheckpointManager`: one
-instance per training job, submitting saves to the job's
-:class:`~repro.service.pool.PoolChannel` and persisting through the shared
-:class:`~repro.service.chunkstore.ChunkStore`.  There is no full-vs-delta
-cadence here — content addressing *is* the delta mechanism (unchanged blocks
-cost nothing, whoever wrote them first) — but each submit carries a degraded
-fallback (a ``lite`` capture without the warm-start cache) for channels with
-``degrade`` backpressure.
+One instance per training job.  Each step feeds the policy; when it fires
+the hook captures a snapshot and submits the save to its writer — a
+:class:`~repro.service.pool.PoolChannel` (off-thread) or, by default, an
+:class:`~repro.service.pool.InlineWriter` — which commits it through the
+store's ``save_snapshot(job_id, snapshot, extra=)``.  After a crash,
+:meth:`ServiceCheckpointManager.resume` restores a fresh trainer through the
+store's own newest-first, damage-skipping walk (``latest_valid`` /
+``latest_valid_partial``).  Those three job-scoped verbs are all the hook
+asks of a store, so it runs over a
+:class:`~repro.service.chunkstore.ChunkStore` and a
+:class:`~repro.core.store.CheckpointStore` alike; how a save is encoded
+(codec, full-vs-delta cadence, content-addressed dedup, retention) is the
+store's.  Each submit carries a degraded fallback (a ``lite`` capture
+without the warm-start cache) for channels with ``degrade`` backpressure.
 """
 
 from __future__ import annotations
@@ -17,11 +23,12 @@ import time
 from typing import Dict, Optional
 
 from repro.core.policy import CheckpointPolicy, Clock, EveryKSteps
+from repro.core.restore import WARM_START_TENSORS
 from repro.core.snapshot import TrainingSnapshot
-from repro.errors import ConfigError
+from repro.core.store import DEFAULT_JOB
+from repro.errors import CheckpointNotFoundError, ConfigError
 from repro.obs.metrics import MetricsRegistry, StatsView
-from repro.service.chunkstore import ChunkCheckpointRecord, ChunkStore
-from repro.service.pool import PoolChannel
+from repro.service.pool import InlineWriter
 
 
 class ServiceCheckpointStats(StatsView):
@@ -40,35 +47,33 @@ class ServiceCheckpointStats(StatsView):
     ):
         super().__init__()
         registry = metrics if metrics is not None else MetricsRegistry()
-        for name in (
-            "saves",
-            "lite_saves",
-            "blocks",
-            "new_blocks",
-            "logical_bytes",
-            "physical_bytes",
-        ):
+        for name in ("saves", "lite_saves", "bytes_written"):
             self._bind(name, registry.counter(f"manager.{name}", job=job_id))
         self._bind(
             "save_seconds",
             registry.counter("manager.save_seconds", job=job_id),
             as_int=False,
         )
-        self.last_record: Optional[ChunkCheckpointRecord] = None
+        self.last_record = None
 
 
 class ServiceCheckpointManager:
-    """Trainer hook persisting one job's snapshots via the writer pool."""
+    """Trainer hook persisting one job's snapshots through a writer.
+
+    ``channel=None`` saves inline on the training thread.
+    """
 
     def __init__(
         self,
-        store: ChunkStore,
-        job_id: str,
-        channel: PoolChannel,
+        store,
+        job_id: str = DEFAULT_JOB,
+        channel=None,
         policy: Optional[CheckpointPolicy] = None,
         clock: Optional[Clock] = None,
         extra: Optional[Dict] = None,
     ):
+        if channel is None:
+            channel = InlineWriter()
         self.store = store
         self.job_id = job_id
         self.channel = channel
@@ -167,17 +172,16 @@ class ServiceCheckpointManager:
             self.stats.saves += 1
             if lite:
                 self.stats.lite_saves += 1
-            self.stats.blocks += record.n_blocks
-            self.stats.new_blocks += record.n_new_blocks
-            self.stats.logical_bytes += record.logical_bytes
-            self.stats.physical_bytes += record.physical_bytes
+            self.stats.bytes_written += record.nbytes
             self.stats.save_seconds += elapsed
             self.stats.last_record = record
         self.policy.record_checkpoint(self._clock(), elapsed)
 
     # -- restoring ----------------------------------------------------------------
 
-    def resume(self, trainer, mode: str = "exact") -> Optional[str]:
+    def resume(
+        self, trainer, mode: str = "exact", required: bool = False
+    ) -> Optional[str]:
         """Restore ``trainer`` from this job's newest valid checkpoint.
 
         ``mode="exact"`` resumes bitwise from the newest checkpoint that
@@ -185,28 +189,34 @@ class ServiceCheckpointManager:
         blocks of the newest checkpoint whose parameters restore and seeds
         a fresh run (the architecture-search warm start).  Both walk the
         restore pipeline and fall back past damaged checkpoints.  Returns
-        the checkpoint id used, or ``None`` when nothing restorable exists.
+        the checkpoint id used, or ``None`` when nothing restorable exists
+        (:class:`~repro.errors.CheckpointNotFoundError` when ``required``).
+        A snapshot of a different model is a caller bug, not storage damage:
+        :class:`~repro.errors.IncompatibleCheckpointError` propagates.
         """
-        from repro.core.restore import WARM_START_TENSORS
-
         if mode == "exact":
-            ckpt_id, snapshot, _skipped = self.store.latest_valid(self.job_id)
-            if snapshot is None:
-                return None
-            trainer.restore(snapshot)
-            return ckpt_id
-        if mode == "warm-start":
-            ckpt_id, tensors, _skipped = self.store.latest_valid_partial(
+            ckpt_id, found, skipped = self.store.latest_valid(self.job_id)
+        elif mode == "warm-start":
+            ckpt_id, found, skipped = self.store.latest_valid_partial(
                 self.job_id, WARM_START_TENSORS
             )
-            if tensors is None:
-                return None
-            trainer.warm_start(tensors["params"])
-            return ckpt_id
-        raise ConfigError(
-            f"mode must be 'exact' or 'warm-start', got {mode!r}"
-        )
+        else:
+            raise ConfigError(
+                f"mode must be 'exact' or 'warm-start', got {mode!r}"
+            )
+        if found is None:
+            if required:
+                raise CheckpointNotFoundError(
+                    f"no restorable checkpoint for job {self.job_id!r}"
+                    + (f"; skipped: {skipped}" if skipped else "")
+                )
+            return None
+        if mode == "exact":
+            trainer.restore(found)
+        else:
+            trainer.warm_start(found["params"])
+        return ckpt_id
 
     def close(self) -> None:
-        """Flush this job's queue and release the channel."""
+        """Flush this job's queue and release the writer."""
         self.channel.close()

@@ -1,9 +1,12 @@
-"""Shared checkpoint writer pool: bounded per-job queues, fair workers.
+"""Checkpoint writers: the shared pool's per-job channels, and inline.
 
-:class:`~repro.core.writer.AsyncCheckpointWriter` gives one training job one
-background thread; a fleet of N jobs would spawn N threads and contend
-blindly for the store.  :class:`WriterPool` replaces that with a fixed pool
-of workers serving per-job :class:`PoolChannel` queues:
+A save is a task the trainer hook hands to a *writer* (``submit`` /
+``drain`` / ``close`` / ``pending`` / ``stats``).  Two implement that
+protocol: :class:`InlineWriter` runs the task on the training thread (the
+synchronous baseline of Fig. 3), and :class:`PoolChannel` queues it for a
+:class:`WriterPool` — a fixed set of worker threads serving per-job queues,
+one worker for a single run, a few for a fleet whose N jobs would otherwise
+contend blindly for the store:
 
 * **per-job FIFO** — one channel's tasks never run concurrently or out of
   order, preserving the store's payload-before-manifest ordering per job;
@@ -20,16 +23,12 @@ of workers serving per-job :class:`PoolChannel` queues:
 * **fairness** — workers pick the next task round-robin across channels, so
   one chatty job cannot starve the fleet,
 * **backpressure** — each channel bounds its queue and picks a policy when
-  full: ``block`` the trainer (the async-writer default), ``drop-oldest``
-  (newest snapshot wins; dropped saves are counted), or ``degrade`` (enqueue
-  the submitter's cheaper fallback task — e.g. a lite snapshot without the
+  full: ``block`` the trainer (the default), ``drop-oldest`` (newest
+  snapshot wins; dropped saves are counted), or ``degrade`` (enqueue the
+  submitter's cheaper fallback task — e.g. a lite snapshot without the
   statevector cache — instead of the full one),
 * **per-job errors, exactly once** — a failed task surfaces on that
   channel's next ``submit``/``drain``/``close`` and nowhere else.
-
-A channel implements the writer protocol (``submit``/``drain``/``close``/
-``pending``/``stats``), so a :class:`~repro.core.manager.CheckpointManager`
-can be pointed at a pool channel unchanged.
 """
 
 from __future__ import annotations
@@ -39,16 +38,77 @@ import time
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.core.writer import WriteStats
 from repro.errors import CheckpointError, ConfigError
 from repro.obs import trace
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, StatsView
 
 _POLICIES = ("block", "drop-oldest", "degrade")
 
 
+class WriteStats(StatsView):
+    """Aggregate accounting for a writer's lifetime.
+
+    Registry-backed: ``<name>.tasks`` / ``<name>.seconds`` /
+    ``<name>.blocked_seconds`` counters (``name`` distinguishes the inline
+    writer, the shared pool, and per-job channels, which add a ``job``
+    label).
+    """
+
+    def __init__(
+        self,
+        metrics: Optional[MetricsRegistry] = None,
+        name: str = "writer",
+        labels: Optional[Dict[str, str]] = None,
+    ):
+        super().__init__()
+        registry = metrics if metrics is not None else MetricsRegistry()
+        labels = labels or {}
+        self._bind("tasks", registry.counter(f"{name}.tasks", **labels))
+        self._bind(
+            "seconds",
+            registry.counter(f"{name}.seconds", **labels),
+            as_int=False,
+        )
+        self._bind(
+            "blocked_seconds",
+            registry.counter(f"{name}.blocked_seconds", **labels),
+            as_int=False,
+        )
+
+
+class InlineWriter:
+    """Runs save tasks on the caller's thread: training blocks for the full
+    pack+write duration, and a failing save raises from ``submit`` itself."""
+
+    backpressure = "block"
+    pending = 0
+
+    def __init__(self) -> None:
+        self.stats = WriteStats()
+
+    def submit(
+        self, task: Callable[[], None], fallback=None, fallback_factory=None
+    ) -> None:
+        """Execute ``task`` now (never congested, so never a fallback)."""
+        started = time.perf_counter()
+        task()
+        elapsed = time.perf_counter() - started
+        self.stats.tasks += 1
+        self.stats.seconds += elapsed
+        self.stats.blocked_seconds += elapsed
+
+    def observed_save_seconds(self) -> None:
+        """No queue-side cost to report beyond what the hook itself times."""
+
+    def drain(self) -> None:
+        """No-op: nothing is ever pending."""
+
+    def close(self) -> None:
+        """No-op."""
+
+
 class ChannelStats(WriteStats):
-    """Per-channel accounting (extends the writer's ``WriteStats``).
+    """Per-channel accounting (extends :class:`WriteStats`).
 
     Registry-backed ``channel.*`` counters, labeled with the channel's
     ``job`` id so a shared fleet registry keeps per-job series apart.
@@ -228,8 +288,7 @@ class PoolChannel:
 
         ``timeout`` defaults to the pool's close timeout, so a save wedged on
         a hung backend raises :class:`~repro.errors.CheckpointError` instead
-        of hanging the fleet forever (the same bound the single-job async
-        writer enforces).
+        of hanging the fleet forever.
         """
         if timeout is None:
             timeout = self.pool._close_timeout

@@ -488,21 +488,22 @@ class TestNoisyVQEModel:
         assert is_density_matrix(rho)
 
     def test_exact_resume(self, memory_store):
-        from repro.core.manager import CheckpointManager
         from repro.core.policy import EveryKSteps
-        from repro.core.recovery import resume_trainer
+        from repro.service.manager import ServiceCheckpointManager
 
         model = self._model()
         config = TrainerConfig(seed=21)
         trainer = Trainer(model, Adam(lr=0.1), config=config)
-        manager = CheckpointManager(memory_store, EveryKSteps(2))
+        manager = ServiceCheckpointManager(
+            memory_store, policy=EveryKSteps(2)
+        )
         trainer.run(4, hooks=[manager])
         manager.close()
         trainer.run(3)
 
         resumed = Trainer(self._model(), Adam(lr=0.1), config=config)
-        record = resume_trainer(resumed, memory_store)
-        assert record is not None and record.step == 4
+        assert manager.resume(resumed) is not None
+        assert resumed.step_count == 4
         resumed.run(3)
         np.testing.assert_array_equal(resumed.params, trainer.params)
 

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.manager import CheckpointManager
 from repro.core.policy import EveryKSteps
 from repro.core.store import CheckpointStore
 from repro.errors import ConfigError
@@ -20,6 +19,8 @@ from repro.faults.injector import (
     SimulatedClock,
     SimulatedFailure,
 )
+from repro.service.chunkstore import ChunkStore
+from repro.service.manager import ServiceCheckpointManager
 from repro.storage.memory import InMemoryBackend
 from tests.test_trainer import make_classifier_trainer, make_vqe_trainer
 
@@ -164,18 +165,19 @@ class TestHarness:
         result = run_with_failures(
             self._factory(),
             memory_store,
-            lambda s: CheckpointManager(s, EveryKSteps(3)),
+            lambda s: ServiceCheckpointManager(s, policy=EveryKSteps(3)),
             target_steps=6,
         )
         assert result.final_step == 6
         assert result.failures == 0
         assert result.wasted_steps == 0
 
-    def test_crash_recover_loses_only_uncheckpointed_steps(self, memory_store):
+    @pytest.mark.parametrize("store_cls", [CheckpointStore, ChunkStore])
+    def test_crash_recover_loses_only_uncheckpointed_steps(self, store_cls):
         result = run_with_failures(
             self._factory(),
-            memory_store,
-            lambda s: CheckpointManager(s, EveryKSteps(3)),
+            store_cls(InMemoryBackend()),
+            lambda s: ServiceCheckpointManager(s, policy=EveryKSteps(3)),
             target_steps=10,
             failure_hooks=[CrashAtStep(5)],
         )
@@ -202,7 +204,7 @@ class TestHarness:
         run_with_failures(
             self._factory(),
             memory_store,
-            lambda s: CheckpointManager(s, EveryKSteps(2)),
+            lambda s: ServiceCheckpointManager(s, policy=EveryKSteps(2)),
             target_steps=10,
             failure_hooks=[CrashAtStep([3, 7])],
         )
@@ -216,7 +218,7 @@ class TestHarness:
         result = run_with_failures(
             self._factory(),
             memory_store,
-            lambda s: CheckpointManager(s, EveryKSteps(2)),
+            lambda s: ServiceCheckpointManager(s, policy=EveryKSteps(2)),
             target_steps=12,
             failure_hooks=[CrashAtStep([3, 6, 9])],
         )

@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.manager import CheckpointManager
 from repro.core.policy import EveryKSteps
-from repro.core.recovery import resume_trainer
 from repro.core.store import CheckpointStore, RetentionPolicy
-from repro.core.writer import AsyncCheckpointWriter
 from repro.faults.harness import run_with_failures
 from repro.faults.injector import CrashAtStep, PoissonStepFailures
 from repro.ml.dataset import make_circles
@@ -16,12 +13,31 @@ from repro.ml.optimizers import Adam, RMSProp
 from repro.ml.trainer import Trainer, TrainerConfig
 from repro.quantum.observables import Hamiltonian
 from repro.quantum.templates import hardware_efficient, strongly_entangling
+from repro.service.manager import ServiceCheckpointManager
+from repro.service.pool import WriterPool
 from repro.storage.flaky import FlakyBackend
 from repro.storage.local import LocalDirectoryBackend
 from repro.storage.memory import InMemoryBackend
 
 
 class TestFilesystemWorkflow:
+    def test_package_docstring_quickstart_runs_and_resumes(
+        self, tmp_path, monkeypatch
+    ):
+        """The quickstart in ``repro.__doc__`` is executed, not trusted."""
+        import textwrap
+
+        import repro
+
+        code = textwrap.dedent(repro.__doc__.split("Quickstart::")[1])
+        monkeypatch.chdir(tmp_path)  # it writes ./ckpts
+        first, second = {}, {}
+        exec(code, first)
+        assert first["trainer"].step_count == 100
+        exec(code, second)  # a second process resumes, then trains on
+        assert second["trainer"].step_count == 200
+        assert len(second["store"].records()) == 20
+
     def test_full_lifecycle_on_disk(self, tmp_path):
         """Train -> checkpoint to disk -> new process (fresh objects) ->
         resume -> verify bitwise continuation."""
@@ -38,14 +54,14 @@ class TestFilesystemWorkflow:
         backend = LocalDirectoryBackend(tmp_path / "ckpts")
         store = CheckpointStore(backend)
         first = make_trainer()
-        manager = CheckpointManager(store, EveryKSteps(4), codec="zlib-6")
+        manager = ServiceCheckpointManager(store, policy=EveryKSteps(4))
         first.run(11, hooks=[manager])
         del first, manager, store  # "process exit"
 
         store2 = CheckpointStore(LocalDirectoryBackend(tmp_path / "ckpts"))
         second = make_trainer()
-        record = resume_trainer(second, store2)
-        assert record.step == 8
+        assert ServiceCheckpointManager(store2).resume(second) is not None
+        assert second.step_count == 8
         second.run(20 - second.step_count)
         assert np.array_equal(second.params, reference.params)
 
@@ -67,15 +83,13 @@ class TestFilesystemWorkflow:
         model = VQEModel(hardware_efficient(3, 1),
                          Hamiltonian.transverse_field_ising(3, 1.0, 0.5))
         trainer = Trainer(model, RMSProp(lr=0.02), config=TrainerConfig(seed=1))
-        store = CheckpointStore(LocalDirectoryBackend(tmp_path / "s"))
-        manager = CheckpointManager(
-            store,
-            EveryKSteps(1),
+        store = CheckpointStore(
+            LocalDirectoryBackend(tmp_path / "s"),
             delta=True,
             full_every=5,
             retention=RetentionPolicy(keep_last=6),
         )
-        trainer.run(20, hooks=[manager])
+        trainer.run(20, hooks=[ServiceCheckpointManager(store)])
         assert len(store.records()) <= 7  # keep_last + pinned base
         loaded = store.load(store.latest().id)
         assert loaded == trainer.capture()
@@ -108,12 +122,9 @@ class TestCrashConsistency:
         # Arm truncation for the next object write (write #1 = payload).
         flaky.arm("truncate", fail_on_write=1, truncate_fraction=0.4)
         store.save_full(sample_snapshot(step=2))  # torn on the inner store
-        from repro.core.recovery import RecoveryManager
-
-        report = RecoveryManager(store).latest_valid()
-        assert report.recovered
-        assert report.record.step == 1
-        assert report.skipped  # the torn step-2 object was detected
+        _, snapshot, skipped = store.latest_valid("default")
+        assert snapshot.step == 1
+        assert skipped  # the torn step-2 object was detected
 
     def test_bitrot_on_disk_detected_and_skipped(self, tmp_path):
         from tests.test_snapshot import sample_snapshot
@@ -127,10 +138,8 @@ class TestCrashConsistency:
         blob[100] ^= 0x40
         path.write_bytes(bytes(blob))
 
-        from repro.core.recovery import RecoveryManager
-
-        report = RecoveryManager(CheckpointStore(backend)).latest_valid()
-        assert report.recovered and report.record.step == 1
+        _, snapshot, _ = CheckpointStore(backend).latest_valid("default")
+        assert snapshot.step == 1
 
 
 class TestEndToEndScenarios:
@@ -154,7 +163,7 @@ class TestEndToEndScenarios:
         result = run_with_failures(
             make,
             memory_store,
-            lambda s: CheckpointManager(s, EveryKSteps(3)),
+            lambda s: ServiceCheckpointManager(s, policy=EveryKSteps(3)),
             target_steps=15,
             failure_hooks=[
                 PoissonStepFailures(8.0, seed=2, fixed_step_seconds=1.0)
@@ -180,27 +189,26 @@ class TestEndToEndScenarios:
                 failure_hooks=[CrashAtStep([5, 9])],
             )
 
-        with_ckpt = run(lambda s: CheckpointManager(s, EveryKSteps(2)))
+        with_ckpt = run(
+            lambda s: ServiceCheckpointManager(s, policy=EveryKSteps(2))
+        )
         without = run(None)
         assert with_ckpt.wasted_steps < without.wasted_steps
 
     def test_async_writer_under_crash_recovers_cleanly(self, memory_store):
         make = self._classifier_factory()
-
-        def manager_factory(store):
-            return CheckpointManager(
-                store,
-                EveryKSteps(2),
-                writer=AsyncCheckpointWriter(max_pending=2),
+        with WriterPool(1) as pool:
+            result = run_with_failures(
+                make,
+                memory_store,
+                lambda store: ServiceCheckpointManager(
+                    store,
+                    channel=pool.channel("default"),
+                    policy=EveryKSteps(2),
+                ),
+                target_steps=10,
+                failure_hooks=[CrashAtStep(7)],
             )
-
-        result = run_with_failures(
-            make,
-            memory_store,
-            manager_factory,
-            target_steps=10,
-            failure_hooks=[CrashAtStep(7)],
-        )
         assert result.final_step == 10
         reference = make()
         reference.run(10)

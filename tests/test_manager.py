@@ -1,0 +1,292 @@
+"""One contract for both stores' job verbs, one test of the trainer hook over
+both stores and both writers, and the full/delta cadence of
+``CheckpointStore.save_snapshot``."""
+
+import numpy as np
+import pytest
+
+from repro.core.policy import EveryKSteps, FixedTimeInterval
+from repro.core.restore import WARM_START_TENSORS
+from repro.core.snapshot import TrainingSnapshot
+from repro.core.store import CheckpointStore, RetentionPolicy
+from repro.errors import (
+    CheckpointNotFoundError,
+    ConfigError,
+    IncompatibleCheckpointError,
+    ReproError,
+)
+from repro.faults.injector import SimulatedClock
+from repro.service.chunkstore import ChunkStore
+from repro.service.fleet import ThrottledBackend
+from repro.service.manager import ServiceCheckpointManager
+from repro.service.pool import WriterPool
+from repro.storage.flaky import FlakyBackend
+from repro.storage.memory import InMemoryBackend
+from tests.test_snapshot import sample_snapshot
+from tests.test_trainer import make_classifier_trainer, make_vqe_trainer
+
+STORES = [CheckpointStore, ChunkStore]
+
+
+def _damage(backend, names, how):
+    """Tear (truncate) or bit-rot the payload objects in ``names``."""
+    for name in names:
+        data = bytearray(backend.read(name))
+        if how == "torn":
+            data = data[: len(data) // 2]
+        elif name.endswith(".json"):
+            continue  # rot hits payload bytes; manifests carry no checksum
+        else:
+            data[len(data) // 2] ^= 0xFF
+        backend.write(name, bytes(data))
+
+
+def _save_damaged(store, job_id, snapshot, how):
+    """Save ``snapshot`` and damage every object that save added."""
+    before = set(store.backend.list(""))
+    record = store.save_snapshot(job_id, snapshot)
+    _damage(store.backend, set(store.backend.list("")) - before, how)
+    return record
+
+
+@pytest.mark.parametrize("store_cls", STORES)
+class TestJobStoreContract:
+    def test_save_then_latest_valid_is_bitwise(self, store_cls):
+        store = store_cls(InMemoryBackend())
+        store.save_snapshot("a", sample_snapshot(step=1))
+        newest = sample_snapshot(step=2)
+        store.save_snapshot("a", newest)
+        ckpt_id, snapshot, skipped = store.latest_valid("a")
+        assert (ckpt_id, skipped) == ("ckpt-000002", [])
+        assert snapshot == newest
+
+    @pytest.mark.parametrize("how", ["torn", "rot"])
+    def test_damaged_newest_is_skipped_and_named(self, store_cls, how):
+        store = store_cls(InMemoryBackend())
+        good = sample_snapshot(step=1)
+        store.save_snapshot("a", good)
+        first = store.backend.list("")
+        for step in (2, 3):
+            _save_damaged(store, "a", sample_snapshot(step=step), how)
+        ckpt_id, snapshot, skipped = store.latest_valid("a")
+        assert ckpt_id == "ckpt-000001" and snapshot == good
+        assert [bad for bad, _ in skipped] == ["ckpt-000003", "ckpt-000002"]
+        # with every checkpoint damaged there is nothing, and all are named
+        _damage(store.backend, first, how)
+        ckpt_id, snapshot, skipped = store.latest_valid("a")
+        assert (ckpt_id, snapshot, len(skipped)) == (None, None, 3)
+
+    def test_partial_returns_only_the_named_tensors(self, store_cls):
+        store = store_cls(InMemoryBackend())
+        snapshot = sample_snapshot(step=4)
+        store.save_snapshot("a", snapshot)
+        ckpt_id, tensors, skipped = store.latest_valid_partial(
+            "a", WARM_START_TENSORS
+        )
+        assert (ckpt_id, skipped) == ("ckpt-000001", [])
+        assert list(tensors) == ["params"]
+        assert np.array_equal(tensors["params"], snapshot.params)
+
+    def test_unknown_job(self, store_cls):
+        store = store_cls(InMemoryBackend())
+        store.save_snapshot("a", sample_snapshot(step=1))
+        assert store.latest_valid("b") == (None, None, [])
+        assert store.latest_valid_partial("b", ["params"]) == (None, None, [])
+
+    def test_two_jobs_each_get_their_own_newest(self, store_cls):
+        store = store_cls(InMemoryBackend())
+        a, b = sample_snapshot(step=9), sample_snapshot(step=2)
+        store.save_snapshot("a", sample_snapshot(step=8))
+        store.save_snapshot("b", b)
+        store.save_snapshot("a", a)
+        assert store.latest_valid("a")[1] == a
+        assert store.latest_valid("b")[1] == b
+
+
+class TestCheckpointStoreJobs:
+    def test_record_without_a_job_is_the_default_jobs(self, memory_store):
+        """Stores written before jobs were recorded read unchanged."""
+        old = sample_snapshot(step=1)
+        memory_store.save_full(old)
+        assert memory_store.latest_valid("default")[1] == old
+
+    def test_damaged_delta_base_skips_its_chain(self):
+        store = CheckpointStore(InMemoryBackend(), delta=True, full_every=2)
+        snapshots = [sample_snapshot(step=step) for step in (1, 2, 4)]
+        for snapshot in snapshots[:2]:
+            store.save_snapshot("a", snapshot)  # full, delta
+        base = _save_damaged(store, "a", snapshots[2], "rot")  # full
+        dependent = snapshots[2].copy()
+        dependent.step = 5
+        store.save_snapshot("a", dependent)  # delta on the damaged full
+        assert store.get("ckpt-000004").base_id == base.id
+        ckpt_id, snapshot, skipped = store.latest_valid("a")
+        assert ckpt_id == "ckpt-000002" and snapshot == snapshots[1]
+        assert [bad for bad, _ in skipped] == ["ckpt-000004", base.id]
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_delta_cadence_is_decided_at_commit(self, pooled):
+        """A writer queueing saves ahead of a slow backend must not skew
+        the cadence (decided at submit, this read F F F F D D D D D F F F),
+        and every record restores bitwise."""
+        backend = ThrottledBackend(InMemoryBackend())
+        backend.write_delay_seconds = 0.03 if pooled else 0.0
+        store = CheckpointStore(backend, delta=True, full_every=3)
+        pool = WriterPool(1) if pooled else None
+        manager = ServiceCheckpointManager(
+            store, channel=pool and pool.channel("default", max_pending=3)
+        )
+        captured = {}
+
+        class Recorder:
+            def on_step_end(self, trainer, info):
+                captured[trainer.step_count] = trainer.capture()
+
+        make_vqe_trainer().run(12, hooks=[manager, Recorder()])
+        manager.close()
+        if pool:
+            pool.close()
+        records = store.records()
+        assert [r.kind for r in records] == ["full", "delta", "delta"] * 4
+        for record in records:
+            assert store.load(record.id) == captured[record.step]
+
+    def test_retention_runs_after_each_save_per_job(self):
+        store = CheckpointStore(
+            InMemoryBackend(), retention=RetentionPolicy(keep_last=2)
+        )
+        for step in range(1, 7):
+            store.save_snapshot("a", sample_snapshot(step=step))
+        store.save_snapshot("b", sample_snapshot(step=1))
+        kept = [(r.extra["job"], r.step) for r in store.records()]
+        assert kept == [("a", 5), ("a", 6), ("b", 1)]
+
+    def test_options_validated(self):
+        with pytest.raises(ConfigError, match="lossless"):
+            CheckpointStore(
+                InMemoryBackend(),
+                delta=True,
+                transforms={"statevector": "f16-pair"},
+            )
+        with pytest.raises(ConfigError):
+            CheckpointStore(InMemoryBackend(), full_every=0)
+
+
+@pytest.fixture(params=STORES)
+def store(request):
+    return request.param(FlakyBackend(InMemoryBackend()))
+
+
+@pytest.fixture(params=["inline", "pool"])
+def channel(request):
+    """``None`` (the manager's inline writer) or a one-worker pool channel."""
+    if request.param == "inline":
+        yield None
+        return
+    pool = WriterPool(1)
+    yield pool.channel("job")
+    pool.close()
+
+
+class TestManager:
+    def test_policy_drives_saves(self, store, channel):
+        trainer = make_vqe_trainer()
+        manager = ServiceCheckpointManager(
+            store, "job", channel, policy=EveryKSteps(4)
+        )
+        trainer.run(12, hooks=[manager])
+        manager.close()
+        assert manager.stats.saves == 3 and manager.stats.lite_saves == 0
+        assert manager.stats.bytes_written > 0
+        assert manager.stats.last_record.step == 12
+        assert store.latest_valid("job")[1] == trainer.capture()
+
+    def test_save_copies_the_callers_snapshot_but_the_hook_does_not(
+        self, store, channel, monkeypatch
+    ):
+        manager = ServiceCheckpointManager(store, "job", channel)
+        copies = []
+        original = TrainingSnapshot.copy
+        monkeypatch.setattr(
+            TrainingSnapshot,
+            "copy",
+            lambda self: copies.append(self.step) or original(self),
+        )
+        # the hook queues Trainer.capture()'s deep copies as they are, and
+        # later training cannot reach what it queued
+        trainer = make_vqe_trainer()
+        trainer.run(2, hooks=[manager])
+        at_two = trainer.capture()
+        trainer.run(3)
+        manager.channel.drain()
+        assert copies == []
+        assert store.latest_valid("job")[1] == at_two
+        # save() takes a snapshot the caller still owns: mutating it right
+        # after the call must not reach the store
+        snapshot = sample_snapshot(step=7)
+        expected = original(snapshot)
+        manager.save(snapshot)
+        snapshot.params += 1.0
+        manager.close()
+        assert copies == [7]
+        assert store.latest_valid("job")[1] == expected
+
+    def test_time_based_policy_with_fake_clock(self, store, channel):
+        clock = SimulatedClock()
+        manager = ServiceCheckpointManager(
+            store,
+            "job",
+            channel,
+            policy=FixedTimeInterval(10.0, clock=clock),
+            clock=clock,
+        )
+
+        class Ticker:
+            def on_step_end(self, trainer, info):
+                clock.advance(3.0)
+
+        make_vqe_trainer().run(10, hooks=[Ticker(), manager])
+        manager.close()
+        # 10 steps x 3s = 30s; interval 10s -> roughly 3 saves
+        assert 2 <= manager.stats.saves <= 4
+
+    def test_resume_exact_and_warm_start(self, store, channel):
+        trainer = make_vqe_trainer()
+        manager = ServiceCheckpointManager(
+            store, "job", channel, policy=EveryKSteps(3)
+        )
+        trainer.run(6, hooks=[manager])
+        manager.close()
+
+        exact = make_vqe_trainer()
+        assert manager.resume(exact) == "ckpt-000002"
+        assert exact.capture() == trainer.capture()
+
+        warm = make_vqe_trainer()
+        assert manager.resume(warm, mode="warm-start") == "ckpt-000002"
+        assert warm.step_count == 0
+        assert np.array_equal(warm.params, trainer.params)
+
+        with pytest.raises(ConfigError, match="mode"):
+            manager.resume(exact, mode="lukewarm")
+        # a snapshot of another model is a caller bug, not damage to skip
+        with pytest.raises(IncompatibleCheckpointError):
+            manager.resume(make_classifier_trainer())
+
+    def test_nothing_to_resume(self, store, channel):
+        manager = ServiceCheckpointManager(store, "job", channel)
+        for mode in ("exact", "warm-start"):
+            assert manager.resume(make_vqe_trainer(), mode=mode) is None
+            with pytest.raises(CheckpointNotFoundError, match="'job'"):
+                manager.resume(make_vqe_trainer(), mode=mode, required=True)
+        manager.close()
+
+    def test_write_failure_surfaces_exactly_once(self, store, channel):
+        manager = ServiceCheckpointManager(store, "job", channel)
+        store.backend.arm("error", fail_on_write=1)
+        # inline: from the save itself; off-thread: no later than close
+        with pytest.raises(ReproError, match="injected|failed"):
+            manager.save(sample_snapshot(step=1))
+            manager.close()
+        manager.close()
+        assert store.latest_valid("job") == (None, None, [])

@@ -428,7 +428,6 @@ class TestExport:
         registry = MetricsRegistry(enabled=True)
         registry.counter("saves").inc(3)
         obs.save_registry(registry)
-        obs.append_metrics(registry, daemon_id="d1")
 
         sink = obs.trace_sink()
         set_trace_sink(sink)
@@ -438,10 +437,6 @@ class TestExport:
         reopened = MetricsRegistry(enabled=True)
         assert obs.load_registry(reopened)
         assert reopened.epoch == 2
-        record = json.loads(obs.metrics_path.read_text().splitlines()[0])
-        assert record["kind"] == "metrics"
-        assert record["daemon_id"] == "d1"
-        assert any(s["name"] == "saves" for s in record["series"])
         span_record = json.loads(obs.trace_path.read_text().splitlines()[0])
         assert span_record["kind"] == "span"
         assert span_record["name"] == "op"
@@ -607,9 +602,7 @@ class TestDaemonMetrics:
                 store,
                 pool,
                 tmp_path / "ctl",
-                config=DaemonConfig(
-                    tick_seconds=0.002, metrics_export_seconds=0.0
-                ),
+                config=DaemonConfig(tick_seconds=0.002),
                 metrics=registry,
                 obs_dir=obs_root,
             )

@@ -822,7 +822,6 @@ class TestDaemonObservatory:
             tmp_path / "ctl",
             config=DaemonConfig(
                 tick_seconds=0.002,
-                metrics_export_seconds=0.0,
                 obs_sample_seconds=0.01,
             ),
             metrics=registry,

@@ -1,6 +1,5 @@
-"""Unit tests for interval policies and the sync/async writers."""
+"""Unit tests for interval policies and the inline writer."""
 
-import threading
 import time
 
 import numpy as np
@@ -14,9 +13,9 @@ from repro.core.policy import (
     young_daly_interval,
     young_interval,
 )
-from repro.core.writer import AsyncCheckpointWriter, SyncCheckpointWriter
-from repro.errors import CheckpointError, ConfigError
+from repro.errors import ConfigError
 from repro.faults.injector import SimulatedClock
+from repro.service.pool import InlineWriter
 
 
 class TestYoungDalyFormulas:
@@ -138,7 +137,7 @@ class TestPolicies:
 
 class TestSyncWriter:
     def test_executes_inline(self):
-        writer = SyncCheckpointWriter()
+        writer = InlineWriter()
         ran = []
         writer.submit(lambda: ran.append(1))
         assert ran == [1]
@@ -146,185 +145,16 @@ class TestSyncWriter:
         assert writer.pending == 0
 
     def test_drain_and_close_are_noops(self):
-        writer = SyncCheckpointWriter()
+        writer = InlineWriter()
         writer.drain()
         writer.close()
 
     def test_blocked_equals_total_time(self):
-        writer = SyncCheckpointWriter()
+        writer = InlineWriter()
         writer.submit(lambda: time.sleep(0.01))
         assert writer.stats.blocked_seconds == pytest.approx(
             writer.stats.seconds, rel=0.5
         )
-
-
-class TestAsyncWriter:
-    def test_tasks_execute_in_order(self):
-        order = []
-        with AsyncCheckpointWriter() as writer:
-            for i in range(5):
-                writer.submit(lambda i=i: order.append(i))
-            writer.drain()
-        assert order == [0, 1, 2, 3, 4]
-
-    def test_submit_does_not_block_on_slow_task(self):
-        gate = threading.Event()
-        with AsyncCheckpointWriter(max_pending=2) as writer:
-            writer.submit(gate.wait)
-            started = time.perf_counter()
-            writer.submit(lambda: None)
-            elapsed = time.perf_counter() - started
-            assert elapsed < 0.5
-            gate.set()
-            writer.drain()
-
-    def test_backpressure_when_queue_full(self):
-        # max_pending counts the *running* task too: with a bound of 1 and
-        # one task wedged on the gate, the next submit must block until the
-        # first task completes.  The gate is released in a finally block so a
-        # failing assertion can never wedge the writer's cleanup.
-        gate = threading.Event()
-        try:
-            with AsyncCheckpointWriter(max_pending=1, close_timeout=5.0) as writer:
-                writer.submit(gate.wait)
-
-                unblocked = []
-
-                def late_submit():
-                    writer.submit(lambda: None)
-                    unblocked.append(True)
-
-                thread = threading.Thread(target=late_submit)
-                thread.start()
-                time.sleep(0.05)
-                assert not unblocked  # still blocked: one task outstanding
-                gate.set()
-                thread.join(timeout=5)
-                assert unblocked
-        finally:
-            gate.set()
-
-    def test_close_raises_on_wedged_task(self):
-        gate = threading.Event()
-        writer = AsyncCheckpointWriter(max_pending=1, close_timeout=0.2)
-        writer.submit(gate.wait)
-        try:
-            with pytest.raises(CheckpointError, match="stuck"):
-                writer.close()
-        finally:
-            gate.set()  # release the daemon worker
-
-    def test_close_timeout_validation(self):
-        with pytest.raises(CheckpointError):
-            AsyncCheckpointWriter(close_timeout=0.0)
-
-    def test_error_raised_on_next_submit(self):
-        writer = AsyncCheckpointWriter()
-
-        def bad():
-            raise ValueError("disk full")
-
-        writer.submit(bad)
-        writer.drain_or_error = None
-        time.sleep(0.05)
-        with pytest.raises(CheckpointError, match="disk full"):
-            writer.submit(lambda: None)
-        writer.close()
-
-    def test_error_raised_on_drain(self):
-        writer = AsyncCheckpointWriter()
-        writer.submit(lambda: 1 / 0)
-        with pytest.raises(CheckpointError):
-            writer.drain()
-        writer.close()
-
-    def test_error_raised_on_close(self):
-        writer = AsyncCheckpointWriter()
-        writer.submit(lambda: 1 / 0)
-        with pytest.raises(CheckpointError):
-            writer.close()
-
-    def test_close_idempotent(self):
-        writer = AsyncCheckpointWriter()
-        writer.close()
-        writer.close()
-
-    def test_submit_after_close_rejected(self):
-        writer = AsyncCheckpointWriter()
-        writer.close()
-        with pytest.raises(CheckpointError, match="closed"):
-            writer.submit(lambda: None)
-
-    def test_stats_count_tasks(self):
-        with AsyncCheckpointWriter() as writer:
-            for _ in range(3):
-                writer.submit(lambda: None)
-            writer.drain()
-            assert writer.stats.tasks == 3
-
-    def test_max_pending_validation(self):
-        with pytest.raises(CheckpointError):
-            AsyncCheckpointWriter(max_pending=0)
-
-
-class TestAsyncWriterShutdownSemantics:
-    """Regression tests: close() vs in-flight failures (exactly-once errors)."""
-
-    def test_close_during_inflight_failing_task_surfaces_error_once(self):
-        started = threading.Event()
-        release = threading.Event()
-        writer = AsyncCheckpointWriter()
-
-        def failing():
-            started.set()
-            release.wait(5)
-            raise ValueError("torn write")
-
-        writer.submit(failing)
-        assert started.wait(5)
-        # The task is mid-flight and about to fail while close() waits.
-        release.set()
-        with pytest.raises(CheckpointError, match="torn write"):
-            writer.close()
-        # Exactly once: a second close must not re-raise the seen error.
-        writer.close()
-
-    def test_error_after_timed_out_close_is_not_lost(self):
-        """A failure landing after close() timed out surfaces on re-close."""
-        release = threading.Event()
-        writer = AsyncCheckpointWriter(close_timeout=0.1)
-
-        def slow_failing():
-            release.wait(5)
-            raise ValueError("late failure")
-
-        writer.submit(slow_failing)
-        with pytest.raises(CheckpointError, match="stuck"):
-            writer.close()
-        release.set()
-        writer._thread.join(timeout=5)
-        with pytest.raises(CheckpointError, match="late failure"):
-            writer.close()
-        writer.close()  # and exactly once
-
-    def test_submit_after_close_does_not_shadow_pending_error(self):
-        """'writer is closed' must not hide an unseen write failure."""
-        release = threading.Event()
-        writer = AsyncCheckpointWriter(close_timeout=0.1)
-
-        def slow_failing():
-            release.wait(5)
-            raise ValueError("hidden failure")
-
-        writer.submit(slow_failing)
-        with pytest.raises(CheckpointError, match="stuck"):
-            writer.close()
-        release.set()
-        writer._thread.join(timeout=5)
-        with pytest.raises(CheckpointError, match="hidden failure"):
-            writer.submit(lambda: None)
-        with pytest.raises(CheckpointError, match="closed"):
-            writer.submit(lambda: None)
 
 
 class TestObservedCostWiring:

@@ -6,13 +6,12 @@ import pytest
 
 from repro.autodiff.finite_difference import finite_difference_gradient
 from repro.autodiff.parameter_shift import parameter_shift_gradient
-from repro.core.manager import CheckpointManager
 from repro.core.policy import EveryKSteps
-from repro.core.recovery import resume_trainer
 from repro.errors import ConfigError
 from repro.ml.models import QAOAMaxCutModel
 from repro.ml.optimizers import Adam
 from repro.ml.trainer import Trainer, TrainerConfig
+from repro.service.manager import ServiceCheckpointManager
 
 TRIANGLE = [(0, 1), (1, 2), (0, 2)]
 
@@ -154,13 +153,15 @@ class TestTraining:
         reference.run(12)
 
         trainer = Trainer(model, Adam(lr=0.1), config=config)
-        manager = CheckpointManager(memory_store, EveryKSteps(4))
+        manager = ServiceCheckpointManager(
+            memory_store, policy=EveryKSteps(4)
+        )
         trainer.run(8, hooks=[manager])
         manager.close()
 
         resumed = Trainer(model, Adam(lr=0.1), config=config)
-        record = resume_trainer(resumed, memory_store)
-        assert record is not None and record.step == 8
+        assert manager.resume(resumed) is not None
+        assert resumed.step_count == 8
         resumed.run(4)
         np.testing.assert_array_equal(resumed.params, reference.params)
 

@@ -21,7 +21,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.recovery import RecoveryManager, warm_start_trainer
 from repro.core.restore import (
     WARM_START_TENSORS,
     QckptSource,
@@ -41,7 +40,6 @@ from repro.errors import (
     StorageError,
 )
 from repro.service.chunkstore import ChunkStore
-from repro.service.manager import ServiceCheckpointManager
 from repro.service.pool import WriterPool
 from repro.storage.backend import StorageBackend
 from repro.storage.flaky import FlakyBackend
@@ -750,17 +748,6 @@ class TestWarmStart:
         with pytest.raises(ConfigError, match="warm-start"):
             fresh.warm_start(np.zeros(3))
 
-    def test_warm_start_trainer_from_core_store(self):
-        trainer = tiny_trainer()
-        store = CheckpointStore(InMemoryBackend())
-        trainer.run(2)
-        store.save_full(trainer.capture())
-        fresh = tiny_trainer(seed=11)
-        record = warm_start_trainer(fresh, store)
-        assert record is not None
-        assert np.array_equal(fresh.params, trainer.params)
-        assert fresh.step_count == 0
-
     def test_recovery_latest_valid_tensors_falls_back(self):
         store = CheckpointStore(InMemoryBackend())
         trainer = tiny_trainer()
@@ -771,33 +758,12 @@ class TestWarmStart:
         data = bytearray(store.backend.read(bad.object_name))
         data[len(data) - 10] ^= 0xFF  # corrupt the payload tail
         store.backend.write(bad.object_name, bytes(data))
-        record, tensors, skipped = RecoveryManager(
-            store
-        ).latest_valid_tensors(["params"])
-        assert record is not None
+        ckpt_id, tensors, skipped = store.latest_valid_partial(
+            "default", ["params"]
+        )
+        assert ckpt_id is not None
         assert [s[0] for s in skipped] in ([], [bad.id])
         assert tensors["params"].shape == trainer.params.shape
-
-    def test_service_manager_resume_modes(self):
-        store = ChunkStore(InMemoryBackend(), block_bytes=512)
-        pool = WriterPool(workers=1)
-        try:
-            trainer = tiny_trainer()
-            manager = ServiceCheckpointManager(
-                store, "job0", pool.channel("job0")
-            )
-            trainer.run(2, hooks=[manager])
-            exact = tiny_trainer(seed=21)
-            assert manager.resume(exact, mode="exact") is not None
-            assert exact.step_count == trainer.step_count
-            warm = tiny_trainer(seed=22)
-            assert manager.resume(warm, mode="warm-start") is not None
-            assert np.array_equal(warm.params, trainer.params)
-            assert warm.step_count == 0
-            with pytest.raises(ConfigError):
-                manager.resume(warm, mode="sideways")
-        finally:
-            pool.close()
 
 
 # ---------------------------------------------------------------------------

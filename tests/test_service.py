@@ -7,8 +7,6 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.core.manager import CheckpointManager
-from repro.core.policy import EveryKSteps
 from repro.core.snapshot import TrainingSnapshot
 from repro.core.store import CheckpointStore
 from repro.errors import (
@@ -28,7 +26,6 @@ from repro.service import (
     ChunkStore,
     FleetHarness,
     FleetJobSpec,
-    ServiceCheckpointManager,
     ThrottledBackend,
     WriterPool,
     chunk_name,
@@ -629,6 +626,8 @@ class TestWriterPool:
     def test_validation(self):
         with pytest.raises(ConfigError):
             WriterPool(workers=0)
+        with pytest.raises(ConfigError):
+            WriterPool(close_timeout=0.0)
         pool = WriterPool(workers=1)
         with pytest.raises(ConfigError):
             pool.channel("a", max_pending=0)
@@ -654,6 +653,7 @@ class TestWriterPool:
         channel.drain()
         pool.close()
         assert done == list(range(10))
+        assert channel.stats.tasks == 10
 
     def test_round_robin_fairness_single_worker(self):
         pool = WriterPool(workers=1)
@@ -840,9 +840,11 @@ class TestWriterPool:
         pool.close()
         assert executed == ["next-life"]
 
-    def test_error_after_timed_out_close_still_surfaces(self):
-        """A failure landing after close() timed out is not lost (cf. the
-        same-named AsyncCheckpointWriter regression)."""
+    @pytest.mark.parametrize("seen_by", ["drain", "submit"])
+    def test_error_after_timed_out_close_still_surfaces(self, seen_by):
+        """A save wedged past close()'s timeout raises instead of hanging,
+        and its failure, landing later, is not lost: the next drain raises
+        it, and a submit raises it rather than shadowing it with 'closed'."""
         pool = WriterPool(workers=1)
         release = threading.Event()
         channel = pool.channel("a")
@@ -855,100 +857,21 @@ class TestWriterPool:
         with pytest.raises(CheckpointError, match="drain"):
             channel.close(timeout=0.1)
         release.set()
-        time.sleep(0.2)  # the in-flight task now fails on the worker
+        assert channel.wait_idle(timeout=5)  # the task has failed by now
         with pytest.raises(CheckpointError, match="late torn write"):
-            channel.drain()
+            channel.drain() if seen_by == "drain" else channel.submit(print)
         channel.drain()  # exactly once
+        with pytest.raises(CheckpointError, match="closed"):
+            channel.submit(print)
         pool.close()
 
     def test_submit_to_closed_channel_rejected(self):
         pool = WriterPool(workers=1)
         channel = pool.channel("a")
         channel.close()
+        channel.close()  # idempotent
         with pytest.raises(CheckpointError, match="closed"):
             channel.submit(lambda: None)
-        pool.close()
-
-    def test_core_manager_runs_on_pool_channel(self):
-        """CheckpointManager speaks the writer protocol to a pool channel."""
-        pool = WriterPool(workers=2)
-        backend = InMemoryBackend()
-        store = CheckpointStore(backend)
-        trainer = make_vqe_trainer()
-        manager = CheckpointManager(
-            store,
-            EveryKSteps(1),
-            writer=pool.channel("legacy-job"),
-        )
-        trainer.run(3, hooks=[manager])
-        manager.close()
-        pool.close()
-        assert store.latest().step == 3
-        loaded = store.load(store.latest().id)
-        assert loaded == trainer.capture()
-
-
-# ---------------------------------------------------------------------------
-# ServiceCheckpointManager
-# ---------------------------------------------------------------------------
-
-
-class TestServiceCheckpointManager:
-    def test_policy_driven_saves_roundtrip(self):
-        store = ChunkStore(InMemoryBackend())
-        pool = WriterPool(workers=2)
-        trainer = make_vqe_trainer()
-        manager = ServiceCheckpointManager(
-            store, "vqe", pool.channel("vqe"), policy=EveryKSteps(2)
-        )
-        trainer.run(4, hooks=[manager])
-        manager.close()
-        pool.close()
-        assert manager.stats.saves == 2
-        assert store.latest("vqe") == "ckpt-000002"
-        assert store.load_snapshot("vqe") == trainer.capture()
-
-    def test_save_copies_the_callers_snapshot_but_the_hook_does_not(
-        self, monkeypatch
-    ):
-        store = ChunkStore(InMemoryBackend())
-        pool = WriterPool(workers=1)
-        manager = ServiceCheckpointManager(
-            store, "vqe", pool.channel("vqe"), policy=EveryKSteps(1)
-        )
-        copies = []
-        original = TrainingSnapshot.copy
-        monkeypatch.setattr(
-            TrainingSnapshot,
-            "copy",
-            lambda self: copies.append(self.step) or original(self),
-        )
-        # the hook queues Trainer.capture()'s deep copies as they are
-        trainer = make_vqe_trainer()
-        trainer.run(2, hooks=[manager])
-        assert copies == []
-        # save() takes a snapshot the caller still owns: mutating it right
-        # after the call must not reach the store
-        snapshot = make_snapshot(step=7, seed=3)
-        expected = original(snapshot)
-        manager.save(snapshot)
-        snapshot.params += 1.0
-        assert copies == [7]
-        manager.close()
-        pool.close()
-        assert store.load_snapshot("vqe") == expected
-
-    def test_write_failure_surfaces_on_manager_close(self):
-        flaky = FlakyBackend(InMemoryBackend())
-        store = ChunkStore(flaky)
-        pool = WriterPool(workers=1)
-        trainer = make_vqe_trainer()
-        manager = ServiceCheckpointManager(
-            store, "vqe", pool.channel("vqe"), policy=EveryKSteps(1)
-        )
-        flaky.arm("error", fail_on_write=1)
-        with pytest.raises(CheckpointError, match="job 'vqe'"):
-            trainer.run(2, hooks=[manager])
         pool.close()
 
 

@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.manager import CheckpointManager
 from repro.core.policy import EveryKSteps
-from repro.core.recovery import resume_trainer
 from repro.core.store import CheckpointStore
 from repro.errors import ConfigError, StorageError
 from repro.ml.optimizers import Adam
@@ -13,6 +11,7 @@ from repro.ml.trainer import Trainer, TrainerConfig
 from repro.quantum.observables import Hamiltonian
 from repro.quantum.templates import hardware_efficient
 from repro.ml.models import VQEModel
+from repro.service.manager import ServiceCheckpointManager
 from repro.storage.flaky import FlakyBackend
 from repro.storage.memory import InMemoryBackend
 from repro.storage.replicated import ReplicatedBackend
@@ -207,7 +206,7 @@ class TestScrub:
             Hamiltonian.transverse_field_ising(2, 1.0, 0.8),
         )
         trainer = Trainer(model, Adam(lr=0.1), config=TrainerConfig(seed=4))
-        manager = CheckpointManager(store, EveryKSteps(1))
+        manager = ServiceCheckpointManager(store, policy=EveryKSteps(1))
         trainer.run(1, hooks=[manager])
         manager.close()
 
@@ -238,7 +237,7 @@ class TestReplicatedCheckpointing:
         )
         config = TrainerConfig(seed=4)
         trainer = Trainer(model, Adam(lr=0.1), config=config)
-        manager = CheckpointManager(store, EveryKSteps(2))
+        manager = ServiceCheckpointManager(store, policy=EveryKSteps(2))
         trainer.run(4, hooks=[manager])
         manager.close()
         trainer.run(2)
@@ -247,8 +246,8 @@ class TestReplicatedCheckpointing:
         replicas[0]._objects.clear()  # simulate total replica loss
         resumed = Trainer(model, Adam(lr=0.1), config=config)
         fresh = CheckpointStore(backend)
-        record = resume_trainer(resumed, fresh)
-        assert record is not None and record.step == 4
+        assert ServiceCheckpointManager(fresh).resume(resumed) is not None
+        assert resumed.step_count == 4
         resumed.run(2)
         np.testing.assert_array_equal(resumed.params, trainer.params)
 
@@ -419,7 +418,7 @@ class TestTieredCheckpointing:
         )
         config = TrainerConfig(seed=4)
         trainer = Trainer(model, Adam(lr=0.1), config=config)
-        manager = CheckpointManager(store, EveryKSteps(2))
+        manager = ServiceCheckpointManager(store, policy=EveryKSteps(2))
         trainer.run(4, hooks=[manager])
         manager.close()
 
@@ -495,7 +494,7 @@ class TestWriteBackDurabilityWindow:
             Hamiltonian.transverse_field_ising(2, 1.0, 0.8),
         )
         trainer = Trainer(model, Adam(lr=0.1), config=TrainerConfig(seed=4))
-        manager = CheckpointManager(store, EveryKSteps(1))
+        manager = ServiceCheckpointManager(store, policy=EveryKSteps(1))
         trainer.run(steps, hooks=[manager])
         manager.close()
         return tiered, fast, slow
@@ -534,7 +533,7 @@ class TestWriteBackDurabilityWindow:
             Hamiltonian.transverse_field_ising(2, 1.0, 0.8),
         )
         trainer = Trainer(model, Adam(lr=0.1), config=TrainerConfig(seed=4))
-        manager = CheckpointManager(store, EveryKSteps(1))
+        manager = ServiceCheckpointManager(store, policy=EveryKSteps(1))
         trainer.run(2, hooks=[manager])
         tiered.flush()  # durability point at step 2
         trainer.run(2, hooks=[manager])
@@ -550,8 +549,8 @@ class TestWriteBackDurabilityWindow:
             Hamiltonian.transverse_field_ising(2, 1.0, 0.8),
         )
         fresh = Trainer(fresh_model, Adam(lr=0.1), config=TrainerConfig(seed=4))
-        record = resume_trainer(fresh, survivor)
-        assert record is not None and fresh.step_count == 2
+        assert ServiceCheckpointManager(survivor).resume(fresh) is not None
+        assert fresh.step_count == 2
 
     def test_eviction_flushes_dirty_victim_before_delete(self):
         """Under byte pressure the dirty LRU victim is flushed, then evicted."""

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs health check, run by the CI ``docs`` job.
 
-Three gates:
+Four gates:
 
 1. every relative markdown link in README.md and docs/ resolves to an
    existing file, and anchored links (``file.md#heading``) resolve to a
@@ -9,7 +9,10 @@ Three gates:
 2. ``qckpt --help`` exits 0 for the top level and for every subcommand in
    the argparse tree (including nested ``daemon`` verbs);
 3. every top-level subcommand is documented in docs/OPERATIONS.md, so the
-   CLI surface and the operator guide cannot drift apart silently.
+   CLI surface and the operator guide cannot drift apart silently;
+4. every backticked ``repro.…`` dotted name in README.md and docs/ imports
+   or resolves to an attribute, so deleting a module cannot leave the docs
+   pointing at nothing.
 
 Exits non-zero with a per-failure report.  Run locally with::
 
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import io
 import re
 import sys
@@ -29,6 +33,7 @@ REPO = Path(__file__).resolve().parent.parent
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#+\s+(.*)$", re.MULTILINE)
+DOTTED_NAME_RE = re.compile(r"`(repro(?:\.\w+)+)(?:\(\))?`")
 
 
 def _slug(heading: str) -> str:
@@ -119,9 +124,43 @@ def check_operations_coverage() -> list:
     return errors
 
 
+def _resolves(dotted: str) -> bool:
+    """Whether ``dotted`` is a module, or an attribute chain off one."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        try:
+            for attr in parts[cut:]:
+                target = getattr(target, attr)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def check_dotted_names() -> list:
+    errors = []
+    for doc in _doc_files():
+        names = set(DOTTED_NAME_RE.findall(doc.read_text(encoding="utf-8")))
+        for name in sorted(names):
+            if not _resolves(name):
+                errors.append(
+                    f"{doc.relative_to(REPO)}: `{name}` does not resolve"
+                )
+    return errors
+
+
 def main() -> int:
     errors = []
-    for gate in (check_links, check_help, check_operations_coverage):
+    for gate in (
+        check_links,
+        check_help,
+        check_operations_coverage,
+        check_dotted_names,
+    ):
         errors.extend(gate())
     if errors:
         print(f"docs check FAILED ({len(errors)} problem(s)):")
@@ -130,7 +169,8 @@ def main() -> int:
         return 1
     docs = ", ".join(str(f.relative_to(REPO)) for f in _doc_files())
     print(f"docs check OK: links + anchors resolve in [{docs}]; "
-          "every qckpt subcommand --help exits 0 and is documented")
+          "every qckpt subcommand --help exits 0 and is documented; "
+          "every `repro.…` name resolves")
     return 0
 
 

@@ -20,8 +20,7 @@ TOKEN="obs-smoke-$$-$RANDOM"
 STEPS=20
 
 echo "== starting daemon on 127.0.0.1:0 (store: $STORE)"
-$QCKPT daemon start "$STORE" --shards 1 --listen 127.0.0.1:0 --token "$TOKEN" \
-  --metrics-export-seconds 1 &
+$QCKPT daemon start "$STORE" --shards 1 --listen 127.0.0.1:0 --token "$TOKEN" &
 DAEMON_PID=$!
 cleanup() { kill "$DAEMON_PID" 2>/dev/null || true; rm -rf "$STORE"; }
 trap cleanup EXIT
@@ -185,8 +184,7 @@ pool = WriterPool(workers=1, metrics=registry)
 control = root + "/ctl"
 daemon = FleetDaemon(
     store, pool, control,
-    config=DaemonConfig(tick_seconds=0.005, metrics_export_seconds=0.0,
-                        obs_sample_seconds=0.1),
+    config=DaemonConfig(tick_seconds=0.005, obs_sample_seconds=0.1),
     metrics=registry, obs_dir=store_obs_dir(root + "/store"),
     health_rules=RULES,
 )
