@@ -39,7 +39,6 @@ def test_fig6_recovery(benchmark, report):
         nxt = snapshot.copy()
         nxt.step += i + 1
         nxt.params = nxt.params + 1e-3
-        record = store.save_delta(nxt, record.id, codec="zlib-1")
+        record = store.save_delta(nxt, record.ckpt_id, codec="zlib-1")
         snapshot = nxt
-    target = store.latest().id
-    benchmark(store.load, target)
+    benchmark(store.load_snapshot, "default", record.ckpt_id)

@@ -463,7 +463,7 @@ def test_restore_latency_sweep(report):
     _, fresh, _ = cold_store()
     slow.reset_accounting()
     started = time.perf_counter()
-    _, tensors = fresh.load_partial("sweep", ["params"])
+    _, tensors = fresh.load_tensors("sweep", names=["params"])
     np.testing.assert_array_equal(tensors["params"], reference.params)
     params_plan = fresh.plan_restore("sweep", names=["params"])
     rows["params_only"] = {
@@ -560,8 +560,8 @@ def test_chain_restore_readahead_sweep(report):
     snapshots = [_chain_snapshot(step) for step in range(1, CHAIN_LINKS + 1)]
     record = build_store.save_full(snapshots[0])
     for snapshot in snapshots[1:]:
-        record = build_store.save_delta(snapshot, base_id=record.id)
-    tip = record.id
+        record = build_store.save_delta(snapshot, base_id=record.ckpt_id)
+    tip = record.ckpt_id
     reference = snapshots[-1]
 
     throttled = ThrottledBackend(inner)
@@ -571,7 +571,7 @@ def test_chain_restore_readahead_sweep(report):
     def timed_restore(readahead: int):
         store = CheckpointStore(throttled, readahead_links=readahead)
         started = time.perf_counter()
-        restored = store.load(tip)
+        restored = store.load_snapshot("default", tip)
         wall = time.perf_counter() - started
         assert restored == reference, "chain restore not bitwise"
         return wall, store
@@ -584,9 +584,10 @@ def test_chain_restore_readahead_sweep(report):
     # bytes/bw per link; decode = raw bytes / decode bandwidth).  The
     # pipelined model overlaps fetch i with decode i-1, with up to
     # READAHEAD_LINKS transfers sharing the wire.
-    plans = store.restore_plan(tip)
-    fetch = [
-        READ_RTT_SECONDS + plan.fetch_bytes / READ_BANDWIDTH for plan in plans
+    plans = store.plan_restore("default", tip).links()
+    fetch = [  # a full restore reads each link's object whole
+        READ_RTT_SECONDS + plan.total_stored_bytes / READ_BANDWIDTH
+        for plan in plans
     ]
     decode = [
         sum(t.blocks[0].raw_nbytes for t in plan.tensors.values())
@@ -609,7 +610,7 @@ def test_chain_restore_readahead_sweep(report):
         "readahead_links": READAHEAD_LINKS,
         "read_rtt_seconds": READ_RTT_SECONDS,
         "read_bandwidth_bytes_per_s": READ_BANDWIDTH,
-        "chain_fetch_bytes": sum(plan.fetch_bytes for plan in plans),
+        "chain_fetch_bytes": plans[-1].fetch_bytes,  # the tip's plan: all links
         "wall_sequential_seconds": wall_sequential,
         "wall_readahead_seconds": wall_readahead,
         "wall_speedup": speedup,

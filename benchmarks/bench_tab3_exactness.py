@@ -27,5 +27,4 @@ def test_tab3_exactness(benchmark, report):
     trainer = classifier_trainer(n_qubits=4, n_samples=32, batch_size=4)
     manager = ServiceCheckpointManager(store, policy=EveryKSteps(5))
     trainer.run(5, hooks=[manager])
-    target = store.latest().id
-    benchmark(store.load, target)
+    benchmark(store.load_snapshot, "default")

@@ -74,7 +74,7 @@ def main() -> None:
     # never failed at all — the library's core guarantee.
     reference = make_trainer()
     reference.run(TARGET_STEPS)
-    final = store.load(store.latest().id)
+    final = store.load_snapshot("default")
     identical = np.array_equal(final.params, reference.params)
     print(f"\nbitwise identical to failure-free run: {identical}")
 

@@ -30,9 +30,11 @@ STEPS = 20
 
 def monitor(store: CheckpointStore, backend: InMemoryBackend) -> None:
     """What a dashboard poll does: latest loss curve + parameter norm."""
-    latest = store.latest()
+    latest = store.checkpoints("default")[-1]
     backend.reset_counters()
-    meta, tensors = store.load_partial(latest.id, ["loss_history", "params"])
+    meta, tensors = store.load_tensors(
+        "default", latest.ckpt_id, ["loss_history", "params"]
+    )
     history = tensors["loss_history"]
     norm = float(np.linalg.norm(tensors["params"]))
     print(
@@ -64,7 +66,7 @@ def main() -> None:
 
     # Compare against what a naive monitor pays (full restore per poll).
     backend.reset_counters()
-    store.load(store.latest().id)
+    store.load_snapshot("default")
     print(f"naive full-restore poll: {backend.bytes_read} B transferred")
 
 

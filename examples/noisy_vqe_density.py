@@ -65,7 +65,7 @@ def main() -> None:
     finally:
         manager.close()
 
-    snapshot = store.load(store.latest().id)
+    snapshot = store.load_snapshot("default")
     rho = snapshot.extra["density_matrix"]
     print(
         f"latest checkpoint: step {snapshot.step}, density cache "

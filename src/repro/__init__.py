@@ -16,8 +16,9 @@ Open-source reproduction of *"Quantum Neural Networks Need Checkpointing"*
   / replicated / tiered / hash-sharded backends,
 * ``repro.service`` — the multi-job checkpoint service: content-addressed
   chunk store with cross-job dedup, the trainer hook (``CheckpointManager``)
-  and the writer pool it saves through, and the fleet harness for
-  preemption-storm scenarios,
+  and the writer pool it saves through, the fleet harness for
+  preemption-storm scenarios, and ``open_store`` — from a directory a run
+  left behind to the store it holds,
 * ``repro.faults`` — crash injection and makespan models,
 * ``repro.bench`` — the experiment harness regenerating every figure/table.
 
@@ -98,6 +99,7 @@ from repro.quantum.templates import (
     real_amplitudes,
     strongly_entangling,
 )
+from repro.service import open_store
 from repro.service.manager import ServiceCheckpointManager as CheckpointManager
 from repro.service.pool import WriterPool
 from repro.storage import (
@@ -144,6 +146,7 @@ __all__ = [
     "CheckpointStore",
     "CheckpointRecord",
     "CheckpointManager",
+    "open_store",
     "RetentionPolicy",
     "WriterPool",
     "EveryKSteps",

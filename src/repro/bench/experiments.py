@@ -26,7 +26,7 @@ from repro.core.delta import delta_sparsity, encode_delta
 from repro.core.policy import EveryKSteps, young_daly_interval
 from repro.core.serialize import pack_payload, pack_snapshot, unpack_payload, unpack_snapshot
 from repro.core.snapshot import TrainingSnapshot
-from repro.core.store import CheckpointStore
+from repro.core.store import DEFAULT_JOB, CheckpointStore
 from repro.faults.daly import (
     expected_makespan,
     mean_simulated_makespan,
@@ -470,21 +470,25 @@ def fig6_recovery(
                 mutated.params = mutated.params + 1e-3 * rng.standard_normal(
                     mutated.params.shape
                 )
-                record = store.save_delta(mutated, record.id, codec="zlib-1")
+                record = store.save_delta(
+                    mutated, record.ckpt_id, codec="zlib-1"
+                )
                 snapshot = mutated
-            target = store.latest().id
-            _, load_seconds = _timed(lambda t=target: store.load(t))
+            target = record.ckpt_id
+            _, load_seconds = _timed(
+                lambda t=target: store.load_snapshot(DEFAULT_JOB, t)
+            )
             backend = store.backend
             backend.reset_counters()
             _, partial_seconds = _timed(
-                lambda t=target: store.load_partial(t, ["params"])
+                lambda t=target: store.load_tensors(DEFAULT_JOB, t, ["params"])
             )
             partial_bytes = backend.bytes_read // 3  # _timed repeats 3x
             rows.append(
                 {
                     "n_qubits": n,
                     "chain_len": store.chain_length(target),
-                    "stored_bytes": store.total_bytes(),
+                    "stored_bytes": store.total_physical_bytes(),
                     "restore_s": load_seconds,
                     "params_only_s": partial_seconds,
                     "params_only_bytes": partial_bytes,
@@ -516,7 +520,7 @@ def _exactness_case(
         target_steps,
         failure_hooks=[CrashAtStep(crash_step)],
     )
-    final = store.load(store.latest().id)
+    final = store.load_snapshot(DEFAULT_JOB)
     max_param_delta = float(np.max(np.abs(final.params - reference.params)))
     histories_equal = bool(
         np.array_equal(

@@ -10,8 +10,7 @@ Subcommands::
     qckpt export <dir> <id> <out>  materialize a checkpoint as a standalone file
     qckpt peek <dir> <id> <t...>   read named tensors via ranged (partial) I/O
     qckpt restore <dir> [...]      restore through the unified pipeline
-                                   (--tensors subset / --warm-start / --plan);
-                                   works on both monolithic and chunk stores
+                                   (--tensors subset / --warm-start / --plan)
     qckpt stats <dir>              aggregate store statistics
     qckpt scrub <dir> [<dir>...]   verify chunk content; quarantine + repair
     qckpt fsck <dir> [<dir>...]    read-only health check (scrub, no repair)
@@ -29,6 +28,11 @@ Subcommands::
     qckpt daemon drain ...         finish running jobs, then stop the daemon
     qckpt daemon stop ...          stop now: flush queued saves, halt jobs
 
+``<dir>`` is whatever a run left behind — a QCKPT store, a flat chunk
+store, or a daemon root with one or many shards: every verb opens it through
+:func:`repro.open_store` (``scrub``/``fsck`` read chunk objects, so they
+refuse a QCKPT store).
+
 Every daemon client verb reaches its daemon through ``--control DIR``
 (shared filesystem) or ``--connect HOST:PORT [--token T]`` (TCP).
 
@@ -41,6 +45,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -48,13 +53,35 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.serialize import inspect_header, pack_snapshot
-from repro.core.store import CheckpointStore, RetentionPolicy
 from repro.errors import ReproError
-from repro.storage.local import LocalDirectoryBackend
+from repro.service import open_store
+from repro.storage import layout
 
 
-def _open_store(path: str) -> CheckpointStore:
-    return CheckpointStore(LocalDirectoryBackend(path))
+def _locate(store, ident=None, job=None):
+    """``(job, checkpoint id or None)`` a verb acts on.
+
+    ``ident`` is a checkpoint id, bare or qualified as ``JOB/ID``.  Without
+    a job the store's only job is meant — or, for a bare id in a store of
+    several, the only job that has it.
+    """
+    if ident is not None and "/" in ident:
+        job, _, ident = ident.rpartition("/")
+    if job is None:
+        jobs = store.jobs()
+        if ident is not None and len(jobs) > 1:
+            jobs = [
+                j
+                for j in jobs
+                if any(r.ckpt_id == ident for r in store.checkpoints(j))
+            ]
+        if len(jobs) != 1:
+            raise ReproError(
+                f"store holds jobs {store.jobs()}; pick one with --job "
+                "(or qualify the checkpoint id as JOB/ID)"
+            )
+        job = jobs[0]
+    return job, ident
 
 
 def _human_bytes(n: int) -> str:
@@ -67,82 +94,104 @@ def _human_bytes(n: int) -> str:
 
 
 def cmd_ls(args: argparse.Namespace) -> int:
-    store = _open_store(args.store)
-    records = store.records()
-    if not records:
-        print("(empty store)")
-        return 0
-    print(f"{'ID':<14} {'KIND':<6} {'STEP':>8} {'SIZE':>12} {'CODEC':<8} BASE")
-    for record in records:
-        print(
-            f"{record.id:<14} {record.kind:<6} {record.step:>8} "
-            f"{_human_bytes(record.nbytes):>12} {record.codec:<8} "
-            f"{record.base_id or '-'}"
-        )
-    latest = store.latest()
-    print(f"\n{len(records)} checkpoint(s), {_human_bytes(store.total_bytes())} total")
-    if latest is not None:
-        print(f"latest: {latest.id} at step {latest.step}")
+    store = open_store(args.store)
+    print(f"{'JOB':<12} {'ID':<14} {'STEP':>8} {'SIZE':>12} DETAIL")
+    jobs, count = store.jobs(), 0
+    for job in jobs:
+        for record in store.checkpoints(job):
+            count += 1
+            print(
+                f"{job:<12} {record.ckpt_id:<14} {record.step:>8} "
+                f"{_human_bytes(record.nbytes):>12} {record.detail}"
+            )
+    print(
+        f"\n{count} checkpoint(s), "
+        f"{_human_bytes(store.total_physical_bytes())} stored"
+    )
+    for job in jobs:
+        print(f"latest of {job}: {store.latest(job)}")
     return 0
+
+
+def _plan_header(plan, blocks: bool) -> dict:
+    """A restore plan (a delta's older links nested under ``base``) as the
+    header-like JSON ``inspect`` prints; block lists only when asked for."""
+    header = link = dataclasses.asdict(plan)
+    while link is not None and not blocks:
+        for tensor in link["tensors"].values():
+            tensor["blocks"] = len(tensor["blocks"])
+        link = link["base"]
+    return header
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     path = Path(args.target)
     if path.is_file():
-        data = path.read_bytes()
+        header = inspect_header(path.read_bytes())
+        if not args.tensors:
+            header = dict(header)
+            header["tensors"] = [
+                {
+                    "name": t["name"],
+                    "dtype": t["dtype"],
+                    "shape": t["shape"],
+                    "stored_nbytes": t["stored_nbytes"],
+                    "transform": t.get("transform", "identity"),
+                }
+                for t in header.get("tensors", [])
+            ]
     else:
-        store_dir, _, checkpoint_id = args.target.rpartition("/")
-        store = _open_store(store_dir or ".")
-        record = store.get(checkpoint_id)
-        data = LocalDirectoryBackend(store_dir or ".").read(record.object_name)
-    header = inspect_header(data)
-    if not args.tensors:
-        header = dict(header)
-        header["tensors"] = [
-            {
-                "name": t["name"],
-                "dtype": t["dtype"],
-                "shape": t["shape"],
-                "stored_nbytes": t["stored_nbytes"],
-                "transform": t.get("transform", "identity"),
-            }
-            for t in header.get("tensors", [])
-        ]
+        # <store>/<id> or <store>/<job>/<id>: no payload is read, the
+        # store's own plan of the restore is the header.
+        store_dir, _, ident = args.target.rpartition("/")
+        job = None
+        if not Path(store_dir or ".").is_dir():
+            store_dir, _, job = store_dir.rpartition("/")
+        store = open_store(store_dir or ".")
+        job, ident = _locate(store, ident, job)
+        header = _plan_header(store.plan_restore(job, ident), args.tensors)
     json.dump(header, sys.stdout, indent=2, sort_keys=True)
     print()
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    store = _open_store(args.store)
-    results = store.verify_all()
-    bad = 0
-    for checkpoint_id, (ok, detail) in sorted(results.items()):
-        status = "OK " if ok else "BAD"
-        print(f"{status} {checkpoint_id}" + ("" if ok else f"  {detail}"))
-        bad += 0 if ok else 1
-    print(f"\n{len(results) - bad}/{len(results)} checkpoints valid")
+    store = open_store(args.store)
+    total = bad = 0
+    for job in store.jobs():
+        for record in store.checkpoints(job):
+            ok, detail = store.verify(job, record.ckpt_id)
+            status = "OK " if ok else "BAD"
+            print(
+                f"{status} {job}/{record.ckpt_id}"
+                + ("" if ok else f"  {detail}")
+            )
+            total += 1
+            bad += 0 if ok else 1
+    print(f"\n{total - bad}/{total} checkpoints valid")
     return 1 if bad else 0
 
 
 def cmd_gc(args: argparse.Namespace) -> int:
-    store = _open_store(args.store)
-    retention = RetentionPolicy(
-        keep_last=args.keep_last, keep_every=args.keep_every
+    store = open_store(args.store)
+    deleted = store.gc(
+        keep_last_per_job=args.keep_last, keep_every=args.keep_every
     )
-    deleted = store.gc(retention)
-    print(f"deleted {len(deleted)} object(s)")
-    for name in deleted:
-        print(f"  {name}")
+    print(
+        f"deleted {deleted['manifests']} checkpoint(s), "
+        f"{deleted['chunks']} object(s), {_human_bytes(deleted['bytes'])}"
+    )
     return 0
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    store = _open_store(args.store)
-    _, tensors_a = store.load_tensors(args.id_a)
-    _, tensors_b = store.load_tensors(args.id_b)
-    snapshot_a = store.load(args.id_a)
-    snapshot_b = store.load(args.id_b)
+    store = open_store(args.store)
+    snapshot_a, snapshot_b = (
+        store.load_snapshot(*_locate(store, ident))
+        for ident in (args.id_a, args.id_b)
+    )
+    tensors_a = snapshot_a.to_payload()[1]
+    tensors_b = snapshot_b.to_payload()[1]
     print(
         f"{args.id_a} (step {snapshot_a.step}) vs "
         f"{args.id_b} (step {snapshot_b.step})"
@@ -168,38 +217,10 @@ def cmd_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_export(args: argparse.Namespace) -> int:
-    store = _open_store(args.store)
-    chain = store.chain_length(args.id)
-    snapshot = store.load(args.id)
-    data = pack_snapshot(snapshot, codec=args.codec)
-    Path(args.out).write_bytes(data)
-    print(
-        f"exported {args.id} (step {snapshot.step}, chain of {chain}) "
-        f"to {args.out}: {_human_bytes(len(data))} standalone"
-    )
-    return 0
-
-
-def cmd_peek(args: argparse.Namespace) -> int:
-    store = _open_store(args.store)
-    meta, tensors = store.load_partial(args.id, args.tensors)
-    print(f"{args.id} at step {meta.get('step', '?')}")
-    for name, array in tensors.items():
-        preview = np.array2string(
-            array.reshape(-1)[:4], precision=6, separator=", "
-        )
-        norm = float(np.linalg.norm(array))
-        print(
-            f"  {name}: {array.dtype} {'x'.join(str(d) for d in array.shape)} "
-            f"|x|={norm:.6g} head={preview}"
-        )
-    return 0
-
-
 def _print_plan(plan) -> None:
+    links = plan.links()
     fetched = plan.fetch_bytes
-    total = plan.total_stored_bytes
+    total = sum(link.total_stored_bytes for link in links)
     what = (
         "full checkpoint"
         if plan.requested is None
@@ -207,7 +228,8 @@ def _print_plan(plan) -> None:
     )
     print(
         f"plan [{plan.kind}]: {what}: {plan.n_blocks} block(s) from "
-        f"{len(plan.objects)} object(s), fetching {_human_bytes(fetched)}"
+        f"{sum(len(link.objects) for link in links)} object(s), "
+        f"fetching {_human_bytes(fetched)}"
         + (
             f" of {_human_bytes(total)} stored"
             f" ({100.0 * fetched / total:.1f}%)"
@@ -231,16 +253,17 @@ def _print_tensors(tensors: dict) -> None:
 
 
 def cmd_restore(args: argparse.Namespace) -> int:
-    """Restore a checkpoint through the unified pipeline.
+    """Restore a checkpoint through the unified pipeline (also ``peek`` and
+    ``export``, which pre-set ``--tensors`` / ``--out``).
 
-    Detects the store format: a directory with ``MANIFEST.json`` is a
-    monolithic :class:`CheckpointStore`; one with ``job-*.json`` manifests
-    is a service :class:`ChunkStore`.  ``--tensors``/``--warm-start``
-    restrict the plan to a tensor subset; ``--plan`` prints what would be
-    fetched without fetching it.  Damaged checkpoints (a manifest naming a
-    garbage-collected chunk, a bit-rotted object) surface as clean errors;
-    without an explicit ``--id`` the restore falls back to the newest valid
-    checkpoint, reporting what it skipped.
+    Works on whatever store the directory holds.  ``--tensors`` /
+    ``--warm-start`` restrict the plan to a tensor subset; ``--plan`` prints
+    what would be fetched without fetching it.  An explicit id has no
+    fallback: damage (a manifest naming a garbage-collected chunk, a
+    bit-rotted object) surfaces as one clean error line.  Without one the
+    store's own newest-first walk picks the checkpoint — the walk fleet
+    recovery uses, so ``qckpt restore`` and reincarnation agree on what
+    counts as restorable — and what it skipped is reported.
     """
     from repro.core.restore import WARM_START_TENSORS
 
@@ -251,213 +274,86 @@ def cmd_restore(args: argparse.Namespace) -> int:
         names = list(WARM_START_TENSORS)
     elif args.tensors:
         names = list(args.tensors)
-
-    backend = LocalDirectoryBackend(args.store)
-    if backend.exists("MANIFEST.json"):
-        return _restore_core(args, names)
-    if backend.list("job-"):
-        return _restore_chunks(args, backend, names)
-    raise ReproError(
-        f"{args.store!r} is neither a checkpoint store (no MANIFEST.json) "
-        "nor a chunk store (no job-*.json manifests)"
-    )
-
-
-def _restore_core(args: argparse.Namespace, names) -> int:
-    from repro.core.store import DEFAULT_JOB
-
-    store = _open_store(args.store)
-    checkpoint_id = args.id
-    if checkpoint_id is None:
-        job_id = args.job or DEFAULT_JOB
+    if args.out and names is not None:
+        raise ReproError(
+            "--out requires a full restore (drop --tensors/--warm-start)"
+        )
+    store = open_store(args.store)
+    job, ckpt_id = _locate(store, args.id, args.job)
+    found = None
+    if ckpt_id is None and not args.plan:
         if names is None:
-            checkpoint_id, _, skipped = store.latest_valid(job_id)
+            ckpt_id, found, skipped = store.latest_valid(job)
         else:
-            checkpoint_id, _, skipped = store.latest_valid_partial(
-                job_id, names
-            )
-        for ckpt_id, reason in skipped:
-            print(f"warning: skipped damaged checkpoint {ckpt_id}: {reason}")
-        if checkpoint_id is None:
-            raise ReproError(
-                "no restorable checkpoint in store"
-                + (f"; skipped: {skipped}" if skipped else "")
-            )
-    plans = store.restore_plan(checkpoint_id, names)
-    for plan in plans:
-        _print_plan(plan)
-    if args.plan:
-        return 0
-    meta, tensors = (
-        store.load_tensors(checkpoint_id)
-        if names is None
-        else store.load_partial(checkpoint_id, names)
-    )
-    print(f"{checkpoint_id} at step {meta.get('step', '?')}")
-    _print_tensors(tensors)
-    if args.out:
-        if names is not None:
-            raise ReproError(
-                "--out requires a full restore (drop --tensors/--warm-start)"
-            )
-        data = pack_snapshot(store.load(checkpoint_id), codec=args.codec)
-        Path(args.out).write_bytes(data)
-        print(f"wrote {_human_bytes(len(data))} to {args.out}")
-    return 0
-
-
-def _restore_chunks(args: argparse.Namespace, backend, names) -> int:
-    from repro.core.snapshot import TrainingSnapshot
-    from repro.service.chunkstore import ChunkStore
-
-    store = ChunkStore(backend)
-    jobs = store.jobs()
-    job_id = args.job
-    if job_id is None:
-        if len(jobs) != 1:
-            raise ReproError(
-                f"store holds jobs {jobs}; pick one with --job"
-            )
-        job_id = jobs[0]
-    if args.plan:
-        plan = store.plan_restore(job_id, args.id, names)
-        _print_plan(plan)
-        return 0
-    if args.id is not None:
-        # Explicit checkpoint: no fallback.  Damage (a manifest naming a
-        # gc'd chunk, a corrupt block) surfaces as one clean error line.
-        ckpt_id = args.id
-        _print_plan(store.plan_restore(job_id, ckpt_id, names))
-        meta, tensors = store.load_tensors(job_id, ckpt_id, names=names)
-    else:
-        # Newest-first with fallback — the same damage-tolerant walk fleet
-        # recovery uses, so `qckpt restore` and reincarnation agree on what
-        # counts as restorable.
-        meta = None
-        if names is None:
-            ckpt_id, snapshot, skipped = store.latest_valid(job_id)
-            tensors = None
-            if snapshot is not None:
-                meta, tensors = snapshot.to_payload()
-        else:
-            ckpt_id, tensors, skipped = store.latest_valid_partial(
-                job_id, names
-            )
+            ckpt_id, found, skipped = store.latest_valid_partial(job, names)
         for bad_id, reason in skipped:
             print(f"warning: skipped damaged checkpoint {bad_id}: {reason}")
-        if ckpt_id is None or tensors is None:
+        if found is None:
             raise ReproError(
-                f"job {job_id!r} has no restorable checkpoint"
-                + (
-                    f"; skipped: {[s[0] for s in skipped]}"
-                    if skipped
-                    else ""
-                )
+                f"job {job!r} has no restorable checkpoint"
+                + (f"; skipped: {[s[0] for s in skipped]}" if skipped else "")
             )
-        plan = store.plan_restore(job_id, ckpt_id, names)
-        _print_plan(plan)
-        if meta is None:
-            meta = plan.meta
-    print(f"job {job_id} {ckpt_id} at step {meta.get('step', '?')}")
-    _print_tensors(tensors)
+    plan = store.plan_restore(job, ckpt_id, names)
+    _print_plan(plan)
+    if args.plan:
+        return 0
+    if found is None and names is None:
+        found = store.load_snapshot(job, ckpt_id)
+    elif found is None:
+        found = store.load_tensors(job, ckpt_id, names)[1]
+    print(f"job {job} {plan.checkpoint_id} at step {plan.step}")
+    _print_tensors(found if names is not None else found.to_payload()[1])
     if args.out:
-        if names is not None:
-            raise ReproError(
-                "--out requires a full restore (drop --tensors/--warm-start)"
-            )
-        snapshot = TrainingSnapshot.from_payload(meta, tensors)
-        data = pack_snapshot(snapshot, codec=args.codec)
+        data = pack_snapshot(found, codec=args.codec)
         Path(args.out).write_bytes(data)
         print(f"wrote {_human_bytes(len(data))} to {args.out}")
     return 0
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    store = _open_store(args.store)
-    records = store.records()
-    if not records:
-        print("(empty store)")
-        return 0
-    by_kind: dict = {}
-    by_codec: dict = {}
-    for record in records:
-        kind = by_kind.setdefault(record.kind, {"count": 0, "bytes": 0})
-        kind["count"] += 1
-        kind["bytes"] += record.nbytes
-        by_codec[record.codec] = by_codec.get(record.codec, 0) + 1
-    for kind, agg in sorted(by_kind.items()):
+    store = open_store(args.store)
+    print(f"{'JOB':<12} {'CKPTS':>6} {'SIZE':>12} {'STEPS':>14}  NEWEST")
+    count = referenced = 0
+    for job in store.jobs():
+        records = store.checkpoints(job)
+        steps = [record.step for record in records]
+        nbytes = sum(record.nbytes for record in records)
         print(
-            f"{kind:<6} {agg['count']:>4} checkpoint(s) "
-            f"{_human_bytes(agg['bytes']):>12}"
+            f"{job:<12} {len(records):>6} {_human_bytes(nbytes):>12} "
+            f"{f'{min(steps)}..{max(steps)}':>14}  {records[-1].detail}"
         )
-    chains = [store.chain_length(record.id) for record in records]
-    print(f"codec usage: {', '.join(f'{c}={n}' for c, n in sorted(by_codec.items()))}")
-    print(f"longest restore chain: {max(chains)} object(s)")
-    steps = [record.step for record in records]
-    print(f"step range: {min(steps)}..{max(steps)}")
-    print(f"total stored: {_human_bytes(store.total_bytes())}")
+        count += len(records)
+        referenced += nbytes
+    print(
+        f"\n{count} checkpoint(s) naming {_human_bytes(referenced)}; "
+        f"total stored: {_human_bytes(store.total_physical_bytes())}"
+    )
     return 0
 
 
-def _scrub_backend(dirs):
-    """Storage stack over chunk-store director(ies) for scrub/fsck.
-
-    Mirrors how ``daemon start`` lays stores out on disk: a directory with
-    ``shard-N`` subdirectories reopens as a :class:`ShardedBackend`; several
-    directories are replicas of one logical store (read_repair off — scrub
-    is the explicit repair path here, and fsck must observe, not heal).
-    """
-    from repro.storage.replicated import ReplicatedBackend
-    from repro.storage.sharded import ShardedBackend
-
-    def one(path: str):
-        directory = Path(path)
-        if (directory / "MANIFEST.json").exists():
-            raise ReproError(
-                f"{path} is a monolithic checkpoint store; scrub/fsck work "
-                "on chunk stores — use 'qckpt verify' there instead"
-            )
-        shards = sorted(
-            (p for p in directory.glob("shard-*") if p.is_dir()),
-            key=lambda p: (len(p.name), p.name),
+def _chunk_backend(roots):
+    """Storage stack over chunk-store root(s) for scrub/fsck, which read
+    chunk objects directly and so refuse a QCKPT store."""
+    backend = layout.store_backend(roots)
+    if backend.exists(layout.MANIFEST_MARKER):
+        raise ReproError(
+            f"{roots[0]} is a monolithic checkpoint store; scrub/fsck work "
+            "on chunk stores — use 'qckpt verify' there instead"
         )
-        if shards:
-            backends = [LocalDirectoryBackend(p) for p in shards]
-            return (
-                backends[0] if len(backends) == 1 else ShardedBackend(backends)
-            )
-        return LocalDirectoryBackend(directory)
-
-    backends = [one(path) for path in dirs]
-    if len(backends) == 1:
-        return backends[0]
-    return ReplicatedBackend(backends, read_repair=False)
-
-
-def _scrub_journal(dirs, daemon_id=None):
-    """Placement journal of the store, when it keeps one on disk."""
-    from repro.storage.placement import PlacementJournal
-
-    import uuid
-
-    journal_dir = Path(dirs[0]) / "placement"
-    if not journal_dir.is_dir():
-        return None
-    owner = daemon_id or f"scrub-{uuid.uuid4().hex[:8]}"
-    return PlacementJournal(LocalDirectoryBackend(journal_dir), owner=owner)
+    return backend
 
 
 def cmd_scrub(args: argparse.Namespace) -> int:
-    from repro.obs.export import ObsDir, store_obs_dir
+    from repro.obs.export import ObsDir
     from repro.obs.metrics import MetricsRegistry
     from repro.service.scrub import scrub_store
 
-    backend = _scrub_backend(args.store)
-    journal = _scrub_journal(args.store)
+    backend = _chunk_backend(args.store)
+    journal = layout.placement_journal(args.store[0])
     # Scrub refreshes the persisted registry: it folds in the prior
     # snapshot (epoch-bumped) and writes back with this pass's scrub.*
     # series, so counters survive even daemons that never shut down clean.
-    obs = ObsDir(store_obs_dir(args.store[0]))
+    obs = ObsDir(layout.obs_dir(args.store[0]))
     registry = MetricsRegistry()
     obs.load_registry(registry)
     report = scrub_store(backend, repair=True, journal=journal, metrics=registry)
@@ -476,10 +372,10 @@ def cmd_scrub(args: argparse.Namespace) -> int:
 def cmd_fsck(args: argparse.Namespace) -> int:
     from repro.service.scrub import scrub_store
 
+    backend = _chunk_backend(args.store)
     if args.index:
         return _fsck_index(args)
     # fsck observes without mutating — no registry write-back either.
-    backend = _scrub_backend(args.store)
     report = scrub_store(backend, repair=False)
     print(report.summary())
     return 0 if report.clean else 1
@@ -494,28 +390,25 @@ def _fsck_index(args: argparse.Namespace) -> int:
     index code is wrong or the .db belongs to another store; the runbook
     fix is always the same — delete the .db, it rebuilds.
     """
-    from repro.service.chunkstore import ChunkStore, _parse_manifest_name
-    from repro.storage.metadb import DB_FILENAME, MetaDB, manifest_index_row
-    from repro.storage.placement import PlacementJournal
+    from repro.service.chunkstore import _parse_manifest_name
+    from repro.storage.metadb import manifest_index_row
 
-    import uuid
-
-    db_path = Path(args.store[0]) / DB_FILENAME
+    root = args.store[0]
+    db_path = layout.index_path(root)
     if not db_path.exists():
         print(
-            f"index: no {DB_FILENAME} under {args.store[0]} — nothing to "
+            f"index: no {db_path.name} under {root} — nothing to "
             "verify (an indexed open creates and populates it)"
         )
         return 0
-    db = MetaDB(db_path)
+    store = open_store(args.store)  # attaches the index: rows reconciled
+    db, backend = store.metadb, store.backend
     mismatches = []
     if db.discarded_previous:
         mismatches.append(
             "index file was corrupt or version-mismatched; it has been "
             "discarded and recreated empty"
         )
-    backend = _scrub_backend(args.store)
-    store = ChunkStore(backend, metadb=db)  # reconciles rows on open
     manifests = 0
     listed = set()
     for object_name in backend.list("job-"):
@@ -538,17 +431,9 @@ def _fsck_index(args: argparse.Namespace) -> int:
     for object_name in sorted(db.manifest_objects() - listed):
         mismatches.append(f"index row for deleted manifest {object_name}")
     records = 0
-    journal_dir = Path(args.store[0]) / "placement"
-    if journal_dir.is_dir():
-        journal_backend = LocalDirectoryBackend(journal_dir)
-        oracle = PlacementJournal(
-            journal_backend, owner=f"fsck-{uuid.uuid4().hex[:8]}"
-        )
-        indexed = PlacementJournal(
-            journal_backend,
-            owner=f"fsck-{uuid.uuid4().hex[:8]}",
-            metadb=db,
-        )
+    oracle = layout.placement_journal(root)
+    if oracle is not None:
+        indexed = layout.placement_journal(root, metadb=db)
         records = len(oracle.records())
         if indexed.pinned_names() != oracle.pinned_names():
             mismatches.append(
@@ -608,23 +493,17 @@ def _job_histograms(snapshot: dict, name: str) -> dict:
     return out
 
 
-def _metrics_response(args: argparse.Namespace) -> dict:
-    """Fetch telemetry: live daemon round trip, or the persisted registry."""
-    from repro.obs.export import REGISTRY_FILENAME, store_obs_dir
+def _persisted_registry(args: argparse.Namespace):
+    """``(snapshot, path)`` of the store's persisted ``obs/registry.json``."""
+    from repro.obs.export import REGISTRY_FILENAME
 
-    if args.control is not None or args.connect is not None:
-        client = _daemon_client(args)
-        response = client.request("metrics")
-        if not response.get("ok"):
-            raise ReproError(f"metrics failed: {response.get('error')}")
-        return response
     store = getattr(args, "store", None)
     if not store:
         raise ReproError(
-            "pick a source: a store directory (reads the persisted "
-            "<store>/obs/registry.json) or --control/--connect (live daemon)"
+            "pick a source: a store directory (reads its persisted "
+            "obs/ directory) or --control/--connect (live daemon)"
         )
-    registry_path = store_obs_dir(store) / REGISTRY_FILENAME
+    registry_path = layout.obs_dir(store) / REGISTRY_FILENAME
     try:
         snapshot = json.loads(registry_path.read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -635,6 +514,18 @@ def _metrics_response(args: argparse.Namespace) -> dict:
         ) from None
     except (OSError, json.JSONDecodeError) as exc:
         raise ReproError(f"cannot read {registry_path}: {exc}") from exc
+    return snapshot, registry_path
+
+
+def _metrics_response(args: argparse.Namespace) -> dict:
+    """Fetch telemetry: live daemon round trip, or the persisted registry."""
+    if args.control is not None or args.connect is not None:
+        client = _daemon_client(args)
+        response = client.request("metrics")
+        if not response.get("ok"):
+            raise ReproError(f"metrics failed: {response.get('error')}")
+        return response
+    snapshot, registry_path = _persisted_registry(args)
     logical = _series_value(snapshot, "store.logical_bytes")
     physical = _series_value(snapshot, "store.physical_bytes")
     return {
@@ -777,22 +668,12 @@ def _print_metrics(response: dict) -> None:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     """One-shot telemetry dump from a live daemon or a persisted registry."""
+    response = _metrics_response(args)
     if args.prom:
-        if args.control is not None or args.connect is not None:
-            client = _daemon_client(args)
-            response = client.request("metrics_text")
-            if not response.get("ok"):
-                raise ReproError(
-                    f"metrics_text failed: {response.get('error')}"
-                )
-            print(response.get("text", ""), end="")
-            return 0
         from repro.obs.export import prometheus_text
 
-        response = _metrics_response(args)
         print(prometheus_text(response.get("metrics", {})), end="")
         return 0
-    response = _metrics_response(args)
     if args.json:
         print(json.dumps(response, indent=2, sort_keys=True))
         return 0
@@ -978,31 +859,12 @@ def _offline_health(args: argparse.Namespace):
     Staleness rules are skipped offline: the registry file is *expected*
     to be old, that is not an incident.
     """
-    from repro.obs.export import REGISTRY_FILENAME, store_obs_dir
     from repro.obs.health import HealthEngine
     from repro.obs.timeseries import DB_FILENAME, TimeSeriesDB
 
-    store = getattr(args, "store", None)
-    if not store:
-        raise ReproError(
-            "pick a source: a store directory (reads the persisted "
-            "<store>/obs/registry.json + timeseries.db) or "
-            "--control/--connect (live daemon)"
-        )
-    obs_dir = store_obs_dir(store)
-    registry_path = obs_dir / REGISTRY_FILENAME
-    try:
-        snapshot = json.loads(registry_path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ReproError(
-            f"no persisted metrics at {registry_path} — a daemon writes it "
-            "at clean shutdown; query a live daemon with --control/--connect "
-            "instead"
-        ) from None
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ReproError(f"cannot read {registry_path}: {exc}") from exc
+    snapshot, registry_path = _persisted_registry(args)
     timeseries = None
-    db_path = obs_dir / DB_FILENAME
+    db_path = registry_path.with_name(DB_FILENAME)
     if db_path.exists():
         timeseries = TimeSeriesDB(db_path)
     try:
@@ -1036,9 +898,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
     """Span profiler over ``<store>/obs/trace.jsonl``: per-op aggregates,
     per-trace trees, critical paths, folded stacks."""
     from repro.obs import profile as obs_profile
-    from repro.obs.export import TRACE_FILENAME, store_obs_dir
+    from repro.obs.export import TRACE_FILENAME
 
-    trace_path = store_obs_dir(args.store) / TRACE_FILENAME
+    trace_path = layout.obs_dir(args.store) / TRACE_FILENAME
     trees = obs_profile.load_trees(trace_path)
     if not trees:
         raise ReproError(
@@ -1208,14 +1070,11 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     from repro.ml.trainer import Trainer, TrainerConfig
     from repro.quantum.templates import hardware_efficient
     from repro.service import (
-        ChunkStore,
         FleetHarness,
         FleetJobSpec,
         ThrottledBackend,
         WriterPool,
     )
-    from repro.storage.memory import InMemoryBackend
-    from repro.storage.sharded import ShardedBackend
 
     def trainer_factory(lr: float):
         def make() -> Trainer:
@@ -1232,16 +1091,13 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
         return make
 
-    if args.store:
-        shards = [
-            LocalDirectoryBackend(Path(args.store) / f"shard-{i}")
-            for i in range(args.shards)
-        ]
-    else:
-        shards = [InMemoryBackend() for _ in range(args.shards)]
-    throttled = ThrottledBackend(ShardedBackend(shards))
-    store = ChunkStore(
-        throttled, codec=args.codec, block_bytes=args.block_bytes
+    # No --store: the same shards, in memory.
+    store = open_store(
+        args.store,
+        shards=args.shards,
+        wrap=ThrottledBackend,
+        codec=args.codec,
+        block_bytes=args.block_bytes,
     )
     pool = WriterPool(workers=args.workers)
     specs = [
@@ -1266,7 +1122,9 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                 write_delay_seconds=args.brownout_delay,
             )
         )
-    harness = FleetHarness(store, pool, specs, events=events, throttle=throttled)
+    harness = FleetHarness(
+        store, pool, specs, events=events, throttle=store.backend
+    )
     try:
         result = harness.run()
     finally:
@@ -1301,72 +1159,35 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
 def cmd_daemon_start(args: argparse.Namespace) -> int:
     """Build the storage stack and run the fleet daemon loop (foreground)."""
-    from repro.obs.export import store_obs_dir
     from repro.obs.metrics import MetricsRegistry
-    from repro.reliability import CircuitBreaker, RetryPolicy
-    from repro.service import ChunkStore, DaemonConfig, FleetDaemon, WriterPool
-    from repro.storage.memory import InMemoryBackend
-    from repro.storage.metadb import metadb_for_dir
-    from repro.storage.placement import PlacementJournal
-    from repro.storage.reliable import ReliableBackend
-    from repro.storage.sharded import ShardedBackend
-    from repro.storage.tiered import TieredBackend
+    from repro.service import DaemonConfig, FleetDaemon, WriterPool
 
     import uuid
 
-    store_dir = Path(args.store)
     # ONE registry threaded through the whole stack: backend tiers, chunk
     # store, writer pool, and daemon all count into the same labeled
     # series, which is what `qckpt metrics`/`qckpt top` read back.
     registry = MetricsRegistry()
-    control = args.control or str(store_dir / "control")
+    control = args.control or str(layout.control_dir(args.store))
     # One identity for heartbeats AND journal records: without --daemon-id
     # it must be unique per process, never derived from paths — two daemons
     # sharing a store would otherwise collide journal record names and both
     # "hold" the rebalance lease.
     daemon_id = args.daemon_id or f"daemon-{uuid.uuid4().hex[:8]}"
-    shards = [
-        LocalDirectoryBackend(store_dir / f"shard-{i}")
-        for i in range(args.shards)
-    ]
-    backend = shards[0] if args.shards == 1 else ShardedBackend(shards)
-    # Optional metadata index sidecar (QCKPT_METADB=1 or --index): one
-    # SQLite file at the store root shared by the journal fold, manifest
-    # discovery, and the daemon's job registry.  Files stay the truth —
-    # delete the .db and it rebuilds on the next open.
-    metadb = metadb_for_dir(
-        store_dir, metrics=registry, enabled=True if args.index else None
-    )
-    journal = None
-    if args.fast_bytes > 0:
-        journal = PlacementJournal(
-            LocalDirectoryBackend(store_dir / "placement"),
-            owner=daemon_id,
-            metadb=metadb,
-        )
-        backend = TieredBackend(
-            InMemoryBackend(),
-            backend,
-            fast_capacity_bytes=args.fast_bytes,
-            journal=journal,
-            metrics=registry,
-        )
-    if args.retries > 0:
-        # Outermost wrapper so every op — including tier_for probes, which
-        # it forwards — runs under the retry/breaker policy.
-        backend = ReliableBackend(
-            backend,
-            retry=RetryPolicy(max_attempts=args.retries + 1, base_delay=0.05),
-            breaker=CircuitBreaker(failure_threshold=5, reset_timeout=30.0),
-            metrics=registry,
-        )
-    store = ChunkStore(
-        backend,
+    # Shards, optional fast tier + placement journal (--fast-bytes), retry
+    # layer (--retries) and metadata index (--index or QCKPT_METADB=1; one
+    # SQLite file at the root shared by the journal fold, manifest discovery
+    # and the daemon's job registry — files stay the truth).
+    store = open_store(
+        args.store,
+        shards=args.shards,
+        fast_bytes=args.fast_bytes,
+        retries=args.retries,
+        index=True if args.index else None,
+        owner=daemon_id,
+        metrics=registry,
         codec=args.codec,
         block_bytes=args.block_bytes,
-        placement_journal=journal,
-        metrics=registry,
-        metadb=metadb,
     )
     pool = WriterPool(workers=args.workers, metrics=registry)
     config = DaemonConfig(
@@ -1386,7 +1207,7 @@ def cmd_daemon_start(args: argparse.Namespace) -> int:
         listen=args.listen,
         auth_token=args.token,
         metrics=registry,
-        obs_dir=store_obs_dir(store_dir),
+        obs_dir=layout.obs_dir(args.store),
     )
     print(
         f"daemon {daemon.daemon_id} serving {args.store} "
@@ -1530,6 +1351,33 @@ def cmd_daemon_stop(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_daemon_client_flags(parser, timeout_default: float = 30.0) -> None:
+    """The shared way every client verb reaches its daemon."""
+    parser.add_argument(
+        "--control",
+        default=None,
+        help="the daemon's control directory (file transport)",
+    )
+    parser.add_argument(
+        "--connect",
+        default=None,
+        metavar="HOST:PORT",
+        help="the daemon's socket address (TCP transport; needs "
+        "a daemon started with --listen)",
+    )
+    parser.add_argument(
+        "--token",
+        default=None,
+        help="shared-secret auth token for --connect",
+    )
+    parser.add_argument(
+        "--timeout",
+        type=float,
+        default=timeout_default,
+        help="seconds to wait for the daemon's answer",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qckpt", description="Inspect and validate QCkpt checkpoint stores."
@@ -1546,7 +1394,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ls.set_defaults(func=cmd_ls)
 
     p_inspect = sub.add_parser("inspect", help="dump a checkpoint header")
-    p_inspect.add_argument("target", help="a .qckpt file or <store>/<ckpt-id>")
+    p_inspect.add_argument(
+        "target", help="a .qckpt file, <store>/<ckpt-id> or <store>/<job>/<ckpt-id>"
+    )
     p_inspect.add_argument(
         "--tensors", action="store_true", help="include full tensor directory"
     )
@@ -1568,13 +1418,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--keep-every",
         type=int,
         default=None,
-        help="additionally retain checkpoints whose step is a multiple of N",
+        help="additionally retain checkpoints whose step is a multiple of N "
+        "(QCKPT stores only)",
     )
     p_gc.set_defaults(func=cmd_gc)
 
     p_diff = sub.add_parser("diff", help="compare two checkpoints")
     p_diff.add_argument("store", help="store directory")
-    p_diff.add_argument("id_a", help="first checkpoint id")
+    p_diff.add_argument("id_a", help="first checkpoint id (bare or JOB/ID)")
     p_diff.add_argument("id_b", help="second checkpoint id")
     p_diff.set_defaults(func=cmd_diff)
 
@@ -1587,7 +1438,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument(
         "--codec", default="zlib-6", help="byte codec for the exported file"
     )
-    p_export.set_defaults(func=cmd_export)
+    # export is `restore --id ID --out OUT`; peek is `restore --id ID --tensors ...`
+    p_export.set_defaults(
+        func=cmd_restore, job=None, tensors=None, warm_start=False, plan=False
+    )
 
     p_peek = sub.add_parser(
         "peek", help="read named tensors without transferring the rest"
@@ -1597,22 +1451,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_peek.add_argument(
         "tensors", nargs="+", help="tensor names (e.g. params loss_history)"
     )
-    p_peek.set_defaults(func=cmd_peek)
+    p_peek.set_defaults(
+        func=cmd_restore, job=None, warm_start=False, plan=False, out=None
+    )
 
     p_restore = sub.add_parser(
         "restore",
-        help="restore a checkpoint through the unified pipeline "
-        "(monolithic or chunk store)",
+        help="restore a checkpoint through the unified pipeline",
     )
     p_restore.add_argument("store", help="store directory")
     p_restore.add_argument(
-        "--id", default=None, help="checkpoint id (default: newest valid)"
+        "--id",
+        default=None,
+        help="checkpoint id, bare or JOB/ID (default: newest valid)",
     )
     p_restore.add_argument(
         "--job",
         default=None,
-        help="job id (default: a chunk store's only job; 'default' in a "
-        "checkpoint store)",
+        help="job id (default: the store's only job)",
     )
     p_restore.add_argument(
         "--tensors",
@@ -1680,26 +1536,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="store directory (reads its persisted obs/registry.json; "
         "omit when querying a live daemon)",
     )
-    p_metrics.add_argument(
-        "--control",
-        default=None,
-        help="query a live daemon via its control directory",
-    )
-    p_metrics.add_argument(
-        "--connect",
-        default=None,
-        metavar="HOST:PORT",
-        help="query a live daemon via its TCP control plane",
-    )
-    p_metrics.add_argument(
-        "--token", default=None, help="shared-secret token for --connect"
-    )
-    p_metrics.add_argument(
-        "--timeout",
-        type=float,
-        default=30.0,
-        help="seconds to wait for the daemon's answer",
-    )
+    _add_daemon_client_flags(p_metrics)
     p_metrics.add_argument(
         "--json",
         action="store_true",
@@ -1709,7 +1546,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--prom",
         action="store_true",
         help="print Prometheus text exposition instead of the summary "
-        "(scrape-ready; uses the daemon's metrics_text op when live)",
+        "(scrape-ready)",
     )
     p_metrics.set_defaults(func=cmd_metrics)
 
@@ -1725,26 +1562,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="store directory (offline: evaluates the persisted "
         "obs/registry.json + obs/timeseries.db; staleness rules skipped)",
     )
-    p_health.add_argument(
-        "--control",
-        default=None,
-        help="evaluate on a live daemon via its control directory",
-    )
-    p_health.add_argument(
-        "--connect",
-        default=None,
-        metavar="HOST:PORT",
-        help="evaluate on a live daemon via its TCP control plane",
-    )
-    p_health.add_argument(
-        "--token", default=None, help="shared-secret token for --connect"
-    )
-    p_health.add_argument(
-        "--timeout",
-        type=float,
-        default=30.0,
-        help="seconds to wait for the daemon's answer",
-    )
+    _add_daemon_client_flags(p_health)
     p_health.add_argument(
         "--json",
         action="store_true",
@@ -1790,26 +1608,7 @@ def build_parser() -> argparse.ArgumentParser:
         "top",
         help="live fleet dashboard over a running daemon (Ctrl-C to exit)",
     )
-    p_top.add_argument(
-        "--control",
-        default=None,
-        help="the daemon's control directory (file transport)",
-    )
-    p_top.add_argument(
-        "--connect",
-        default=None,
-        metavar="HOST:PORT",
-        help="the daemon's socket address (TCP transport)",
-    )
-    p_top.add_argument(
-        "--token", default=None, help="shared-secret token for --connect"
-    )
-    p_top.add_argument(
-        "--timeout",
-        type=float,
-        default=30.0,
-        help="seconds to wait for each poll's answer",
-    )
+    _add_daemon_client_flags(p_top)
     p_top.add_argument(
         "--interval",
         type=float,
@@ -1894,32 +1693,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run and control the long-running fleet daemon",
     )
     dsub = p_daemon.add_subparsers(dest="daemon_command", required=True)
-
-    def _add_daemon_client_flags(parser, timeout_default: float) -> None:
-        """The shared way every client verb reaches its daemon."""
-        parser.add_argument(
-            "--control",
-            default=None,
-            help="the daemon's control directory (file transport)",
-        )
-        parser.add_argument(
-            "--connect",
-            default=None,
-            metavar="HOST:PORT",
-            help="the daemon's socket address (TCP transport; needs "
-            "a daemon started with --listen)",
-        )
-        parser.add_argument(
-            "--token",
-            default=None,
-            help="shared-secret auth token for --connect",
-        )
-        parser.add_argument(
-            "--timeout",
-            type=float,
-            default=timeout_default,
-            help="seconds to wait for the daemon's answer",
-        )
 
     d_start = dsub.add_parser(
         "start",
@@ -2027,7 +1800,7 @@ def build_parser() -> argparse.ArgumentParser:
     d_submit = dsub.add_parser(
         "submit", help="submit one job to a running daemon"
     )
-    _add_daemon_client_flags(d_submit, timeout_default=30.0)
+    _add_daemon_client_flags(d_submit)
     d_submit.add_argument("--job", required=True, help="job id (unique)")
     d_submit.add_argument(
         "--priority",
@@ -2100,7 +1873,7 @@ def build_parser() -> argparse.ArgumentParser:
     d_status = dsub.add_parser(
         "status", help="query daemon liveness and per-job progress"
     )
-    _add_daemon_client_flags(d_status, timeout_default=30.0)
+    _add_daemon_client_flags(d_status)
     d_status.add_argument(
         "--job", default=None, help="report only this job id"
     )
@@ -2111,7 +1884,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="kill job incarnations; each reincarnates from the store "
         "after its restart delay",
     )
-    _add_daemon_client_flags(d_preempt, timeout_default=30.0)
+    _add_daemon_client_flags(d_preempt)
     d_preempt.add_argument(
         "--job",
         default=None,
@@ -2143,7 +1916,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop the daemon immediately: queued saves flush, running "
         "jobs halt where they are",
     )
-    _add_daemon_client_flags(d_stop, timeout_default=30.0)
+    _add_daemon_client_flags(d_stop)
     d_stop.set_defaults(func=cmd_daemon_stop)
     return parser
 

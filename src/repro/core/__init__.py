@@ -37,7 +37,6 @@ from repro.core.restore import (
     RestoreExecutor,
     RestorePlan,
     RestoreSource,
-    restore_tensors,
 )
 from repro.core.snapshot import TrainingSnapshot
 from repro.core.store import CheckpointRecord, CheckpointStore, RetentionPolicy
@@ -49,7 +48,6 @@ __all__ = [
     "RestoreSource",
     "RestoreExecutor",
     "QckptSource",
-    "restore_tensors",
     "WARM_START_TENSORS",
     "CheckpointRecord",
     "RetentionPolicy",

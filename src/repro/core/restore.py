@@ -167,15 +167,16 @@ class RestorePlan:
 
     ``requested`` is ``None`` for a full restore; otherwise the tensor names
     asked for.  ``fetch_bytes`` is what the executor will transfer;
-    ``total_stored_bytes`` is what a *full* restore of this checkpoint
-    would transfer — their ratio is what partial restore saves.
+    ``total_stored_bytes`` is what a *full* restore would transfer from
+    this link — their ratio is what partial restore saves.
 
     Chain identity (read-ahead support): ``checkpoint_id`` names the
     checkpoint this plan restores and ``base_id`` the checkpoint its delta
-    applies to (``None`` for self-contained records).  A chain restore is a
-    sequence of plans linked by ``base_id``; the executor can
-    :meth:`~RestoreExecutor.prefetch` the next link's blocks while the
-    current link decodes.
+    applies to (``None`` for self-contained records).  A delta's plan carries
+    the plan of that older link as ``base``, so one plan is the whole
+    restore: the byte and block accounting below covers every link, and the
+    executor can :meth:`~RestoreExecutor.prefetch` the next link's blocks
+    while the current link decodes.
     """
 
     kind: str  # "qckpt" | "chunks"
@@ -187,11 +188,23 @@ class RestorePlan:
     total_stored_bytes: int = 0
     checkpoint_id: Optional[str] = None
     base_id: Optional[str] = None
+    base: Optional["RestorePlan"] = None
+
+    @property
+    def step(self) -> Optional[int]:
+        """Training step of the checkpoint this plan restores (a QCKPT
+        header nests the snapshot's meta under ``"snapshot"``)."""
+        return self.meta.get("snapshot", self.meta).get("step")
+
+    def links(self) -> List["RestorePlan"]:
+        """This plan's chain, oldest link (the full base) first."""
+        return ([] if self.base is None else self.base.links()) + [self]
 
     @property
     def fetch_bytes(self) -> int:
-        """Bytes this plan transfers (ranged blocks + whole objects)."""
-        total = 0
+        """Bytes the restore transfers (ranged blocks + whole objects),
+        older links included."""
+        total = 0 if self.base is None else self.base.fetch_bytes
         whole = {o.name: o for o in self.objects if o.mode == MODE_WHOLE}
         counted: set = set()
         for plan in self.tensors.values():
@@ -211,8 +224,10 @@ class RestorePlan:
 
     @property
     def n_blocks(self) -> int:
-        """Total verifiable blocks across the plan's tensors."""
-        return sum(len(plan.blocks) for plan in self.tensors.values())
+        """Verifiable blocks across the plan's tensors, older links
+        included."""
+        own = sum(len(plan.blocks) for plan in self.tensors.values())
+        return own + (0 if self.base is None else self.base.n_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -696,22 +711,6 @@ class RestoreExecutor:
         return raw
 
 
-_DEFAULT_EXECUTOR = RestoreExecutor()
-
-
-def restore_tensors(
-    source: RestoreSource,
-    names: Optional[Sequence[str]] = None,
-    require_all: bool = True,
-    executor: Optional[RestoreExecutor] = None,
-    verify: bool = True,
-) -> Tuple[Dict, Dict[str, np.ndarray]]:
-    """Plan + execute in one call; returns ``(meta, tensors)``."""
-    executor = executor or _DEFAULT_EXECUTOR
-    plan = source.plan(names, require_all=require_all)
-    return executor.run(source, plan, verify=verify)
-
-
 # ---------------------------------------------------------------------------
 # Monolithic QCKPT source
 # ---------------------------------------------------------------------------
@@ -736,19 +735,13 @@ class QckptSource(RestoreSource):
         backend,
         object_name: str,
         expected_sha256: Optional[str] = None,
-        data: Optional[bytes] = None,
     ):
         self.backend = backend
         self.object_name = object_name
         self.expected_sha256 = expected_sha256
-        self._buffer: Optional[bytes] = data
+        self._buffer: Optional[bytes] = None
         self._verified = False
         self._lock = threading.Lock()
-
-    @classmethod
-    def from_bytes(cls, data: bytes, name: str = "<bytes>") -> "QckptSource":
-        """Source over an already-loaded container (CLI standalone files)."""
-        return cls(None, name, data=data)
 
     @property
     def supports_ranged(self) -> bool:

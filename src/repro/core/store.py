@@ -17,7 +17,7 @@ import json
 import logging
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -28,7 +28,6 @@ from repro.core.restore import (
     QckptSource,
     RestoreExecutor,
     RestorePlan,
-    restore_tensors,
 )
 from repro.core.serialize import pack_payload
 from repro.core.snapshot import TrainingSnapshot
@@ -38,11 +37,11 @@ from repro.errors import (
     IntegrityError,
     ReproError,
     SerializationError,
-    StorageError,
 )
 from repro.faults.crashpoints import crash_point, register_crash_point
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.backend import StorageBackend
+from repro.storage.layout import MANIFEST_MARKER as MANIFEST_NAME
 
 CP_OBJECT_BEFORE_WRITE = register_crash_point(
     "corestore.object.before-write",
@@ -58,7 +57,6 @@ CP_MANIFEST_AFTER_WRITE = register_crash_point(
     "die right after the atomic MANIFEST.json replace (commit point)",
 )
 
-MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_VERSION = 1
 _MAX_CHAIN_DEPTH = 64
 
@@ -72,9 +70,10 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class CheckpointRecord:
-    """Manifest entry describing one stored checkpoint object."""
+    """Manifest entry describing one stored checkpoint object (the manifest
+    spells ``ckpt_id`` as ``"id"``)."""
 
-    id: str
+    ckpt_id: str
     kind: str
     step: int
     object_name: str
@@ -85,25 +84,22 @@ class CheckpointRecord:
     base_id: Optional[str] = None
     extra: Dict = field(default_factory=dict)
 
+    @property
+    def detail(self) -> str:
+        """What this format adds to a listing: kind, codec, delta base."""
+        base = f" on {self.base_id}" if self.base_id else ""
+        return f"{self.kind} {self.codec}{base}"
+
     def to_json(self) -> Dict:
-        return {
-            "id": self.id,
-            "kind": self.kind,
-            "step": self.step,
-            "object_name": self.object_name,
-            "nbytes": self.nbytes,
-            "sha256": self.sha256,
-            "codec": self.codec,
-            "created": self.created,
-            "base_id": self.base_id,
-            "extra": self.extra,
-        }
+        data = asdict(self)
+        data["id"] = data.pop("ckpt_id")
+        return data
 
     @classmethod
     def from_json(cls, data: Dict) -> "CheckpointRecord":
         try:
             return cls(
-                id=str(data["id"]),
+                ckpt_id=str(data["id"]),
                 kind=str(data["kind"]),
                 step=int(data["step"]),
                 object_name=str(data["object_name"]),
@@ -123,7 +119,7 @@ def _job_of(record: CheckpointRecord) -> str:
 
 
 def _recency(record: CheckpointRecord) -> Tuple[int, float, str]:
-    return (record.step, record.created, record.id)
+    return (record.step, record.created, record.ckpt_id)
 
 
 @dataclass
@@ -137,7 +133,7 @@ class _DeltaBase:
 
 @dataclass(frozen=True)
 class RetentionPolicy:
-    """Which checkpoints :meth:`CheckpointStore.gc` keeps.
+    """Which checkpoints the store's ``retention=`` (and :meth:`CheckpointStore.gc`) keeps.
 
     ``keep_last`` retains each job's N records with the highest steps (one
     job's saves never evict another's); ``keep_every``
@@ -240,8 +236,8 @@ class CheckpointStore:
         self._next_seq = int(manifest.get("next_seq", 1))
         for entry in manifest.get("records", []):
             record = CheckpointRecord.from_json(entry)
-            self._records[record.id] = record
-            self._order.append(record.id)
+            self._records[record.ckpt_id] = record
+            self._order.append(record.ckpt_id)
 
     def _write_manifest(self) -> None:
         manifest = {
@@ -276,7 +272,7 @@ class CheckpointStore:
         with self._lock:
             checkpoint_id = self._allocate_id()
             record = CheckpointRecord(
-                id=checkpoint_id,
+                ckpt_id=checkpoint_id,
                 kind=kind,
                 step=step,
                 object_name=f"{checkpoint_id}.qckpt",
@@ -289,8 +285,8 @@ class CheckpointStore:
             )
             crash_point(CP_OBJECT_BEFORE_WRITE)
             self.backend.write(record.object_name, data)
-            self._records[record.id] = record
-            self._order.append(record.id)
+            self._records[record.ckpt_id] = record
+            self._order.append(record.ckpt_id)
             self._write_manifest()
         return record
 
@@ -313,11 +309,11 @@ class CheckpointStore:
             if (
                 base is not None
                 and base.deltas < self.full_every - 1
-                and base.record.id in self._records  # not gc'd under us
+                and base.record.ckpt_id in self._records  # not gc'd under us
             ):
                 record = self.save_delta(
                     snapshot,
-                    base.record.id,
+                    base.record.ckpt_id,
                     base_tensors=base.tensors,
                     codec=self.codec,
                     extra=extra,
@@ -335,7 +331,7 @@ class CheckpointStore:
                     _, tensors = snapshot.copy().to_payload()
                     self._delta_base[job_id] = _DeltaBase(record, tensors)
             if self.retention is not None:
-                self.gc(self.retention)
+                self._retain(self.retention)
         return record
 
     def save_full(
@@ -373,7 +369,9 @@ class CheckpointStore:
             if base_id not in self._records:
                 raise CheckpointNotFoundError(f"base checkpoint {base_id!r} not found")
         if base_tensors is None:
-            _, base_tensors = self.load_tensors(base_id)
+            base_tensors = self._restore_chain(
+                self._resolve_chain(base_id), None
+            )[1]
         meta, tensors = snapshot.to_payload()
         delta_tensors, delta_meta = encode_delta(base_tensors, tensors)
         data = pack_payload(
@@ -390,35 +388,41 @@ class CheckpointStore:
             KIND_DELTA, snapshot.step, data, codec, base_id, extra
         )
 
+    # -- discovery ----------------------------------------------------------------
+
+    def jobs(self) -> List[str]:
+        """Job ids with at least one committed checkpoint (a record without
+        ``extra["job"]`` — a store written before jobs were recorded —
+        belongs to ``"default"``)."""
+        with self._lock:
+            return sorted({_job_of(r) for r in self._records.values()})
+
+    def checkpoints(self, job_id: str) -> List[CheckpointRecord]:
+        """``job_id``'s records in commit order."""
+        with self._lock:
+            records = [self._records[i] for i in self._order]
+        return [r for r in records if _job_of(r) == job_id]
+
+    def _newest_first(self, job_id: str) -> List[CheckpointRecord]:
+        """``job_id``'s records, highest step first (ties: latest created)."""
+        return sorted(self.checkpoints(job_id), key=_recency, reverse=True)
+
+    def latest(self, job_id: str) -> Optional[str]:
+        """Id of ``job_id``'s newest record; ``None`` without one."""
+        newest = self._newest_first(job_id)
+        return newest[0].ckpt_id if newest else None
+
+    def _record(self, job_id: str, ckpt_id: Optional[str]) -> CheckpointRecord:
+        """One of ``job_id``'s records (``ckpt_id=None``: its latest)."""
+        ckpt_id = ckpt_id or self.latest(job_id)
+        with self._lock:
+            record = self._records.get(ckpt_id)
+        if record is None or _job_of(record) != job_id:
+            what = f"checkpoint {ckpt_id!r}" if ckpt_id else "checkpoints"
+            raise CheckpointNotFoundError(f"job {job_id!r} has no {what}")
+        return record
+
     # -- loading -----------------------------------------------------------------
-
-    def get(self, checkpoint_id: str) -> CheckpointRecord:
-        """Manifest record for ``checkpoint_id``."""
-        with self._lock:
-            try:
-                return self._records[checkpoint_id]
-            except KeyError:
-                raise CheckpointNotFoundError(
-                    f"checkpoint {checkpoint_id!r} not found"
-                ) from None
-
-    def records(self) -> List[CheckpointRecord]:
-        """All records in creation order."""
-        with self._lock:
-            return [self._records[i] for i in self._order]
-
-    def latest(self) -> Optional[CheckpointRecord]:
-        """Record with the highest step (ties: latest created)."""
-        with self._lock:
-            if not self._order:
-                return None
-            return max(
-                (self._records[i] for i in self._order), key=_recency
-            )
-
-    def restore_source(self, checkpoint_id: str) -> QckptSource:
-        """Pipeline source over one stored checkpoint object."""
-        return self._source_for(self.get(checkpoint_id))
 
     def _resolve_chain(self, checkpoint_id: str) -> List[CheckpointRecord]:
         """Records from ``checkpoint_id`` back to its full base (validated)."""
@@ -432,7 +436,12 @@ class CheckpointStore:
                     f"{_MAX_CHAIN_DEPTH} links"
                 )
             seen.add(cursor)
-            record = self.get(cursor)
+            with self._lock:
+                record = self._records.get(cursor)
+            if record is None:
+                raise CheckpointNotFoundError(
+                    f"checkpoint {cursor!r} not found"
+                )
             chain.append(record)
             cursor = record.base_id if record.kind == KIND_DELTA else None
         if chain[-1].kind != KIND_FULL:
@@ -446,25 +455,39 @@ class CheckpointStore:
             self.backend, record.object_name, expected_sha256=record.sha256
         )
 
-    def restore_plan(
-        self, checkpoint_id: str, names: Optional[Sequence[str]] = None
-    ) -> List[RestorePlan]:
-        """Fetch plans for a restore, oldest chain link first (header-sized
-        I/O only, no payload transfer).  CLI/bench introspection: what would
-        this restore fetch?  Each plan carries its chain identity
-        (``checkpoint_id``/``base_id``), so the list doubles as the
+    def _plan_chain(
+        self,
+        chain: List[CheckpointRecord],
+        wanted: Optional[Tuple[str, ...]],
+        sources: Optional[List[QckptSource]] = None,
+        prefetch: bool = False,
+    ) -> RestorePlan:
+        """One plan for ``chain`` (newest record first): each link's plan
+        carries the older link's as ``base``.  Header-sized I/O only,
+        unless ``prefetch`` (see :meth:`QckptSource.plan`)."""
+        plan = None
+        for i in reversed(range(len(chain))):
+            source = sources[i] if sources else self._source_for(chain[i])
+            link = source.plan(wanted, require_all=False, prefetch=prefetch)
+            link.checkpoint_id = chain[i].ckpt_id
+            link.base_id = chain[i].base_id
+            link.base = plan
+            plan = link
+        return plan
+
+    def plan_restore(
+        self,
+        job_id: str,
+        ckpt_id: Optional[str] = None,
+        names: Optional[Sequence[str]] = None,
+    ) -> RestorePlan:
+        """Fetch plan for one restore, delta chain included (no payload
+        transfer): what would this restore fetch?  The plan's
+        :meth:`~repro.core.restore.RestorePlan.links` double as the
         read-ahead schedule."""
-        chain = self._resolve_chain(checkpoint_id)
+        chain = self._resolve_chain(self._record(job_id, ckpt_id).ckpt_id)
         wanted = None if names is None else tuple(dict.fromkeys(names))
-        plans = []
-        for record in reversed(chain):
-            plan = self._source_for(record).plan(
-                wanted, require_all=False, prefetch=False
-            )
-            plan.checkpoint_id = record.id
-            plan.base_id = record.base_id
-            plans.append(plan)
-        return plans
+        return self._plan_chain(chain, wanted)
 
     @staticmethod
     def _subset_delta(full_delta: Dict, wanted: Tuple[str, ...]) -> Dict:
@@ -489,36 +512,26 @@ class CheckpointStore:
     ) -> Tuple[Dict, Dict[str, np.ndarray]]:
         """Pipelined chain restore: decode link i, prefetch links i+1...
 
-        Single-link chains take the legacy path (whole-object verify before
-        header parse).  Multi-link chains plan every link upfront
-        (header-sized I/O), then walk oldest-first with up to
-        ``readahead_links`` links of transfer in flight ahead of the decode
-        cursor — later links' transfer latency hides behind earlier links'
-        decode and XOR-apply.  On any failure the outstanding read-ahead is
-        cancelled, so no background I/O outlives the restore.
+        A single object is read whole and verified before its header is
+        parsed.  Multi-link chains plan every link upfront (header-sized
+        I/O), then walk oldest-first with up to ``readahead_links`` links
+        of transfer in flight ahead of the decode cursor — later links'
+        transfer latency hides behind earlier links' decode and XOR-apply.
+        On any failure the outstanding read-ahead is cancelled, so no
+        background I/O outlives the restore.
         """
-        if len(chain) == 1:
-            return restore_tensors(
-                self._source_for(chain[0]),
-                wanted,
-                require_all=False,
-                executor=self._executor,
-            )
-        ordered = list(reversed(chain))  # full base first
-        sources = [self._source_for(record) for record in ordered]
-        plans = []
-        for record, source in zip(ordered, sources):
-            plan = source.plan(wanted, require_all=False, prefetch=False)
-            plan.checkpoint_id = record.id
-            plan.base_id = record.base_id
-            plans.append(plan)
-        handles: List = [None] * len(ordered)
+        sources = [self._source_for(record) for record in chain]
+        plans = self._plan_chain(
+            chain, wanted, sources, prefetch=len(chain) == 1
+        ).links()
+        sources.reverse()  # full base first, like the plans
+        handles: List = [None] * len(plans)
         meta: Dict = {}
         tensors: Dict[str, np.ndarray] = {}
         try:
-            for i in range(len(ordered)):
+            for i in range(len(plans)):
                 if self.readahead_links > 0:
-                    ahead = min(len(ordered), i + 1 + self.readahead_links)
+                    ahead = min(len(plans), i + 1 + self.readahead_links)
                     for j in range(i + 1, ahead):
                         if handles[j] is None:
                             handles[j] = self._executor.prefetch(
@@ -533,7 +546,6 @@ class CheckpointStore:
                 # O(readahead window).
                 handles[i] = None
                 sources[i] = None
-                plans[i] = None
                 if i == 0:
                     meta, tensors = link_meta, link_tensors
                 else:
@@ -549,57 +561,42 @@ class CheckpointStore:
         return meta, tensors
 
     def load_tensors(
-        self, checkpoint_id: str
+        self,
+        job_id: str,
+        ckpt_id: Optional[str] = None,
+        names: Optional[Sequence[str]] = None,
     ) -> Tuple[Dict, Dict[str, np.ndarray]]:
-        """Resolve ``checkpoint_id`` (through its delta chain) to
-        ``(snapshot_meta, tensors)`` via the restore pipeline, with
-        read-ahead across chain links."""
-        chain = self._resolve_chain(checkpoint_id)
-        meta, tensors = self._restore_chain(chain, None)
+        """Resolve one checkpoint (through its delta chain, with read-ahead
+        across links) to ``(snapshot_meta, tensors)``.
+
+        ``names`` restores only those tensors, transferring only their
+        chunks: reading the O(kB) parameters out of a checkpoint whose 2^n
+        statevector cache is orders of magnitude larger.  Delta chains are
+        resolved per tensor (XOR/append entries pull the tensor's base;
+        untouched records are skipped).  Ranged fetches cannot check the
+        whole-file SHA-256; every transferred chunk is still CRC32-verified.
+        """
+        record = self._record(job_id, ckpt_id)
+        wanted = None if names is None else tuple(dict.fromkeys(names))
+        meta, tensors = self._restore_chain(
+            self._resolve_chain(record.ckpt_id), wanted
+        )
+        if wanted is not None:
+            missing = [name for name in wanted if name not in tensors]
+            if missing:
+                raise SerializationError(
+                    f"tensors not present in {record.ckpt_id!r}: {missing}"
+                )
         return meta["snapshot"], tensors
 
-    def load_partial(
-        self, checkpoint_id: str, names: Sequence[str]
-    ) -> Tuple[Dict, Dict[str, np.ndarray]]:
-        """Restore only the named tensors, transferring only their chunks.
-
-        The point of partial restore: reading the O(kB) parameters out of a
-        checkpoint whose 2^n statevector cache is orders of magnitude larger.
-        Delta chains are resolved per tensor (XOR/append entries pull the
-        tensor's base; untouched records are skipped), with the same
-        read-ahead pipelining as full chain restores.
-
-        Integrity note: the planner's ranged fetches cannot check the
-        whole-file SHA-256; every transferred chunk is still CRC32-verified.
-        Returns ``(snapshot_meta, {name: array})``.
-        """
-        wanted = tuple(dict.fromkeys(names))
-        if not wanted:
-            raise ConfigError("load_partial needs at least one tensor name")
-        chain = self._resolve_chain(checkpoint_id)
-        meta, tensors = self._restore_chain(chain, wanted)
-        missing = [name for name in wanted if name not in tensors]
-        if missing:
-            raise SerializationError(
-                f"tensors not present in {checkpoint_id!r}: {missing}"
-            )
-        return meta["snapshot"], {name: tensors[name] for name in wanted}
-
-    def load(self, checkpoint_id: str) -> TrainingSnapshot:
-        """Load and reconstruct the snapshot stored as ``checkpoint_id``."""
-        meta, tensors = self.load_tensors(checkpoint_id)
+    def load_snapshot(
+        self, job_id: str, ckpt_id: Optional[str] = None
+    ) -> TrainingSnapshot:
+        """Reconstruct a snapshot (``ckpt_id=None`` selects the latest)."""
+        meta, tensors = self.load_tensors(job_id, ckpt_id)
         return TrainingSnapshot.from_payload(meta, tensors)
 
     # -- recovery -----------------------------------------------------------------
-
-    def _newest_first(self, job_id: str) -> List[CheckpointRecord]:
-        """``job_id``'s records, highest step first (no ``extra["job"]``
-        means ``"default"``: stores written before jobs were recorded)."""
-        return sorted(
-            (r for r in self.records() if _job_of(r) == job_id),
-            key=_recency,
-            reverse=True,
-        )
 
     def _first_restorable(self, job_id: str, load):
         """Walk ``job_id``'s records newest-first; ``(id, load(id), skipped)``
@@ -609,15 +606,15 @@ class CheckpointStore:
         skipped: List[Tuple[str, str]] = []
         for record in self._newest_first(job_id):
             try:
-                return record.id, load(record.id), skipped
+                return record.ckpt_id, load(record.ckpt_id), skipped
             except ReproError as exc:
                 logger.warning(
                     "skipping damaged checkpoint %s (step %d): %s",
-                    record.id,
+                    record.ckpt_id,
                     record.step,
                     exc,
                 )
-                skipped.append((record.id, str(exc)))
+                skipped.append((record.ckpt_id, str(exc)))
         return None, None, skipped
 
     def latest_valid(
@@ -625,7 +622,9 @@ class CheckpointStore:
     ) -> Tuple[Optional[str], Optional[TrainingSnapshot], List[Tuple[str, str]]]:
         """Newest checkpoint of ``job_id`` that loads and validates end to
         end, skipping damaged ones: ``(id, snapshot, skipped)``."""
-        return self._first_restorable(job_id, self.load)
+        return self._first_restorable(
+            job_id, lambda ckpt_id: self.load_snapshot(job_id, ckpt_id)
+        )
 
     def latest_valid_partial(
         self, job_id: str, names: Sequence[str]
@@ -634,35 +633,28 @@ class CheckpointStore:
         ``(id, {name: array} or None, skipped)``.  Only the requested
         tensors' chunks are planned and fetched per candidate, so probing a
         damaged history costs ranged reads, not full transfers."""
+        if not tuple(names):
+            raise ConfigError(
+                "latest_valid_partial needs at least one tensor name"
+            )
         return self._first_restorable(
-            job_id, lambda ckpt_id: self.load_partial(ckpt_id, names)[1]
+            job_id,
+            lambda ckpt_id: self.load_tensors(job_id, ckpt_id, names)[1],
         )
 
     def chain_length(self, checkpoint_id: str) -> int:
         """Number of objects a restore of ``checkpoint_id`` must read."""
-        length = 0
-        cursor: Optional[str] = checkpoint_id
-        while cursor is not None:
-            record = self.get(cursor)
-            length += 1
-            cursor = record.base_id if record.kind == KIND_DELTA else None
-            if length > _MAX_CHAIN_DEPTH:
-                raise IntegrityError(f"delta chain of {checkpoint_id!r} is cyclic")
-        return length
+        return len(self._resolve_chain(checkpoint_id))
 
     # -- verification ---------------------------------------------------------------
 
-    def verify(self, checkpoint_id: str) -> Tuple[bool, str]:
+    def verify(self, job_id: str, ckpt_id: str) -> Tuple[bool, str]:
         """Validate one checkpoint end to end (chain resolution included)."""
         try:
-            self.load(checkpoint_id)
+            self.load_snapshot(job_id, ckpt_id)
             return True, "ok"
         except ReproError as exc:
             return False, str(exc)
-
-    def verify_all(self) -> Dict[str, Tuple[bool, str]]:
-        """Validate every record; returns ``{id: (ok, detail)}``."""
-        return {record.id: self.verify(record.id) for record in self.records()}
 
     def object_validator(self):
         """``(name, data) -> bool`` callback for storage-layer scrubbing.
@@ -692,38 +684,40 @@ class CheckpointStore:
 
     # -- deletion & retention ---------------------------------------------------------
 
-    def delete(self, checkpoint_id: str) -> None:
+    def delete_checkpoint(self, job_id: str, ckpt_id: str) -> None:
         """Remove one checkpoint (manifest first, object second)."""
         with self._lock:
-            record = self.get(checkpoint_id)
+            record = self._record(job_id, ckpt_id)
             dependents = [
-                r.id
+                r.ckpt_id
                 for r in self._records.values()
-                if r.base_id == checkpoint_id
+                if r.base_id == ckpt_id
             ]
             if dependents:
                 raise ConfigError(
-                    f"cannot delete {checkpoint_id!r}: deltas {dependents} "
+                    f"cannot delete {ckpt_id!r}: deltas {dependents} "
                     "depend on it"
                 )
-            del self._records[checkpoint_id]
-            self._order.remove(checkpoint_id)
+            del self._records[ckpt_id]
+            self._order.remove(ckpt_id)
             self._write_manifest()
             self.backend.delete(record.object_name)
 
     def _retained_ids(self, retention: RetentionPolicy) -> Set[str]:
-        records = self.records()
+        records = list(self._records.values())
         keep: Set[str] = set()
         if retention.keep_last is not None:
-            for job_id in {_job_of(r) for r in records}:
-                newest = self._newest_first(job_id)
-                keep.update(r.id for r in newest[: retention.keep_last])
+            for job_id in self.jobs():
+                newest = self._newest_first(job_id)[: retention.keep_last]
+                keep.update(r.ckpt_id for r in newest)
         if retention.keep_every is not None:
             keep.update(
-                r.id for r in records if r.step % retention.keep_every == 0
+                r.ckpt_id
+                for r in records
+                if r.step % retention.keep_every == 0
             )
         if retention.keep_last is None and retention.keep_every is None:
-            keep.update(r.id for r in records)
+            keep.update(r.ckpt_id for r in records)
         # Never break a chain: pull in bases transitively.
         frontier = list(keep)
         while frontier:
@@ -733,27 +727,40 @@ class CheckpointStore:
                 frontier.append(record.base_id)
         return keep
 
-    def gc(self, retention: RetentionPolicy) -> List[str]:
-        """Apply retention and sweep orphan objects; returns deleted ids."""
+    def gc(
+        self,
+        keep_last_per_job: Optional[int] = None,
+        keep_every: Optional[int] = None,
+    ) -> Dict[str, int]:
+        """Apply retention (see :class:`RetentionPolicy`) and sweep orphan
+        objects.  Returns ``{"manifests": n, "chunks": n, "bytes": n}``
+        deleted — the chunk store's keys: records dropped from the
+        manifest, objects removed, and their size."""
+        return self._retain(RetentionPolicy(keep_last_per_job, keep_every))
+
+    def _retain(self, retention: RetentionPolicy) -> Dict[str, int]:
         with self._lock:
             keep = self._retained_ids(retention)
             doomed = [i for i in self._order if i not in keep]
-            doomed_names = [self._records[i].object_name for i in doomed]
             for checkpoint_id in doomed:
                 del self._records[checkpoint_id]
             self._order = [i for i in self._order if i in keep]
             self._write_manifest()
-            for name in doomed_names:
-                self.backend.delete(name)
-            # Sweep objects the manifest no longer (or never) references.
+            # Everything the manifest no longer (or never) references.
             referenced = {self._records[i].object_name for i in self._order}
+            deleted_objects = deleted_bytes = 0
             for name in self.backend.list("ckpt-"):
                 if name not in referenced:
+                    deleted_bytes += self.backend.size(name)
                     self.backend.delete(name)
-                    if name not in doomed_names:
-                        doomed_names.append(name)
-        return doomed
+                    deleted_objects += 1
+        return {
+            "manifests": len(doomed),
+            "chunks": deleted_objects,
+            "bytes": deleted_bytes,
+        }
 
-    def total_bytes(self) -> int:
+    def total_physical_bytes(self) -> int:
         """Sum of stored object sizes according to the manifest."""
-        return sum(record.nbytes for record in self.records())
+        with self._lock:
+            return sum(record.nbytes for record in self._records.values())

@@ -108,82 +108,72 @@ def _trigger(point: str, action: Callable[[], object]) -> Optional[str]:
 # -- scenarios, one per point prefix -------------------------------------------
 
 
-def _scenario_chunkstore(point: str) -> CrashPointResult:
+def _scenario_store(point: str, make_store, invariant=None) -> CrashPointResult:
+    """Save, arm, save, reopen; what is committed restores bitwise; save
+    again.  One experiment for both stores, through the job-scoped verbs
+    they share; ``invariant(backend)`` yields a store's extra violations."""
     backend = InMemoryBackend()
-    store = ChunkStore(backend)
+    store = make_store(backend)
     snap1, snap2 = _snapshot(1), _snapshot(2)
     store.save_snapshot("chaos", snap1)
     miss = _trigger(point, lambda: store.save_snapshot("chaos", snap2))
     if miss:
         return CrashPointResult(point, False, [miss])
 
-    violations: List[str] = []
-    reopened = ChunkStore(backend)  # the process restart
-    fsck = scrub_store(backend, repair=False)
-    for finding in fsck.findings:
-        if finding.kind != "orphan-chunk":  # orphan chunks are legitimate
+    reopened = make_store(backend)  # the process restart
+    violations: List[str] = list(invariant(backend)) if invariant else []
+    # Only a crash *after* the manifest barrier leaves the new checkpoint
+    # committed; at every earlier point the store must fall back to snap1.
+    expect = [snap1, snap2] if point.endswith("manifest.after-write") else [snap1]
+    records = reopened.checkpoints("chaos")
+    if len(records) != len(expect):
+        violations.append(
+            f"{len(records)} checkpoint(s) committed after crash, "
+            f"expected {len(expect)}"
+        )
+    for record, want in zip(records, expect):
+        ok, detail = reopened.verify("chaos", record.ckpt_id)
+        if not ok:
             violations.append(
-                f"fsck after crash: [{finding.kind}] {finding.name}: "
-                f"{finding.detail}"
+                f"committed checkpoint {record.ckpt_id} fails verify "
+                f"after crash: {detail}"
             )
+        elif not _bitwise(
+            reopened.load_snapshot("chaos", record.ckpt_id), want
+        ):
+            violations.append(
+                f"checkpoint {record.ckpt_id} no longer restores bitwise"
+            )
+    _, snapshot, _ = reopened.latest_valid("chaos")
+    if snapshot is None:
+        violations.append("no restorable checkpoint after crash")
+    elif not _bitwise(snapshot, expect[-1]):
+        violations.append(
+            f"latest_valid restored step {snapshot.step}, expected "
+            f"step {expect[-1].step} bitwise"
+        )
+    reopened.save_snapshot("chaos", _snapshot(3))
+    _, after, _ = reopened.latest_valid("chaos")
+    if after is None or not _bitwise(after, _snapshot(3)):
+        violations.append("save after reopen does not restore bitwise")
+    return CrashPointResult(point, True, violations)
+
+
+def _chunk_fsck(backend) -> List[str]:
+    """The chunk store's own invariant: a read-only scrub finds nothing but
+    orphan chunks (written before the manifest that would have named them,
+    so a crash between the two legitimately leaves some for gc)."""
+    fsck = scrub_store(backend, repair=False)
+    violations = [
+        f"fsck after crash: [{finding.kind}] {finding.name}: {finding.detail}"
+        for finding in fsck.findings
+        if finding.kind != "orphan-chunk"
+    ]
     if fsck.unrestorable:
         violations.append(
             f"manifests unrestorable after crash: {fsck.unrestorable}"
         )
-    _, snapshot, _ = reopened.latest_valid("chaos")
-    # Only a crash *after* the manifest barrier leaves the new checkpoint
-    # committed; at every earlier point the store must fall back to snap1.
-    expect = snap2 if point.endswith("manifest.after-write") else snap1
-    if snapshot is None:
-        violations.append("no restorable checkpoint after crash")
-    elif not _bitwise(snapshot, expect):
-        violations.append(
-            f"latest_valid restored step {snapshot.step}, expected "
-            f"step {expect.step} bitwise"
-        )
-    reopened.save_snapshot("chaos", _snapshot(3))
-    _, after, _ = reopened.latest_valid("chaos")
-    if after is None or after.step != 3:
-        violations.append("save after reopen did not commit")
-    return CrashPointResult(point, True, violations)
-
-
-def _scenario_corestore(point: str) -> CrashPointResult:
-    backend = InMemoryBackend()
-    store = CheckpointStore(backend)
-    snap1, snap2 = _snapshot(1), _snapshot(2)
-    rec1 = store.save_full(snap1)
-    miss = _trigger(point, lambda: store.save_full(snap2))
-    if miss:
-        return CrashPointResult(point, False, [miss])
-
-    violations: List[str] = []
-    reopened = CheckpointStore(backend)
-    results = reopened.verify_all()
-    for ckpt_id, (ok, detail) in sorted(results.items()):
-        if not ok:
-            violations.append(
-                f"orphan-manifest entry: record {ckpt_id} fails "
-                f"verify after crash: {detail}"
-            )
-    committed = 2 if point.endswith("manifest.after-write") else 1
-    if len(results) != committed:
-        violations.append(
-            f"manifest lists {len(results)} record(s) after crash, "
-            f"expected {committed}"
-        )
-    if rec1.id in results and not _bitwise(reopened.load(rec1.id), snap1):
-        violations.append("baseline checkpoint no longer restores bitwise")
-    if committed == 2:
-        new_ids = set(results) - {rec1.id}
-        if new_ids and not _bitwise(reopened.load(new_ids.pop()), snap2):
-            violations.append(
-                "committed checkpoint does not restore bitwise"
-            )
-    rec3 = reopened.save_full(_snapshot(3))
-    if not _bitwise(reopened.load(rec3.id), _snapshot(3)):
-        violations.append("save after reopen does not restore bitwise")
-    return CrashPointResult(point, True, violations)
+    return violations
 
 
 def _scenario_placement_record(point: str) -> CrashPointResult:
@@ -414,8 +404,8 @@ def _scenario_metadb(point: str) -> CrashPointResult:
 
 
 _SCENARIOS = [
-    ("chunkstore.", _scenario_chunkstore),
-    ("corestore.", _scenario_corestore),
+    ("chunkstore.", lambda p: _scenario_store(p, ChunkStore, _chunk_fsck)),
+    ("corestore.", lambda p: _scenario_store(p, CheckpointStore)),
     ("placement.record.", _scenario_placement_record),
     ("placement.compact.", _scenario_placement_compact),
     ("daemon.", _scenario_daemon),

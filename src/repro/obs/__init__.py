@@ -17,7 +17,6 @@ from repro.obs.export import (
     ObsDir,
     prometheus_text,
     read_jsonl_records,
-    store_obs_dir,
 )
 from repro.obs.health import (
     DEFAULT_RULES,
@@ -109,7 +108,6 @@ __all__ = [
     "set_trace_sink",
     "span_scope",
     "stage_coverage",
-    "store_obs_dir",
     "traced",
     "tracing_enabled",
     "wire_context",

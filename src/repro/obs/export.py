@@ -1,7 +1,7 @@
 """Exporters: bounded JSONL logs and the on-store ``obs/`` directory.
 
 A serving daemon (or a scrub run) keeps its observability artifacts under
-``<store>/obs/``:
+``<store>/obs/`` (:func:`repro.storage.layout.obs_dir`):
 
 * ``registry.json`` — the persisted metrics snapshot, written at clean
   shutdown and after a scrub, reloaded (epoch-bumped) at the next start so
@@ -28,7 +28,6 @@ from typing import Iterator, List, Optional
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Span, TraceSink
 
-OBS_DIR_NAME = "obs"
 REGISTRY_FILENAME = "registry.json"
 TRACE_FILENAME = "trace.jsonl"
 DEFAULT_MAX_LOG_BYTES = 4 << 20
@@ -226,14 +225,8 @@ def prometheus_text(snapshot: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def store_obs_dir(store_dir) -> Path:
-    """Conventional obs directory for a store rooted at ``store_dir``."""
-    return Path(store_dir) / OBS_DIR_NAME
-
-
 __all__ = [
     "DEFAULT_MAX_LOG_BYTES",
-    "OBS_DIR_NAME",
     "REGISTRY_FILENAME",
     "TRACE_FILENAME",
     "BoundedJsonlWriter",
@@ -241,5 +234,4 @@ __all__ = [
     "ObsDir",
     "prometheus_text",
     "read_jsonl_records",
-    "store_obs_dir",
 ]

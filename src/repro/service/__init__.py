@@ -26,8 +26,12 @@ that service layer:
 * :mod:`repro.service.scrub` — store self-healing: content-address scrub,
   quarantine of corrupt copies, and repair from surviving replicas
   (``qckpt scrub`` / ``qckpt fsck``).
+
+:func:`open_store` is the one way from a directory to the store it holds.
 """
 
+from repro.core.store import CheckpointStore
+from repro.reliability import CircuitBreaker, RetryPolicy
 from repro.service.chunkstore import (
     ChunkCheckpointRecord,
     ChunkManifestSource,
@@ -72,8 +76,82 @@ from repro.service.transport import (
     SocketTransport,
     TransportConnectError,
 )
+from repro.storage import layout
+from repro.storage.memory import InMemoryBackend
+from repro.storage.metadb import metadb_enabled, metadb_for_dir
+from repro.storage.reliable import ReliableBackend
+from repro.storage.tiered import TieredBackend
+
+
+def open_store(
+    root_or_roots,
+    *,
+    shards=None,
+    fast_bytes=0,
+    retries=0,
+    index=None,
+    owner=None,
+    wrap=None,
+    metrics=None,
+    **options,
+):
+    """The store a directory holds, over the storage stack its layout implies.
+
+    Reopening is all detection (:mod:`repro.storage.layout`): ``shard-N``
+    sub-directories are a sharded backend, several roots are replicas, the
+    marker objects say whether it is a :class:`CheckpointStore` or a
+    :class:`ChunkStore`, and a ``.qckpt-meta.db`` beside a chunk store is
+    attached as its index (unless ``index`` or the environment, see
+    :func:`~repro.storage.metadb.metadb_enabled`, says otherwise).
+    ``options`` go to the store's constructor.
+
+    ``shards=N`` instead lays the root out as a daemon does: a chunk store,
+    new or existing, over N shard directories (in memory when the root is
+    ``None``).  ``wrap`` decorates the data backend (throttling, fault
+    injection); ``fast_bytes > 0`` puts an in-memory fast tier with a
+    durable placement journal, owned by ``owner``, over it; ``retries > 0``
+    a retry/circuit-breaker layer outermost, so every op — tier probes
+    included — runs under it.
+    """
+    root = layout.roots_of(root_or_roots)[0]
+    backend = layout.store_backend(root_or_roots, shards)
+    if wrap is not None:
+        backend = wrap(backend)
+    if shards is None and layout.store_format(backend, root) == layout.QCKPT:
+        return CheckpointStore(backend, **options)
+    metadb = journal = None
+    if root is not None:
+        found = layout.index_path(root).exists()
+        metadb = metadb_for_dir(
+            root, metrics=metrics, enabled=metadb_enabled(index, default=found)
+        )
+    if fast_bytes > 0:
+        journal = layout.placement_journal(root, owner, metadb, create=True)
+        backend = TieredBackend(
+            InMemoryBackend(),
+            backend,
+            fast_capacity_bytes=fast_bytes,
+            journal=journal,
+            metrics=metrics,
+        )
+    if retries > 0:
+        backend = ReliableBackend(
+            backend,
+            retry=RetryPolicy(max_attempts=retries + 1, base_delay=0.05),
+            breaker=CircuitBreaker(failure_threshold=5, reset_timeout=30.0),
+            metrics=metrics,
+        )
+    return ChunkStore(
+        backend,
+        placement_journal=journal,
+        metrics=metrics,
+        metadb=metadb,
+        **options,
+    )
+
 
 __all__ = [
+    "open_store",
     "FleetDaemon",
     "DaemonClient",
     "DaemonConfig",

@@ -270,6 +270,11 @@ class ChunkCheckpointRecord:
         :class:`~repro.core.store.CheckpointRecord` calls its size)."""
         return self.physical_bytes
 
+    @property
+    def detail(self) -> str:
+        """What this format adds to a listing: its block count."""
+        return self.extra.get("damaged") or f"{self.n_blocks} block(s)"
+
 
 class ChunkStore:
     """Multi-tenant snapshot store with content-addressed block dedup.
@@ -950,6 +955,41 @@ class ChunkStore:
             return found
         return bool(self.backend.list(f"job-{job_id}-ckpt-"))
 
+    def checkpoints(self, job_id: str) -> List[ChunkCheckpointRecord]:
+        """``job_id``'s committed checkpoints in commit order, read back
+        from their manifests.  What a save added cannot be told apart
+        afterwards (its blocks may have been, or since become, shared), so
+        ``nbytes`` here is what restoring the checkpoint fetches: each
+        distinct chunk once.  An unreadable manifest is still listed — at
+        step -1, the reason as its ``detail`` — so nothing on disk goes
+        unreported."""
+        records = []
+        for object_name in self.manifest_names(job_id):
+            refs, step, created, extra = [], -1, 0.0, {}
+            try:
+                manifest = self._read_manifest(object_name)
+                refs = [b for e in manifest["tensors"] for b in e["blocks"]]
+                step, created = int(manifest["step"]), float(manifest["created"])
+                extra = dict(manifest.get("extra") or {})
+            except (ReproError, KeyError, TypeError, ValueError) as exc:
+                extra = {"damaged": f"unreadable manifest: {exc}"}
+            sizes = {b["chunk"]: int(b["stored_nbytes"]) for b in refs}
+            records.append(
+                ChunkCheckpointRecord(
+                    job_id=job_id,
+                    ckpt_id=f"ckpt-{_parse_manifest_name(object_name)[1]:06d}",
+                    step=step,
+                    object_name=object_name,
+                    created=created,
+                    n_blocks=len(refs),
+                    n_new_blocks=0,
+                    logical_bytes=sum(int(b["stored_nbytes"]) for b in refs),
+                    physical_bytes=sum(sizes.values()),
+                    extra=extra,
+                )
+            )
+        return records
+
     def latest(self, job_id: str) -> Optional[str]:
         """Newest checkpoint id of ``job_id`` (highest sequence).
 
@@ -1082,22 +1122,18 @@ class ChunkStore:
         )
         return result
 
-    def load_partial(
-        self,
-        job_id: str,
-        names: Sequence[str],
-        ckpt_id: Optional[str] = None,
-    ) -> Tuple[Dict, Dict[str, np.ndarray]]:
-        """Restore only the named tensors, fetching only their chunks.
-
-        The fleet warm-start path: pulling the O(kB) ``params`` out of a
-        checkpoint whose statevector cache is orders of magnitude larger
-        costs only the parameter blocks plus the manifest.
-        """
-        wanted = tuple(dict.fromkeys(names))
-        if not wanted:
-            raise ConfigError("load_partial needs at least one tensor name")
-        return self.load_tensors(job_id, ckpt_id, names=wanted)
+    def _first_restorable(self, job_id: str, load):
+        """Walk ``job_id``'s checkpoints newest-first; ``(id, load(id),
+        skipped)`` for the first one ``load`` restores."""
+        skipped: List[Tuple[str, str]] = []
+        for object_name in reversed(self.manifest_names(job_id)):
+            _, seq = _parse_manifest_name(object_name)
+            ckpt_id = f"ckpt-{seq:06d}"
+            try:
+                return ckpt_id, load(ckpt_id), skipped
+            except ReproError as exc:
+                skipped.append((ckpt_id, str(exc)))
+        return None, None, skipped
 
     def latest_valid(
         self, job_id: str
@@ -1106,15 +1142,9 @@ class ChunkStore:
 
         Returns ``(ckpt_id, snapshot, skipped)``.
         """
-        skipped: List[Tuple[str, str]] = []
-        for object_name in reversed(self.manifest_names(job_id)):
-            _, seq = _parse_manifest_name(object_name)
-            ckpt_id = f"ckpt-{seq:06d}"
-            try:
-                return ckpt_id, self.load_snapshot(job_id, ckpt_id), skipped
-            except ReproError as exc:
-                skipped.append((ckpt_id, str(exc)))
-        return None, None, skipped
+        return self._first_restorable(
+            job_id, lambda ckpt_id: self.load_snapshot(job_id, ckpt_id)
+        )
 
     def latest_valid_partial(
         self, job_id: str, names: Sequence[str]
@@ -1132,16 +1162,10 @@ class ChunkStore:
             raise ConfigError(
                 "latest_valid_partial needs at least one tensor name"
             )
-        skipped: List[Tuple[str, str]] = []
-        for object_name in reversed(self.manifest_names(job_id)):
-            _, seq = _parse_manifest_name(object_name)
-            ckpt_id = f"ckpt-{seq:06d}"
-            try:
-                _, tensors = self.load_partial(job_id, wanted, ckpt_id)
-                return ckpt_id, tensors, skipped
-            except ReproError as exc:
-                skipped.append((ckpt_id, str(exc)))
-        return None, None, skipped
+        return self._first_restorable(
+            job_id,
+            lambda ckpt_id: self.load_tensors(job_id, ckpt_id, names=wanted)[1],
+        )
 
     # -- verification & GC ------------------------------------------------------------
 
@@ -1174,12 +1198,17 @@ class ChunkStore:
             for block in entry["blocks"]
         }
 
-    def gc(self, keep_last_per_job: Optional[int] = None) -> Dict[str, int]:
+    def gc(
+        self,
+        keep_last_per_job: Optional[int] = None,
+        keep_every: Optional[int] = None,
+    ) -> Dict[str, int]:
         """Apply retention and sweep unreferenced chunks.
 
         Returns ``{"manifests": n, "chunks": n, "bytes": n}`` deleted.
         Unlike per-job retention in the core store, the sweep is global: a
         chunk survives as long as *any* job still references it.
+        ``keep_every`` is the QCKPT store's; here it is refused.
 
         Concurrency: the bulk of the work — reading every manifest — runs
         without the index lock, so concurrent saves are not stalled for the
@@ -1191,6 +1220,11 @@ class ChunkStore:
         if keep_last_per_job is not None and keep_last_per_job < 1:
             raise ConfigError(
                 f"keep_last_per_job must be >= 1, got {keep_last_per_job}"
+            )
+        if keep_every is not None:
+            raise ConfigError(
+                "a chunk store retains by count only (keep_last_per_job); "
+                "keep_every needs a QCKPT checkpoint store"
             )
         deleted_manifests = 0
         if keep_last_per_job is not None:

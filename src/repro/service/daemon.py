@@ -72,7 +72,7 @@ from repro.errors import (
 )
 from repro.faults.crashpoints import crash_point, register_crash_point
 from repro.obs import trace as obs_trace
-from repro.obs.export import ObsDir, prometheus_text
+from repro.obs.export import ObsDir
 from repro.obs.health import HealthEngine, HealthReport, HealthRule
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
@@ -615,8 +615,6 @@ class FleetDaemon(JobLifecycle):
             )
         if op == "metrics":
             return self._op_metrics()
-        if op == "metrics_text":
-            return self._op_metrics_text()
         if op == "health":
             return self._op_health()
         if op == "series":
@@ -870,16 +868,6 @@ class FleetDaemon(JobLifecycle):
         if reliability is not None:
             response["reliability"] = reliability
         return response
-
-    def _op_metrics_text(self) -> Dict:
-        """Prometheus text exposition of the full snapshot (engine series
-        included) — the scrape surface behind ``qckpt metrics --prom``."""
-        snapshot = self._op_metrics()["metrics"]
-        return {
-            "ok": True,
-            "daemon_id": self.daemon_id,
-            "text": prometheus_text(snapshot),
-        }
 
     def _op_health(self) -> Dict:
         """Evaluate the health rules fresh and report the verdict."""

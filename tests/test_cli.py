@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from repro import open_store
 from repro.cli import main
+from repro.core.serialize import inspect_header, unpack_snapshot
 from repro.core.store import CheckpointStore
+from repro.service.chunkstore import ChunkStore
 from repro.storage.local import LocalDirectoryBackend
 from tests.test_snapshot import sample_snapshot
 
@@ -17,8 +20,102 @@ def populated_store(tmp_path):
     base = store.save_full(sample_snapshot(step=10))
     nxt = sample_snapshot(step=10).copy()
     nxt.step = 20
-    store.save_delta(nxt, base.id)
+    store.save_delta(nxt, base.ckpt_id)
     return root, store
+
+
+@pytest.fixture(params=["flat", "shards-1", "shards-2"])
+def chunk_root(request, tmp_path):
+    """A chunk store as a run leaves it: one flat directory, or a daemon
+    root with one or two shards.  Jobs ``a`` (steps 1-3) and ``b`` (step 7)."""
+    root = tmp_path / "svc"
+    if request.param == "flat":
+        store = ChunkStore(LocalDirectoryBackend(root), block_bytes=256)
+    else:
+        store = open_store(
+            root, shards=int(request.param[-1]), block_bytes=256
+        )
+    for step in (1, 2, 3):
+        store.save_snapshot("a", sample_snapshot(step=step))
+    store.save_snapshot("b", sample_snapshot(step=7))
+    return root
+
+
+class TestOneVerbSetOverEveryLayout:
+    """The three misreports of the parent commit, pinned: a chunk directory
+    listed as empty, ``gc`` planting a ``MANIFEST.json`` in it, and a daemon
+    root that ``restore`` could not open."""
+
+    def test_ls_stats_verify_see_the_checkpoints(self, chunk_root, capsys):
+        assert main(["ls", str(chunk_root)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("ckpt-00000") == 4 + 2  # rows + latest-of lines
+        assert "4 checkpoint(s)" in out and "latest of a: ckpt-000003" in out
+        assert main(["stats", str(chunk_root)]) == 0
+        out = capsys.readouterr().out
+        assert "1..3" in out and "4 checkpoint(s)" in out
+        assert main(["verify", str(chunk_root)]) == 0
+        assert "4/4 checkpoints valid" in capsys.readouterr().out
+        assert main(["fsck", str(chunk_root)]) == 0
+        assert "0 finding(s)" in capsys.readouterr().out
+        # one bit-flipped chunk of b's only checkpoint: named, exit 1
+        store = open_store(chunk_root)
+        victim = store.plan_restore("b", names=["params"]).objects[0].name
+        data = bytearray(store.backend.read(victim))
+        data[len(data) // 2] ^= 0xFF
+        store.backend.write(victim, bytes(data))
+        assert main(["verify", str(chunk_root)]) == 1
+        out = capsys.readouterr().out
+        assert "BAD b/ckpt-000001" in out and "3/4 checkpoints valid" in out
+
+    def test_gc_keeps_a_chunk_directory_a_chunk_directory(
+        self, chunk_root, capsys
+    ):
+        assert main(["gc", str(chunk_root), "--keep-last", "1"]) == 0
+        assert "deleted 2 checkpoint(s)" in capsys.readouterr().out
+        assert not list(chunk_root.rglob("MANIFEST.json"))
+        assert main(["restore", str(chunk_root), "--job", "a"]) == 0
+        assert "job a ckpt-000003 at step 3" in capsys.readouterr().out
+        # --keep-every is the QCKPT store's: refused, nothing deleted
+        assert main(["gc", str(chunk_root), "--keep-every", "2"]) == 2
+        assert "keep_every" in capsys.readouterr().err
+
+    def test_restore_from_the_root_is_bitwise(self, chunk_root, tmp_path, capsys):
+        out_file = tmp_path / "a.qckpt"
+        assert main(
+            ["restore", str(chunk_root), "--job", "a", "--out", str(out_file)]
+        ) == 0
+        assert unpack_snapshot(out_file.read_bytes()) == sample_snapshot(step=3)
+        assert main(["restore", str(chunk_root), "--job", "b", "--plan"]) == 0
+        assert "plan [chunks]: full checkpoint" in capsys.readouterr().out
+        assert main(["restore", str(chunk_root)]) == 2  # which job?
+        assert "--job" in capsys.readouterr().err
+        # the same ids in two jobs: a bare id is ambiguous, JOB/ID is not
+        assert main(["peek", str(chunk_root), "ckpt-000001", "params"]) == 2
+        assert "JOB/ID" in capsys.readouterr().err
+        assert main(["peek", str(chunk_root), "b/ckpt-000001", "params"]) == 0
+        assert "at step 7" in capsys.readouterr().out
+        assert main(["diff", str(chunk_root), "a/ckpt-000001", "a/ckpt-000002"]) == 0
+        assert main(["inspect", f"{chunk_root}/b/ckpt-000001"]) == 0
+        assert json.loads(capsys.readouterr().out.split("identical\n")[-1])[
+            "kind"
+        ] == "chunks"
+
+    def test_both_markers_or_neither_is_one_error_line(
+        self, populated_store, tmp_path, capsys
+    ):
+        root, _ = populated_store
+        ChunkStore(LocalDirectoryBackend(root)).save_snapshot(
+            "a", sample_snapshot(step=1)
+        )
+        (tmp_path / "empty").mkdir()
+        for target in (root, tmp_path / "empty", tmp_path / "missing"):
+            for verb in ("ls", "stats", "verify", "restore"):
+                assert main([verb, str(target)]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("error:") and err.count("\n") == 1
+        assert main(["restore", str(root)]) == 2
+        assert "found both" in capsys.readouterr().err
 
 
 class TestLs:
@@ -27,36 +124,29 @@ class TestLs:
         assert main(["ls", str(root)]) == 0
         out = capsys.readouterr().out
         assert "ckpt-000001" in out and "ckpt-000002" in out
-        assert "full" in out and "delta" in out
-        assert "latest: ckpt-000002 at step 20" in out
-
-    def test_empty_store(self, tmp_path, capsys):
-        assert main(["ls", str(tmp_path / "empty")]) == 0
-        assert "empty store" in capsys.readouterr().out
+        assert "full zlib-6" in out and "delta zlib-6 on ckpt-000001" in out
+        assert "latest of default: ckpt-000002" in out
 
 
 class TestInspect:
     def test_inspect_file(self, populated_store, capsys):
         root, store = populated_store
-        target = root / store.records()[0].object_name
+        target = root / store.checkpoints("default")[0].object_name
         assert main(["inspect", str(target)]) == 0
         header = json.loads(capsys.readouterr().out)
         assert header["format_version"] == 1
         names = {t["name"] for t in header["tensors"]}
         assert "params" in names
+        assert main(["inspect", str(target), "--tensors"]) == 0
+        assert "crc32" in json.loads(capsys.readouterr().out)["tensors"][0]
 
     def test_inspect_by_store_id(self, populated_store, capsys):
         root, _ = populated_store
-        assert main(["inspect", f"{root}/ckpt-000001"]) == 0
+        assert main(["inspect", f"{root}/ckpt-000002", "--tensors"]) == 0
         header = json.loads(capsys.readouterr().out)
-        assert header["meta"]["kind"] == "full"
-
-    def test_inspect_full_tensor_directory(self, populated_store, capsys):
-        root, store = populated_store
-        target = root / store.records()[0].object_name
-        assert main(["inspect", str(target), "--tensors"]) == 0
-        header = json.loads(capsys.readouterr().out)
-        assert "crc32" in header["tensors"][0]
+        assert header["meta"]["kind"] == "delta"
+        assert header["base"]["meta"]["kind"] == "full"
+        assert header["base"]["tensors"]["params"]["blocks"][0]["crc32"]
 
     def test_inspect_garbage_file(self, tmp_path, capsys):
         junk = tmp_path / "junk.qckpt"
@@ -66,22 +156,18 @@ class TestInspect:
 
 
 class TestVerify:
-    def test_all_valid(self, populated_store, capsys):
-        root, _ = populated_store
-        assert main(["verify", str(root)]) == 0
-        out = capsys.readouterr().out
-        assert "2/2 checkpoints valid" in out
-
     def test_detects_corruption(self, populated_store, capsys):
         root, store = populated_store
-        victim = store.records()[1]
+        assert main(["verify", str(root)]) == 0
+        assert "2/2 checkpoints valid" in capsys.readouterr().out
+        victim = store.checkpoints("default")[1]
         path = root / victim.object_name
         blob = bytearray(path.read_bytes())
         blob[50] ^= 0xFF
         path.write_bytes(bytes(blob))
         assert main(["verify", str(root)]) == 1
         out = capsys.readouterr().out
-        assert "BAD ckpt-000002" in out
+        assert "BAD default/ckpt-000002" in out
         assert "1/2 checkpoints valid" in out
 
 
@@ -99,8 +185,7 @@ class TestGc:
             store.save_full(sample_snapshot(step=step))
         assert main(["gc", str(root), "--keep-last", "2"]) == 0
         assert "deleted 3" in capsys.readouterr().out
-        reopened = CheckpointStore(LocalDirectoryBackend(root))
-        assert len(reopened.records()) == 2
+        assert len(open_store(root).checkpoints("default")) == 2
 
 
 class TestDiff:
@@ -115,12 +200,7 @@ class TestDiff:
     def test_diff_same_checkpoint_all_identical(self, populated_store, capsys):
         root, _ = populated_store
         assert main(["diff", str(root), "ckpt-000001", "ckpt-000001"]) == 0
-        out = capsys.readouterr().out
-        lines = [l for l in out.splitlines() if "changed" in l]
-        assert not lines
-
-    def test_diff_missing_id_errors(self, populated_store, capsys):
-        root, _ = populated_store
+        assert "changed" not in capsys.readouterr().out
         assert main(["diff", str(root), "ckpt-000001", "ckpt-999999"]) == 2
         assert "error" in capsys.readouterr().err
 
@@ -130,12 +210,9 @@ class TestExport:
         root, store = populated_store
         out_file = tmp_path / "standalone.qckpt"
         assert main(["export", str(root), "ckpt-000002", str(out_file)]) == 0
-        assert "chain of 2" in capsys.readouterr().out
-
-        from repro.core.serialize import unpack_snapshot
-
+        assert "from 2 object(s)" in capsys.readouterr().out  # the chain
         snapshot = unpack_snapshot(out_file.read_bytes())
-        assert snapshot == store.load("ckpt-000002")
+        assert snapshot == store.load_snapshot("default", "ckpt-000002")
 
     def test_export_with_codec(self, populated_store, tmp_path):
         root, _ = populated_store
@@ -143,8 +220,6 @@ class TestExport:
         assert main(
             ["export", str(root), "ckpt-000001", str(out_file), "--codec", "lzma"]
         ) == 0
-        from repro.core.serialize import inspect_header
-
         assert inspect_header(out_file.read_bytes())["codec"] == "lzma"
 
 
@@ -153,13 +228,9 @@ class TestStats:
         root, _ = populated_store
         assert main(["stats", str(root)]) == 0
         out = capsys.readouterr().out
-        assert "full" in out and "delta" in out
-        assert "longest restore chain: 2" in out
-        assert "step range: 10..20" in out
-
-    def test_stats_empty(self, tmp_path, capsys):
-        assert main(["stats", str(tmp_path / "none")]) == 0
-        assert "empty store" in capsys.readouterr().out
+        assert "default" in out and "10..20" in out
+        assert "delta zlib-6 on ckpt-000001" in out
+        assert "2 checkpoint(s)" in out and "total stored" in out
 
 
 class TestPeek:
@@ -216,14 +287,8 @@ class TestFleet:
             == 0
         )
         # Chunks and manifests landed on the shard directories.
-        from repro.service import ChunkStore
-        from repro.storage.local import LocalDirectoryBackend
-        from repro.storage.sharded import ShardedBackend
-
-        backend = ShardedBackend(
-            [LocalDirectoryBackend(store_dir / f"shard-{i}") for i in range(2)]
-        )
-        store = ChunkStore(backend)
+        store = open_store(store_dir)
+        assert len(store.backend.shards) == 2
         assert store.jobs() == ["job00", "job01"]
         assert store.load_snapshot("job00").step == 1
 
@@ -243,6 +308,7 @@ class TestRestore:
         out = capsys.readouterr().out
         assert "tensors params" in out
         assert "params" in out
+        assert main(["restore", str(root), "--warm-start", "--out", "x"]) == 2
 
     def test_plan_only_transfers_nothing(self, populated_store, capsys):
         root, _ = populated_store
@@ -255,8 +321,6 @@ class TestRestore:
         root, _ = populated_store
         target = tmp_path / "standalone.qckpt"
         assert main(["restore", str(root), "--out", str(target)]) == 0
-        from repro.core.serialize import unpack_snapshot
-
         assert unpack_snapshot(target.read_bytes()).step == 20
 
     def test_tensors_subset(self, populated_store, capsys):
@@ -265,70 +329,24 @@ class TestRestore:
         out = capsys.readouterr().out
         assert "params:" in out
 
-    def test_not_a_store_errors_cleanly(self, tmp_path, capsys):
-        assert main(["restore", str(tmp_path / "nothing")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-
-    def _chunk_store(self, tmp_path):
-        import numpy as np
-
-        from repro.service.chunkstore import ChunkStore
-        from tests.test_snapshot import sample_snapshot
-
+    def test_gcd_chunk_is_a_clean_error_or_a_reported_fallback(
+        self, tmp_path, capsys
+    ):
         root = tmp_path / "chunks"
         store = ChunkStore(LocalDirectoryBackend(root), block_bytes=256)
         for step in (1, 2):
-            snap = sample_snapshot(step=step)
-            store.save_snapshot("jobA", snap)
-        return root, store
-
-    def test_chunk_store_restore(self, tmp_path, capsys):
-        root, _ = self._chunk_store(tmp_path)
-        assert main(["restore", str(root)]) == 0
-        out = capsys.readouterr().out
-        assert "plan [chunks]" in out
-        assert "job jobA ckpt-000002" in out
-
-    def test_gcd_chunk_explicit_id_is_clean_error(self, tmp_path, capsys):
-        root, store = self._chunk_store(tmp_path)
-        plan = store.plan_restore("jobA", "ckpt-000002")
-        backend = LocalDirectoryBackend(root)
-        ref1 = {
-            o.name for o in store.plan_restore("jobA", "ckpt-000001").objects
-        }
-        victim = next(o.name for o in plan.objects if o.name not in ref1)
-        backend.delete(victim)
+            store.save_snapshot("jobA", sample_snapshot(step=step))
+        older = {o.name for o in store.plan_restore("jobA", "ckpt-000001").objects}
+        newest = store.plan_restore("jobA", "ckpt-000002").objects
+        store.backend.delete(next(o.name for o in newest if o.name not in older))
+        # An explicit id has no fallback: one clean error line naming the
+        # damage, not a traceback.
         assert main(["restore", str(root), "--id", "ckpt-000002"]) == 2
         err = capsys.readouterr().err
-        # One clean error line naming the damage, not a traceback.
         assert err.startswith("error:")
         assert "garbage-collected or lost" in err
-
-    def test_gcd_chunk_without_id_falls_back_to_latest_valid(
-        self, tmp_path, capsys
-    ):
-        root, store = self._chunk_store(tmp_path)
-        plan = store.plan_restore("jobA", "ckpt-000002")
-        backend = LocalDirectoryBackend(root)
-        ref1 = {
-            o.name for o in store.plan_restore("jobA", "ckpt-000001").objects
-        }
-        victim = next(o.name for o in plan.objects if o.name not in ref1)
-        backend.delete(victim)
+        # Without one, the newest valid checkpoint, and what was skipped.
         assert main(["restore", str(root)]) == 0
         out = capsys.readouterr().out
         assert "warning: skipped damaged checkpoint ckpt-000002" in out
         assert "job jobA ckpt-000001" in out
-
-    def test_multi_job_requires_job_flag(self, tmp_path, capsys):
-        from repro.service.chunkstore import ChunkStore
-        from tests.test_snapshot import sample_snapshot
-
-        root = tmp_path / "chunks"
-        store = ChunkStore(LocalDirectoryBackend(root), block_bytes=256)
-        store.save_snapshot("a", sample_snapshot(step=1))
-        store.save_snapshot("b", sample_snapshot(step=1))
-        assert main(["restore", str(root)]) == 2
-        assert "--job" in capsys.readouterr().err
-        assert main(["restore", str(root), "--job", "b", "--warm-start"]) == 0

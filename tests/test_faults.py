@@ -208,7 +208,7 @@ class TestHarness:
             target_steps=10,
             failure_hooks=[CrashAtStep([3, 7])],
         )
-        final = memory_store.load(memory_store.latest().id)
+        final = memory_store.load_snapshot("default")
         assert np.array_equal(final.params, reference.params)
         assert np.array_equal(
             final.loss_history, np.asarray(reference.loss_history)

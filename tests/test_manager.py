@@ -14,6 +14,7 @@ from repro.errors import (
     ConfigError,
     IncompatibleCheckpointError,
     ReproError,
+    SerializationError,
 )
 from repro.faults.injector import SimulatedClock
 from repro.service.chunkstore import ChunkStore
@@ -22,6 +23,7 @@ from repro.service.manager import ServiceCheckpointManager
 from repro.service.pool import WriterPool
 from repro.storage.flaky import FlakyBackend
 from repro.storage.memory import InMemoryBackend
+from repro.storage.sharded import ShardedBackend
 from tests.test_snapshot import sample_snapshot
 from tests.test_trainer import make_classifier_trainer, make_vqe_trainer
 
@@ -49,10 +51,26 @@ def _save_damaged(store, job_id, snapshot, how):
     return record
 
 
-@pytest.mark.parametrize("store_cls", STORES)
+def _sharded():
+    return ShardedBackend([InMemoryBackend(), InMemoryBackend()])
+
+
+@pytest.fixture(
+    params=[(cls, backend) for cls in STORES for backend in (InMemoryBackend, _sharded)],
+    ids=lambda p: f"{p[0].__name__}-{p[1].__name__.strip('_')}",
+)
+def new_store(request):
+    """The store class under test over a fresh backend."""
+    store_cls, backend = request.param
+    return lambda: store_cls(backend())
+
+
 class TestJobStoreContract:
-    def test_save_then_latest_valid_is_bitwise(self, store_cls):
-        store = store_cls(InMemoryBackend())
+    """What both stores promise above the backend: everything a trainer
+    hook, the CLI, the daemon and the chaos sweep ask of a store."""
+
+    def test_save_then_latest_valid_is_bitwise(self, new_store):
+        store = new_store()
         store.save_snapshot("a", sample_snapshot(step=1))
         newest = sample_snapshot(step=2)
         store.save_snapshot("a", newest)
@@ -61,8 +79,8 @@ class TestJobStoreContract:
         assert snapshot == newest
 
     @pytest.mark.parametrize("how", ["torn", "rot"])
-    def test_damaged_newest_is_skipped_and_named(self, store_cls, how):
-        store = store_cls(InMemoryBackend())
+    def test_damaged_newest_is_skipped_and_named(self, new_store, how):
+        store = new_store()
         good = sample_snapshot(step=1)
         store.save_snapshot("a", good)
         first = store.backend.list("")
@@ -71,13 +89,22 @@ class TestJobStoreContract:
         ckpt_id, snapshot, skipped = store.latest_valid("a")
         assert ckpt_id == "ckpt-000001" and snapshot == good
         assert [bad for bad, _ in skipped] == ["ckpt-000003", "ckpt-000002"]
+        # verify says the same of each, one by one
+        assert store.verify("a", "ckpt-000001") == (True, "ok")
+        ok, detail = store.verify("a", "ckpt-000003")
+        assert not ok and detail
+        # a parameters-only probe may read past rot elsewhere in an object,
+        # but what it returns is bitwise that checkpoint's
+        ckpt_id, tensors, _ = store.latest_valid_partial("a", ["params"])
+        expected = sample_snapshot(step=int(ckpt_id[-1])).params
+        assert np.array_equal(tensors["params"], expected)
         # with every checkpoint damaged there is nothing, and all are named
         _damage(store.backend, first, how)
         ckpt_id, snapshot, skipped = store.latest_valid("a")
         assert (ckpt_id, snapshot, len(skipped)) == (None, None, 3)
 
-    def test_partial_returns_only_the_named_tensors(self, store_cls):
-        store = store_cls(InMemoryBackend())
+    def test_partial_returns_only_the_named_tensors(self, new_store):
+        store = new_store()
         snapshot = sample_snapshot(step=4)
         store.save_snapshot("a", snapshot)
         ckpt_id, tensors, skipped = store.latest_valid_partial(
@@ -86,15 +113,100 @@ class TestJobStoreContract:
         assert (ckpt_id, skipped) == ("ckpt-000001", [])
         assert list(tensors) == ["params"]
         assert np.array_equal(tensors["params"], snapshot.params)
+        with pytest.raises(ConfigError, match="at least one"):
+            store.latest_valid_partial("a", [])
 
-    def test_unknown_job(self, store_cls):
-        store = store_cls(InMemoryBackend())
+    def test_listing_is_commit_ordered_and_survives_reopen(self, new_store):
+        store = new_store()
+        saved = [
+            (job, store.save_snapshot(job, sample_snapshot(step=step)))
+            for job, step in (("a", 1), ("b", 5), ("a", 2))
+        ]
+        assert store.jobs() == ["a", "b"]
+        for reader in (store, type(store)(store.backend)):
+            records = reader.checkpoints("a")
+            assert [r.ckpt_id for r in records] == [
+                r.ckpt_id for job, r in saved if job == "a"
+            ]
+            assert [r.step for r in records] == [1, 2]
+            assert all(r.nbytes > 0 and r.created > 0 and r.detail for r in records)
+            assert reader.latest("a") == records[-1].ckpt_id
+            assert reader.latest("b") == saved[1][1].ckpt_id
+            assert reader.total_physical_bytes() > 0
+
+    def test_plan_restore_accounts_full_and_params_only(self, new_store):
+        store = new_store()
+        store.save_snapshot("a", sample_snapshot(step=3))
+        full = store.plan_restore("a")
+        params = store.plan_restore("a", names=["params"])
+        assert (full.requested, params.requested) == (None, ("params",))
+        assert list(params.tensors) == ["params"]
+        assert (full.step, full.checkpoint_id) == (3, store.latest("a"))
+        assert 0 < params.n_blocks < full.n_blocks
+        assert 0 < params.fetch_bytes < full.fetch_bytes
+        assert full.fetch_bytes <= full.total_stored_bytes
+        assert params.total_stored_bytes == full.total_stored_bytes
+
+    def test_load_tensors_subset_unknown_name_and_none(self, new_store):
+        store = new_store()
+        snapshot = sample_snapshot(step=4)
+        store.save_snapshot("a", snapshot)
+        assert store.load_snapshot("a") == snapshot
+        meta, tensors = store.load_tensors(
+            "a", names=["params", "loss_history", "params"]
+        )
+        assert meta["step"] == 4
+        assert sorted(tensors) == ["loss_history", "params"]
+        assert np.array_equal(tensors["params"], snapshot.params)
+        with pytest.raises(SerializationError, match="ghost"):
+            store.load_tensors("a", names=["params", "ghost"])
+        assert store.load_tensors("a", names=[])[1] == {}
+
+    def test_delete_checkpoint_then_latest(self, new_store):
+        store = new_store()
+        first, second = (
+            store.save_snapshot("a", sample_snapshot(step=step))
+            for step in (1, 2)
+        )
+        store.delete_checkpoint("a", second.ckpt_id)
+        assert store.latest("a") == first.ckpt_id
+        assert store.latest_valid("a")[1] == sample_snapshot(step=1)
+        with pytest.raises(CheckpointNotFoundError):
+            store.load_snapshot("a", second.ckpt_id)
+        store.delete_checkpoint("a", first.ckpt_id)
+        assert (store.jobs(), store.latest("a")) == ([], None)
+
+    def test_gc_keeps_the_last_of_each_job(self, new_store):
+        store = new_store()
+        for step in (1, 2, 3):
+            store.save_snapshot("a", sample_snapshot(step=step))
+        store.save_snapshot("b", sample_snapshot(step=9))
+        before = store.total_physical_bytes()
+        deleted = store.gc(keep_last_per_job=1)
+        assert deleted["manifests"] == 2 and deleted["chunks"] > 0
+        assert deleted["bytes"] == before - store.total_physical_bytes() > 0
+        assert [r.step for r in store.checkpoints("a")] == [3]
+        assert store.latest_valid("a")[1] == sample_snapshot(step=3)
+        assert store.latest_valid("b")[1] == sample_snapshot(step=9)
+        assert store.gc() == {"manifests": 0, "chunks": 0, "bytes": 0}
+        with pytest.raises(ConfigError):
+            store.gc(keep_last_per_job=0)
+
+    def test_unknown_job(self, new_store):
+        store = new_store()
         store.save_snapshot("a", sample_snapshot(step=1))
         assert store.latest_valid("b") == (None, None, [])
         assert store.latest_valid_partial("b", ["params"]) == (None, None, [])
+        assert (store.checkpoints("b"), store.latest("b")) == ([], None)
+        for read in (store.plan_restore, store.load_tensors, store.load_snapshot):
+            with pytest.raises(CheckpointNotFoundError):
+                read("b")
+            with pytest.raises(CheckpointNotFoundError):
+                read("a", "ckpt-000404")
+        assert not store.verify("b", "ckpt-000001")[0]
 
-    def test_two_jobs_each_get_their_own_newest(self, store_cls):
-        store = store_cls(InMemoryBackend())
+    def test_two_jobs_each_get_their_own_newest(self, new_store):
+        store = new_store()
         a, b = sample_snapshot(step=9), sample_snapshot(step=2)
         store.save_snapshot("a", sample_snapshot(step=8))
         store.save_snapshot("b", b)
@@ -119,10 +231,10 @@ class TestCheckpointStoreJobs:
         dependent = snapshots[2].copy()
         dependent.step = 5
         store.save_snapshot("a", dependent)  # delta on the damaged full
-        assert store.get("ckpt-000004").base_id == base.id
+        assert store.checkpoints("a")[-1].base_id == base.ckpt_id
         ckpt_id, snapshot, skipped = store.latest_valid("a")
         assert ckpt_id == "ckpt-000002" and snapshot == snapshots[1]
-        assert [bad for bad, _ in skipped] == ["ckpt-000004", base.id]
+        assert [bad for bad, _ in skipped] == ["ckpt-000004", base.ckpt_id]
 
     @pytest.mark.parametrize("pooled", [False, True])
     def test_delta_cadence_is_decided_at_commit(self, pooled):
@@ -146,10 +258,11 @@ class TestCheckpointStoreJobs:
         manager.close()
         if pool:
             pool.close()
-        records = store.records()
+        records = store.checkpoints("default")
         assert [r.kind for r in records] == ["full", "delta", "delta"] * 4
         for record in records:
-            assert store.load(record.id) == captured[record.step]
+            restored = store.load_snapshot("default", record.ckpt_id)
+            assert restored == captured[record.step]
 
     def test_retention_runs_after_each_save_per_job(self):
         store = CheckpointStore(
@@ -158,7 +271,7 @@ class TestCheckpointStoreJobs:
         for step in range(1, 7):
             store.save_snapshot("a", sample_snapshot(step=step))
         store.save_snapshot("b", sample_snapshot(step=1))
-        kept = [(r.extra["job"], r.step) for r in store.records()]
+        kept = [(job, r.step) for job in "ab" for r in store.checkpoints(job)]
         assert kept == [("a", 5), ("a", 6), ("b", 1)]
 
     def test_options_validated(self):

@@ -25,7 +25,6 @@ from repro.obs import trace as obs_trace
 from repro.obs.export import (
     BoundedJsonlWriter,
     ObsDir,
-    store_obs_dir,
 )
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -53,6 +52,7 @@ from repro.service import (
     WriterPool,
 )
 from repro.service.transport import PROTOCOL_VERSION, recv_frame, send_frame
+from repro.storage.layout import obs_dir
 from repro.storage.memory import InMemoryBackend
 
 
@@ -424,7 +424,7 @@ class TestExport:
                 json.loads(line)
 
     def test_obs_dir_roundtrip(self, tmp_path):
-        obs = ObsDir(store_obs_dir(tmp_path))
+        obs = ObsDir(obs_dir(tmp_path))
         registry = MetricsRegistry(enabled=True)
         registry.counter("saves").inc(3)
         obs.save_registry(registry)
@@ -590,7 +590,7 @@ class TestDaemonMetrics:
         return thread
 
     def test_metrics_op_and_registry_survives_restart(self, tmp_path):
-        obs_root = store_obs_dir(tmp_path)
+        obs_root = obs_dir(tmp_path)
         first_served = 0
         for incarnation in range(2):
             registry = MetricsRegistry(enabled=True)
@@ -695,7 +695,7 @@ class TestCliMetrics:
         registry.counter("save.encode.stored_blocks").inc(16)
         registry.counter("save.encode.stored_bytes").inc(1 << 20)
         registry.counter("save.encode.deflated_blocks").inc(5)
-        obs = ObsDir(store_obs_dir(tmp_path))
+        obs = ObsDir(obs_dir(tmp_path))
         obs.save_registry(registry)
 
         assert main(["metrics", str(tmp_path)]) == 0

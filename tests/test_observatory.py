@@ -13,6 +13,8 @@ hardening; and the FileTransport idle-poll elision.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import sqlite3
 import threading
@@ -29,7 +31,6 @@ from repro.obs.export import (
     TRACE_FILENAME,
     prometheus_text,
     read_jsonl_records,
-    store_obs_dir,
 )
 from repro.obs.health import (
     DEFAULT_RULES,
@@ -56,6 +57,7 @@ from repro.service import (
     WriterPool,
 )
 from repro.service.transport import FileTransport, REQUEST_PREFIX
+from repro.storage.layout import obs_dir
 from repro.storage.local import LocalDirectoryBackend
 from repro.storage.memory import InMemoryBackend
 
@@ -841,7 +843,12 @@ class TestDaemonObservatory:
                 time.sleep(0.02)
             responses["status"] = client.status()
             responses["health"] = client.request("health")
-            responses["metrics_text"] = client.request("metrics_text")
+            # --prom is the CLI's rendering of the daemon's `metrics` op
+            with contextlib.redirect_stdout(io.StringIO()) as prom:
+                assert main(
+                    ["metrics", "--control", str(tmp_path / "ctl"), "--prom"]
+                ) == 0
+            responses["metrics_text"] = prom.getvalue()
             responses["series"] = client.request(
                 "series", name="save.seconds", window=120.0, limit=64
             )
@@ -855,7 +862,7 @@ class TestDaemonObservatory:
         return responses
 
     def test_observatory_ops_and_restart_safe_history(self, tmp_path):
-        obs_root = store_obs_dir(tmp_path)
+        obs_root = obs_dir(tmp_path)
         for incarnation, job_id in enumerate(["alpha", "beta"]):
             responses = self._run_incarnation(tmp_path, obs_root, job_id)
 
@@ -869,7 +876,7 @@ class TestDaemonObservatory:
             # the in-loop report also lands on the status op
             assert responses["status"]["health"]["verdict"] == "ok"
 
-            text = responses["metrics_text"]["text"]
+            text = responses["metrics_text"]
             assert "# TYPE qckpt_save_seconds histogram" in text
             assert f"qckpt_registry_epoch {incarnation + 1}" in text
 
@@ -903,7 +910,7 @@ class TestDaemonObservatory:
 
 class TestObservatoryCli:
     def test_health_offline_exit_codes(self, tmp_path, capsys):
-        obs = ObsDir(store_obs_dir(tmp_path))
+        obs = ObsDir(obs_dir(tmp_path))
         registry = MetricsRegistry(enabled=True)
         registry.counter("save.count").inc()
         obs.save_registry(registry)
@@ -918,7 +925,7 @@ class TestObservatoryCli:
         assert "breaker-open" in out
 
     def test_health_json_output(self, tmp_path, capsys):
-        obs = ObsDir(store_obs_dir(tmp_path))
+        obs = ObsDir(obs_dir(tmp_path))
         registry = MetricsRegistry(enabled=True)
         registry.counter("save.count").inc()
         obs.save_registry(registry)
@@ -931,7 +938,7 @@ class TestObservatoryCli:
         assert "error:" in capsys.readouterr().err
 
     def test_profile_prints_critical_path_and_folded(self, tmp_path, capsys):
-        trace_path = store_obs_dir(tmp_path) / TRACE_FILENAME
+        trace_path = obs_dir(tmp_path) / TRACE_FILENAME
         trace_path.parent.mkdir(parents=True, exist_ok=True)
         with trace_path.open("w", encoding="utf-8") as handle:
             for record in _save_trace():
@@ -960,7 +967,7 @@ class TestObservatoryCli:
         assert doc["spans"][0]["encode"]["stored_blocks"] == 3
 
     def test_profile_unknown_trace_is_an_error(self, tmp_path, capsys):
-        trace_path = store_obs_dir(tmp_path) / TRACE_FILENAME
+        trace_path = obs_dir(tmp_path) / TRACE_FILENAME
         trace_path.parent.mkdir(parents=True, exist_ok=True)
         with trace_path.open("w", encoding="utf-8") as handle:
             handle.write(json.dumps(_save_trace()[0]) + "\n")
@@ -968,7 +975,7 @@ class TestObservatoryCli:
         assert "error:" in capsys.readouterr().err
 
     def test_metrics_prom_offline(self, tmp_path, capsys):
-        obs = ObsDir(store_obs_dir(tmp_path))
+        obs = ObsDir(obs_dir(tmp_path))
         registry = MetricsRegistry(enabled=True)
         registry.counter("save.count").inc(5)
         obs.save_registry(registry)

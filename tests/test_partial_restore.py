@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.serialize import pack_payload, read_header_ranged, unpack_partial
-from repro.core.store import CheckpointStore
+from repro.core.store import DEFAULT_JOB, CheckpointStore
 from repro.errors import (
-    ConfigError,
     IntegrityError,
     SerializationError,
     StorageError,
@@ -178,7 +177,10 @@ class TestUnpackPartial:
 # ---------------------------------------------------------------------------
 
 
-class TestLoadPartial:
+class TestPartialThroughDeltaChains:
+    """Tensor subsets of a delta chain (what both stores do with ``names=``
+    on a single object is ``TestJobStoreContract``'s)."""
+
     def _populated(self, n_qubits=10, deltas=2):
         backend = InMemoryBackend()
         store = CheckpointStore(backend)
@@ -187,53 +189,32 @@ class TestLoadPartial:
         record = store.save_full(trainer.capture())
         for _ in range(deltas):
             trainer.run(1)
-            record = store.save_delta(trainer.capture(), record.id)
-        return backend, store, trainer, record
-
-    def test_full_checkpoint_partial(self):
-        _, store, trainer, _ = self._populated(deltas=0)
-        first = store.records()[0]
-        meta, tensors = store.load_partial(first.id, ["params"])
-        full = store.load(first.id)
-        np.testing.assert_array_equal(tensors["params"], full.params)
-        assert meta["step"] == full.step
+            record = store.save_delta(trainer.capture(), record.ckpt_id)
+        return backend, store, trainer, record.ckpt_id
 
     def test_delta_chain_partial(self):
-        _, store, trainer, record = self._populated(deltas=2)
-        _, tensors = store.load_partial(record.id, ["params", "statevector"])
-        full = store.load(record.id)
+        _, store, trainer, tip = self._populated(deltas=2)
+        _, tensors = store.load_tensors(
+            DEFAULT_JOB, tip, ["params", "statevector"]
+        )
+        full = store.load_snapshot(DEFAULT_JOB, tip)
         np.testing.assert_array_equal(tensors["params"], full.params)
         np.testing.assert_array_equal(tensors["statevector"], full.statevector)
 
     def test_partial_transfers_far_fewer_bytes(self):
-        backend, store, _, record = self._populated(n_qubits=12, deltas=1)
+        backend, store, _, tip = self._populated(n_qubits=12, deltas=1)
         backend.reset_counters()
-        store.load_partial(record.id, ["params"])
+        store.load_tensors(DEFAULT_JOB, tip, ["params"])
         partial_bytes = backend.bytes_read
         backend.reset_counters()
-        store.load(record.id)
+        store.load_snapshot(DEFAULT_JOB, tip)
         full_bytes = backend.bytes_read
         assert partial_bytes < full_bytes / 10
 
     def test_growing_history_resolves_through_append_deltas(self):
-        _, store, trainer, record = self._populated(deltas=3)
-        _, tensors = store.load_partial(record.id, ["loss_history"])
+        _, store, trainer, tip = self._populated(deltas=3)
+        _, tensors = store.load_tensors(DEFAULT_JOB, tip, ["loss_history"])
         np.testing.assert_array_equal(
             tensors["loss_history"],
             np.asarray(trainer.loss_history, dtype=np.float64),
         )
-
-    def test_missing_tensor_raises(self):
-        _, store, _, record = self._populated(deltas=0)
-        with pytest.raises(SerializationError, match="not present"):
-            store.load_partial(record.id, ["ghost"])
-
-    def test_empty_selection_rejected(self):
-        _, store, _, record = self._populated(deltas=0)
-        with pytest.raises(ConfigError):
-            store.load_partial(record.id, [])
-
-    def test_duplicate_names_deduplicated(self):
-        _, store, _, record = self._populated(deltas=0)
-        _, tensors = store.load_partial(record.id, ["params", "params"])
-        assert list(tensors) == ["params"]

@@ -8,7 +8,7 @@ import pytest
 from repro.core.restore import QckptSource, RestoreExecutor
 from repro.core.serialize import pack_snapshot
 from repro.core.snapshot import TrainingSnapshot
-from repro.core.store import CheckpointStore
+from repro.core.store import DEFAULT_JOB as JOB, CheckpointStore
 from repro.errors import IntegrityError, ReproError, StorageError
 from repro.service.chunkstore import ChunkStore
 from repro.storage.flaky import FlakyBackend
@@ -35,15 +35,15 @@ def _build_chain(backend, links: int = 5):
     snapshots = [_snapshot(step) for step in range(1, links + 1)]
     record = store.save_full(snapshots[0])
     for snapshot in snapshots[1:]:
-        record = store.save_delta(snapshot, base_id=record.id)
-    return store, record.id, snapshots[-1]
+        record = store.save_delta(snapshot, base_id=record.ckpt_id)
+    return store, record.ckpt_id, snapshots[-1]
 
 
 class TestChainReadahead:
     def test_plans_carry_chain_identity(self):
         backend = InMemoryBackend()
         store, tip, _ = _build_chain(backend, links=4)
-        plans = store.restore_plan(tip)
+        plans = store.plan_restore(JOB, tip).links()
         assert len(plans) == 4
         assert plans[0].base_id is None  # the full base
         for previous, plan in zip(plans, plans[1:]):
@@ -54,14 +54,14 @@ class TestChainReadahead:
         backend = InMemoryBackend()
         _, tip, expected = _build_chain(backend, links=5)
         store = CheckpointStore(backend, readahead_links=readahead)
-        assert store.load(tip) == expected
+        assert store.load_snapshot(JOB, tip) == expected
 
     @pytest.mark.parametrize("readahead", [0, 2])
     def test_partial_chain_restore_bitwise(self, readahead):
         backend = InMemoryBackend()
         _, tip, expected = _build_chain(backend, links=5)
         store = CheckpointStore(backend, readahead_links=readahead)
-        _, tensors = store.load_partial(tip, ["params", "loss_history"])
+        _, tensors = store.load_tensors(JOB, tip, ["params", "loss_history"])
         np.testing.assert_array_equal(tensors["params"], expected.params)
         np.testing.assert_array_equal(
             tensors["loss_history"], expected.loss_history
@@ -72,8 +72,8 @@ class TestChainReadahead:
         _, tip, _ = _build_chain(backend, links=6)
         sequential = CheckpointStore(backend, readahead_links=0)
         pipelined = CheckpointStore(backend, readahead_links=3)
-        meta_a, tensors_a = sequential.load_tensors(tip)
-        meta_b, tensors_b = pipelined.load_tensors(tip)
+        meta_a, tensors_a = sequential.load_tensors(JOB, tip)
+        meta_b, tensors_b = pipelined.load_tensors(JOB, tip)
         assert meta_a == meta_b
         assert set(tensors_a) == set(tensors_b)
         for name in tensors_a:
@@ -134,7 +134,7 @@ class TestPrefetchFaults:
         store = CheckpointStore(flaky, readahead_links=2)
         flaky.arm_read("error", fail_on_read=fail_on_read)
         try:
-            restored = store.load(tip)
+            restored = store.load_snapshot(JOB, tip)
         except (StorageError, IntegrityError):
             return  # clean failure is acceptable; corruption is not
         assert restored == expected
@@ -147,7 +147,7 @@ class TestPrefetchFaults:
         store = CheckpointStore(flaky, readahead_links=2)
         flaky.arm_read("bitflip", fail_on_read=fail_on_read)
         try:
-            restored = store.load(tip)
+            restored = store.load_snapshot(JOB, tip)
         except ReproError:
             return
         assert restored == expected

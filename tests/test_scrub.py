@@ -257,24 +257,6 @@ class TestScrubCli:
         assert qckpt_main(["fsck", str(dir_a), str(dir_b)]) == 0
         assert (dir_a / f"{QUARANTINE_PREFIX}{address}").exists()
 
-    def test_fsck_healthy_single_dir(self, tmp_path, capsys):
-        backend = LocalDirectoryBackend(tmp_path / "store")
-        ChunkStore(backend, block_bytes=512).save_snapshot("job", _snapshot(1))
-        assert qckpt_main(["fsck", str(tmp_path / "store")]) == 0
-        assert "0 finding(s)" in capsys.readouterr().out
-
-    def test_sharded_layout_detected(self, tmp_path, capsys):
-        store_dir = tmp_path / "store"
-        shards = [
-            LocalDirectoryBackend(store_dir / f"shard-{i}") for i in range(2)
-        ]
-        ChunkStore(ShardedBackend(shards), block_bytes=512).save_snapshot(
-            "job", _snapshot(1)
-        )
-        assert qckpt_main(["fsck", str(store_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "0 finding(s)" in out
-
     def test_monolithic_store_redirected_to_verify(self, tmp_path, capsys):
         from repro.core.store import CheckpointStore
 

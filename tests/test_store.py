@@ -1,13 +1,16 @@
-"""Unit tests for the checkpoint store: manifest, chains, retention, GC."""
+"""What only the QCKPT store does: manifest persistence, delta chains,
+transforms, step-based latest and retention.  The job-scoped verbs it shares
+with the chunk store are pinned once, over both, by
+``tests/test_manager.py::TestJobStoreContract``."""
 
 import numpy as np
 import pytest
 
 from repro.core.store import (
+    DEFAULT_JOB,
     KIND_DELTA,
     KIND_FULL,
     CheckpointStore,
-    RetentionPolicy,
 )
 from repro.errors import (
     CheckpointNotFoundError,
@@ -15,7 +18,6 @@ from repro.errors import (
     IntegrityError,
 )
 from repro.storage.flaky import FlakyBackend
-from repro.storage.local import LocalDirectoryBackend
 from repro.storage.memory import InMemoryBackend
 from tests.test_snapshot import sample_snapshot
 
@@ -24,46 +26,28 @@ def snapshot_at(step: int):
     return sample_snapshot(step=step)
 
 
+def records(store):
+    return store.checkpoints(DEFAULT_JOB)
+
+
+def load(store, record):
+    return store.load_snapshot(DEFAULT_JOB, record.ckpt_id)
+
+
 class TestFullCheckpoints:
-    def test_save_and_load(self, memory_store):
-        snapshot = snapshot_at(5)
-        record = memory_store.save_full(snapshot)
-        assert record.kind == KIND_FULL
-        assert record.step == 5
-        assert memory_store.load(record.id) == snapshot
-
     def test_record_metadata(self, memory_store):
-        record = memory_store.save_full(snapshot_at(1), extra={"tag": "x"})
+        record = memory_store.save_full(snapshot_at(5), extra={"tag": "x"})
+        assert (record.kind, record.step) == (KIND_FULL, 5)
         assert record.extra == {"tag": "x"}
-        assert record.nbytes > 0
+        assert record.nbytes == memory_store.total_physical_bytes() > 0
         assert len(record.sha256) == 64
-
-    def test_ids_are_sequential(self, memory_store):
-        a = memory_store.save_full(snapshot_at(1))
-        b = memory_store.save_full(snapshot_at(2))
-        assert a.id == "ckpt-000001" and b.id == "ckpt-000002"
+        assert record.detail == "full zlib-6"
 
     def test_latest_by_step(self, memory_store):
         memory_store.save_full(snapshot_at(10))
-        memory_store.save_full(snapshot_at(30))
+        newest = memory_store.save_full(snapshot_at(30))
         memory_store.save_full(snapshot_at(20))
-        assert memory_store.latest().step == 30
-
-    def test_latest_empty(self, memory_store):
-        assert memory_store.latest() is None
-
-    def test_get_missing(self, memory_store):
-        with pytest.raises(CheckpointNotFoundError):
-            memory_store.get("ckpt-999999")
-
-    def test_load_missing(self, memory_store):
-        with pytest.raises(CheckpointNotFoundError):
-            memory_store.load("ckpt-999999")
-
-    def test_total_bytes(self, memory_store):
-        a = memory_store.save_full(snapshot_at(1))
-        b = memory_store.save_full(snapshot_at(2))
-        assert memory_store.total_bytes() == a.nbytes + b.nbytes
+        assert memory_store.latest(DEFAULT_JOB) == newest.ckpt_id
 
     def test_transforms_respected(self, memory_store):
         snapshot = snapshot_at(3)
@@ -72,7 +56,7 @@ class TestFullCheckpoints:
             snapshot, transforms={"statevector": "int8-block"}
         )
         assert lossy.nbytes < lossless.nbytes
-        restored = memory_store.load(lossy.id)
+        restored = load(memory_store, lossy)
         fidelity = abs(np.vdot(snapshot.statevector, restored.statevector)) ** 2
         assert fidelity > 0.999
         # lossless tensors are untouched by the statevector transform
@@ -80,19 +64,12 @@ class TestFullCheckpoints:
 
 
 class TestManifestPersistence:
-    def test_reopen_sees_records(self, local_backend):
-        store = CheckpointStore(local_backend)
-        record = store.save_full(snapshot_at(4))
-        reopened = CheckpointStore(local_backend)
-        assert [r.id for r in reopened.records()] == [record.id]
-        assert reopened.load(record.id) == snapshot_at(4)
-
     def test_reopen_continues_id_sequence(self, local_backend):
         store = CheckpointStore(local_backend)
         store.save_full(snapshot_at(1))
         reopened = CheckpointStore(local_backend)
         record = reopened.save_full(snapshot_at(2))
-        assert record.id == "ckpt-000002"
+        assert record.ckpt_id == "ckpt-000002"
 
     def test_corrupt_manifest_rejected(self, local_backend):
         local_backend.write("MANIFEST.json", b"{not json")
@@ -115,9 +92,9 @@ class TestManifestPersistence:
         with pytest.raises(Exception):
             store.save_full(snapshot_at(1))
         reopened = CheckpointStore(inner)
-        assert reopened.records() == []  # manifest clean
+        assert reopened.jobs() == []  # manifest clean
         assert inner.list("ckpt-")  # orphan object exists
-        reopened.gc(RetentionPolicy())
+        assert reopened.gc()["chunks"] == 1
         assert inner.list("ckpt-") == []  # orphan swept
 
 
@@ -130,21 +107,31 @@ class TestDeltaChains:
             nxt = snapshot.copy()
             nxt.step = i
             nxt.params = nxt.params + 0.01 * i
-            record = store.save_delta(nxt, record.id)
+            record = store.save_delta(nxt, record.ckpt_id)
             snapshots.append(nxt)
             snapshot = nxt
         return snapshots
 
     def test_delta_roundtrip(self, memory_store):
         snapshots = self._chain(memory_store, 4)
-        for record, expected in zip(memory_store.records(), snapshots):
-            assert memory_store.load(record.id) == expected
+        for record, expected in zip(records(memory_store), snapshots):
+            assert load(memory_store, record) == expected
 
-    def test_chain_length(self, memory_store):
+    def test_chain_length_and_one_plan_for_the_chain(self, memory_store):
         self._chain(memory_store, 4)
-        records = memory_store.records()
-        assert memory_store.chain_length(records[0].id) == 1
-        assert memory_store.chain_length(records[3].id) == 4
+        chain = records(memory_store)
+        assert memory_store.chain_length(chain[0].ckpt_id) == 1
+        assert memory_store.chain_length(chain[3].ckpt_id) == 4
+        assert chain[3].detail == f"delta zlib-6 on {chain[2].ckpt_id}"
+        plan = memory_store.plan_restore(DEFAULT_JOB, chain[3].ckpt_id)
+        links = plan.links()
+        assert [link.checkpoint_id for link in links] == [
+            r.ckpt_id for r in chain
+        ]
+        assert plan.base is links[2] and links[0].base is None
+        # one plan is the whole restore: every link's bytes and blocks
+        assert plan.fetch_bytes == sum(r.nbytes for r in chain)
+        assert plan.n_blocks == sum(len(link.tensors) for link in links)
 
     def test_delta_smaller_than_full(self, memory_store):
         # Deltas win when most bytes are identical between steps: here a
@@ -158,7 +145,7 @@ class TestDeltaChains:
         nxt = snapshot.copy()
         nxt.step = 1
         nxt.params = nxt.params + 0.01
-        delta = memory_store.save_delta(nxt, record.id)
+        delta = memory_store.save_delta(nxt, record.ckpt_id)
         assert delta.kind == KIND_DELTA
         assert delta.nbytes < record.nbytes / 2
 
@@ -168,9 +155,9 @@ class TestDeltaChains:
         # exceed the XOR savings — deltas are a large-state optimization, not
         # a universal one.
         self._chain(memory_store, 3)
-        records = memory_store.records()
-        assert records[1].kind == KIND_DELTA
-        assert records[1].nbytes < records[0].nbytes * 1.25
+        chain = records(memory_store)
+        assert chain[1].kind == KIND_DELTA
+        assert chain[1].nbytes < chain[0].nbytes * 1.25
 
     def test_delta_against_missing_base(self, memory_store):
         with pytest.raises(CheckpointNotFoundError):
@@ -183,61 +170,29 @@ class TestDeltaChains:
         nxt = base.copy()
         nxt.step = 1
         delta_record = memory_store.save_delta(
-            nxt, record.id, base_tensors=base_tensors
+            nxt, record.ckpt_id, base_tensors=base_tensors
         )
-        assert memory_store.load(delta_record.id) == nxt
+        assert load(memory_store, delta_record) == nxt
 
-    def test_deleting_base_of_live_delta_refused(self, memory_store):
+    def test_base_of_a_live_delta_is_deleted_after_it(self, memory_store):
         self._chain(memory_store, 2)
-        base_id = memory_store.records()[0].id
+        base, leaf = records(memory_store)
         with pytest.raises(ConfigError, match="depend"):
-            memory_store.delete(base_id)
-
-    def test_delete_leaf_then_base(self, memory_store):
-        self._chain(memory_store, 2)
-        records = memory_store.records()
-        memory_store.delete(records[1].id)
-        memory_store.delete(records[0].id)
-        assert memory_store.records() == []
-
-
-class TestVerification:
-    def test_verify_ok(self, memory_store):
-        record = memory_store.save_full(snapshot_at(1))
-        ok, detail = memory_store.verify(record.id)
-        assert ok and detail == "ok"
-
-    def test_verify_detects_object_corruption(self, memory_store):
-        record = memory_store.save_full(snapshot_at(1))
-        data = bytearray(memory_store.backend.read(record.object_name))
-        data[len(data) // 2] ^= 0xFF
-        memory_store.backend.write(record.object_name, bytes(data))
-        ok, detail = memory_store.verify(record.id)
-        assert not ok and "SHA-256" in detail
-
-    def test_verify_detects_missing_object(self, memory_store):
-        record = memory_store.save_full(snapshot_at(1))
-        memory_store.backend.delete(record.object_name)
-        ok, _ = memory_store.verify(record.id)
-        assert not ok
-
-    def test_verify_all(self, memory_store):
-        a = memory_store.save_full(snapshot_at(1))
-        b = memory_store.save_full(snapshot_at(2))
-        memory_store.backend.delete(b.object_name)
-        results = memory_store.verify_all()
-        assert results[a.id][0] and not results[b.id][0]
+            memory_store.delete_checkpoint(DEFAULT_JOB, base.ckpt_id)
+        memory_store.delete_checkpoint(DEFAULT_JOB, leaf.ckpt_id)
+        memory_store.delete_checkpoint(DEFAULT_JOB, base.ckpt_id)
+        assert records(memory_store) == []
 
     def test_chain_with_damaged_base_fails_verification(self, memory_store):
         base = memory_store.save_full(snapshot_at(0))
         nxt = snapshot_at(0).copy()
         nxt.step = 1
-        leaf = memory_store.save_delta(nxt, base.id)
+        leaf = memory_store.save_delta(nxt, base.ckpt_id)
         data = bytearray(memory_store.backend.read(base.object_name))
         data[-1] ^= 0x01
         memory_store.backend.write(base.object_name, bytes(data))
-        ok, _ = memory_store.verify(leaf.id)
-        assert not ok
+        ok, detail = memory_store.verify(DEFAULT_JOB, leaf.ckpt_id)
+        assert not ok and "SHA-256" in detail
 
 
 class TestRetention:
@@ -245,49 +200,28 @@ class TestRetention:
         for step in steps:
             store.save_full(snapshot_at(step))
 
-    def test_keep_last(self, memory_store):
-        self._populate(memory_store, range(1, 8))
-        deleted = memory_store.gc(RetentionPolicy(keep_last=3))
-        assert len(deleted) == 4
-        remaining = sorted(r.step for r in memory_store.records())
-        assert remaining == [5, 6, 7]
-
     def test_keep_every(self, memory_store):
         self._populate(memory_store, range(1, 11))
-        memory_store.gc(RetentionPolicy(keep_last=1, keep_every=5))
-        remaining = sorted(r.step for r in memory_store.records())
-        assert remaining == [5, 10]
+        memory_store.gc(keep_last_per_job=1, keep_every=5)
+        assert sorted(r.step for r in records(memory_store)) == [5, 10]
 
     def test_no_policy_keeps_everything(self, memory_store):
         self._populate(memory_store, range(1, 5))
-        assert memory_store.gc(RetentionPolicy()) == []
-        assert len(memory_store.records()) == 4
+        assert memory_store.gc()["manifests"] == 0
+        assert len(records(memory_store)) == 4
 
     def test_gc_preserves_delta_bases(self, memory_store):
         base_snapshot = snapshot_at(1)
         base = memory_store.save_full(base_snapshot)
         nxt = base_snapshot.copy()
         nxt.step = 9
-        memory_store.save_delta(nxt, base.id)
-        memory_store.gc(RetentionPolicy(keep_last=1))
-        remaining = {r.id for r in memory_store.records()}
-        assert base.id in remaining  # pinned by the surviving delta
+        memory_store.save_delta(nxt, base.ckpt_id)
+        memory_store.gc(keep_last_per_job=1)
+        # pinned by the surviving delta
+        assert base.ckpt_id in {r.ckpt_id for r in records(memory_store)}
 
-    def test_gc_deletes_objects(self, memory_store):
-        self._populate(memory_store, range(1, 5))
-        memory_store.gc(RetentionPolicy(keep_last=1))
-        assert len(memory_store.backend.list("ckpt-")) == 1
-
-    def test_gc_after_reopen(self, local_backend):
-        store = CheckpointStore(local_backend)
-        for step in range(1, 6):
-            store.save_full(snapshot_at(step))
-        reopened = CheckpointStore(local_backend)
-        reopened.gc(RetentionPolicy(keep_last=2))
-        assert len(CheckpointStore(local_backend).records()) == 2
-
-    def test_retention_validation(self):
+    def test_retention_validation(self, memory_store):
         with pytest.raises(ConfigError):
-            RetentionPolicy(keep_last=0)
+            memory_store.gc(keep_last_per_job=0)
         with pytest.raises(ConfigError):
-            RetentionPolicy(keep_every=0)
+            memory_store.gc(keep_every=0)

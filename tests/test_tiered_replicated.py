@@ -210,7 +210,7 @@ class TestScrub:
         trainer.run(1, hooks=[manager])
         manager.close()
 
-        name = store.latest().object_name
+        name = store.checkpoints("default")[-1].object_name
         rotten = bytearray(replicas[1].read(name))
         rotten[len(rotten) // 2] ^= 0xFF
         replicas[1].write(name, bytes(rotten))
@@ -425,8 +425,7 @@ class TestTieredCheckpointing:
         # Losing the entire fast tier must not lose checkpoints.
         fast._objects.clear()
         fresh = CheckpointStore(TieredBackend(InMemoryBackend(), slow, 1 << 20))
-        snapshot = fresh.load(fresh.latest().id)
-        assert snapshot.step == 4
+        assert fresh.load_snapshot("default").step == 4
 
 
 class TestTieredWriteFailureConsistency:
@@ -509,7 +508,7 @@ class TestWriteBackDurabilityWindow:
         survivor = CheckpointStore(
             TieredBackend(InMemoryBackend(), slow, 1 << 20)
         )
-        assert survivor.records() == []  # the whole window was lost
+        assert survivor.jobs() == []  # the whole window was lost
 
     def test_flush_closes_the_durability_window(self):
         tiered, fast, slow = self._train_write_back(3)
@@ -519,9 +518,7 @@ class TestWriteBackDurabilityWindow:
         survivor = CheckpointStore(
             TieredBackend(InMemoryBackend(), slow, 1 << 20)
         )
-        assert survivor.latest().step == 3
-        snapshot = survivor.load(survivor.latest().id)
-        assert snapshot.step == 3
+        assert survivor.load_snapshot("default").step == 3
 
     def test_partial_flush_crash_recovers_to_flushed_prefix(self):
         """Crash after an early flush: recovery lands on the flushed state."""
@@ -543,7 +540,7 @@ class TestWriteBackDurabilityWindow:
             TieredBackend(InMemoryBackend(), slow, 1 << 20)
         )
         # Manifest and objects are consistent at the flushed prefix.
-        assert survivor.latest().step == 2
+        assert survivor.checkpoints("default")[-1].step == 2
         fresh_model = VQEModel(
             hardware_efficient(2, 1),
             Hamiltonian.transverse_field_ising(2, 1.0, 0.8),

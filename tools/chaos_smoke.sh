@@ -108,16 +108,12 @@ import sys
 
 import numpy as np
 
+from repro import open_store
 from repro.core.snapshot import TrainingSnapshot
-from repro.service.chunkstore import ChunkStore
-from repro.storage.local import LocalDirectoryBackend
-from repro.storage.metadb import DB_FILENAME, MetaDB
-from repro.storage.placement import PlacementJournal
+from repro.storage import layout
 
 root = f"{sys.argv[1]}/indexed"
-backend = LocalDirectoryBackend(root)
-db = MetaDB(f"{root}/{DB_FILENAME}")
-store = ChunkStore(backend, block_bytes=4096, metadb=db)
+store = open_store(root, shards=1, index=True, block_bytes=4096)
 for step in (1, 2):
     rng = np.random.default_rng(step)
     store.save_snapshot(
@@ -130,14 +126,11 @@ for step in (1, 2):
             model_fingerprint="chaos-smoke",
         ),
     )
-journal = PlacementJournal(
-    LocalDirectoryBackend(f"{root}/placement"),
-    owner="smoke",
-    refresh_seconds=0.0,
-    metadb=db,
+journal = layout.placement_journal(
+    root, owner="smoke", metadb=store.metadb, create=True
 )
 journal.pin("job-idxsmoke-ckpt-000002.json")
-db.close()
+store.metadb.close()
 PY
 
 echo "== fsck --index must verify the live index (exit 0)"
@@ -149,18 +142,15 @@ rm -f "$WORK/indexed/.qckpt-meta.db" "$WORK/indexed/.qckpt-meta.db-wal" \
 python - "$WORK" <<'PY'
 import sys
 
-from repro.service.chunkstore import ChunkStore
-from repro.storage.local import LocalDirectoryBackend
-from repro.storage.metadb import DB_FILENAME, MetaDB
+from repro import open_store
 
 root = f"{sys.argv[1]}/indexed"
-db = MetaDB(f"{root}/{DB_FILENAME}")  # fresh file, rebuilt on open
-store = ChunkStore(LocalDirectoryBackend(root), block_bytes=4096, metadb=db)
+store = open_store(root, index=True)  # fresh index file, rebuilt on open
 assert store.latest("idxsmoke") == "ckpt-000002", store.latest("idxsmoke")
 snapshot = store.load_snapshot("idxsmoke")
 assert snapshot.step == 2, snapshot.step
-assert "idxsmoke" in db.jobs(), "rebuilt index missing the job"
-db.close()
+assert "idxsmoke" in store.metadb.jobs(), "rebuilt index missing the job"
+store.metadb.close()
 print("index rebuilt from files: latest + restore intact")
 PY
 

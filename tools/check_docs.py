@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs health check, run by the CI ``docs`` job.
 
-Four gates:
+Five gates:
 
 1. every relative markdown link in README.md and docs/ resolves to an
    existing file, and anchored links (``file.md#heading``) resolve to a
@@ -12,7 +12,10 @@ Four gates:
    CLI surface and the operator guide cannot drift apart silently;
 4. every backticked ``repro.…`` dotted name in README.md and docs/ imports
    or resolves to an attribute, so deleting a module cannot leave the docs
-   pointing at nothing.
+   pointing at nothing;
+5. every ``$ qckpt …`` line inside a fenced block of README.md and docs/
+   parses with the CLI's own argparse tree (parsed, never run), so a doc
+   cannot show a verb or flag that does not exist.
 
 Exits non-zero with a per-failure report.  Run locally with::
 
@@ -26,6 +29,7 @@ import contextlib
 import importlib
 import io
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -34,6 +38,8 @@ REPO = Path(__file__).resolve().parent.parent
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#+\s+(.*)$", re.MULTILINE)
 DOTTED_NAME_RE = re.compile(r"`(repro(?:\.\w+)+)(?:\(\))?`")
+FENCE_RE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
+SHELL_OPERATORS = {"|", "||", "&", "&&", ">", ">>", ";"}
 
 
 def _slug(heading: str) -> str:
@@ -153,6 +159,35 @@ def check_dotted_names() -> list:
     return errors
 
 
+def check_console_lines() -> list:
+    from repro.cli import build_parser
+
+    errors = []
+    for doc in _doc_files():
+        for block in FENCE_RE.findall(doc.read_text(encoding="utf-8")):
+            for line in block.replace("\\\n", " ").splitlines():
+                if not line.startswith("$ qckpt "):
+                    continue
+                argv = shlex.split(line[len("$ qckpt "):], comments=True)
+                for i, token in enumerate(argv):
+                    if token in SHELL_OPERATORS:  # the shell's, not qckpt's
+                        argv = argv[:i]
+                        break
+                complaint = io.StringIO()
+                try:
+                    with contextlib.redirect_stderr(complaint):
+                        build_parser().parse_args(argv)
+                except SystemExit as exc:
+                    if not exc.code:
+                        continue  # --help
+                    reason = complaint.getvalue().strip().splitlines()[-1:]
+                    errors.append(
+                        f"{doc.relative_to(REPO)}: `{line}` does not parse: "
+                        + " ".join(reason)
+                    )
+    return errors
+
+
 def main() -> int:
     errors = []
     for gate in (
@@ -160,6 +195,7 @@ def main() -> int:
         check_help,
         check_operations_coverage,
         check_dotted_names,
+        check_console_lines,
     ):
         errors.extend(gate())
     if errors:
@@ -170,7 +206,7 @@ def main() -> int:
     docs = ", ".join(str(f.relative_to(REPO)) for f in _doc_files())
     print(f"docs check OK: links + anchors resolve in [{docs}]; "
           "every qckpt subcommand --help exits 0 and is documented; "
-          "every `repro.…` name resolves")
+          "every `repro.…` name resolves; every `$ qckpt` console line parses")
     return 0
 
 

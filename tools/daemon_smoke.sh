@@ -22,7 +22,7 @@ STEPS=30
 echo "== starting daemon on 127.0.0.1:0 (store: $STORE)"
 # Port 0 lets the daemon's own bind pick the port (no probe-then-bind
 # race); the resolved address is advertised in daemon.json.
-$QCKPT daemon start "$STORE" --shards 1 --listen 127.0.0.1:0 --token "$TOKEN" &
+$QCKPT daemon start "$STORE" --listen 127.0.0.1:0 --token "$TOKEN" &
 DAEMON_PID=$!
 cleanup() { kill "$DAEMON_PID" 2>/dev/null || true; rm -rf "$STORE"; }
 trap cleanup EXIT
@@ -92,7 +92,7 @@ wait "$DAEMON_PID"
 
 echo "== restoring both jobs (content-addressed blocks: bitwise verification)"
 for job in a b; do
-  restored=$($QCKPT restore "$STORE/shard-0" --job "$job")
+  restored=$($QCKPT restore "$STORE" --job "$job")
   echo "$restored"
   echo "$restored" | grep -q "at step $STEPS" \
     || { echo "job $job did not restore at step $STEPS"; exit 1; }

@@ -147,13 +147,13 @@ echo "== health verdict flips under a fault storm, then recovers"
 python - <<'PY'
 import subprocess, sys, tempfile, threading, time
 
-from repro.obs.export import store_obs_dir
 from repro.obs.health import HealthRule
 from repro.obs.metrics import MetricsRegistry
 from repro.reliability import RetryPolicy
 from repro.service import ChunkStore, DaemonClient, FleetDaemon, WriterPool
 from repro.service.daemon import DaemonConfig
 from repro.storage.flaky import FlakyBackend
+from repro.storage.layout import obs_dir
 from repro.storage.memory import InMemoryBackend
 from repro.storage.reliable import ReliableBackend
 
@@ -185,7 +185,7 @@ control = root + "/ctl"
 daemon = FleetDaemon(
     store, pool, control,
     config=DaemonConfig(tick_seconds=0.005, obs_sample_seconds=0.1),
-    metrics=registry, obs_dir=store_obs_dir(root + "/store"),
+    metrics=registry, obs_dir=obs_dir(root + "/store"),
     health_rules=RULES,
 )
 thread = threading.Thread(target=daemon.serve, daemon=True)
