@@ -1061,35 +1061,26 @@ def _print_profile_overview(trees, trace_path, obs_profile) -> None:
 
 def cmd_fleet(args: argparse.Namespace) -> int:
     """Run an N-job sweep through the checkpoint service and report."""
-    import numpy as np
-
     from repro.faults.injector import Brownout, PreemptionStorm
-    from repro.ml.dataset import make_moons
-    from repro.ml.models import VariationalClassifier
-    from repro.ml.optimizers import Adam
-    from repro.ml.trainer import Trainer, TrainerConfig
-    from repro.quantum.templates import hardware_efficient
     from repro.service import (
         FleetHarness,
         FleetJobSpec,
         ThrottledBackend,
         WriterPool,
     )
+    from repro.service.daemon import BUILTIN_WORKLOADS
 
     def trainer_factory(lr: float):
-        def make() -> Trainer:
-            model = VariationalClassifier(
-                hardware_efficient(args.qubits, args.layers)
-            )
-            dataset = make_moons(args.samples, np.random.default_rng(args.seed))
-            return Trainer(
-                model,
-                Adam(lr=lr),
-                dataset=dataset,
-                config=TrainerConfig(batch_size=8, seed=args.seed),
-            )
-
-        return make
+        # The recipe `qckpt daemon submit` names "classifier".
+        return BUILTIN_WORKLOADS["classifier"](
+            {
+                "qubits": args.qubits,
+                "layers": args.layers,
+                "samples": args.samples,
+                "seed": args.seed,
+                "lr": lr,
+            }
+        )
 
     # No --store: the same shards, in memory.
     store = open_store(
@@ -1176,8 +1167,8 @@ def cmd_daemon_start(args: argparse.Namespace) -> int:
     daemon_id = args.daemon_id or f"daemon-{uuid.uuid4().hex[:8]}"
     # Shards, optional fast tier + placement journal (--fast-bytes), retry
     # layer (--retries) and metadata index (--index or QCKPT_METADB=1; one
-    # SQLite file at the root shared by the journal fold, manifest discovery
-    # and the daemon's job registry — files stay the truth).
+    # SQLite file at the root shared by the journal fold and manifest
+    # discovery — files stay the truth).
     store = open_store(
         args.store,
         shards=args.shards,

@@ -12,12 +12,14 @@ that service layer:
   (block / drop-oldest / degrade-to-lite),
 * :mod:`repro.service.manager` — the trainer hook (one per job, over either
   store) submitting into a writer,
-* :mod:`repro.service.fleet` — the scheduler harness running N jobs against
-  the shared stack under preemption storms and brownouts,
-* :mod:`repro.service.daemon` — the same scheduler as a long-running
-  process: pluggable control plane (``qckpt daemon``), dynamic job
-  submission from a JSON workload registry, priority-weighted tick
-  scheduling, restore read-ahead during restart delays, and lease-gated
+* :mod:`repro.service.scheduler` — the one fleet scheduler: job table,
+  priority-weighted tick loop, preempt / reincarnate / park, restore
+  read-ahead during restart delays,
+* :mod:`repro.service.fleet` — the harness that scripts the scheduler to
+  completion under preemption storms and brownouts,
+* :mod:`repro.service.daemon` — the same scheduler served as a
+  long-running process: pluggable control plane (``qckpt daemon``), dynamic
+  job submission from a JSON workload registry, and lease-gated
   cross-daemon tier rebalancing,
 * :mod:`repro.service.transport` — the daemon's control-plane transports:
   the file protocol plus a TCP socket server/client speaking
@@ -46,14 +48,7 @@ from repro.service.daemon import (
     DaemonUnavailable,
     FleetDaemon,
 )
-from repro.service.fleet import (
-    FleetHarness,
-    FleetJobResult,
-    FleetJobSpec,
-    FleetResult,
-    JobLifecycle,
-    ThrottledBackend,
-)
+from repro.service.fleet import FleetHarness, FleetResult, ThrottledBackend
 from repro.service.manager import ServiceCheckpointManager, ServiceCheckpointStats
 from repro.service.pool import (
     ChannelStats,
@@ -62,6 +57,7 @@ from repro.service.pool import (
     WriteStats,
     WriterPool,
 )
+from repro.service.scheduler import FleetJobResult, FleetJobSpec, Scheduler
 from repro.service.scrub import (
     ScrubFinding,
     ScrubReport,
@@ -163,7 +159,7 @@ __all__ = [
     "SocketTransport",
     "SocketControlClient",
     "TransportConnectError",
-    "JobLifecycle",
+    "Scheduler",
     "ChunkStore",
     "ChunkStoreStats",
     "ChunkCheckpointRecord",

@@ -3,9 +3,9 @@
 :class:`~repro.service.fleet.FleetHarness` runs one fixed fleet to
 completion and dies with its caller; real sweep traffic (capacity scans,
 architecture selection) is a *stream* of small jobs arriving while others
-finish.  :class:`FleetDaemon` runs the same job lifecycle
-(:class:`~repro.service.fleet.JobLifecycle` — identical crash semantics)
-inside a long-lived scheduler loop that:
+finish.  :class:`FleetDaemon` drives the same
+:class:`~repro.service.scheduler.Scheduler` — one job table, one tick
+loop, identical crash semantics — from a long-lived serve loop that:
 
 * accepts job submissions, status queries, drain and preemption commands
   over **pluggable control transports**
@@ -16,28 +16,22 @@ inside a long-lived scheduler loop that:
   length-prefixed JSON frames, so a daemon on one host can be driven and
   monitored from another with no shared filesystem for control traffic.
   Both transports feed the same :meth:`FleetDaemon._handle` dispatch,
-* schedules runnable jobs by **weighted round-robin**: each job's
-  ``priority`` is its share weight (a priority-2 job gets ~2x the training
-  ticks of a priority-1 neighbour), implemented as stride scheduling whose
-  min-pass selection doubles as starvation protection — a low-priority
-  job's virtual pass stands still while it waits, so it is always
-  scheduled within a bounded number of ticks,
+* steps the scheduler once between polls (weighted round-robin by
+  ``priority``, failed jobs parked, restores staged the moment a job is
+  preempted so the restart delay doubles as the read-ahead window),
 * survives job churn: jobs are created from a **workload registry** (named
-  trainer recipes + JSON parameters — never unpickled callables), advance
-  one step per tick, die on ``preempt``, and reincarnate through the
-  shared restore pipeline after their restart delay,
-* stages restores ahead of time: the moment a job is preempted the daemon
-  issues :meth:`~repro.service.chunkstore.ChunkStore.prefetch_restore`,
-  so the restart delay doubles as the read-ahead window and the
-  reincarnation restore is tier-warm,
+  trainer recipes + JSON parameters — never unpickled callables), die on
+  ``preempt``, and reincarnate through the shared restore pipeline after
+  their restart delay,
 * coordinates placement across daemons: with a
   :class:`~repro.storage.placement.PlacementJournal` on the store, pins
   are durable/shared and the periodic ``rebalance_tiers()`` sweep runs
   under the journal's ``rebalance`` lease.
 
 Liveness and single-instance are both carried by ``daemon.json`` in the
-control directory: the daemon heartbeats it; a second ``start`` against a
-fresh heartbeat is refused; clients treat a stale heartbeat as daemon-down.
+control directory: a thread of the daemon heartbeats it, whatever the serve
+loop is grinding through; a second ``start`` against a fresh heartbeat is
+refused; clients treat a stale heartbeat as daemon-down.
 
 Operator surface (see ``docs/OPERATIONS.md``)::
 
@@ -64,7 +58,6 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.errors import (
-    CheckpointNotFoundError,
     ConfigError,
     ReproError,
     StorageError,
@@ -78,19 +71,17 @@ from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import (
     DB_FILENAME as TIMESERIES_FILENAME,
-    DEFAULT_RETENTION_SECONDS,
     TimeSeriesDB,
     TimeSeriesSampler,
     rate_from_samples,
 )
 from repro.reliability import Deadline, current_deadline
 from repro.service.chunkstore import ChunkStore
-from repro.service.fleet import FleetJobSpec, JobLifecycle, _JobRuntime
 from repro.service.pool import WriterPool
+from repro.service.scheduler import FleetJobSpec, Scheduler, _JobRuntime
 from repro.service.transport import (
     REQUEST_PREFIX,
     RESPONSE_PREFIX,
-    ControlTransport,
     FileTransport,
     SocketControlClient,
     SocketTransport,
@@ -116,6 +107,12 @@ CP_META_BEFORE_WRITE = register_crash_point(
 # the operation twice.  Bounded: old entries fall off; by then the retry
 # window (seconds) is long past.
 IDEMPOTENCY_CACHE_SIZE = 256
+
+# How long a socket connection thread waits for the serve loop to answer
+# before self-reporting a timeout envelope.  Requests are only handled
+# between scheduler passes, and a pass's duration is bounded by the slowest
+# training steps in flight — sized to the workload, not the network.
+SOCKET_RESPONSE_TIMEOUT_SECONDS = 60.0
 
 STATE_RUNNING = "running"
 STATE_DRAINING = "draining"
@@ -191,18 +188,10 @@ class DaemonConfig:
     # ``compact`` lease).  0 = compact only at drain, as PR 4 did — a
     # week-long daemon would then fold pin/lease history only on exit.
     compact_journal_records: int = 512
-    # How long a socket connection thread waits for the scheduler loop to
-    # answer before self-reporting a timeout envelope.  Requests are only
-    # handled between scheduler passes, and a pass's duration is bounded
-    # by the slowest training steps in flight — size this to the workload,
-    # not the network.
-    socket_response_timeout_seconds: float = 60.0
     # Cadence of registry samples into <obs>/timeseries.db and of health
     # rule evaluation.  None = the heartbeat cadence; 0 disables both the
     # sampler and in-loop health (the `health` op still evaluates fresh).
     obs_sample_seconds: Optional[float] = None
-    # Retention window of the timeseries history (seconds).
-    timeseries_retention_seconds: float = DEFAULT_RETENTION_SECONDS
 
     def __post_init__(self) -> None:
         if self.tick_seconds < 0:
@@ -233,11 +222,6 @@ class DaemonConfig:
                 f"compact_journal_records must be >= 0, "
                 f"got {self.compact_journal_records}"
             )
-        if self.socket_response_timeout_seconds <= 0:
-            raise ConfigError(
-                f"socket_response_timeout_seconds must be > 0, "
-                f"got {self.socket_response_timeout_seconds}"
-            )
         if (
             self.obs_sample_seconds is not None
             and self.obs_sample_seconds < 0
@@ -245,11 +229,6 @@ class DaemonConfig:
             raise ConfigError(
                 f"obs_sample_seconds must be >= 0 or None, "
                 f"got {self.obs_sample_seconds}"
-            )
-        if self.timeseries_retention_seconds <= 0:
-            raise ConfigError(
-                f"timeseries_retention_seconds must be > 0, "
-                f"got {self.timeseries_retention_seconds}"
             )
 
     @property
@@ -300,8 +279,8 @@ def _effective_stale_after(meta: Dict, floor: float) -> float:
     return max(floor, advertised)
 
 
-class FleetDaemon(JobLifecycle):
-    """The scheduler loop of a checkpoint service, run as a daemon.
+class FleetDaemon:
+    """The checkpoint service's scheduler, served as a daemon.
 
     One instance per control directory; construct with the shared
     :class:`~repro.service.chunkstore.ChunkStore` and
@@ -313,9 +292,9 @@ class FleetDaemon(JobLifecycle):
     lock and heartbeat) and always doubles as the file transport.  With
     ``listen="host:port"`` the daemon additionally serves the same op set
     over TCP (see :class:`~repro.service.transport.SocketTransport`);
-    ``auth_token`` is the socket's shared secret.  ``transports`` injects
-    extra pre-built transports (tests, embedders).  All transports are
-    polled from the one scheduler loop, so handlers never race.
+    ``auth_token`` is the socket's shared secret.  All transports are
+    polled from the one serve loop, which also steps :attr:`scheduler`, so
+    handlers never race the job table.
     """
 
     def __init__(
@@ -328,12 +307,12 @@ class FleetDaemon(JobLifecycle):
         daemon_id: Optional[str] = None,
         listen: "Optional[str | tuple]" = None,
         auth_token: Optional[str] = None,
-        transports: "tuple[ControlTransport, ...]" = (),
         metrics: Optional[MetricsRegistry] = None,
         obs_dir=None,
         health_rules: "Optional[List[HealthRule]]" = None,
     ):
-        super().__init__(store, pool)
+        self.store = store
+        self.pool = pool
         self.control = _control_backend(control)
         # One registry for the whole daemon: default to the store's so the
         # stack wired by `qckpt daemon start` (tiered backend, chunk store,
@@ -343,6 +322,9 @@ class FleetDaemon(JobLifecycle):
         )
         self._obs = ObsDir(obs_dir) if obs_dir is not None else None
         self.config = config or DaemonConfig()
+        self.scheduler = Scheduler(
+            store, pool, self.config.rebalance_every_ticks
+        )
         self.workloads = dict(BUILTIN_WORKLOADS)
         if workloads:
             self.workloads.update(workloads)
@@ -354,29 +336,19 @@ class FleetDaemon(JobLifecycle):
                 host,
                 port,
                 auth_token=auth_token,
-                response_timeout_seconds=(
-                    self.config.socket_response_timeout_seconds
-                ),
+                response_timeout_seconds=SOCKET_RESPONSE_TIMEOUT_SECONDS,
             )
         elif auth_token is not None:
             raise ConfigError(
                 "auth_token only guards the socket transport; pass listen= too"
             )
-        self.transports: List[ControlTransport] = [
-            FileTransport(self.control)
-        ]
+        self.transports = [FileTransport(self.control)]
         if self.socket_transport is not None:
             self.transports.append(self.socket_transport)
-        self.transports.extend(transports)
         self.state = STATE_STOPPED
-        self.tick = 0
-        self._jobs: Dict[str, _JobRuntime] = {}
-        self._prefetches: Dict[str, object] = {}  # job id -> PrefetchedPlan
         self._stop_requested = False
         self._started_at: Optional[float] = None
-        self._last_heartbeat = 0.0
         self._hb_stop = threading.Event()
-        self._sched_clock = 0.0  # virtual time of the last scheduled tick
         # Registry-backed daemon counters; the baseline keeps a second
         # daemon over the same (shared-registry) store counting from zero.
         self._c_requests = self.metrics.counter("daemon.requests_served")
@@ -399,6 +371,11 @@ class FleetDaemon(JobLifecycle):
         self._health_report: Optional[HealthReport] = None
 
     @property
+    def tick(self) -> int:
+        """Scheduler passes run so far."""
+        return self.scheduler.tick
+
+    @property
     def requests_served(self) -> int:
         return int(self._c_requests.value - self._c_base["requests"])
 
@@ -418,55 +395,12 @@ class FleetDaemon(JobLifecycle):
             return None
         return self.socket_transport.address
 
-    # -- workloads --------------------------------------------------------------
-
-    def register_workload(
-        self, name: str, builder: Callable[[Dict], Callable[[], object]]
-    ) -> None:
-        """Add/replace a named workload recipe (tests, embedders)."""
-        if not name:
-            raise ConfigError("workload name must be non-empty")
-        self.workloads[name] = builder
-
     # -- daemon.json ------------------------------------------------------------
 
     def _read_meta(self) -> Optional[Dict]:
         return _read_control_meta(self.control)
 
-    def _sync_job_registry(self) -> None:
-        """Mirror the job table into the metadata index's registry rows.
-
-        Best-effort (the index is a cache): with rows in place, ``status``
-        against a 10k-job store is one ``COUNT``/``SELECT`` instead of
-        deserializing every job's history out of daemon.json.
-        """
-        db = getattr(self.store, "metadb", None)
-        if db is None:
-            return
-        try:
-            for job in list(self._jobs.values()):
-                if job.done:
-                    state = "failed" if job.error is not None else "finished"
-                elif job.trainer is None:
-                    state = "down"
-                else:
-                    state = "running"
-                db.upsert_daemon_job(
-                    job.spec.job_id,
-                    self.daemon_id,
-                    state,
-                    job.spec.priority,
-                )
-        except StorageError:
-            pass
-
     def _write_meta(self) -> None:
-        # One snapshot of the job table: the background heartbeat thread
-        # calls this while the scheduler thread may be inserting a newly
-        # submitted job, and two separate iterations would double the
-        # exposure to a size change mid-iteration.
-        self._sync_job_registry()
-        jobs = list(self._jobs.values())
         meta = {
             "daemon_id": self.daemon_id,
             "pid": os.getpid(),
@@ -474,8 +408,10 @@ class FleetDaemon(JobLifecycle):
             "started": self._started_at,
             "heartbeat": time.time(),
             "tick": self.tick,
-            "jobs": len(jobs),
-            "active_jobs": sum(1 for job in jobs if not job.done),
+            # Counted before the table is sized: a submit landing between
+            # the two (this runs on the heartbeat thread) only grows "jobs".
+            "active_jobs": self.scheduler.active_jobs,
+            "jobs": len(self.scheduler.jobs),
             # Advertised so clients judge staleness by *this* daemon's
             # cadence instead of assuming the default.
             "heartbeat_seconds": self.config.heartbeat_seconds,
@@ -503,7 +439,6 @@ class FleetDaemon(JobLifecycle):
         self.control.write(
             META_NAME, json.dumps(meta, sort_keys=True).encode("utf-8")
         )
-        self._last_heartbeat = time.monotonic()
 
     def _claim_control(self) -> None:
         meta = self._read_meta()
@@ -630,9 +565,6 @@ class FleetDaemon(JobLifecycle):
         job_id = spec.get("job_id")
         if not job_id:
             return {"ok": False, "error": "submission needs a job_id"}
-        existing = self._jobs.get(job_id)
-        if existing is not None and not existing.done:
-            return {"ok": False, "error": f"job {job_id!r} is already active"}
         workload = spec.get("workload", "classifier")
         builder = self.workloads.get(workload)
         if builder is None:
@@ -654,36 +586,20 @@ class FleetDaemon(JobLifecycle):
             priority=int(spec.get("priority", 1)),
             shard_workers=int(spec.get("shard_workers", 0)),
         )
-        job = _JobRuntime(job_spec)
-        # A re-submitted job id *resumes* its history: the fresh incarnation
-        # restores from the store if it ever checkpointed there.  With a
-        # metadata index attached this probe is one point query instead of
-        # a per-submit store listing.
-        resumable = self.store.has_checkpoints(job_id)
-        self._start_job(job, self.tick, fresh=not resumable)
-        self._sched_join(job)
-        self._jobs[job_id] = job
-        self._sync_job_registry()
+        # A re-submitted job id *resumes* its history.
+        job = self.scheduler.submit(job_spec)
         return {
             "ok": True,
             "job": job_id,
-            "resumed_from_step": (
-                job.result.resumed_from_steps[-1] if resumable else 0
-            ),
+            "resumed_from_step": (job.result.resumed_from_steps or [0])[-1],
             "submitted_at_tick": self.tick,
         }
 
     def _job_status(self, job: _JobRuntime) -> Dict:
-        if job.done:
-            state = "failed" if job.error is not None else "finished"
-        elif job.trainer is None:
-            state = "down"
-        else:
-            state = "running"
         result = job.result
         return {
-            "state": state,
-            "error": job.error,
+            "state": job.state,
+            "error": None if job.error is None else str(job.error),
             "step": job.trainer.step_count if job.trainer else None,
             "target_steps": job.spec.target_steps,
             "final_step": result.final_step,
@@ -694,7 +610,9 @@ class FleetDaemon(JobLifecycle):
             "resumed_from_steps": list(result.resumed_from_steps),
             "down_until_tick": job.down_until,
             "finish_tick": result.finish_tick,
-            "prefetching_restore": job.spec.job_id in self._prefetches,
+            "prefetching_restore": self.scheduler.prefetching(
+                job.spec.job_id
+            ),
             "priority": job.spec.priority,
             "ticks_scheduled": job.ticks_scheduled,
             "metrics": self._job_metrics(job),
@@ -722,7 +640,9 @@ class FleetDaemon(JobLifecycle):
         return summary
 
     def _sched_total_ticks(self) -> int:
-        return sum(job.ticks_scheduled for job in self._jobs.values())
+        return sum(
+            job.ticks_scheduled for job in self.scheduler.jobs.values()
+        )
 
     def _op_status(self, job_id: Optional[str]) -> Dict:
         # Scheduling shares are fractions of *all* ticks ever granted, so a
@@ -737,7 +657,7 @@ class FleetDaemon(JobLifecycle):
             return status
 
         if job_id is not None:
-            job = self._jobs.get(job_id)
+            job = self.scheduler.jobs.get(job_id)
             if job is None:
                 return {"ok": False, "error": f"unknown job {job_id!r}"}
             return {
@@ -755,15 +675,9 @@ class FleetDaemon(JobLifecycle):
             "sched_total_ticks": total_ticks,
             "jobs": {
                 job_id: status_of(job)
-                for job_id, job in self._jobs.items()
+                for job_id, job in self.scheduler.jobs.items()
             },
         }
-        db = getattr(self.store, "metadb", None)
-        if db is not None:
-            try:
-                response["registry_jobs"] = db.count_daemon_jobs()
-            except StorageError:
-                pass
         report = self._health_report
         if report is not None:
             response["health"] = {
@@ -809,9 +723,11 @@ class FleetDaemon(JobLifecycle):
         gauges only when a snapshot is taken keeps the hot paths free of
         registry traffic.
         """
-        self.metrics.gauge("daemon.active_jobs").set(self._active_jobs())
+        self.metrics.gauge("daemon.active_jobs").set(
+            self.scheduler.active_jobs
+        )
         self.metrics.gauge("pool.queue_depth").set(self.pool.pending)
-        for job_id, job in self._jobs.items():
+        for job_id, job in self.scheduler.jobs.items():
             if job.channel is not None:
                 self.metrics.gauge("channel.queue_depth", job=job_id).set(
                     job.channel.pending
@@ -839,7 +755,7 @@ class FleetDaemon(JobLifecycle):
         self._refresh_gauges()
         queues = {
             job_id: job.channel.pending
-            for job_id, job in self._jobs.items()
+            for job_id, job in self.scheduler.jobs.items()
             if job.channel is not None
         }
         # Engine/shard series live in the process-global engines registry
@@ -861,7 +777,7 @@ class FleetDaemon(JobLifecycle):
             "epoch": self.metrics.epoch,
             "metrics": snapshot,
             "dedup_ratio": self.store.stats.dedup_ratio,
-            "active_jobs": self._active_jobs(),
+            "active_jobs": self.scheduler.active_jobs,
             "queues": queues,
         }
         reliability = self._reliability_state()
@@ -946,204 +862,48 @@ class FleetDaemon(JobLifecycle):
                 "ok": False,
                 "error": f"restart_delay_ticks must be >= 0, got {delay}",
             }
-        targets: List[_JobRuntime] = []
+        jobs = self.scheduler.jobs
         if job_id is None:
-            targets = [
-                job
-                for job in self._jobs.values()
-                if not job.done and job.trainer is not None
-            ]
+            targets = [job for job in jobs.values() if job.running]
         else:
-            job = self._jobs.get(job_id)
+            job = jobs.get(job_id)
             if job is None:
                 return {"ok": False, "error": f"unknown job {job_id!r}"}
-            if job.done or job.trainer is None:
+            if not job.running:
                 return {
                     "ok": False,
                     "error": f"job {job_id!r} is not running",
                 }
             targets = [job]
         for job in targets:
-            self._preempt_job(job, self.tick, delay)
-            self._stage_restore(job)
+            self.scheduler.preempt(job, delay)
         return {
             "ok": True,
             "preempted": sorted(job.spec.job_id for job in targets),
             "restart_delay_ticks": delay,
         }
 
-    # -- restore read-ahead -------------------------------------------------------
-
-    def _await_dead_channel(self, channel) -> None:
-        """Sliced wait that keeps heartbeating the control file.
-
-        A dead incarnation's in-flight save can stall for tens of seconds
-        on a throttled store; one long blocking wait would let the
-        heartbeat go stale and invite a second daemon to claim this
-        control directory.  Waiting in heartbeat-sized slices keeps this
-        daemon visibly alive the whole time.
-        """
-        deadline = time.monotonic() + 60.0
-        slice_seconds = min(self.config.heartbeat_seconds / 2, 0.25)
-        while time.monotonic() < deadline:
-            if channel.wait_idle(timeout=slice_seconds):
-                return
-            self._write_meta()
-
-    def _stage_restore(self, job: _JobRuntime) -> None:
-        """Start read-ahead for a preempted job's reincarnation restore.
-
-        The restart delay is dead time; spending it fetching — and, on a
-        tiered store, *promoting* — the newest checkpoint's chunks means
-        the actual restore finds everything already staged.  Only worth it
-        when a fast tier exists to stage into: without one the restore
-        cannot reuse the prefetched bytes, and staging would just read
-        every chunk twice.  Best-effort: a job that never checkpointed
-        simply has nothing to stage.
-        """
-        job_id = job.spec.job_id
-        self._cancel_prefetch(job_id)
-        if self.store.backend.tier_for("ch-staging-probe") is None:
-            return  # no fast tier to warm; staging would double the reads
-        try:
-            self._prefetches[job_id] = self.store.prefetch_restore(job_id)
-        except (CheckpointNotFoundError, ReproError):
-            pass
-
-    def _cancel_prefetch(self, job_id: str) -> None:
-        handle = self._prefetches.pop(job_id, None)
-        if handle is not None:
-            handle.cancel()
-
     # -- the loop ----------------------------------------------------------------
 
-    def _park_failed(self, job: _JobRuntime, exc: BaseException) -> None:
-        """Terminal failure of one job: record it, release its resources.
-
-        The channel is abandoned (crash semantics) so the pool hands a
-        *fresh* channel — with no stale queue or pending error — to any
-        later resubmission of the same job id.
-        """
-        job.error = str(exc)
-        job.result.finish_tick = self.tick
-        job.done = True
-        self._absorb_channel_stats(job)
-        if job.channel is not None:
-            job.channel.abandon()
-            job.channel = None
-        job.manager = None
-        job.trainer = None
-        job.dead_channel = None
-        self._cancel_prefetch(job.spec.job_id)
-
-    def _heartbeat_if_due(self) -> None:
-        """Refresh ``daemon.json`` if the cadence elapsed (cheap check).
-
-        Called between individual job steps inside a scheduler pass, not
-        just between passes: a pass advances every runnable job one
-        training step, so its duration is unbounded (many jobs, wide
-        circuits) and one long pass must not let the heartbeat go stale —
-        clients would presume this daemon dead and a rival ``start``
-        could claim the control directory out from under it.
-        """
-        if (
-            time.monotonic() - self._last_heartbeat
-            >= self.config.heartbeat_seconds
-        ):
-            self._write_meta()
-
     def _heartbeat_loop(self) -> None:
-        """Background heartbeat covering what the loop's checks cannot.
+        """The heartbeat: ``daemon.json`` refreshed from its own thread.
 
-        The in-loop refreshes run *between* steps; a single training step
-        is opaque to the scheduler and can outlast the staleness window on
-        wide circuits.  This thread keeps ``daemon.json`` fresh regardless
-        of what the scheduler thread is grinding through, so "stale
-        heartbeat" means dead-or-hung process, never just a slow step.
+        A training step is opaque to the serve loop and can outlast the
+        staleness window on wide circuits, as can a pass of many steps, a
+        slow restore or the wait for a dead incarnation's in-flight save.
+        Beating from this thread keeps ``daemon.json`` fresh regardless,
+        so "stale heartbeat" means dead-or-hung process, never just a
+        slow step.
         """
-        while not self._hb_stop.wait(self.config.heartbeat_seconds / 2):
+        while not self._hb_stop.wait(self.config.heartbeat_seconds):
             try:
-                self._heartbeat_if_due()
+                self._write_meta()
             except Exception:  # noqa: BLE001 - liveness is best-effort;
                 # a transient failure (control-dir hiccup, a job-table
                 # resize caught mid-snapshot) must not kill the thread —
                 # a silently dead heartbeat is the one failure mode this
                 # thread exists to rule out.  The next beat retries.
                 pass
-
-    def _sched_join(self, job: _JobRuntime) -> None:
-        """Enter ``job`` into the weighted scheduler at the current clock.
-
-        A job joining (fresh submission) or re-joining (reincarnation)
-        starts at the scheduler's virtual time instead of its own frozen
-        pass — otherwise a job that sat out 500 ticks would monopolize the
-        loop "catching up" and starve every incumbent.
-        """
-        job.sched_pass = max(job.sched_pass, self._sched_clock)
-
-    def _tick_once(self) -> bool:
-        """One scheduler pass; returns whether any job advanced."""
-        progressed = False
-        # 1. reincarnate preempted jobs whose delay elapsed
-        for job in self._jobs.values():
-            if (
-                not job.done
-                and job.trainer is None
-                and job.down_until is not None
-                and self.tick >= job.down_until
-            ):
-                try:
-                    self._recover_job(job, self.tick)
-                    self._sched_join(job)
-                except ReproError as exc:
-                    # A failed restore must not take the daemon (or its
-                    # neighbours) down: park this job, keep serving.
-                    self._park_failed(job, exc)
-                # The read-ahead did its job (promotion/staging); drop the
-                # handle so its buffers are released.
-                self._cancel_prefetch(job.spec.job_id)
-                self._heartbeat_if_due()  # restores can be slow
-                progressed = True
-        # 2. advance runnable jobs by weighted round-robin (stride
-        # scheduling).  The pass grants as many training-step slots as
-        # there are runnable jobs — identical total throughput to the old
-        # everyone-advances loop — but each slot goes to the runnable job
-        # with the *smallest virtual pass*, and a scheduled job's pass
-        # advances by 1/priority.  Shares therefore converge to the
-        # priority ratio, and a waiting job's pass stands still, which
-        # bounds how long it can be passed over: starvation-free.
-        runnable = [
-            job
-            for job in self._jobs.values()
-            if not job.done and job.trainer is not None
-        ]
-        for _ in range(len(runnable)):
-            job = min(runnable, key=lambda j: (j.sched_pass, j.spec.job_id))
-            self._sched_clock = job.sched_pass
-            job.sched_pass += 1.0 / job.spec.priority
-            job.ticks_scheduled += 1
-            progressed = True
-            try:
-                self._advance_job(job, self.tick)
-            except ReproError as exc:
-                self._park_failed(job, exc)
-            self._heartbeat_if_due()  # a pass of N slow steps is unbounded
-            if job.done or job.trainer is None:
-                runnable.remove(job)
-                if not runnable:
-                    break
-        # 3. periodic placement sweep (lease-gated when a journal is set)
-        every = self.config.rebalance_every_ticks
-        if every > 0 and self.tick > 0 and self.tick % every == 0:
-            try:
-                self.store.rebalance_tiers()
-            except ReproError:
-                pass  # placement is advisory; the sweep retries next period
-        self.tick += 1
-        return progressed
-
-    def _active_jobs(self) -> int:
-        return sum(1 for job in self._jobs.values() if not job.done)
 
     def serve(self) -> None:
         """Run the daemon loop until stopped or drained (blocking).
@@ -1166,9 +926,6 @@ class FleetDaemon(JobLifecycle):
                 try:
                     self.timeseries = TimeSeriesDB(
                         self._obs.root / TIMESERIES_FILENAME,
-                        retention_seconds=(
-                            self.config.timeseries_retention_seconds
-                        ),
                         metrics=self.metrics,
                     )
                     self._sampler = TimeSeriesSampler(
@@ -1208,13 +965,10 @@ class FleetDaemon(JobLifecycle):
                 daemon=True,
             )
             heartbeat_thread.start()
-            # Compaction keeps its own clock: heartbeats are refreshed
-            # from several places (in-pass, background thread), so "the
-            # heartbeat was due *here*" is a race this check must not
-            # piggyback on — a busy daemon would never compact.
+            # Listing the journal every tick would be pure overhead: the
+            # compaction check runs at heartbeat cadence, on its own clock.
             next_compact_check = 0.0
             while not self._stop_requested:
-                self._heartbeat_if_due()
                 if time.monotonic() >= next_compact_check:
                     next_compact_check = (
                         time.monotonic() + self.config.heartbeat_seconds
@@ -1230,8 +984,11 @@ class FleetDaemon(JobLifecycle):
                     )
                     self._obs_tick()
                 handled = self._poll_control()
-                progressed = self._tick_once()
-                if self.state == STATE_DRAINING and self._active_jobs() == 0:
+                progressed = self.scheduler.step()
+                if (
+                    self.state == STATE_DRAINING
+                    and self.scheduler.active_jobs == 0
+                ):
                     break
                 if (
                     self.config.max_ticks is not None
@@ -1254,8 +1011,7 @@ class FleetDaemon(JobLifecycle):
                     daemon=self.daemon_id,
                     transport=transport.name,
                 )
-            for job_id in list(self._prefetches):
-                self._cancel_prefetch(job_id)
+            self.scheduler.close()
             try:
                 self.pool.drain()
                 self._compact_journal()
@@ -1334,7 +1090,7 @@ class FleetDaemon(JobLifecycle):
         the compaction actually raced away gets a fresh record.
         """
         pinned = journal.pinned_names()
-        for job_id, job in self._jobs.items():
+        for job_id, job in self.scheduler.jobs.items():
             if job.done:
                 continue
             names = self.store.manifest_names(job_id)

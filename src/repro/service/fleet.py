@@ -1,10 +1,11 @@
-"""Fleet harness: N concurrent training jobs over one checkpoint service.
+"""Fleet harness: a fixed fleet of training jobs over one checkpoint service.
 
 The multi-tenant crash/recover/resume loop — a cluster scheduler in
-miniature.  Jobs advance in round-robin *ticks* (one training step per tick
-per running job, offset by their cadence), checkpoints flow through a shared
-:class:`~repro.service.pool.WriterPool` into a shared
-:class:`~repro.service.chunkstore.ChunkStore`, and scenario events from
+miniature.  The loop itself is :class:`~repro.service.scheduler.Scheduler`
+(one tick = one weighted round-robin pass over the runnable jobs, their
+checkpoints flowing through a shared :class:`~repro.service.pool.WriterPool`
+into a shared :class:`~repro.service.chunkstore.ChunkStore`); the harness is
+the script that drives it to completion while scenario events from
 :mod:`repro.faults.injector` disturb the fleet:
 
 * :class:`~repro.faults.injector.PreemptionStorm` kills a set of jobs at one
@@ -24,14 +25,13 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.core.policy import EveryKSteps
 from repro.errors import ConfigError
 from repro.faults.injector import Brownout, PreemptionStorm
 from repro.service.chunkstore import ChunkStore
-from repro.service.manager import ServiceCheckpointManager
-from repro.service.pool import PoolChannel, WriterPool
+from repro.service.pool import WriterPool
+from repro.service.scheduler import FleetJobResult, FleetJobSpec, Scheduler
 from repro.storage.backend import StorageBackend
 
 
@@ -76,8 +76,9 @@ class ThrottledBackend(StorageBackend):
                 self.delayed_reads += 1
             time.sleep(delay)
 
-    def read(self, name: str) -> bytes:
-        data = self.inner.read(name)
+    def read(self, name: str, into=None) -> bytes:
+        kwargs = {} if into is None else {"into": into}
+        data = self.inner.read(name, **kwargs)
         self._read_delay(len(data))
         return data
 
@@ -89,6 +90,10 @@ class ThrottledBackend(StorageBackend):
     @property
     def supports_ranged_reads(self) -> bool:
         return self.inner.supports_ranged_reads
+
+    @property
+    def supports_read_into(self) -> bool:
+        return self.inner.supports_read_into
 
     def tier_for(self, name: str):
         return self.inner.tier_for(name)
@@ -104,107 +109,6 @@ class ThrottledBackend(StorageBackend):
 
     def size(self, name: str) -> int:
         return self.inner.size(name)
-
-
-@dataclass(frozen=True)
-class FleetJobSpec:
-    """Static description of one job in the fleet.
-
-    ``restore_mode`` selects how a preempted job reincarnates: ``"exact"``
-    resumes bitwise from the newest valid checkpoint; ``"warm-start"``
-    fetches only the parameter blocks through the restore planner and
-    restarts a fresh run from them (the architecture-search/cross-validation
-    pattern — a warm-started incarnation redoes its steps from better
-    parameters, so its step count restarts at zero).
-
-    ``priority`` is the job's scheduling weight under the daemon's weighted
-    round-robin: a priority-2 job receives ~2x the training ticks of a
-    priority-1 neighbour while both are runnable.  The run-to-completion
-    :class:`FleetHarness` advances every job each tick regardless (its
-    cadence is the experiment, not a contended resource), so the weight
-    only shapes daemon scheduling.
-
-    ``shard_workers`` >= 2 fans this job's gradient batches out across that
-    many shard worker processes (:mod:`repro.quantum.engines.sharding`) by
-    wrapping every training step in the ambient execution scope; 0 (the
-    default) sets no scope, leaving the trainer config / environment
-    resolution in effect.  A trainer whose own config sets the knob
-    explicitly overrides the spec.  Sharded gradients are bitwise identical
-    to in-process ones, so the fleet's determinism guarantees are unchanged.
-    """
-
-    job_id: str
-    trainer_factory: Callable[[], "object"]
-    target_steps: int
-    checkpoint_every: int = 1
-    cadence_offset: int = 0
-    max_pending: int = 2
-    backpressure: str = "block"
-    save_on_start: bool = True
-    restore_mode: str = "exact"
-    priority: int = 1
-    shard_workers: int = 0
-
-    def __post_init__(self) -> None:
-        if self.target_steps < 1:
-            raise ConfigError(
-                f"target_steps must be >= 1, got {self.target_steps}"
-            )
-        if self.checkpoint_every < 1:
-            raise ConfigError(
-                f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
-            )
-        if self.cadence_offset < 0:
-            raise ConfigError(
-                f"cadence_offset must be >= 0, got {self.cadence_offset}"
-            )
-        if self.restore_mode not in ("exact", "warm-start"):
-            raise ConfigError(
-                f"restore_mode must be 'exact' or 'warm-start', "
-                f"got {self.restore_mode!r}"
-            )
-        if self.priority < 1:
-            raise ConfigError(
-                f"priority must be >= 1, got {self.priority}"
-            )
-        if self.shard_workers < 0:
-            raise ConfigError(
-                f"shard_workers must be >= 0, got {self.shard_workers}"
-            )
-
-
-@dataclass
-class FleetJobResult:
-    """Per-job outcome."""
-
-    job_id: str
-    final_step: int = 0
-    steps_executed: int = 0
-    preemptions: int = 0
-    restores: int = 0
-    lost_steps: int = 0
-    abandoned_saves: int = 0
-    degraded_saves: int = 0
-    dropped_saves: int = 0
-    resumed_from_steps: List[int] = field(default_factory=list)
-    finish_tick: Optional[int] = None
-
-    @property
-    def wasted_steps(self) -> int:
-        """Steps executed beyond the final step (redone after crashes)."""
-        return self.steps_executed - self.final_step
-
-    @property
-    def recovered_work_ratio(self) -> float:
-        """Fraction of pre-crash progress the store gave back, averaged."""
-        if not self.preemptions:
-            return 1.0
-        recovered = sum(self.resumed_from_steps)
-        lost = self.lost_steps
-        executed_at_crashes = recovered + lost
-        if executed_at_crashes == 0:
-            return 1.0
-        return recovered / executed_at_crashes
 
 
 @dataclass
@@ -236,144 +140,13 @@ class FleetResult:
         return recovered / (recovered + lost)
 
 
-class _JobRuntime:
-    """Mutable state of one job incarnation inside the scheduler."""
+class FleetHarness:
+    """Drives a fixed fleet to completion across storms and brownouts.
 
-    def __init__(self, spec: FleetJobSpec):
-        self.spec = spec
-        self.trainer = None
-        self.manager: Optional[ServiceCheckpointManager] = None
-        self.channel: Optional[PoolChannel] = None
-        self.result = FleetJobResult(job_id=spec.job_id)
-        self.down_until: Optional[int] = None  # tick when restart is allowed
-        self.dead_channel: Optional[PoolChannel] = None
-        self.steps_at_crash = 0
-        self.done = False
-        self.error: Optional[str] = None  # terminal failure (daemon jobs)
-        # Stride-scheduling state (daemon only): the virtual "pass" this job
-        # has consumed (advances by 1/priority per scheduled tick) and the
-        # number of ticks it was actually scheduled for.
-        self.sched_pass = 0.0
-        self.ticks_scheduled = 0
-
-
-class JobLifecycle:
-    """Per-job start/preempt/recover/advance machinery over one store+pool.
-
-    The scheduler-agnostic half of fleet execution: both the
-    run-to-completion :class:`FleetHarness` and the long-running
-    :class:`~repro.service.daemon.FleetDaemon` drive job incarnations
-    through exactly these transitions, so crash semantics (abandoned
-    queues, wait-for-in-flight-save, restore-validation saves) cannot
-    drift between the two schedulers.
+    A script over one :class:`~repro.service.scheduler.Scheduler`
+    (:attr:`scheduler`): submit every spec, then each tick apply that
+    tick's scenario events and step the scheduler once.
     """
-
-    def __init__(self, store: ChunkStore, pool: WriterPool):
-        self.store = store
-        self.pool = pool
-
-    # -- lifecycle of one job ------------------------------------------------------
-
-    def _start_job(self, job: _JobRuntime, tick: int, fresh: bool) -> None:
-        spec = job.spec
-        job.trainer = spec.trainer_factory()
-        job.channel = self.pool.channel(
-            spec.job_id,
-            max_pending=spec.max_pending,
-            backpressure=spec.backpressure,
-        )
-        job.manager = ServiceCheckpointManager(
-            self.store,
-            spec.job_id,
-            job.channel,
-            policy=EveryKSteps(spec.checkpoint_every),
-        )
-        restored_step = 0
-        adopted = False
-        if not fresh:
-            # All reincarnation restores run through the unified pipeline:
-            # exact resume reassembles the full tensor set; warm start plans
-            # only the parameter blocks.  Either walks past damaged
-            # checkpoints to the newest restorable one.
-            ckpt_id = job.manager.resume(job.trainer, mode=spec.restore_mode)
-            adopted = ckpt_id is not None
-            # A warm-started trainer restarts at step 0 by design, so its
-            # recovered step count is 0 even though its parameters came
-            # from a checkpoint.
-            restored_step = job.trainer.step_count if adopted else 0
-            job.result.restores += 1
-            job.result.resumed_from_steps.append(restored_step)
-        warm_adopted = adopted and spec.restore_mode == "warm-start"
-        if spec.save_on_start and (fresh or restored_step > 0 or warm_adopted):
-            # Restore-validation save: prove the write path before burning
-            # compute.  On a resume this is free — every block dedups against
-            # the checkpoint just read.
-            job.manager.save(job.trainer.capture(lite=True))
-        job.down_until = None
-
-    def _absorb_channel_stats(self, job: _JobRuntime) -> None:
-        if job.channel is not None:
-            job.result.dropped_saves += job.channel.stats.dropped
-            job.result.degraded_saves += job.channel.stats.degraded
-
-    def _preempt_job(self, job: _JobRuntime, tick: int, delay: int) -> None:
-        # Record the crash point so recovery can compute the loss.
-        job.steps_at_crash = job.trainer.step_count if job.trainer else 0
-        job.result.preemptions += 1
-        self._absorb_channel_stats(job)
-        if job.channel is not None:
-            job.result.abandoned_saves += job.channel.abandon()
-        job.trainer = None
-        job.manager = None
-        job.dead_channel = job.channel
-        job.channel = None
-        job.down_until = tick + 1 + delay
-
-    def _await_dead_channel(self, channel: PoolChannel) -> None:
-        """Wait out a dead incarnation's in-flight save.
-
-        Schedulers with liveness obligations (the daemon heartbeats a
-        control file) override this to keep signalling while they wait.
-        """
-        channel.wait_idle(timeout=60.0)
-
-    def _recover_job(self, job: _JobRuntime, tick: int) -> None:
-        if job.dead_channel is not None:
-            # Let the dead incarnation's in-flight save (if any) commit
-            # before the reincarnation allocates its first sequence number:
-            # checkpoint sequence order then always matches commit order.
-            self._await_dead_channel(job.dead_channel)
-            job.dead_channel = None
-        self._start_job(job, tick, fresh=False)
-        recovered = job.result.resumed_from_steps[-1]
-        job.result.lost_steps += max(0, job.steps_at_crash - recovered)
-
-    def _advance_job(self, job: _JobRuntime, tick: int) -> bool:
-        """One training step for a running job; returns whether it finished."""
-        from repro.quantum import engines
-
-        with engines.execution_scope(
-            shard_workers=job.spec.shard_workers or None
-        ):
-            info = job.trainer.train_step()
-        job.result.steps_executed += 1
-        job.manager.on_step_end(job.trainer, info)
-        if job.trainer.step_count >= job.spec.target_steps:
-            # Terminal checkpoint (unless the cadence just saved this
-            # exact step) + drain, then release the channel.
-            if job.trainer.step_count % job.spec.checkpoint_every != 0:
-                job.manager.save(job.trainer.capture())
-            job.manager.close()
-            self._absorb_channel_stats(job)
-            job.result.final_step = job.trainer.step_count
-            job.result.finish_tick = tick
-            job.done = True
-            return True
-        return False
-
-
-class FleetHarness(JobLifecycle):
-    """Drives N jobs to completion across storms and brownouts."""
 
     def __init__(
         self,
@@ -389,93 +162,73 @@ class FleetHarness(JobLifecycle):
         ids = [spec.job_id for spec in specs]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate job ids in fleet: {ids}")
-        super().__init__(store, pool)
+        self.store = store
+        self.pool = pool
+        self.scheduler = Scheduler(store, pool)
         self.specs = list(specs)
         self.events = list(events)
         self.throttle = throttle
         self.max_ticks = int(max_ticks)
 
-    # -- the scheduler loop -------------------------------------------------------
-
     def run(self) -> FleetResult:
         """Drive every job to its target step; returns the fleet outcome.
 
-        Each tick applies scenario events (storms preempt, brownouts
-        throttle), reincarnates jobs whose restart delay elapsed, then
-        advances every running job one training step.  Raises
+        A spec whose id already has checkpoints in the store resumes from
+        them.  Each tick applies scenario events (storms preempt, brownouts
+        throttle), then steps the scheduler.  A job the scheduler parks
+        ends the run: its exception is raised after that step.  Raises
         :class:`~repro.errors.ConfigError` if the fleet does not finish
         within ``max_ticks``.
         """
         started = time.perf_counter()
-        jobs = {spec.job_id: _JobRuntime(spec) for spec in self.specs}
+        scheduler = self.scheduler
+        jobs = scheduler.jobs
         events_fired: List[str] = []
-        brownouts_engaged: set = set()
-        brownouts_ended: set = set()
-        tick = 0
-        for job in jobs.values():
-            self._start_job(job, tick, fresh=True)
-        while not all(job.done for job in jobs.values()):
-            if tick >= self.max_ticks:
-                raise ConfigError(
-                    f"fleet did not finish within {self.max_ticks} ticks"
-                )
-            # 1. scenario events for this tick
-            for event in self.events:
-                if isinstance(event, PreemptionStorm) and event.at_tick == tick:
-                    for job in jobs.values():
-                        if (
-                            not job.done
-                            and job.trainer is not None
-                            and event.hits(job.spec.job_id)
-                        ):
-                            self._preempt_job(
-                                job, tick, event.restart_delay_ticks
-                            )
-                    events_fired.append(f"storm@{tick}")
-                if isinstance(event, Brownout) and self.throttle is not None:
-                    if event.active_at(tick) and id(event) not in brownouts_engaged:
-                        brownouts_engaged.add(id(event))
-                        events_fired.append(f"brownout-on@{tick}")
-                    if (
-                        tick >= event.end_tick
-                        and id(event) in brownouts_engaged
-                        and id(event) not in brownouts_ended
-                    ):
-                        brownouts_ended.add(id(event))
-                        events_fired.append(f"brownout-off@{tick}")
-            if self.throttle is not None:
-                # The slowest active window wins; overlapping brownouts do
-                # not end each other early.
-                self.throttle.write_delay_seconds = max(
-                    (
-                        event.write_delay_seconds
-                        for event in self.events
-                        if isinstance(event, Brownout) and event.active_at(tick)
-                    ),
-                    default=0.0,
-                )
-            # 2. reincarnate preempted jobs whose delay elapsed
-            for job in jobs.values():
-                if (
-                    not job.done
-                    and job.trainer is None
-                    and job.down_until is not None
-                    and tick >= job.down_until
-                ):
-                    self._recover_job(job, tick)
-            # 3. advance every running job due at this tick
-            for job in jobs.values():
-                if job.done or job.trainer is None:
-                    continue
-                if tick < job.spec.cadence_offset:
-                    continue
-                self._advance_job(job, tick)
-            tick += 1
+        try:
+            for spec in self.specs:
+                scheduler.submit(spec)
+            while scheduler.active_jobs:
+                tick = scheduler.tick
+                if tick >= self.max_ticks:
+                    raise ConfigError(
+                        f"fleet did not finish within {self.max_ticks} ticks"
+                    )
+                for event in self.events:
+                    if isinstance(event, PreemptionStorm) and event.at_tick == tick:
+                        for job in jobs.values():
+                            if job.running and event.hits(job.spec.job_id):
+                                scheduler.preempt(
+                                    job, event.restart_delay_ticks
+                                )
+                        events_fired.append(f"storm@{tick}")
+                    if isinstance(event, Brownout) and self.throttle is not None:
+                        if tick == event.start_tick:
+                            events_fired.append(f"brownout-on@{tick}")
+                        if tick == event.end_tick:
+                            events_fired.append(f"brownout-off@{tick}")
+                if self.throttle is not None:
+                    # The slowest active window wins; overlapping brownouts
+                    # do not end each other early.
+                    self.throttle.write_delay_seconds = max(
+                        (
+                            event.write_delay_seconds
+                            for event in self.events
+                            if isinstance(event, Brownout)
+                            and event.active_at(tick)
+                        ),
+                        default=0.0,
+                    )
+                scheduler.step()
+                for job in jobs.values():
+                    if job.error is not None:
+                        raise job.error
+        finally:
+            scheduler.close()
         self.pool.drain()
         stats = self.store.stats
         return FleetResult(
             jobs={job_id: job.result for job_id, job in jobs.items()},
-            makespan_ticks=tick,
+            makespan_ticks=scheduler.tick,
             wall_seconds=time.perf_counter() - started,
             logical_bytes=stats.logical_bytes,
             physical_bytes=stats.physical_bytes,

@@ -29,8 +29,7 @@ tier pins durable across restarts and visible across processes, with
 lease-based single-holder roles for fleet-wide sweeps (rebalance, compact).
 
 :class:`~repro.storage.metadb.MetaDB` is the optional SQLite index over all
-of that metadata — journal fold, manifest headers, daemon job registry —
-kept strictly as a cache: the JSON files stay the durable truth, and a
+of that metadata — journal fold, manifest headers — kept strictly as a cache: the JSON files stay the durable truth, and a
 missing or corrupt index rebuilds from them.
 """
 

@@ -72,8 +72,10 @@ class StorageBackend(ABC):
     def supports_read_into(self) -> bool:
         """Whether :meth:`read` takes ``into=``: a writable buffer the object
         is read into, a view of the filled part coming back in place of new
-        ``bytes`` (at most ``len(into)`` bytes are read).  ``False`` here and
-        on decorators; a restore then simply gets ``bytes`` back."""
+        ``bytes`` (at most ``len(into)`` bytes are read).  ``False`` here; the
+        single-route decorators (reliable, sharded, throttled) answer from
+        what they wrap, and where it is ``False`` a restore simply gets
+        ``bytes`` back."""
         return False
 
     def tier_for(self, name: str):

@@ -1,15 +1,14 @@
 """Schema-versioned SQLite index over the store's append-only metadata.
 
 Every bookkeeping path in the service layer — ``latest_valid`` discovery,
-the placement-journal fold, gc's liveness set, ``qckpt status`` on a fleet
-store — is an O(everything) scan of JSON files.  :class:`MetaDB` puts that
+the placement-journal fold, gc's liveness set — is an O(everything) scan of JSON files.  :class:`MetaDB` puts that
 metadata behind one SQLite file with typed tables, making each of those
 paths O(query).  The design rule that keeps it safe:
 
 **The index is a cache; the files are the truth.**  Placement journal
-records (``plj-*.json``), checkpoint manifests (``job-*-ckpt-*.json``) and
-daemon job JSON stay append-only and are always written *first*; the index
-is updated after.  A crash between the two leaves the index *behind*, never
+records (``plj-*.json``) and checkpoint manifests (``job-*-ckpt-*.json``)
+stay append-only and are always written *first*; the index is updated
+after.  A crash between the two leaves the index *behind*, never
 wrong, and three recovery mechanisms close the gap:
 
 * **High-water-mark catch-up** — the index stores the ``(seq, owner)`` key
@@ -127,13 +126,6 @@ CREATE TABLE IF NOT EXISTS chunk_refs (
     PRIMARY KEY (object_name, chunk)
 );
 CREATE INDEX IF NOT EXISTS idx_chunk_refs_chunk ON chunk_refs (chunk);
-CREATE TABLE IF NOT EXISTS daemon_jobs (
-    job_id    TEXT PRIMARY KEY,
-    daemon_id TEXT NOT NULL,
-    state     TEXT NOT NULL,
-    priority  INTEGER NOT NULL,
-    updated   REAL NOT NULL
-);
 """
 
 _REQUIRED_TABLES = {
@@ -143,7 +135,6 @@ _REQUIRED_TABLES = {
     "journal_records",
     "manifests",
     "chunk_refs",
-    "daemon_jobs",
 }
 
 
@@ -634,47 +625,6 @@ class MetaDB:
                 (object_name,),
             )
         }
-
-    # -- daemon job registry -----------------------------------------------------
-
-    def upsert_daemon_job(
-        self,
-        job_id: str,
-        daemon_id: str,
-        state: str,
-        priority: int,
-        updated: Optional[float] = None,
-    ) -> None:
-        self._execute(
-            "INSERT OR REPLACE INTO daemon_jobs "
-            "(job_id, daemon_id, state, priority, updated) "
-            "VALUES (?, ?, ?, ?, ?)",
-            (
-                job_id,
-                daemon_id,
-                state,
-                int(priority),
-                time.time() if updated is None else float(updated),
-            ),
-        )
-
-    def daemon_jobs(self) -> Dict[str, Dict]:
-        return {
-            job_id: {
-                "daemon_id": daemon_id,
-                "state": state,
-                "priority": int(priority),
-                "updated": float(updated),
-            }
-            for (job_id, daemon_id, state, priority, updated) in self._query(
-                "SELECT job_id, daemon_id, state, priority, updated "
-                "FROM daemon_jobs"
-            )
-        }
-
-    def count_daemon_jobs(self) -> int:
-        rows = self._query("SELECT COUNT(*) FROM daemon_jobs")
-        return int(rows[0][0]) if rows else 0
 
 
 def manifest_index_row(object_name: str, manifest: Dict):

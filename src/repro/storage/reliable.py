@@ -100,8 +100,10 @@ class ReliableBackend(StorageBackend):
     def write(self, name: str, data: bytes) -> None:
         self._run(lambda: self.inner.write(name, data))
 
-    def read(self, name: str) -> bytes:
-        return self._run(lambda: self.inner.read(name))
+    def read(self, name: str, into=None) -> bytes:
+        # A retried read refills the same buffer from its start.
+        kwargs = {} if into is None else {"into": into}
+        return self._run(lambda: self.inner.read(name, **kwargs))
 
     def read_range(self, name: str, start: int, length: int) -> bytes:
         return self._run(lambda: self.inner.read_range(name, start, length))
@@ -121,6 +123,10 @@ class ReliableBackend(StorageBackend):
     @property
     def supports_ranged_reads(self) -> bool:
         return self.inner.supports_ranged_reads
+
+    @property
+    def supports_read_into(self) -> bool:
+        return self.inner.supports_read_into
 
     def tier_for(self, name: str):
         return self.inner.tier_for(name)

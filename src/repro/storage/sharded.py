@@ -47,14 +47,19 @@ class ShardedBackend(StorageBackend):
     def supports_ranged_reads(self) -> bool:
         return all(shard.supports_ranged_reads for shard in self.shards)
 
+    @property
+    def supports_read_into(self) -> bool:
+        return all(shard.supports_read_into for shard in self.shards)
+
     def tier_for(self, name: str):
         return self.shard_for(name).tier_for(name)
 
     def write(self, name: str, data: bytes) -> None:
         self.shard_for(name).write(name, data)
 
-    def read(self, name: str) -> bytes:
-        return self.shard_for(name).read(name)
+    def read(self, name: str, into=None) -> bytes:
+        kwargs = {} if into is None else {"into": into}
+        return self.shard_for(name).read(name, **kwargs)
 
     def read_range(self, name: str, start: int, length: int) -> bytes:
         return self.shard_for(name).read_range(name, start, length)

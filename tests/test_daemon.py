@@ -36,7 +36,9 @@ def _tiny_spec(job_id: str, steps: int = 3, **overrides) -> dict:
 class _DaemonFixture:
     """One daemon serving in a background thread, plus its client."""
 
-    def __init__(self, tmp_path, backend=None, metadb=None, **config):
+    def __init__(
+        self, tmp_path, backend=None, metadb=None, workloads=None, **config
+    ):
         config.setdefault("tick_seconds", 0.002)
         self.backend = backend if backend is not None else InMemoryBackend()
         self.store = ChunkStore(self.backend, block_bytes=2048, metadb=metadb)
@@ -47,6 +49,7 @@ class _DaemonFixture:
             self.pool,
             self.control,
             config=DaemonConfig(**config),
+            workloads=workloads,
         )
         self.thread = threading.Thread(target=self.daemon.serve, daemon=True)
         self.client = DaemonClient(self.control, timeout=30.0)
@@ -81,10 +84,8 @@ class _DaemonFixture:
 def fixture_factory(tmp_path):
     made = []
 
-    def make(subdir: str = "d0", backend=None, metadb=None, **config):
-        fixture = _DaemonFixture(
-            tmp_path / subdir, backend=backend, metadb=metadb, **config
-        )
+    def make(subdir: str = "d0", **options):
+        fixture = _DaemonFixture(tmp_path / subdir, **options)
         made.append(fixture)
         return fixture
 
@@ -268,14 +269,13 @@ class TestFailedJobs:
     def test_failed_job_parks_and_resubmission_gets_fresh_channel(
         self, fixture_factory
     ):
-        fixture = fixture_factory()
         from repro.service.daemon import BUILTIN_WORKLOADS
 
         def exploding(params):
             inner_factory = BUILTIN_WORKLOADS["classifier"](params)
             return lambda: _ExplodingTrainer(inner_factory(), fail_at=2)
 
-        fixture.daemon.register_workload("exploding", exploding)
+        fixture = fixture_factory(workloads={"exploding": exploding})
         client = fixture.start()
         client.submit(_tiny_spec("boom", steps=10, workload="exploding"))
         status = fixture.wait_job("boom", states=("failed",))
@@ -355,7 +355,6 @@ class _HeldTrainer:
 
 class TestDrain:
     def test_submit_while_draining_refused_then_drained(self, fixture_factory):
-        fixture = fixture_factory()
         from repro.service.daemon import BUILTIN_WORKLOADS
 
         # j1 cannot finish before the test has seen the daemon refuse j2:
@@ -367,7 +366,7 @@ class TestDrain:
             inner_factory = BUILTIN_WORKLOADS["classifier"](params)
             return lambda: _HeldTrainer(inner_factory(), hold_at=15, gate=gate)
 
-        fixture.daemon.register_workload("held", held)
+        fixture = fixture_factory(workloads={"held": held})
         client = fixture.start()
         # No checkpoint falls on the held step (14), so holding saves nothing.
         client.submit(

@@ -238,7 +238,6 @@ class TestJournalDifferentialOracle:
             pytest.skip("exercises index schema versioning")
         db_path = tmp_path / DB_FILENAME
         db = MetaDB(db_path)
-        db.upsert_daemon_job("j1", "d1", "running", 1, 0.0)
         db._conn.execute(
             "UPDATE meta SET value='9999' WHERE key='schema_version'"
         )
@@ -246,7 +245,16 @@ class TestJournalDifferentialOracle:
         db.close()
         reopened = MetaDB(db_path)
         assert reopened.discarded_previous
-        assert reopened.count_daemon_jobs() == 0
+
+    def test_table_from_an_earlier_release_does_not_discard(self, tmp_path):
+        if not USE_INDEX:
+            pytest.skip("exercises index schema versioning")
+        db_path = tmp_path / DB_FILENAME
+        db = MetaDB(db_path)
+        db._conn.execute("CREATE TABLE retired (job_id TEXT PRIMARY KEY)")
+        db._conn.commit()
+        db.close()
+        assert not MetaDB(db_path).discarded_previous
 
 
 class TestChunkStoreDifferential:

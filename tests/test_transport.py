@@ -979,7 +979,7 @@ class TestDaemonIdempotency:
             )
             assert replayed == first  # byte-equal replay, not a re-apply
             assert daemon.duplicate_requests == 1
-            assert list(daemon._jobs) == ["j0"]
+            assert list(daemon.scheduler.jobs) == ["j0"]
         finally:
             pool.close()
 

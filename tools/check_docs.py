@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs health check, run by the CI ``docs`` job.
 
-Five gates:
+Six gates:
 
 1. every relative markdown link in README.md and docs/ resolves to an
    existing file, and anchored links (``file.md#heading``) resolve to a
@@ -15,7 +15,10 @@ Five gates:
    pointing at nothing;
 5. every ``$ qckpt …`` line inside a fenced block of README.md and docs/
    parses with the CLI's own argparse tree (parsed, never run), so a doc
-   cannot show a verb or flag that does not exist.
+   cannot show a verb or flag that does not exist;
+6. the ``QCKPT_*`` environment variables that appear under ``src/`` and the
+   rows of the environment table in docs/OPERATIONS.md are the same set, so
+   that table stays the one place they are specified.
 
 Exits non-zero with a per-failure report.  Run locally with::
 
@@ -40,6 +43,8 @@ HEADING_RE = re.compile(r"^#+\s+(.*)$", re.MULTILINE)
 DOTTED_NAME_RE = re.compile(r"`(repro(?:\.\w+)+)(?:\(\))?`")
 FENCE_RE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
 SHELL_OPERATORS = {"|", "||", "&", "&&", ">", ">>", ";"}
+ENV_VAR_RE = re.compile(r"QCKPT_[A-Z_]+")
+ENV_ROW_RE = re.compile(r"^\| `(QCKPT_[A-Z_]+)` \|", re.MULTILINE)
 
 
 def _slug(heading: str) -> str:
@@ -188,6 +193,22 @@ def check_console_lines() -> list:
     return errors
 
 
+def check_env_table() -> list:
+    in_src = set()
+    for source in (REPO / "src").rglob("*.py"):
+        in_src.update(ENV_VAR_RE.findall(source.read_text(encoding="utf-8")))
+    operations = (REPO / "docs" / "OPERATIONS.md").read_text(encoding="utf-8")
+    rows = set(ENV_ROW_RE.findall(operations))
+    return [
+        f"docs/OPERATIONS.md: no environment-table row for `{name}` (src/ reads it)"
+        for name in sorted(in_src - rows)
+    ] + [
+        f"docs/OPERATIONS.md: environment-table row `{name}` names a "
+        "variable nothing under src/ mentions"
+        for name in sorted(rows - in_src)
+    ]
+
+
 def main() -> int:
     errors = []
     for gate in (
@@ -196,6 +217,7 @@ def main() -> int:
         check_operations_coverage,
         check_dotted_names,
         check_console_lines,
+        check_env_table,
     ):
         errors.extend(gate())
     if errors:
@@ -206,7 +228,8 @@ def main() -> int:
     docs = ", ".join(str(f.relative_to(REPO)) for f in _doc_files())
     print(f"docs check OK: links + anchors resolve in [{docs}]; "
           "every qckpt subcommand --help exits 0 and is documented; "
-          "every `repro.…` name resolves; every `$ qckpt` console line parses")
+          "every `repro.…` name resolves; every `$ qckpt` console line "
+          "parses; the QCKPT_* table matches src/")
     return 0
 
 
