@@ -34,7 +34,7 @@ Three experiments, all written to ``BENCH_fleet.json`` at the repo root:
    whole fleet, reincarnation with staged (prefetched) restores, and a
    clean drain.
 
-6. **Control plane** — file vs socket transport: request round-trip
+6. **Control plane** — Unix socket vs TCP listener: request round-trip
    latency (ping) and submit throughput while poller threads hammer
    ``status`` (the monitoring-storm regime a sweep dashboard creates).
 
@@ -814,7 +814,7 @@ def test_daemon_churn_storm_drain(report):
 
 
 # ---------------------------------------------------------------------------
-# Control plane: file vs socket transport under a status-polling storm
+# Control plane: Unix socket vs TCP listener under a status-polling storm
 # ---------------------------------------------------------------------------
 
 CONTROL_PINGS = 50
@@ -823,15 +823,15 @@ CONTROL_POLLERS = 3
 
 
 def test_control_plane_transport_latency(report):
-    """File vs socket control transports against one live daemon.
+    """The daemon's two listeners, Unix socket and TCP, against one daemon.
 
-    The same daemon serves both planes, so the comparison isolates the
-    transport: (1) round-trip latency of ``ping`` measured per transport,
-    (2) submit-to-finished throughput of a wave of 1-step jobs while
-    poller threads hammer ``status`` through the same transport — the
-    monitoring-storm regime a sweep dashboard creates.  Both transports
-    must complete every operation; the numbers land in
-    ``BENCH_fleet.json`` under ``control_plane``.
+    One server serves both, so the comparison isolates the listener:
+    (1) round-trip latency of ``ping`` measured per listener, (2)
+    submit-to-finished throughput of a wave of 1-step jobs while poller
+    threads hammer ``status`` through the same listener — the
+    monitoring-storm regime a sweep dashboard creates.  Both must complete
+    every operation; the numbers land in ``BENCH_fleet.json`` under
+    ``control_plane``, with the ``cpu_count`` they were measured on.
     """
     import tempfile
     import threading
@@ -851,17 +851,17 @@ def test_control_plane_transport_latency(report):
     thread = threading.Thread(target=daemon.serve, daemon=True)
     thread.start()
     deadline = time.monotonic() + 10.0
-    while daemon.socket_transport.port == 0:
-        assert time.monotonic() < deadline, "socket transport never bound"
+    while daemon.server.port == 0:
+        assert time.monotonic() < deadline, "TCP listener never bound"
         time.sleep(0.002)
     clients = {
-        "file": DaemonClient(control, timeout=60.0),
-        "socket": DaemonClient(connect=daemon.listen_address, timeout=60.0),
+        "unix": DaemonClient(control, timeout=60.0),
+        "tcp": DaemonClient(connect=daemon.listen_address, timeout=60.0),
     }
     rows = {}
     try:
         for name, client in clients.items():
-            client.ping()  # warm the path (socket: connect + handshake)
+            client.ping()  # warm the path (connect + handshake)
 
             # 1. round-trip latency
             samples = []
@@ -935,14 +935,16 @@ def test_control_plane_transport_latency(report):
             }
     finally:
         try:
-            clients["file"].stop(timeout=10.0)
+            clients["unix"].stop(timeout=10.0)
         except Exception:  # noqa: BLE001 - daemon may already be gone
             pass
-        clients["socket"].close()
+        for client in clients.values():
+            client.close()
         thread.join(timeout=30.0)
         pool.close()
 
     payload = {
+        "cpu_count": os.cpu_count(),
         "pings": CONTROL_PINGS,
         "submit_jobs": CONTROL_SUBMIT_JOBS,
         "pollers": CONTROL_POLLERS,
@@ -953,7 +955,7 @@ def test_control_plane_transport_latency(report):
 
     table = "\n".join(
         [
-            f"{'transport':<10} {'p50 (ms)':>10} {'p90 (ms)':>10} "
+            f"{'listener':<10} {'p50 (ms)':>10} {'p90 (ms)':>10} "
             f"{'submits/s':>10} {'polls':>7}"
         ]
         + [
@@ -964,9 +966,9 @@ def test_control_plane_transport_latency(report):
             for name, row in rows.items()
         ]
     )
-    report("Fleet service: control-plane transports (file vs socket)", table)
+    report("Fleet service: control plane (Unix socket vs TCP)", table)
 
-    # Both transports finished the identical op sequence; the storm was real.
+    # Both listeners finished the identical op sequence; the storm was real.
     for name, row in rows.items():
         assert row["status_polls_during_wave"] > 0, f"{name} storm idle"
 

@@ -34,7 +34,8 @@ store, or a daemon root with one or many shards: every verb opens it through
 refuse a QCKPT store).
 
 Every daemon client verb reaches its daemon through ``--control DIR``
-(shared filesystem) or ``--connect HOST:PORT [--token T]`` (TCP).
+(the Unix socket ``DIR/daemon.sock``, same host) or ``--connect HOST:PORT
+[--token T]`` (TCP).
 
 Every subcommand is documented with copy-pasteable examples in
 ``docs/OPERATIONS.md``.  The CLI never unpickles anything — it reads QCKPT
@@ -1218,12 +1219,12 @@ def cmd_daemon_start(args: argparse.Namespace) -> int:
 
 
 def _daemon_client(args: argparse.Namespace):
-    """Build a client from --control (files) or --connect (TCP socket)."""
+    """Build a client from --control (Unix socket) or --connect (TCP)."""
     from repro.service import DaemonClient
 
     if args.control is None and args.connect is None:
         raise ReproError(
-            "pick a control plane: --control DIR (shared filesystem) "
+            "pick a control plane: --control DIR (same host) "
             "or --connect HOST:PORT (TCP)"
         )
     return DaemonClient(
@@ -1347,19 +1348,21 @@ def _add_daemon_client_flags(parser, timeout_default: float = 30.0) -> None:
     parser.add_argument(
         "--control",
         default=None,
-        help="the daemon's control directory (file transport)",
+        help="the daemon's control directory (its Unix socket "
+        "daemon.sock; same host, no token)",
     )
     parser.add_argument(
         "--connect",
         default=None,
         metavar="HOST:PORT",
-        help="the daemon's socket address (TCP transport; needs "
-        "a daemon started with --listen)",
+        help="the daemon's TCP address (needs a daemon started "
+        "with --listen)",
     )
     parser.add_argument(
         "--token",
         default=None,
-        help="shared-secret auth token for --connect",
+        help="shared-secret auth token for --connect (--control "
+        "needs none)",
     )
     parser.add_argument(
         "--timeout",
@@ -1693,7 +1696,8 @@ def build_parser() -> argparse.ArgumentParser:
     d_start.add_argument(
         "--control",
         default=None,
-        help="control-plane directory (default: <store>/control)",
+        help="control-plane directory: daemon.json and the Unix socket "
+        "daemon.sock (default: <store>/control)",
     )
     d_start.add_argument(
         "--listen",
@@ -1706,7 +1710,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--token",
         default=None,
         help="shared-secret auth token required from --connect clients "
-        "(only meaningful with --listen)",
+        "(guards only the --listen socket)",
     )
     d_start.add_argument(
         "--workers", type=int, default=2, help="writer pool size"

@@ -238,56 +238,57 @@ def _scenario_placement_compact(point: str) -> CrashPointResult:
 
 
 def _scenario_daemon(point: str) -> CrashPointResult:
-    control = InMemoryBackend()
     config = DaemonConfig(heartbeat_seconds=0.05, stale_after_seconds=0.2)
     pool = WriterPool(workers=1)
-    try:
-        daemon = FleetDaemon(
-            ChunkStore(InMemoryBackend()),
-            pool,
-            control,
-            config=config,
-            daemon_id="chaos-1",
-        )
-        daemon._claim_control()
-        miss = _trigger(point, daemon._write_meta)
-        if miss:
-            return CrashPointResult(point, False, [miss])
+    with tempfile.TemporaryDirectory(prefix="qckpt-chaos-ctl-") as control:
+        try:
+            daemon = FleetDaemon(
+                ChunkStore(InMemoryBackend()),
+                pool,
+                control,
+                config=config,
+                daemon_id="chaos-1",
+            )
+            daemon._claim_control()
+            miss = _trigger(point, daemon._write_meta)
+            if miss:
+                return CrashPointResult(point, False, [miss])
 
-        violations: List[str] = []
-        meta = _read_control_meta(control)
-        # Heartbeats atomically replace daemon.json: a kill mid-write must
-        # leave the previous copy readable, never torn JSON.
-        if meta is None or meta.get("daemon_id") != "chaos-1":
-            violations.append(
-                "daemon.json unreadable (or wrong owner) after crash "
-                "mid-heartbeat"
+            violations: List[str] = []
+            meta = _read_control_meta(control)
+            # Heartbeats atomically replace daemon.json: a kill mid-write
+            # must leave the previous copy readable, never torn JSON.
+            if meta is None or meta.get("daemon_id") != "chaos-1":
+                violations.append(
+                    "daemon.json unreadable (or wrong owner) after crash "
+                    "mid-heartbeat"
+                )
+            rival = FleetDaemon(
+                ChunkStore(InMemoryBackend()),
+                pool,
+                control,
+                config=config,
+                daemon_id="chaos-2",
             )
-        rival = FleetDaemon(
-            ChunkStore(InMemoryBackend()),
-            pool,
-            control,
-            config=config,
-            daemon_id="chaos-2",
-        )
-        try:
-            rival._claim_control()
-            violations.append(
-                "rival claimed the control directory while the dead "
-                "daemon's heartbeat was still fresh"
-            )
-        except DaemonAlreadyRunning:
-            pass
-        time.sleep(config.stale_after_seconds + 0.1)
-        try:
-            rival._claim_control()  # stale heartbeat: lock must recover
-        except DaemonAlreadyRunning:
-            violations.append(
-                "control lock never became claimable after the daemon died"
-            )
-        return CrashPointResult(point, True, violations)
-    finally:
-        pool.close()
+            try:
+                rival._claim_control()
+                violations.append(
+                    "rival claimed the control directory while the dead "
+                    "daemon's heartbeat was still fresh"
+                )
+            except DaemonAlreadyRunning:
+                pass
+            time.sleep(config.stale_after_seconds + 0.1)
+            try:
+                rival._claim_control()  # stale heartbeat: lock must recover
+            except DaemonAlreadyRunning:
+                violations.append(
+                    "control lock never became claimable after the daemon "
+                    "died"
+                )
+            return CrashPointResult(point, True, violations)
+        finally:
+            pool.close()
 
 
 def _scenario_scrub(point: str) -> CrashPointResult:

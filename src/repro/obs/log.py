@@ -3,7 +3,7 @@
 One line per event on stderr (never stdout — stdout belongs to command
 output and is parsed by scripts), machine-grepable:
 
-    2026-08-07T12:00:01 INFO daemon transport-start transport=socket listen=127.0.0.1:8341
+    2026-08-07T12:00:01 INFO daemon serving daemon=daemon-1a2b listen=127.0.0.1:8341
 
 Level resolution, highest precedence first: :func:`configure` (the CLI's
 ``--verbose`` maps to ``debug``), then the ``QCKPT_LOG`` environment

@@ -18,13 +18,13 @@ that service layer:
 * :mod:`repro.service.fleet` — the harness that scripts the scheduler to
   completion under preemption storms and brownouts,
 * :mod:`repro.service.daemon` — the same scheduler served as a
-  long-running process: pluggable control plane (``qckpt daemon``), dynamic
+  long-running process: socket control plane (``qckpt daemon``), dynamic
   job submission from a JSON workload registry, and lease-gated
   cross-daemon tier rebalancing,
-* :mod:`repro.service.transport` — the daemon's control-plane transports:
-  the file protocol plus a TCP socket server/client speaking
-  length-prefixed JSON frames with shared-secret auth, for driving a
-  daemon from another host,
+* :mod:`repro.service.transport` — the daemon's control plane: one socket
+  server (a Unix socket in the control directory, plus TCP with
+  shared-secret auth for driving a daemon from another host) and its
+  client, speaking length-prefixed JSON frames,
 * :mod:`repro.service.scrub` — store self-healing: content-address scrub,
   quarantine of corrupt copies, and repair from surviving replicas
   (``qckpt scrub`` / ``qckpt fsck``).
@@ -65,9 +65,6 @@ from repro.service.scrub import (
     scrub_store,
 )
 from repro.service.transport import (
-    ControlRequest,
-    ControlTransport,
-    FileTransport,
     SocketControlClient,
     SocketTransport,
     TransportConnectError,
@@ -153,9 +150,6 @@ __all__ = [
     "DaemonConfig",
     "DaemonAlreadyRunning",
     "DaemonUnavailable",
-    "ControlTransport",
-    "ControlRequest",
-    "FileTransport",
     "SocketTransport",
     "SocketControlClient",
     "TransportConnectError",

@@ -8,15 +8,13 @@ finish.  :class:`FleetDaemon` drives the same
 loop, identical crash semantics — from a long-lived serve loop that:
 
 * accepts job submissions, status queries, drain and preemption commands
-  over **pluggable control transports**
-  (:mod:`repro.service.transport`): always the file-based plane — a
-  directory of single-shot JSON request/response objects written through
-  :class:`~repro.storage.local.LocalDirectoryBackend`'s atomic-replace
-  protocol — and, with ``listen=...``, a TCP socket server speaking
-  length-prefixed JSON frames, so a daemon on one host can be driven and
-  monitored from another with no shared filesystem for control traffic.
-  Both transports feed the same :meth:`FleetDaemon._handle` dispatch,
-* steps the scheduler once between polls (weighted round-robin by
+  over **one socket server** (:mod:`repro.service.transport`): a Unix
+  socket ``daemon.sock`` in the control directory and, with
+  ``listen=...``, a TCP listener as well, so a daemon on one host can be
+  driven and monitored from another with no shared filesystem for control
+  traffic.  Both listeners feed the same :meth:`FleetDaemon._handle`
+  dispatch,
+* steps the scheduler once per pass (weighted round-robin by
   ``priority``, failed jobs parked, restores staged the moment a job is
   preempted so the restart delay doubles as the read-ahead window),
 * survives job churn: jobs are created from a **workload registry** (named
@@ -28,10 +26,11 @@ loop, identical crash semantics — from a long-lived serve loop that:
   are durable/shared and the periodic ``rebalance_tiers()`` sweep runs
   under the journal's ``rebalance`` lease.
 
-Liveness and single-instance are both carried by ``daemon.json`` in the
-control directory: a thread of the daemon heartbeats it, whatever the serve
-loop is grinding through; a second ``start`` against a fresh heartbeat is
-refused; clients treat a stale heartbeat as daemon-down.
+Single-instance is carried by ``daemon.json`` in the control directory: a
+thread of the daemon heartbeats it, whatever the serve loop is grinding
+through, and a second ``start`` against a fresh heartbeat is refused.  A
+client's liveness test is a ``ping`` that answers; only when its connect
+fails does it read ``daemon.json``, to name a stopped or dead daemon.
 
 Operator surface (see ``docs/OPERATIONS.md``)::
 
@@ -53,6 +52,7 @@ import time
 import uuid
 from collections import OrderedDict
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -80,15 +80,11 @@ from repro.service.chunkstore import ChunkStore
 from repro.service.pool import WriterPool
 from repro.service.scheduler import FleetJobSpec, Scheduler, _JobRuntime
 from repro.service.transport import (
-    REQUEST_PREFIX,
-    RESPONSE_PREFIX,
-    FileTransport,
+    SOCKET_NAME,
     SocketControlClient,
     SocketTransport,
     TransportConnectError,
-    parse_address,
 )
-from repro.storage.backend import StorageBackend
 from repro.storage.local import LocalDirectoryBackend
 from repro.storage.reliable import ReliableBackend
 
@@ -113,6 +109,14 @@ IDEMPOTENCY_CACHE_SIZE = 256
 # between scheduler passes, and a pass's duration is bounded by the slowest
 # training steps in flight — sized to the workload, not the network.
 SOCKET_RESPONSE_TIMEOUT_SECONDS = 60.0
+
+# A heartbeat older than this means a dead or hung daemon (unless the
+# daemon advertises a laxer threshold of its own in daemon.json).
+STALE_AFTER_SECONDS = 5.0
+
+# How often a client re-tries a failed connect while daemon.json is absent
+# or fresh (a daemon that is still starting), and re-probes a draining one.
+POLL_SECONDS = 0.05
 
 STATE_RUNNING = "running"
 STATE_DRAINING = "draining"
@@ -177,9 +181,9 @@ BUILTIN_WORKLOADS: Dict[str, Callable[[Dict], Callable[[], object]]] = {
 class DaemonConfig:
     """Knobs of the scheduler loop."""
 
-    tick_seconds: float = 0.02  # idle sleep between scheduler passes
+    tick_seconds: float = 0.02  # idle wait between scheduler passes
     heartbeat_seconds: float = 0.5  # daemon.json refresh cadence
-    stale_after_seconds: float = 5.0  # older heartbeat = daemon presumed dead
+    stale_after_seconds: float = STALE_AFTER_SECONDS
     rebalance_every_ticks: int = 0  # 0 disables the periodic placement sweep
     restart_delay_ticks: int = 1  # default reincarnation delay on preempt
     max_ticks: Optional[int] = None  # loop bound for tests; None = forever
@@ -247,24 +251,15 @@ class DaemonUnavailable(ReproError):
     """No live daemon is answering: dead heartbeat or unreachable socket."""
 
 
-def _control_backend(control) -> StorageBackend:
-    if isinstance(control, StorageBackend):
-        return control
-    # Control traffic is transient request/response objects: atomic replace
-    # matters (readers must never see torn JSON), fsync does not.
-    return LocalDirectoryBackend(control, fsync=False)
-
-
-def _read_control_meta(control: StorageBackend) -> Optional[Dict]:
+def _read_control_meta(control_dir) -> Optional[Dict]:
     """Parse ``daemon.json`` from a control directory (``None`` if absent
     or unreadable) — shared by the daemon's claim check and the client's
-    liveness probe so their tolerance rules cannot drift."""
-    if not control.exists(META_NAME):
-        return None
+    refused-connect probe so their tolerance rules cannot drift."""
     try:
-        return json.loads(control.read(META_NAME).decode("utf-8"))
-    except (StorageError, UnicodeDecodeError, json.JSONDecodeError):
+        meta = json.loads((Path(control_dir) / META_NAME).read_bytes())
+    except (OSError, ValueError):
         return None
+    return meta if isinstance(meta, dict) else None
 
 
 def _effective_stale_after(meta: Dict, floor: float) -> float:
@@ -288,13 +283,14 @@ class FleetDaemon:
     blocks until drained/stopped).  Everything else — submissions, status,
     drain — arrives through the control plane.
 
-    The control *directory* is mandatory (it carries the single-instance
-    lock and heartbeat) and always doubles as the file transport.  With
-    ``listen="host:port"`` the daemon additionally serves the same op set
-    over TCP (see :class:`~repro.service.transport.SocketTransport`);
-    ``auth_token`` is the socket's shared secret.  All transports are
-    polled from the one serve loop, which also steps :attr:`scheduler`, so
-    handlers never race the job table.
+    The control *directory* is mandatory: it carries the single-instance
+    lock and heartbeat (``daemon.json``) and the Unix socket
+    (``daemon.sock``) of :attr:`server`.  With ``listen="host:port"`` the
+    same server serves the op set over TCP too (see
+    :class:`~repro.service.transport.SocketTransport`); ``auth_token`` is
+    that listener's shared secret.  The one serve loop drains the server's
+    request queue and steps :attr:`scheduler`, so handlers never race the
+    job table.
     """
 
     def __init__(
@@ -311,9 +307,15 @@ class FleetDaemon:
         obs_dir=None,
         health_rules: "Optional[List[HealthRule]]" = None,
     ):
+        if auth_token is not None and listen is None:
+            raise ConfigError(
+                "auth_token only guards the TCP listener; pass listen= too"
+            )
         self.store = store
         self.pool = pool
-        self.control = _control_backend(control)
+        # daemon.json is replaced atomically (readers never see torn
+        # JSON); it is liveness, not data, so it is not fsynced.
+        self.control = LocalDirectoryBackend(control, fsync=False)
         # One registry for the whole daemon: default to the store's so the
         # stack wired by `qckpt daemon start` (tiered backend, chunk store,
         # pool, daemon) shares a single set of series.
@@ -329,22 +331,12 @@ class FleetDaemon:
         if workloads:
             self.workloads.update(workloads)
         self.daemon_id = daemon_id or f"daemon-{uuid.uuid4().hex[:8]}"
-        self.socket_transport: Optional[SocketTransport] = None
-        if listen is not None:
-            host, port = parse_address(listen)
-            self.socket_transport = SocketTransport(
-                host,
-                port,
-                auth_token=auth_token,
-                response_timeout_seconds=SOCKET_RESPONSE_TIMEOUT_SECONDS,
-            )
-        elif auth_token is not None:
-            raise ConfigError(
-                "auth_token only guards the socket transport; pass listen= too"
-            )
-        self.transports = [FileTransport(self.control)]
-        if self.socket_transport is not None:
-            self.transports.append(self.socket_transport)
+        self.server = SocketTransport(
+            self.control.root,
+            listen=listen,
+            auth_token=auth_token,
+            response_timeout_seconds=SOCKET_RESPONSE_TIMEOUT_SECONDS,
+        )
         self.state = STATE_STOPPED
         self._stop_requested = False
         self._started_at: Optional[float] = None
@@ -389,16 +381,11 @@ class FleetDaemon:
 
     @property
     def listen_address(self) -> Optional[str]:
-        """``host:port`` the socket transport serves (post-start resolves
-        a requested port 0 to the actual bound port), or ``None``."""
-        if self.socket_transport is None:
-            return None
-        return self.socket_transport.address
+        """``host:port`` the TCP listener serves (post-start resolves a
+        requested port 0 to the actual bound port), or ``None``."""
+        return self.server.address
 
     # -- daemon.json ------------------------------------------------------------
-
-    def _read_meta(self) -> Optional[Dict]:
-        return _read_control_meta(self.control)
 
     def _write_meta(self) -> None:
         meta = {
@@ -416,9 +403,8 @@ class FleetDaemon:
             # cadence instead of assuming the default.
             "heartbeat_seconds": self.config.heartbeat_seconds,
             "stale_after_seconds": self.config.stale_after_seconds,
-            # Compact per-heartbeat summary so `qckpt status` (file
-            # transport, no round trip) surfaces fleet health; the full
-            # labeled series ride the `metrics` op.
+            # Compact per-heartbeat summary, readable with no round trip;
+            # the full labeled series ride the `metrics` op.
             "metrics": {
                 "epoch": self.metrics.epoch,
                 "requests_served": self.requests_served,
@@ -433,15 +419,14 @@ class FleetDaemon:
                 "ts": report.ts,
                 "firing": [f.rule for f in report.firing],
             }
-        for transport in self.transports:
-            meta.update(transport.describe())
+        meta.update(self.server.describe())
         crash_point(CP_META_BEFORE_WRITE)
         self.control.write(
             META_NAME, json.dumps(meta, sort_keys=True).encode("utf-8")
         )
 
     def _claim_control(self) -> None:
-        meta = self._read_meta()
+        meta = _read_control_meta(self.control.root)
         if meta is not None and meta.get("state") != STATE_STOPPED:
             age = time.time() - float(meta.get("heartbeat", 0.0))
             stale_after = _effective_stale_after(
@@ -460,41 +445,32 @@ class FleetDaemon:
 
     # -- control plane ----------------------------------------------------------
 
-    def _poll_control(self) -> int:
-        """Serve every pending request on every transport; returns count.
+    def _serve_requests(self, wait: float = 0.0) -> int:
+        """Answer every queued request, waiting up to ``wait`` seconds for
+        the first; returns how many were answered.
 
-        File and socket requests feed the same :meth:`_handle` dispatch —
-        the transports only differ in how bytes arrive and leave.  A bad
-        request must never kill the daemon; the error goes back to the
+        Unix and TCP requests feed the same :meth:`_handle` dispatch.  A
+        bad request must never kill the daemon; the error goes back to the
         requester as an envelope instead.
         """
-        handled = 0
-        for transport in self.transports:
-            for pending in transport.poll():
-                cached = self._served_responses.get(pending.request_id)
-                if cached is not None:
-                    # A retried delivery (same request id): replay the
-                    # answer so the op — a submit, a preempt — is applied
-                    # exactly once no matter how often the client resends.
-                    self._c_duplicates.inc()
-                    pending.respond(dict(cached))
-                    handled += 1
-                    continue
-                if pending.request is None:
-                    response = {"ok": False, "error": "unreadable request"}
-                else:
-                    response = self._handle_traced(
-                        pending.request, pending.transport
-                    )
-                response["id"] = pending.request_id
-                if pending.request is not None:
-                    self._served_responses[pending.request_id] = dict(response)
-                    while len(self._served_responses) > IDEMPOTENCY_CACHE_SIZE:
-                        self._served_responses.popitem(last=False)
-                pending.respond(response)
-                handled += 1
+        requests = self.server.requests(wait)
+        for request, respond, listener in requests:
+            request_id = request["id"]
+            response = self._served_responses.get(request_id)
+            if response is not None:
+                # A retried delivery (same request id): replay the answer
+                # so the op — a submit, a preempt — is applied exactly once
+                # no matter how often the client resends.
+                self._c_duplicates.inc()
+            else:
+                response = self._handle_traced(request, listener)
+                response["id"] = request_id
+                self._served_responses[request_id] = response
+                while len(self._served_responses) > IDEMPOTENCY_CACHE_SIZE:
+                    self._served_responses.popitem(last=False)
                 self._c_requests.inc()
-        return handled
+            respond(dict(response))
+        return len(requests)
 
     def _handle_traced(self, request: Dict, transport: str) -> Dict:
         """Dispatch one request under a span joined to the client's trace.
@@ -732,17 +708,12 @@ class FleetDaemon:
                 self.metrics.gauge("channel.queue_depth", job=job_id).set(
                     job.channel.pending
                 )
-        if self.socket_transport is not None:
-            sock = self.socket_transport
-            self.metrics.gauge("transport.connections_accepted").set(
-                sock.connections_accepted
-            )
-            self.metrics.gauge("transport.auth_failures").set(
-                sock.auth_failures
-            )
-            self.metrics.gauge("transport.frame_errors").set(
-                sock.frame_errors
-            )
+        server = self.server
+        self.metrics.gauge("transport.connections_accepted").set(
+            server.connections_accepted
+        )
+        self.metrics.gauge("transport.auth_failures").set(server.auth_failures)
+        self.metrics.gauge("transport.frame_errors").set(server.frame_errors)
         reliability = self._reliability_state()
         if reliability is not None and "breaker_state" in reliability:
             self.metrics.gauge("reliability.breaker_open").set(
@@ -910,8 +881,9 @@ class FleetDaemon:
 
         Raises :class:`DaemonAlreadyRunning` when a live daemon already
         heartbeats this control directory, and
-        :class:`~repro.errors.TransportError` when a socket transport
-        cannot bind its address.
+        :class:`~repro.errors.TransportError` when the server cannot bind
+        its socket or address.  The server starts only after the claim, so
+        a refused ``start`` never touches a live daemon's socket.
         """
         self._claim_control()
         heartbeat_thread: Optional[threading.Thread] = None
@@ -942,20 +914,14 @@ class FleetDaemon:
                     self._sampler = None
         next_obs_tick = 0.0
         try:
-            for transport in self.transports:
-                transport.start()
-                _log.info(
-                    "transport-start",
-                    daemon=self.daemon_id,
-                    transport=transport.name,
-                )
-            # Re-advertise now that transports are live: a socket transport
-            # asked to listen on port 0 only knows its real port post-bind.
+            self.server.start()
+            # Re-advertise now that the server is live: a TCP listener
+            # asked for port 0 only knows its real port post-bind.
             self._write_meta()
             _log.info(
                 "serving",
                 daemon=self.daemon_id,
-                control=str(getattr(self.control, "root", "")),
+                control=str(self.control.root),
                 listen=self.listen_address or "-",
             )
             self._hb_stop.clear()
@@ -968,6 +934,7 @@ class FleetDaemon:
             # Listing the journal every tick would be pure overhead: the
             # compaction check runs at heartbeat cadence, on its own clock.
             next_compact_check = 0.0
+            idle_wait = 0.0
             while not self._stop_requested:
                 if time.monotonic() >= next_compact_check:
                     next_compact_check = (
@@ -983,7 +950,9 @@ class FleetDaemon:
                         + self.config.resolved_obs_sample_seconds
                     )
                     self._obs_tick()
-                handled = self._poll_control()
+                # After a pass that did nothing, the idle wait is on the
+                # request queue: a request that lands ends it at once.
+                handled = self._serve_requests(idle_wait)
                 progressed = self.scheduler.step()
                 if (
                     self.state == STATE_DRAINING
@@ -995,22 +964,17 @@ class FleetDaemon:
                     and self.tick >= self.config.max_ticks
                 ):
                     break
-                if not handled and not progressed:
-                    time.sleep(self.config.tick_seconds)
+                idle_wait = (
+                    0.0 if handled or progressed else self.config.tick_seconds
+                )
         finally:
-            # Close transports first: remote clients then see a refused
+            # Close the server first: clients then see a refused
             # connection (daemon gone) instead of requests that hang while
             # the pool flushes below.
-            for transport in self.transports:
-                try:
-                    transport.close()
-                except (TransportError, OSError):
-                    pass
-                _log.info(
-                    "transport-stop",
-                    daemon=self.daemon_id,
-                    transport=transport.name,
-                )
+            try:
+                self.server.close()
+            except (TransportError, OSError):
+                pass
             self.scheduler.close()
             try:
                 self.pool.drain()
@@ -1120,19 +1084,21 @@ class FleetDaemon:
 
 
 class DaemonClient:
-    """Talks to a :class:`FleetDaemon` over either control transport.
+    """Talks to a :class:`FleetDaemon` over its socket server.
 
-    File mode (``control=...``): every call is one request/response round
-    trip over atomic file objects.  A pending request against a control
-    directory whose daemon died **fails fast** — the client watches the
-    ``daemon.json`` heartbeat while it waits and raises
-    :class:`DaemonUnavailable` (naming the dead daemon's pid and last
-    heartbeat) instead of spinning out the full timeout.
+    ``control=DIR`` reaches the Unix socket ``DIR/daemon.sock`` (same host;
+    file permissions are the auth, so no token).  ``connect="host:port"``
+    (optional ``token``) reaches the TCP listener of a daemon started with
+    ``listen=`` — no shared filesystem needed; it wins when both are given.
 
-    Socket mode (``connect="host:port"``, optional ``token``): the same op
-    set over the TCP wire protocol — no shared filesystem needed.
-    Transport failures (refused connection, bad auth, dropped daemon)
-    surface as :class:`DaemonUnavailable`.
+    Liveness is a connect that succeeds.  When the Unix connect fails the
+    client reads ``daemon.json`` once: a ``stopped`` state or a stale
+    heartbeat raises :class:`DaemonUnavailable` at once, naming the
+    daemon's id, pid and heartbeat age; an absent or fresh one may belong
+    to a daemon that is still starting, so the connect is retried every
+    :data:`POLL_SECONDS` until the timeout.  A refused TCP connect, a
+    refused handshake (bad auth) or a connection lost mid-request raises
+    :class:`DaemonUnavailable`.
     """
 
     def __init__(
@@ -1141,8 +1107,6 @@ class DaemonClient:
         timeout: float = 30.0,
         connect: "Optional[str | tuple]" = None,
         token: Optional[str] = None,
-        stale_after_seconds: float = 5.0,
-        retry=None,
     ):
         if timeout <= 0:
             raise ConfigError(f"timeout must be > 0, got {timeout}")
@@ -1150,31 +1114,22 @@ class DaemonClient:
             raise ConfigError(
                 "DaemonClient needs a control directory or a connect address"
             )
-        if stale_after_seconds <= 0:
-            raise ConfigError(
-                f"stale_after_seconds must be > 0, got {stale_after_seconds}"
-            )
-        self.control = _control_backend(control) if control is not None else None
         self.timeout = float(timeout)
-        self.stale_after_seconds = float(stale_after_seconds)
-        self._socket: Optional[SocketControlClient] = None
-        if connect is not None:
-            self._socket = SocketControlClient(
-                connect, token=token, timeout=self.timeout, retry=retry
-            )
+        self.control: Optional[Path] = None
+        if connect is None:
+            self.control = Path(control)
+            connect = self.control / SOCKET_NAME
+        self._socket = SocketControlClient(
+            connect, token=token, timeout=self.timeout
+        )
 
     def close(self) -> None:
-        """Release the cached socket connection (file mode: no-op)."""
-        if self._socket is not None:
-            self._socket.close()
+        """Release the cached connection."""
+        self._socket.close()
 
     # -- liveness ---------------------------------------------------------------
 
-    def daemon_meta(self) -> Optional[Dict]:
-        """The daemon's last heartbeat: ``daemon.json`` in file mode, a
-        ``ping`` round trip in socket mode; ``None`` when unreachable."""
-        if self.control is not None:
-            return _read_control_meta(self.control)
+    def _ping(self) -> Optional[Dict]:
         try:
             response = self._socket.request(
                 {"op": "ping"}, timeout=self.timeout
@@ -1183,75 +1138,42 @@ class DaemonClient:
             return None
         return response if response.get("ok") else None
 
-    def is_alive(self, stale_after_seconds: Optional[float] = None) -> bool:
-        """Whether a daemon is answering (socket) or heartbeating (file)."""
-        meta = self.daemon_meta()
-        if meta is None or meta.get("state") == STATE_STOPPED:
-            return False
-        if self.control is None:
-            return True  # a socket answer *is* liveness; no clock involved
-        stale_after = (
-            self.stale_after_seconds
-            if stale_after_seconds is None
-            else float(stale_after_seconds)
-        )
-        stale_after = _effective_stale_after(meta, stale_after)
-        return time.time() - float(meta.get("heartbeat", 0.0)) < stale_after
+    def is_alive(self) -> bool:
+        """Whether a daemon answers a ``ping`` now (one connect: no wait
+        for a daemon that is still starting)."""
+        return self._ping() is not None
+
+    def daemon_meta(self) -> Optional[Dict]:
+        """With ``control=``, the last ``daemon.json`` (still there after
+        the daemon stopped or died); with ``connect=``, a ``ping`` answer.
+        ``None`` when absent or unreachable."""
+        if self.control is not None:
+            return _read_control_meta(self.control)
+        return self._ping()
 
     # -- request/response -------------------------------------------------------
 
-    #: How long a ``stopped`` daemon.json may linger before a pending
-    #: request gives up on it.  A clean ``stopped`` state is ambiguous: it
-    #: is permanent if nobody restarts the daemon, but a restart on a
-    #: previously-used control directory spends a second or two in
-    #: interpreter startup before claiming — failing on first sight would
-    #: abort requests PR 4's patient client completed.
-    STOPPED_GRACE_SECONDS = 3.0
-
-    def _raise_if_daemon_dead(
-        self,
-        op: str,
-        request_name: str,
-        response_name: str,
-        stopped_since: Optional[float],
-    ) -> Optional[float]:
-        """Fail a pending file-mode request fast when the daemon is gone.
-
-        Stale heartbeat, or a ``stopped`` state that persists past the
-        restart grace, both mean nobody will ever answer; naming the pid
-        and heartbeat age makes the failure actionable ("kill -0 that
-        pid") instead of a mute timeout.  Returns the updated
-        ``stopped_since`` marker for the caller's poll loop.
-        """
+    def _raise_if_gone(self, op: str) -> None:
+        """After a failed connect: raise when ``daemon.json`` names a
+        daemon that stopped or died, since nobody will ever answer.  Naming
+        the pid and heartbeat age makes the failure actionable ("kill -0
+        that pid") instead of a mute timeout."""
         meta = _read_control_meta(self.control)
         if meta is None:
-            return None  # no daemon.json yet: a daemon may be about to start
-        if self.control.exists(response_name):
-            return None  # answered just now; let the poll loop consume it
-        state = meta.get("state")
+            return  # no daemon.json yet: a daemon may be about to start
         age = time.time() - float(meta.get("heartbeat", 0.0))
-        if state == STATE_STOPPED:
-            now = time.monotonic()
-            if stopped_since is None:
-                return now  # first sighting: give a restart time to claim
-            if now - stopped_since < self.STOPPED_GRACE_SECONDS:
-                return stopped_since
-            self.control.delete(request_name)
-            raise DaemonUnavailable(
-                f"no daemon is serving this control directory: daemon.json "
-                f"names {meta.get('daemon_id')!r} (pid {meta.get('pid')}) "
-                f"but it reports state 'stopped'; request {op!r} abandoned"
-            )
-        stale_after = _effective_stale_after(meta, self.stale_after_seconds)
-        if age >= stale_after:
-            self.control.delete(request_name)
-            raise DaemonUnavailable(
-                f"daemon {meta.get('daemon_id')!r} (pid {meta.get('pid')}) "
-                f"in daemon.json last heartbeat {age:.1f}s ago (stale after "
-                f"{stale_after:.1f}s) — presumed dead; request "
-                f"{op!r} abandoned"
-            )
-        return None
+        stale_after = _effective_stale_after(meta, STALE_AFTER_SECONDS)
+        if meta.get("state") == STATE_STOPPED:
+            why = "stopped"
+        elif age >= stale_after:
+            why = f"presumed dead (stale after {stale_after:.1f}s)"
+        else:
+            return  # fresh heartbeat: a daemon about to bind its socket
+        raise DaemonUnavailable(
+            f"no daemon answers at {self._socket.address}: daemon.json names "
+            f"{meta.get('daemon_id')!r} (pid {meta.get('pid')}), {why}, last "
+            f"heartbeat {age:.1f}s ago; request {op!r} abandoned"
+        )
 
     def request(
         self,
@@ -1279,61 +1201,33 @@ class DaemonClient:
         with obs_trace.span_scope(f"client.{op}"):
             # The trace context rides the request body: computed once
             # (inside the client span, so the daemon-side tree hangs off
-            # it), and a socket retry that rebuilds the frame resends the
+            # it), and a resend after a dropped connection carries the
             # *same* context — the daemon joins this client's trace
             # exactly once per logical request.
             body[obs_trace.TRACE_KEY] = obs_trace.wire_context()
-            return self._request_body(op, body, timeout, deadline)
-
-    def _request_body(
-        self,
-        op: str,
-        body: Dict,
-        timeout: float,
-        deadline: Optional[Deadline],
-    ) -> Dict:
-        if self._socket is not None:
-            try:
-                return self._socket.request(body, timeout=timeout)
-            except TransportError as exc:
-                raise DaemonUnavailable(
-                    f"daemon at {self._socket.address} is unreachable for "
-                    f"{op!r}: {exc}"
-                ) from exc
-        request_id = uuid.uuid4().hex[:12]
-        request_name = f"{REQUEST_PREFIX}{request_id}.json"
-        self.control.write(
-            request_name,
-            json.dumps(body, sort_keys=True).encode("utf-8"),
-        )
-        response_name = f"{RESPONSE_PREFIX}{request_id}.json"
-        give_up_at = time.monotonic() + timeout
-        next_liveness_probe = time.monotonic() + 0.2
-        stopped_since: Optional[float] = None
-        while time.monotonic() < give_up_at:
-            if self.control.exists(response_name):
+            give_up_at = time.monotonic() + timeout
+            while True:
                 try:
-                    response = json.loads(
-                        self.control.read(response_name).decode("utf-8")
+                    return self._socket.request(
+                        body, timeout=max(give_up_at - time.monotonic(), 1e-3)
                     )
-                except (StorageError, json.JSONDecodeError):
-                    time.sleep(0.005)
-                    continue
-                self.control.delete(response_name)
-                return response
-            if time.monotonic() >= next_liveness_probe:
-                next_liveness_probe = time.monotonic() + 0.2
-                stopped_since = self._raise_if_daemon_dead(
-                    op, request_name, response_name, stopped_since
-                )
-            time.sleep(0.005)
-        # Leave no orphan request behind: the daemon may be gone for good.
-        self.control.delete(request_name)
+                except TransportError as exc:
+                    if self.control is None or not isinstance(
+                        exc, TransportConnectError
+                    ):
+                        raise DaemonUnavailable(
+                            f"daemon at {self._socket.address} is "
+                            f"unreachable for {op!r}: {exc}"
+                        ) from exc
+                    self._raise_if_gone(op)
+                if time.monotonic() + POLL_SECONDS >= give_up_at:
+                    break
+                time.sleep(POLL_SECONDS)
         if deadline is not None and deadline.expired:
             deadline.check(f"daemon request {op!r}")
         raise ConfigError(
-            f"daemon did not answer {op!r} within {timeout}s "
-            f"(alive={self.is_alive()})"
+            f"daemon did not answer {op!r} within {timeout}s: nothing "
+            f"accepts connections at {self._socket.address}"
         )
 
     # -- verbs ------------------------------------------------------------------
@@ -1375,8 +1269,10 @@ class DaemonClient:
     ) -> Dict:
         """Ask the daemon to finish its jobs and exit.
 
-        With ``wait`` the call returns only once ``daemon.json`` reports
-        ``stopped`` (or the timeout elapses).  A ``deadline`` bounds the
+        With ``wait`` the call returns once the daemon refuses connections
+        (or raises when the timeout elapses): its server closes after the
+        last job finished, just before the final pool flush and the
+        ``stopped`` write to ``daemon.json``.  A ``deadline`` bounds the
         *whole* drain — the request round trip and the stop-wait draw on
         one shared budget.
         """
@@ -1392,32 +1288,17 @@ class DaemonClient:
         while time.monotonic() < give_up_at:
             if deadline is not None:
                 deadline.check("daemon drain wait")
-            if self.control is not None:
-                meta = self.daemon_meta()
-                if meta is not None and meta.get("state") == STATE_STOPPED:
-                    return {"ok": True, "state": STATE_STOPPED}
-            else:
-                try:
-                    probe = self._socket.request(
-                        {"op": "ping"}, timeout=min(2.0, timeout)
-                    )
-                    if probe.get("state") == STATE_STOPPED:
-                        return {"ok": True, "state": STATE_STOPPED}
-                except TransportConnectError:
-                    # The daemon closes its transports on the way out, so
-                    # "drain acknowledged, now refusing connections" is
-                    # the remote observation of a finished drain.
-                    return {"ok": True, "state": STATE_STOPPED}
-                except TransportError:
-                    # Answered-then-slow (long final passes, pool flush):
-                    # still draining, keep waiting — a timeout is not an
-                    # exit.
-                    pass
-            # File mode reads a local file — poll tightly.  Socket mode
-            # costs the draining daemon a full request round trip per
-            # probe, so back off: the stop is still observed within a
-            # quarter second of the socket closing.
-            time.sleep(0.01 if self.control is not None else 0.25)
+            try:
+                self._socket.request({"op": "ping"}, timeout=min(2.0, timeout))
+            except TransportConnectError:
+                # "Drain acknowledged, now refusing connections" is the
+                # client's observation of a finished drain.
+                return {"ok": True, "state": STATE_STOPPED}
+            except TransportError:
+                # Answered-then-slow (long final passes): still draining,
+                # keep waiting — a timeout is not an exit.
+                pass
+            time.sleep(POLL_SECONDS)
         raise ConfigError(f"daemon did not stop within {timeout}s")
 
     def stop(self, timeout: Optional[float] = None) -> Dict:

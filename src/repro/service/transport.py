@@ -1,25 +1,16 @@
-"""Pluggable control-plane transports for the fleet daemon.
+"""The fleet daemon's control plane: one socket server and its client.
 
-PR 4's daemon spoke exactly one dialect: single-shot JSON objects in a
-shared control *directory*.  That is perfect for same-host tooling (atomic
-renames, no ports, inspectable with ``ls``) and useless the moment the
-operator's terminal and the daemon live on different machines.  This module
-splits "how requests arrive" from "what the daemon does with them":
-
-* :class:`ControlTransport` — the contract: a transport surfaces pending
-  :class:`ControlRequest` objects via :meth:`~ControlTransport.poll` and
-  carries each response back to whoever asked.  The daemon serves *all* of
-  its transports from one scheduler loop; every request, regardless of
-  transport, funnels into the same ``FleetDaemon._handle`` dispatch.
-* :class:`FileTransport` — the PR 4 protocol, extracted verbatim:
-  ``req-<id>.json`` in, ``res-<id>.json`` out, atomic-replace objects.
-* :class:`SocketTransport` — a threaded TCP server speaking
-  **length-prefixed JSON frames** (4-byte big-endian length + UTF-8 JSON)
-  with a shared-secret auth handshake, per-connection timeouts, and a
-  maximum frame size.  Connection threads only *enqueue* requests; the
-  daemon thread handles them, so job state never needs locking.
+* :class:`SocketTransport` — the server.  It listens on a Unix socket,
+  ``daemon.sock`` in the control directory (mode ``0600``: file permissions
+  are its auth), and, with ``listen=``, on TCP as well (a shared-secret
+  token guards that listener).  One acceptor serves both listeners; a
+  thread per connection reads **length-prefixed JSON frames** (4-byte
+  big-endian length + UTF-8 JSON) and only *enqueues* each request.  The
+  daemon thread drains the queue (:meth:`SocketTransport.requests`) and
+  answers, so job state never needs locking.
 * :class:`SocketControlClient` — the client half of the wire protocol,
-  used by ``DaemonClient(connect=...)`` and ``qckpt daemon * --connect``.
+  used by ``DaemonClient`` and every ``qckpt daemon`` verb, over either
+  listener.
 
 Wire protocol (see ``docs/FORMATS.md`` for the byte-level spec)::
 
@@ -32,25 +23,29 @@ Wire protocol (see ``docs/FORMATS.md`` for the byte-level spec)::
 Every server reply is a complete JSON object — errors are envelopes
 (``{"ok": false, "error": "..."}``), never raw exceptions or closed pipes
 without a reason where one can still be written.
+
+``sun_path`` holds 108 bytes, less than a deep control directory can need,
+so both halves bind and connect through ``/proc/self/fd/<dirfd>/daemon.sock``
+(Linux only).
 """
 
 from __future__ import annotations
 
+import contextlib
 import hmac
 import json
 import os
 import queue
+import select
 import socket
 import struct
 import threading
 import time
 import uuid
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.errors import ConfigError, StorageError, TransportError
+from repro.errors import ConfigError, TransportError
 from repro.obs.log import get_logger
-from repro.reliability import Deadline, RetryPolicy, current_deadline
-from repro.storage.backend import StorageBackend
 
 _log = get_logger("transport")
 
@@ -59,17 +54,27 @@ FRAME_HEADER = struct.Struct(">I")  # big-endian uint32 payload length
 DEFAULT_MAX_FRAME_BYTES = 1 << 20  # 1 MiB: control traffic, not tensors
 DEFAULT_CONNECTION_TIMEOUT = 30.0
 
-REQUEST_PREFIX = "req-"
-RESPONSE_PREFIX = "res-"
+SOCKET_NAME = "daemon.sock"
+
+#: How many times one request may go out before its failure is final.
+#: Every send carries the same request id and the daemon deduplicates by
+#: id, so a request whose connection died mid-flight is safe to resend.
+SEND_ATTEMPTS = 3
+
+#: One queued request: the parsed body (its ``"id"`` always set), the
+#: callable that carries the response back, and the listener it came in on
+#: (``"unix"`` or ``"tcp"``).
+Request = Tuple[Dict, Callable[[Dict], None], str]
 
 
 class TransportConnectError(TransportError):
     """No server accepted the connection (refused, unreachable, no route).
 
     Distinct from in-flight failures (timeouts, dropped frames) because
-    callers reason differently about the two: a daemon that *refuses*
-    connections after acknowledging a drain has exited; one that is merely
-    slow to answer has not.
+    callers reason differently about the two: nothing was sent, so the
+    request was certainly not applied; and a daemon that *refuses*
+    connections after acknowledging a drain has exited, while one that is
+    merely slow to answer has not.
     """
 
 
@@ -95,13 +100,25 @@ def parse_address(address: "str | Tuple[str, int]") -> Tuple[str, int]:
         ) from None
 
 
+@contextlib.contextmanager
+def _short_path(path: str) -> Iterator[str]:
+    """``path`` spelled through its directory's fd, short enough for
+    ``sun_path`` however deep the directory is."""
+    directory, name = os.path.split(path)
+    fd = os.open(directory or ".", os.O_PATH | os.O_DIRECTORY)
+    try:
+        yield f"/proc/self/fd/{fd}/{name}"
+    finally:
+        os.close(fd)
+
+
 # ---------------------------------------------------------------------------
 # Framing
 # ---------------------------------------------------------------------------
 
 
 def send_frame(sock: socket.socket, payload: Dict) -> None:
-    """Write one length-prefixed JSON frame (sorted keys, like the files)."""
+    """Write one length-prefixed JSON frame (sorted keys)."""
     body = json.dumps(payload, sort_keys=True).encode("utf-8")
     try:
         sock.sendall(FRAME_HEADER.pack(len(body)) + body)
@@ -165,202 +182,46 @@ def recv_frame(
 
 
 # ---------------------------------------------------------------------------
-# The transport contract
-# ---------------------------------------------------------------------------
-
-
-class ControlRequest:
-    """One pending control-plane request, however it arrived.
-
-    ``request`` is the parsed body (``None`` when the bytes were
-    unreadable — the server still owes the requester an error envelope);
-    ``request_id`` is the requester's correlation id; :meth:`respond`
-    carries the response back over whatever medium the request came in on.
-    Responding is best-effort by design: a requester that vanished (deleted
-    control directory, dropped connection) must never take the daemon down.
-    """
-
-    def __init__(
-        self,
-        request: Optional[Dict],
-        request_id: str,
-        responder: Callable[[Dict], None],
-        transport: str,
-    ):
-        self.request = request
-        self.request_id = request_id
-        self._responder = responder
-        self.transport = transport
-
-    def respond(self, response: Dict) -> None:
-        """Deliver the response envelope (swallows requester-side failures)."""
-        try:
-            self._responder(response)
-        except (TransportError, StorageError):
-            pass  # the requester is gone; nothing is owed to anyone else
-
-
-class ControlTransport:
-    """Receive requests, send replies, advertise liveness.
-
-    Lifecycle: :meth:`start` before the first poll (binds sockets, spawns
-    acceptors), :meth:`poll` from the daemon loop (non-blocking, returns
-    every request that arrived since the last poll), :meth:`close` on the
-    way out.  :meth:`describe` contributes key/value pairs to the daemon's
-    heartbeat object so clients can discover how to reach the daemon.
-    """
-
-    name = "abstract"
-
-    def start(self) -> None:  # pragma: no cover - trivial default
-        """Begin accepting requests (idempotent)."""
-
-    def poll(self) -> List[ControlRequest]:
-        """Pending requests, in arrival order; never blocks."""
-        raise NotImplementedError
-
-    def close(self) -> None:  # pragma: no cover - trivial default
-        """Stop accepting and release resources (idempotent)."""
-
-    def describe(self) -> Dict:
-        """Liveness advertisement merged into ``daemon.json``."""
-        return {}
-
-
-# ---------------------------------------------------------------------------
-# File transport (the PR 4 protocol, extracted)
-# ---------------------------------------------------------------------------
-
-
-class FileTransport(ControlTransport):
-    """Single-shot JSON request/response objects in a control directory.
-
-    The daemon-side half of the original file protocol: ``poll`` lists
-    ``req-*.json``, parses each, and the responder writes the matching
-    ``res-<id>.json`` *before* deleting the request — a crash between the
-    two leaves a request that will simply be re-served, never a requester
-    waiting on a response that was never written.
-
-    **Idle-poll elision.**  Listing the control directory every scheduler
-    tick is O(entries) even when nothing arrived; an idle daemon over a
-    large control dir burns its whole loop re-listing handled requests.
-    For directory-backed control planes the poll keeps the directory's
-    mtime as a high-water mark: when the mtime is unchanged since the
-    last *empty* listing, the listing is skipped outright.  The mark is
-    only recorded when the listing came back empty AND the mtime is
-    safely older than "now" (``_MTIME_MARGIN_NS``), so a request created
-    within the filesystem's timestamp granularity of the listing can
-    never be missed — its arrival bumps the mtime past the recorded mark
-    (file creation always updates the parent directory's mtime).
-    ``dir_scans_skipped`` counts the elided listings.
-    """
-
-    name = "file"
-
-    #: A directory mtime younger than this (vs the wall clock) is never
-    #: trusted as a high-water mark — same-granularity-tick insurance.
-    _MTIME_MARGIN_NS = 20_000_000
-
-    def __init__(self, control: StorageBackend):
-        self.control = control
-        root = getattr(control, "root", None)
-        self._root = None if root is None else os.fspath(root)
-        self._hwm_mtime_ns: Optional[int] = None
-        self.dir_scans_skipped = 0
-
-    def _dir_mtime_ns(self) -> Optional[int]:
-        if self._root is None:
-            return None
-        try:
-            return os.stat(self._root).st_mtime_ns
-        except OSError:
-            return None
-
-    def poll(self) -> List[ControlRequest]:
-        mtime_ns = self._dir_mtime_ns()
-        if (
-            mtime_ns is not None
-            and self._hwm_mtime_ns is not None
-            and mtime_ns == self._hwm_mtime_ns
-        ):
-            self.dir_scans_skipped += 1
-            return []
-        pending = self._list_pending()
-        if not pending and mtime_ns is not None:
-            if time.time_ns() - mtime_ns > self._MTIME_MARGIN_NS:
-                self._hwm_mtime_ns = mtime_ns
-        else:
-            self._hwm_mtime_ns = None
-        return pending
-
-    def _list_pending(self) -> List[ControlRequest]:
-        pending = []
-        for obj_name in self.control.list(REQUEST_PREFIX):
-            request_id = obj_name[len(REQUEST_PREFIX) : -len(".json")]
-            try:
-                request = json.loads(self.control.read(obj_name).decode("utf-8"))
-            except (StorageError, UnicodeDecodeError, json.JSONDecodeError):
-                request = None
-            if not isinstance(request, dict):
-                request = None
-            pending.append(
-                ControlRequest(
-                    request,
-                    request_id,
-                    self._responder(obj_name, request_id),
-                    transport=self.name,
-                )
-            )
-        return pending
-
-    def _responder(self, obj_name: str, request_id: str) -> Callable[[Dict], None]:
-        def respond(response: Dict) -> None:
-            self.control.write(
-                f"{RESPONSE_PREFIX}{request_id}.json",
-                json.dumps(response, sort_keys=True).encode("utf-8"),
-            )
-            self.control.delete(obj_name)
-
-        return respond
-
-
-# ---------------------------------------------------------------------------
-# Socket transport (TCP server)
+# Server
 # ---------------------------------------------------------------------------
 
 
 class _Connection:
     """Server-side state of one accepted client connection."""
 
-    def __init__(self, sock: socket.socket, peer: str):
+    def __init__(self, sock: socket.socket, peer: str, kind: str):
         self.sock = sock
         self.peer = peer
+        self.kind = kind  # "unix" or "tcp"
 
 
-class SocketTransport(ControlTransport):
-    """Threaded TCP server feeding the daemon loop with framed requests.
+class SocketTransport:
+    """Threaded server feeding the daemon loop with framed requests.
 
-    Threading model: an acceptor thread plus one reader thread per
-    connection.  A reader authenticates its client, then for each request
-    frame enqueues a :class:`ControlRequest` and *blocks* until the daemon
+    Listeners: ``<control_dir>/daemon.sock`` always, ``listen="host:port"``
+    optionally.  :meth:`start` replaces a socket file already there, so
+    the caller must own the directory first (the daemon claims
+    ``daemon.json`` before it starts its server).  :meth:`close` leaves the
+    file in place: a late client is refused, it does not find nothing.
+
+    Threading model: one acceptor thread over both listeners plus one
+    reader thread per connection.  A reader handshakes its client, then
+    for each request frame enqueues it and *blocks* until the daemon
     thread responds (or ``response_timeout_seconds`` passes, in which case
     the reader answers with an error envelope itself).  All socket writes
     for a connection happen on its own reader thread, so frames are never
     interleaved and the daemon thread never touches a socket.
 
-    ``auth_token``: when set, the first frame of every connection must be a
-    handshake carrying the exact token (compared constant-time); a wrong or
-    missing token gets one error frame and a closed connection.  When
-    unset, the handshake is still required (it versions the protocol) but
-    any token value is accepted.
+    Every connection starts with a handshake frame (it versions the
+    protocol).  On TCP with ``auth_token`` set it must carry the exact
+    token (compared constant-time); a wrong or missing token gets one
+    error frame and a closed connection.  The Unix socket checks no token.
     """
-
-    name = "socket"
 
     def __init__(
         self,
-        host: str = "127.0.0.1",
-        port: int = 0,
+        control_dir: "str | os.PathLike",
+        listen: "Optional[str | Tuple[str, int]]" = None,
         auth_token: Optional[str] = None,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         connection_timeout_seconds: float = DEFAULT_CONNECTION_TIMEOUT,
@@ -381,16 +242,21 @@ class SocketTransport(ControlTransport):
                 "response_timeout_seconds must be > 0, "
                 f"got {response_timeout_seconds}"
             )
-        self.host = host
-        self.port = int(port)
+        self.unix_path = os.path.join(os.fspath(control_dir), SOCKET_NAME)
+        self.host: Optional[str] = None
+        self.port: Optional[int] = None
+        if listen is not None:
+            self.host, self.port = parse_address(listen)
         self.auth_token = auth_token
         self.max_frame_bytes = int(max_frame_bytes)
         self.connection_timeout_seconds = float(connection_timeout_seconds)
         self.response_timeout_seconds = float(response_timeout_seconds)
         self.backlog = int(backlog)
-        self._listener: Optional[socket.socket] = None
+        self._listeners: Dict[socket.socket, str] = {}  # listener -> kind
         self._acceptor: Optional[threading.Thread] = None
-        self._queue: "queue.Queue[ControlRequest]" = queue.Queue()
+        # close() writes one byte here to wake the acceptor's select().
+        self._wake: Optional[Tuple[socket.socket, socket.socket]] = None
+        self._queue: "queue.Queue[Request]" = queue.Queue()
         self._connections: Dict[int, _Connection] = {}
         self._conn_lock = threading.Lock()
         self._closed = threading.Event()
@@ -407,8 +273,50 @@ class SocketTransport(ControlTransport):
     # -- lifecycle --------------------------------------------------------------
 
     def start(self) -> None:
-        if self._listener is not None:
+        if self._listeners:
             return
+        self._closed.clear()
+        try:
+            self._listeners[self._bind_unix()] = "unix"
+            if self.host is not None:
+                self._listeners[self._bind_tcp()] = "tcp"
+        except TransportError:
+            self._close_listeners()
+            raise
+        self._wake = socket.socketpair()
+        self._acceptor = threading.Thread(
+            target=self._accept_loop,
+            args=(dict(self._listeners), self._wake[0]),
+            name="qckpt-accept",
+            daemon=True,
+        )
+        self._acceptor.start()
+        _log.info(
+            "listening",
+            unix=self.unix_path,
+            tcp=self.address or "-",
+            auth=self.auth_token is not None,
+        )
+
+    def _bind_unix(self) -> socket.socket:
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            with _short_path(self.unix_path) as path:
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(path)  # left by a daemon that is gone
+                listener.bind(path)
+                # Before listen(): no connect succeeds while the file still
+                # has the umask's permissions.
+                os.chmod(path, 0o600)
+            listener.listen(self.backlog)
+        except OSError as exc:
+            listener.close()
+            raise TransportError(
+                f"cannot listen on {self.unix_path}: {exc}"
+            ) from exc
+        return listener
+
+    def _bind_tcp(self) -> socket.socket:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
@@ -420,34 +328,29 @@ class SocketTransport(ControlTransport):
                 f"cannot listen on {self.host}:{self.port}: {exc}"
             ) from exc
         self.port = listener.getsockname()[1]  # resolve port 0
-        listener.settimeout(0.2)  # so close() is noticed promptly
-        self._listener = listener
-        self._closed.clear()
-        self._acceptor = threading.Thread(
-            target=self._accept_loop,
-            name=f"qckpt-accept-{self.port}",
-            daemon=True,
-        )
-        self._acceptor.start()
-        _log.info(
-            "listening",
-            address=self.address,
-            auth=self.auth_token is not None,
-        )
+        return listener
+
+    def _close_listeners(self) -> None:
+        listeners, self._listeners = self._listeners, {}
+        for listener in listeners:
+            with contextlib.suppress(OSError):
+                listener.close()
 
     def close(self) -> None:
+        # Stop the acceptor before closing what it selects on.
         self._closed.set()
-        listener, self._listener = self._listener, None
-        if listener is not None:
-            try:
-                listener.close()
-            except OSError:
-                pass
+        if self._acceptor is not None:
+            self._wake[1].send(b"\0")
+            self._acceptor.join(timeout=5.0)
+            self._acceptor = None
+            for end in self._wake:
+                end.close()
+        self._close_listeners()
         # Let responses already handed to connection threads reach the
         # wire before the sockets are torn down under them.  Bounded: a
         # request the daemon will never answer (it enqueued after the
-        # final poll) still times out on its own thread, so don't wait
-        # for it here.
+        # final drain of the queue) still times out on its own thread, so
+        # don't wait for it here.
         deadline = time.monotonic() + 2.0
         while time.monotonic() < deadline:
             with self._inflight_lock:
@@ -458,19 +361,21 @@ class SocketTransport(ControlTransport):
             connections = list(self._connections.values())
             self._connections.clear()
         for connection in connections:
-            try:
+            with contextlib.suppress(OSError):
                 connection.sock.close()
-            except OSError:
-                pass
-        if self._acceptor is not None:
-            self._acceptor.join(timeout=5.0)
-            self._acceptor = None
 
     @property
-    def address(self) -> str:
+    def address(self) -> Optional[str]:
+        """``host:port`` of the TCP listener, ``None`` without one."""
+        if self.host is None:
+            return None
         return f"{self.host}:{self.port}"
 
     def describe(self) -> Dict:
+        """The TCP listener's advertisement for ``daemon.json`` (empty
+        without one: the Unix socket's place is fixed)."""
+        if self.host is None:
+            return {}
         # The advertisement exists so a *remote* client can learn where to
         # connect; a wildcard bind address is not a routable destination,
         # so substitute this machine's hostname (best effort) for it.
@@ -484,42 +389,43 @@ class SocketTransport(ControlTransport):
 
     # -- accept / read loops ----------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        while not self._closed.is_set():
-            listener = self._listener
-            if listener is None:
+    def _accept_loop(
+        self, listeners: Dict[socket.socket, str], wake: socket.socket
+    ) -> None:
+        while True:
+            ready, _, _ = select.select([wake, *listeners], [], [])
+            if wake in ready:
                 return
-            try:
-                sock, addr = listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return  # listener closed under us
-            connection = _Connection(sock, f"{addr[0]}:{addr[1]}")
-            with self._conn_lock:
-                self._connections[id(connection)] = connection
-            self.connections_accepted += 1
-            _log.debug("connection-accepted", peer=connection.peer)
-            threading.Thread(
-                target=self._serve_connection,
-                args=(connection,),
-                name=f"qckpt-conn-{connection.peer}",
-                daemon=True,
-            ).start()
+            for listener in ready:
+                try:
+                    sock, addr = listener.accept()
+                except OSError:
+                    continue
+                kind = listeners[listener]
+                peer = f"{addr[0]}:{addr[1]}" if kind == "tcp" else "unix"
+                connection = _Connection(sock, peer, kind)
+                with self._conn_lock:
+                    self._connections[id(connection)] = connection
+                self.connections_accepted += 1
+                _log.debug("connection-accepted", peer=peer)
+                threading.Thread(
+                    target=self._serve_connection,
+                    args=(connection,),
+                    name=f"qckpt-conn-{peer}",
+                    daemon=True,
+                ).start()
 
     def _drop_connection(self, connection: _Connection) -> None:
         with self._conn_lock:
             self._connections.pop(id(connection), None)
-        try:
+        with contextlib.suppress(OSError):
             connection.sock.close()
-        except OSError:
-            pass
 
     def _serve_connection(self, connection: _Connection) -> None:
         sock = connection.sock
         sock.settimeout(self.connection_timeout_seconds)
         try:
-            if not self._handshake(sock):
+            if not self._handshake(sock, check_token=connection.kind == "tcp"):
                 return
             while not self._closed.is_set():
                 try:
@@ -530,12 +436,12 @@ class SocketTransport(ControlTransport):
                     return
                 if request is None:
                     return  # client hung up cleanly
-                if not self._serve_request(sock, request):
+                if not self._serve_request(sock, request, connection.kind):
                     return  # client vanished mid-response: close our half
         finally:
             self._drop_connection(connection)
 
-    def _handshake(self, sock: socket.socket) -> bool:
+    def _handshake(self, sock: socket.socket, check_token: bool) -> bool:
         try:
             hello = recv_frame(sock, self.max_frame_bytes)
         except TransportError as exc:
@@ -557,7 +463,7 @@ class SocketTransport(ControlTransport):
                 f"(server speaks {PROTOCOL_VERSION})",
             )
             return False
-        if self.auth_token is not None:
+        if check_token and self.auth_token is not None:
             offered = hello.get("token")
             if not isinstance(offered, str) or not hmac.compare_digest(
                 offered, self.auth_token
@@ -572,8 +478,11 @@ class SocketTransport(ControlTransport):
             return False
         return True
 
-    def _serve_request(self, sock: socket.socket, request: Dict) -> bool:
+    def _serve_request(
+        self, sock: socket.socket, request: Dict, kind: str
+    ) -> bool:
         request_id = str(request.get("id") or uuid.uuid4().hex[:12])
+        request["id"] = request_id
         done = threading.Event()
         req_lock = threading.Lock()
         slot: List[Dict] = []
@@ -590,9 +499,7 @@ class SocketTransport(ControlTransport):
                         self._inflight += 1
                 done.set()
 
-        self._queue.put(
-            ControlRequest(request, request_id, responder, transport=self.name)
-        )
+        self._queue.put((request, responder, kind))
         # The daemon thread handles the request between scheduler passes; a
         # wedged daemon must not wedge the connection forever.
         done.wait(timeout=self.response_timeout_seconds)
@@ -628,8 +535,16 @@ class SocketTransport(ControlTransport):
 
     # -- the daemon-facing side -------------------------------------------------
 
-    def poll(self) -> List[ControlRequest]:
-        pending = []
+    def requests(self, wait: float = 0.0) -> List[Request]:
+        """Every request received and not yet taken, oldest first.
+
+        With none queued, blocks up to ``wait`` seconds for the first: the
+        serve loop's idle wait, so an idle daemon answers at once.
+        """
+        try:
+            pending = [self._queue.get(timeout=wait)]
+        except queue.Empty:
+            return []
         while True:
             try:
                 pending.append(self._queue.get_nowait())
@@ -638,60 +553,67 @@ class SocketTransport(ControlTransport):
 
 
 # ---------------------------------------------------------------------------
-# Socket client
+# Client
 # ---------------------------------------------------------------------------
 
 
 class SocketControlClient:
-    """One authenticated connection to a :class:`SocketTransport`.
+    """One connection to a :class:`SocketTransport`, TCP or Unix.
 
-    Connects lazily, re-handshakes transparently after a dropped
-    connection, and correlates every response by request id.  Thread-safe:
-    a lock serializes round trips so concurrent callers never interleave
-    frames.
+    ``address`` is ``"host:port"`` (or a tuple) for the TCP listener, or
+    an ``os.PathLike`` naming the Unix socket.  Connects lazily,
+    re-handshakes after a dropped connection, and correlates every
+    response by request id.  Thread-safe: a lock serializes round trips so
+    concurrent callers never interleave frames.
 
-    Two reconnect regimes:
-
-    * without a ``retry`` policy (the default): one fresh-connection retry
-      per request, and only when the failure provably happened before the
-      daemon could have read the request — the conservative legacy rule;
-    * with a :class:`~repro.reliability.RetryPolicy`: reconnect-with-backoff
-      for up to ``max_attempts``, resending the *same request id* on every
-      attempt.  The daemon deduplicates by id (replaying its recorded
-      response), so a request that died mid-send — where the daemon may or
-      may not have applied it — is safe to resend: a submit or preempt is
-      applied exactly once no matter how many deliveries happen.
+    A request whose connection fails after it went out is resent under
+    the *same id* on a fresh connection, up to :data:`SEND_ATTEMPTS`
+    sends within the one ``timeout``.  The daemon deduplicates by id
+    (replaying its recorded response), so a submit or preempt is applied
+    once however many deliveries happen.  A failed connect or handshake
+    is never retried: nothing was sent.
     """
 
     def __init__(
         self,
-        address: "str | Tuple[str, int]",
+        address: "str | Tuple[str, int] | os.PathLike",
         token: Optional[str] = None,
         timeout: float = 30.0,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        retry: Optional[RetryPolicy] = None,
     ):
         if timeout <= 0:
             raise ConfigError(f"timeout must be > 0, got {timeout}")
-        self.host, self.port = parse_address(address)
+        self._unix: Optional[str] = None
+        self._tcp: Optional[Tuple[str, int]] = None
+        if isinstance(address, os.PathLike):
+            self._unix = self.address = os.fspath(address)
+        else:
+            self._tcp = parse_address(address)
+            self.address = "%s:%d" % self._tcp
         self.token = token
         self.timeout = float(timeout)
         self.max_frame_bytes = int(max_frame_bytes)
-        self.retry = retry
         self._sock: Optional[socket.socket] = None
         self._lock = threading.Lock()
 
-    @property
-    def address(self) -> str:
-        return f"{self.host}:{self.port}"
-
     # -- connection management --------------------------------------------------
+
+    def _open(self, timeout: float) -> socket.socket:
+        if self._tcp is not None:
+            return socket.create_connection(self._tcp, timeout=timeout)
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.settimeout(timeout)
+        try:
+            with _short_path(self._unix) as path:
+                sock.connect(path)
+        except OSError:
+            sock.close()
+            raise
+        return sock
 
     def _connect(self, timeout: float) -> socket.socket:
         try:
-            sock = socket.create_connection(
-                (self.host, self.port), timeout=timeout
-            )
+            sock = self._open(timeout)
         except OSError as exc:
             raise TransportConnectError(
                 f"cannot connect to daemon at {self.address}: {exc}"
@@ -715,135 +637,56 @@ class SocketControlClient:
 
     def close(self) -> None:
         with self._lock:
-            if self._sock is not None:
-                try:
-                    self._sock.close()
-                except OSError:
-                    pass
-                self._sock = None
+            self._drop()
+
+    def _drop(self) -> None:
+        if self._sock is not None:
+            with contextlib.suppress(OSError):
+                self._sock.close()
+            self._sock = None
 
     # -- round trips ------------------------------------------------------------
 
-    def request(
-        self,
-        body: Dict,
-        timeout: Optional[float] = None,
-        deadline: Optional[Deadline] = None,
-    ) -> Dict:
+    def request(self, body: Dict, timeout: Optional[float] = None) -> Dict:
         """One request/response round trip; raises on transport failure.
 
-        Without a :attr:`retry` policy the request is retried on a *fresh*
-        connection exactly once if the cached connection turns out to be
-        dead (daemon restarted, idle timeout) — and only when the failure
-        happened before any response byte arrived, so a request is never
-        silently issued twice after the daemon may have acted on it.
-
-        With a policy, every transport failure — including a death
-        mid-send, after the daemon may have applied the op — is retried
-        with backoff under the **same request id**; the daemon's
-        idempotency cache turns the resend into a response replay instead
-        of a second apply.  The id is generated once, before any attempt,
-        and threaded through every reconnect (the fix for the double-apply
-        race).  ``deadline`` (or the ambient one) bounds the backoff sleeps.
+        ``timeout`` bounds the whole call, resends included.  The id is
+        generated once, before the first send, and every resend carries
+        it: a daemon that read the first delivery and lost the connection
+        before answering replays that answer instead of applying the op
+        twice.
         """
         timeout = self.timeout if timeout is None else float(timeout)
         request_id = str(body.get("id") or uuid.uuid4().hex[:12])
         frame = {**body, "id": request_id}
-        if deadline is None:
-            deadline = current_deadline()
+        give_up_at = time.monotonic() + timeout
         with self._lock:
-            if self.retry is not None:
-                last_error: Optional[TransportError] = None
-                for attempt in range(self.retry.max_attempts):
-                    if attempt:
-                        self.retry.pause(attempt - 1, deadline)
-                    try:
-                        return self._attempt(frame, request_id, timeout)
-                    except TransportError as exc:
-                        self._drop()
-                        last_error = exc
-                raise last_error
-            for attempt in (0, 1):
-                sock = self._sock
-                fresh = sock is None
-                if sock is None:
-                    sock = self._connect(timeout)
-                    self._sock = sock
-                else:
-                    sock.settimeout(timeout)
+            for attempt in range(1, SEND_ATTEMPTS + 1):
+                remaining = max(give_up_at - time.monotonic(), 1e-3)
+                if self._sock is None:
+                    self._sock = self._connect(remaining)
                 try:
-                    send_frame(sock, frame)
-                except TransportError:
-                    self._drop()
-                    if fresh or attempt:
-                        raise
-                    continue  # stale cached connection: retry once, fresh
-                try:
-                    response = recv_frame(sock, self.max_frame_bytes)
-                except TransportError:
-                    self._drop()
-                    raise
-                if response is None:
-                    self._drop()
-                    if fresh or attempt:
+                    self._sock.settimeout(remaining)
+                    send_frame(self._sock, frame)
+                    response = recv_frame(self._sock, self.max_frame_bytes)
+                    if response is None:
                         raise TransportError(
                             f"daemon at {self.address} closed the "
                             "connection before responding"
                         )
-                    continue
-                if response.get("id") != request_id:
-                    # Not ours — e.g. the server's buffered idle-timeout
-                    # error envelope (no id) on a connection it already
-                    # closed.  Frames are ordered, so an un-correlated
-                    # frame predates our request: the server never read
-                    # it on this connection, making a single fresh retry
-                    # safe.
-                    self._drop()
-                    if fresh or attempt:
+                    if response.get("id") != request_id:
+                        # A stale buffered frame (e.g. the server's
+                        # idle-timeout envelope) from before this request:
+                        # the connection is out of sync.
                         raise TransportError(
                             f"response id {response.get('id')!r} does not "
                             f"match request id {request_id!r}"
                         )
-                    continue
-                return response
-        raise TransportError(f"request to {self.address} failed")  # unreachable
-
-    def _attempt(
-        self, frame: Dict, request_id: str, timeout: float
-    ) -> Dict:
-        """One send/recv on the current (or a fresh) connection.
-
-        Any failure raises :class:`TransportError`; the policy loop owns
-        classification — with id-correlated deduplication on the daemon a
-        resend is always safe, so there is nothing to distinguish.
-        """
-        sock = self._sock
-        if sock is None:
-            sock = self._connect(timeout)
-            self._sock = sock
-        else:
-            sock.settimeout(timeout)
-        send_frame(sock, frame)
-        response = recv_frame(sock, self.max_frame_bytes)
-        if response is None:
-            raise TransportError(
-                f"daemon at {self.address} closed the connection before "
-                "responding"
-            )
-        if response.get("id") != request_id:
-            # A stale buffered frame (e.g. the server's idle-timeout error
-            # envelope) from before this request: the connection is out of
-            # sync, drop it and resend on a fresh one.
-            raise TransportError(
-                f"response id {response.get('id')!r} does not match "
-                f"request id {request_id!r}"
-            )
-        return response
-
-    def _drop(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
+                    return response
+                except TransportError:
+                    self._drop()
+                    if (
+                        attempt == SEND_ATTEMPTS
+                        or time.monotonic() >= give_up_at
+                    ):
+                        raise

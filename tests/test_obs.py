@@ -42,7 +42,6 @@ from repro.obs.trace import (
     traced,
     wire_context,
 )
-from repro.reliability import RetryPolicy
 from repro.service import (
     ChunkStore,
     DaemonClient,
@@ -504,7 +503,7 @@ class TestTracePropagation:
         daemon_span = next(r for r in by_trace if r["name"] == "daemon.submit")
         client_span = next(r for r in by_trace if r["name"] == "client.submit")
         assert daemon_span["parent"] == client_span["span"]
-        assert daemon_span["attrs"]["transport"] == "socket"
+        assert daemon_span["attrs"]["transport"] == "tcp"
 
     def test_trace_context_stable_across_reconnect(self):
         """The resent frame after a mid-request death carries the SAME
@@ -533,11 +532,7 @@ class TestTracePropagation:
 
         server = threading.Thread(target=dying_then_healthy_server, daemon=True)
         server.start()
-        client = DaemonClient(
-            connect=f"127.0.0.1:{port}",
-            timeout=5.0,
-            retry=RetryPolicy(max_attempts=3, base_delay=0.0, jitter="none"),
-        )
+        client = DaemonClient(connect=f"127.0.0.1:{port}", timeout=5.0)
         try:
             assert client.request("ping")["ok"]
         finally:
@@ -550,32 +545,29 @@ class TestTracePropagation:
         assert first[obs_trace.TRACE_KEY] == second[obs_trace.TRACE_KEY]
         assert parse_context(first[obs_trace.TRACE_KEY]) is not None
 
-    def test_file_transport_also_carries_trace(self, tmp_path):
+    def test_unix_socket_carries_trace(self, tmp_path):
         sink = MemoryTraceSink()
         set_trace_sink(sink)
         store = ChunkStore(InMemoryBackend(), block_bytes=2048)
         pool = WriterPool(workers=1)
+        daemon = FleetDaemon(
+            store, pool, tmp_path / "ctl",
+            config=DaemonConfig(tick_seconds=0.002),
+        )
+        thread = threading.Thread(target=daemon.serve, daemon=True)
+        thread.start()
+        client = DaemonClient(tmp_path / "ctl", timeout=30.0)
         try:
-            daemon = FleetDaemon(
-                store, pool, tmp_path / "ctl",
-                config=DaemonConfig(tick_seconds=0.002),
-            )
-            daemon._claim_control()
             with span_scope("cli.ping") as root:
-                ctx = wire_context()
-                body = json.dumps(
-                    {"op": "ping", "id": "t" * 12, obs_trace.TRACE_KEY: ctx},
-                    sort_keys=True,
-                ).encode("utf-8")
-            daemon.control.write("req-tttttttttttt.json", body)
-            assert daemon._poll_control() == 1
-            handled = next(
-                r for r in sink.records() if r["name"] == "daemon.ping"
-            )
-            assert handled["trace"] == root.trace_id
-            assert handled["attrs"]["transport"] == "file"
+                assert client.ping()["ok"]
         finally:
+            daemon._stop_requested = True
+            client.close()
+            thread.join(timeout=30.0)
             pool.close()
+        handled = next(r for r in sink.records() if r["name"] == "daemon.ping")
+        assert handled["trace"] == root.trace_id
+        assert handled["attrs"]["transport"] == "unix"
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +579,14 @@ class TestDaemonMetrics:
     def _serve(self, daemon):
         thread = threading.Thread(target=daemon.serve, daemon=True)
         thread.start()
+        # A restart on a used control directory: daemon.json says
+        # "stopped" until the new daemon claims it, and a request sent
+        # before then fails fast — wait until the socket answers.
+        client = DaemonClient(daemon.control.root)
+        deadline = time.monotonic() + 30.0
+        while not client.is_alive():
+            assert time.monotonic() < deadline, "daemon never answered"
+            time.sleep(0.01)
         return thread
 
     def test_metrics_op_and_registry_survives_restart(self, tmp_path):

@@ -7,8 +7,8 @@ discipline (a two-incarnation restart must never produce a negative or
 restart-spanning rate anywhere — timeseries queries, sparklines, health
 rules, or the daemon `series` op); span-tree profiling with stage
 attribution and critical-path extraction; the declarative health rule
-engine; Prometheus text exposition; the JSONL rotation/torn-line
-hardening; and the FileTransport idle-poll elision.
+engine; Prometheus text exposition; and the JSONL rotation/torn-line
+hardening.
 """
 
 from __future__ import annotations
@@ -56,9 +56,7 @@ from repro.service import (
     FleetDaemon,
     WriterPool,
 )
-from repro.service.transport import FileTransport, REQUEST_PREFIX
 from repro.storage.layout import obs_dir
-from repro.storage.local import LocalDirectoryBackend
 from repro.storage.memory import InMemoryBackend
 
 
@@ -758,48 +756,6 @@ class TestHealthEngine:
 
 
 # ---------------------------------------------------------------------------
-# FileTransport idle-poll elision (satellite)
-# ---------------------------------------------------------------------------
-
-
-class TestFileTransportElision:
-    def test_idle_polls_are_elided_and_new_requests_seen(self, tmp_path):
-        control = LocalDirectoryBackend(tmp_path / "ctl")
-        transport = FileTransport(control)
-        assert transport.poll() == []
-        # Let the directory mtime age past the trust margin, then one
-        # empty listing records the high-water mark...
-        time.sleep(0.05)
-        assert transport.poll() == []
-        skipped_before = transport.dir_scans_skipped
-        assert transport.poll() == []
-        assert transport.poll() == []
-        assert transport.dir_scans_skipped == skipped_before + 2
-        # ...and a new request invalidates it via the directory mtime.
-        control.write(
-            f"{REQUEST_PREFIX}abc.json",
-            json.dumps({"op": "ping"}).encode("utf-8"),
-        )
-        pending = transport.poll()
-        assert len(pending) == 1
-        assert pending[0].request == {"op": "ping"}
-
-    def test_pending_requests_never_recorded_as_high_water(self, tmp_path):
-        control = LocalDirectoryBackend(tmp_path / "ctl")
-        control.write(
-            f"{REQUEST_PREFIX}one.json",
-            json.dumps({"op": "ping"}).encode("utf-8"),
-        )
-        transport = FileTransport(control)
-        time.sleep(0.05)
-        # A non-empty listing must never set the mark: the same request is
-        # re-served on every poll until it is responded to.
-        assert len(transport.poll()) == 1
-        assert len(transport.poll()) == 1
-        assert transport.dir_scans_skipped == 0
-
-
-# ---------------------------------------------------------------------------
 # Daemon integration: sampler + health + the three observatory ops
 # ---------------------------------------------------------------------------
 
@@ -834,6 +790,13 @@ class TestDaemonObservatory:
         client = DaemonClient(tmp_path / "ctl", timeout=30.0)
         responses = {}
         try:
+            # The second incarnation restarts on a used control directory:
+            # until it claims it, daemon.json says "stopped" and a request
+            # fails fast.  Wait until the socket answers.
+            deadline = time.monotonic() + 30.0
+            while not client.is_alive():
+                assert time.monotonic() < deadline, "daemon never answered"
+                time.sleep(0.01)
             assert client.submit(_tiny_spec(job_id, steps=2))["ok"]
             deadline = time.monotonic() + 30.0
             while time.monotonic() < deadline:
@@ -849,9 +812,18 @@ class TestDaemonObservatory:
                     ["metrics", "--control", str(tmp_path / "ctl"), "--prom"]
                 ) == 0
             responses["metrics_text"] = prom.getvalue()
-            responses["series"] = client.request(
-                "series", name="save.seconds", window=120.0, limit=64
-            )
+            # The sampler records the saves on its own cadence, which a
+            # fast control plane can outrun: ask until a sample is in.
+            deadline = time.monotonic() + 30.0
+            while True:
+                responses["series"] = client.request(
+                    "series", name="save.seconds", window=120.0, limit=64
+                )
+                if responses["series"]["series"]:
+                    break
+                if time.monotonic() > deadline:
+                    break
+                time.sleep(0.02)
         finally:
             try:
                 client.stop(timeout=10.0)

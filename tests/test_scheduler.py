@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import queue
 import threading
 import time
@@ -23,7 +22,6 @@ from repro.service import (
     WriterPool,
 )
 from repro.service.daemon import BUILTIN_WORKLOADS
-from repro.service.transport import REQUEST_PREFIX
 from repro.storage.memory import InMemoryBackend
 from repro.storage.tiered import TieredBackend
 
@@ -127,8 +125,9 @@ def _under_harness(tmp_path):
 def _under_daemon(tmp_path):
     """The daemon ticks on its own clock, so the script pins each kill to
     the job's own progress: a job about to take step 6 parks the serve
-    thread until its ``preempt`` is waiting in the control directory, which
-    the daemon then answers right after the pass that takes the step."""
+    thread until its ``preempt`` is waiting in the server's request queue,
+    which the daemon then answers right after the pass that takes the
+    step."""
     store = ChunkStore(InMemoryBackend(), block_bytes=2048)
     pool = WriterPool(workers=2)
     arrivals: "queue.Queue[str]" = queue.Queue()
@@ -156,11 +155,13 @@ def _under_daemon(tmp_path):
     answers = []
 
     def preempt_posted(job_id) -> bool:
-        for name in daemon.control.list(REQUEST_PREFIX):
-            body = json.loads(daemon.control.read(name))
-            if body["op"] == "preempt" and body["job"] == job_id:
-                return True
-        return False
+        queued = daemon.server._queue
+        with queued.mutex:
+            requests = [request for request, _, _ in queued.queue]
+        return any(
+            request["op"] == "preempt" and request["job"] == job_id
+            for request in requests
+        )
 
     def kill_each_job_at_its_gate():
         preempters = []

@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
 # Remote control-plane smoke test, run by the CI ``daemon-smoke`` job.
 #
-# Starts a socket-serving fleet daemon on localhost, then drives it purely
-# through ``--connect`` (the TCP transport): submits a 2-job workload with
-# distinct priorities, preempts one job mid-run, polls status until both
-# finish, verifies a wrong token is refused, drains remotely, and restores
-# both jobs' final checkpoints through the unified pipeline (which verifies
+# Starts a fleet daemon with a TCP listener on localhost, then drives it
+# from separate processes.  Through ``--connect`` (TCP, with a token):
+# submits a 2-job workload with distinct priorities, preempts one job
+# mid-run, polls status until both finish, verifies a wrong token is
+# refused.  Through ``--control`` (the Unix socket ``daemon.sock`` in the
+# control directory, no token): checks the socket is owner-only (0600),
+# submits a third job, polls it to the finish and drains; no ``req-*`` /
+# ``res-*`` object may ever appear in the control directory.  Then restores
+# every job's final checkpoint through the unified pipeline (which verifies
 # every block against its content address — bitwise fidelity, not just
 # presence).  Ends with a --help exit-0 audit of every daemon verb.
 #
@@ -86,12 +90,37 @@ if $QCKPT daemon status --connect "$ADDR" --token "not-the-token" --timeout 2 \
   echo "daemon accepted a wrong auth token"; exit 1
 fi
 
-echo "== draining remotely"
-$QCKPT daemon drain --connect "$ADDR" --token "$TOKEN" --timeout 120
-wait "$DAEMON_PID"
+CONTROL="$STORE/control"
+no_request_files() {
+  if compgen -G "$CONTROL/req-*" >/dev/null \
+      || compgen -G "$CONTROL/res-*" >/dev/null; then
+    echo "request/response files appeared in $CONTROL:"; ls "$CONTROL"; exit 1
+  fi
+}
 
-echo "== restoring both jobs (content-addressed blocks: bitwise verification)"
-for job in a b; do
+echo "== the Unix socket is an owner-only socket"
+[ -S "$CONTROL/daemon.sock" ] || { echo "no socket at $CONTROL/daemon.sock"; exit 1; }
+mode=$(stat -c %a "$CONTROL/daemon.sock")
+[ "$mode" = "600" ] || { echo "daemon.sock has mode $mode, want 600"; exit 1; }
+
+echo "== submitting, polling and draining over --control (no token)"
+$QCKPT daemon submit --control "$CONTROL" --job c \
+  --steps "$STEPS" --qubits 2 --layers 1 --samples 16 --batch-size 4
+no_request_files
+for _ in $(seq 1 300); do
+  status=$($QCKPT daemon status --control "$CONTROL" --timeout 10)
+  no_request_files
+  echo "$status" | grep -Eq "^c +finished" && break
+  sleep 0.2
+done
+echo "$status"
+echo "$status" | grep -Eq "^c +finished" || { echo "job c never finished"; exit 1; }
+$QCKPT daemon drain --control "$CONTROL" --timeout 120
+wait "$DAEMON_PID"
+no_request_files
+
+echo "== restoring every job (content-addressed blocks: bitwise verification)"
+for job in a b c; do
   restored=$($QCKPT restore "$STORE" --job "$job")
   echo "$restored"
   echo "$restored" | grep -q "at step $STEPS" \

@@ -2,12 +2,12 @@
 # Observability smoke test, run by the CI ``obs-smoke`` job.
 #
 # Starts a socket-serving fleet daemon, runs a short job, and checks the
-# telemetry surfaces end to end: ``qckpt metrics --json`` over both the TCP
-# (--connect) and file (--control) transports must parse and carry save
-# latency histograms plus a dedup ratio, ``qckpt top`` must render one
-# frame, and after a clean drain the persisted ``<store>/obs/registry.json``
-# must answer ``qckpt metrics <store>`` offline.  Also asserts the trace
-# log stitched the client submit and the daemon-side save into one trace.
+# telemetry surfaces end to end: ``qckpt metrics --json`` over both the
+# TCP listener (--connect) and the Unix socket (--control) must parse and
+# carry save latency histograms plus a dedup ratio, ``qckpt top`` must
+# render one frame, and after a clean drain the persisted
+# ``<store>/obs/registry.json`` must answer ``qckpt metrics <store>``
+# offline.  Also asserts the trace log stitched the client submit and the daemon-side save into one trace.
 #
 # Run locally from the repo root:  bash tools/obs_smoke.sh
 set -euo pipefail
@@ -85,8 +85,8 @@ echo "== qckpt metrics --json over TCP must parse with save + dedup series"
 $QCKPT metrics --connect "$ADDR" --token "$TOKEN" --json \
   | check_metrics_json "tcp"
 
-echo "== qckpt metrics --json over the file transport must agree"
-$QCKPT metrics --control "$STORE/control" --json | check_metrics_json "file"
+echo "== qckpt metrics --json over the Unix socket must agree"
+$QCKPT metrics --control "$STORE/control" --json | check_metrics_json "unix"
 
 echo "== qckpt top renders one frame"
 top=$($QCKPT top --connect "$ADDR" --token "$TOKEN" --iterations 1 --no-clear)
