@@ -3,13 +3,14 @@
 Reproduced claim: blocked time falls roughly as 1/interval for synchronous
 writes, and the asynchronous writer flattens the curve (the training thread
 only pays for the snapshot deep copy).
-Kernel timed: one synchronous full save of an 8-qubit VQE snapshot.
+Kernel timed: one synchronous save of an 8-qubit VQE snapshot into an empty
+chunk store.
 """
 
 from repro.bench.experiments import fig3_overhead
 from repro.bench.reporting import format_table
 from repro.bench.workloads import vqe_trainer
-from repro.core.store import CheckpointStore
+from repro.service.chunkstore import ChunkStore
 from repro.service.manager import ServiceCheckpointManager
 from repro.storage.memory import InMemoryBackend
 
@@ -27,6 +28,8 @@ def test_fig3_overhead(benchmark, report):
     trainer = vqe_trainer(n_qubits=8, seed=3)
     trainer.run(1)
     snapshot = trainer.capture()
-    store = CheckpointStore(InMemoryBackend(), codec="zlib-1")
-    manager = ServiceCheckpointManager(store)
-    benchmark(manager.save, snapshot)
+    benchmark(
+        lambda: ServiceCheckpointManager(
+            ChunkStore(InMemoryBackend(), codec="zlib-1")
+        ).save(snapshot)
+    )

@@ -1,51 +1,55 @@
-"""Fig. 5 — Delta vs full checkpoint bytes over a training run.
+"""Fig. 5 — Content-addressed dedup vs full checkpoint bytes over a run.
 
-Reproduced claim: delta checkpointing is a *classical-state* optimization.
-On the classifier workload (no quantum cache) the snapshot is dominated by a
-step-invariant sampler permutation (XOR → zero runs) and an append-only loss
-history (suffix-only storage), so delta mode cuts cumulative bytes well
-below full-every-step.  Capturing the 2^n statevector flips the result: the
-cache changes entirely every step, its XOR delta is full-entropy, and delta
-mode buys nothing — the crossover that tells operators when to enable
-deltas.  Kernel timed: one delta encode between consecutive-step snapshots.
+Reproduced claim: incremental checkpointing is a *classical-state*
+optimization.  On the classifier workload (no quantum cache) much of the
+snapshot is step-invariant (the sampler permutation), so the chunk store
+writes those blocks once and every later save only references them:
+cumulative bytes (new chunks + manifests) fall well below full-every-step.
+Capturing the 2^n statevector flips the result: the cache changes entirely
+every step, every block is new, and dedup buys nothing.
+Kernel timed: one chunk-store save of a consecutive-step classifier
+snapshot (its unchanged blocks dedup against the previous save).
 """
 
-from repro.bench.experiments import delta_sparsity_probe, fig5_delta
+from repro.bench.experiments import fig5_dedup
 from repro.bench.reporting import format_table
 from repro.bench.workloads import classifier_trainer
-from repro.core.delta import encode_delta
+from repro.service.chunkstore import ChunkStore
+from repro.storage.memory import InMemoryBackend
 
 
-def test_fig5_delta(benchmark, report):
-    rows = fig5_delta(n_steps=20, full_every=10, n_qubits=8)
-    sparsity = delta_sparsity_probe(n_qubits=8)
+def test_fig5_dedup(benchmark, report):
+    rows = fig5_dedup(n_steps=20, n_qubits=8)
     report(
-        "Fig. 5 — cumulative checkpoint bytes: delta mode vs full-every-step",
-        format_table(rows)
-        + "\n\nvqe+sv consecutive-snapshot byte-identity (sparsity): "
-        + f"{sparsity:.3f}",
+        "Fig. 5 — cumulative checkpoint bytes: dedup vs full-every-step",
+        format_table(rows),
     )
 
     by_workload = {}
     for row in rows:
         by_workload.setdefault(row["workload"], []).append(row)
 
-    for series in by_workload.values():
-        kinds = [r["kind"] for r in series]
-        assert kinds[0] == "full" and kinds[1] == "delta"
-        assert kinds.count("full") == 2  # steps 1 and 11
-
-    # Classical-state workload: deltas cut cumulative bytes by >2x.
+    # Classical-state workload: dedup cuts cumulative bytes by >2x.
     classical = by_workload["classifier"][-1]
-    assert classical["cum_delta_mode"] < classical["cum_full_mode"] / 2
+    assert classical["cum_dedup"] < classical["cum_full_mode"] / 2
 
-    # Statevector capture defeats deltas (full-entropy XOR + chain overhead).
+    # Statevector capture defeats dedup (every block is new each step).
     quantum = by_workload["vqe+sv"][-1]
-    assert quantum["cum_delta_mode"] > quantum["cum_full_mode"] * 0.9
+    assert quantum["cum_dedup"] > quantum["cum_full_mode"] * 0.9
 
     trainer = classifier_trainer(n_qubits=8, n_samples=256, seed=7)
     trainer.run(5)
-    _, base = trainer.capture().to_payload()
+    previous = trainer.capture()
     trainer.run(1)
-    _, current = trainer.capture().to_payload()
-    benchmark(encode_delta, base, current)
+    current = trainer.capture()
+
+    def store_holding_previous():
+        store = ChunkStore(InMemoryBackend())
+        store.save_snapshot("default", previous)
+        return (store,), {}
+
+    benchmark.pedantic(
+        lambda store: store.save_snapshot("default", current),
+        setup=store_holding_previous,
+        rounds=20,
+    )

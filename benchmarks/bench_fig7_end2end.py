@@ -10,7 +10,7 @@ from repro.bench.experiments import fig7_end_to_end
 from repro.bench.reporting import format_table
 from repro.bench.workloads import classifier_trainer
 from repro.core.policy import EveryKSteps
-from repro.core.store import CheckpointStore
+from repro.service.chunkstore import ChunkStore
 from repro.service.manager import ServiceCheckpointManager
 from repro.storage.memory import InMemoryBackend
 
@@ -33,7 +33,7 @@ def test_fig7_end_to_end(benchmark, report):
         < by_key[(15, "none")]["waste_fraction"]
     )
 
-    store = CheckpointStore(InMemoryBackend())
+    store = ChunkStore(InMemoryBackend())
     trainer = classifier_trainer(n_qubits=4, n_samples=32, batch_size=4)
     manager = ServiceCheckpointManager(store, policy=EveryKSteps(5))
     trainer.run(5, hooks=[manager])

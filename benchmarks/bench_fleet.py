@@ -1,6 +1,6 @@
 """Fleet-scale checkpoint service benchmark (the service-layer acceptance run).
 
-Three experiments, all written to ``BENCH_fleet.json`` at the repo root:
+Eight experiments, all written to ``BENCH_fleet.json`` at the repo root:
 
 1. **8-job sweep + preemption storm** — a learning-rate sweep of identical
    architecture/seed classifier trainings checkpoints every step through the
@@ -23,36 +23,31 @@ Three experiments, all written to ``BENCH_fleet.json`` at the repo root:
    fetch a small fraction of the bytes; the tier-warm restore must beat the
    cold one because the first restore promoted what it touched.
 
-4. **Chain-restore read-ahead sweep** — cold restore of a long delta chain
-   with and without executor read-ahead, against a store with real
-   (slept) object-store fetch latency.  Records measured wall seconds and
-   modelled pipeline latency; read-ahead must reduce both.
-
-5. **Daemon churn** — the long-running daemon absorbing two waves of job
+4. **Daemon churn** — the long-running daemon absorbing two waves of job
    submissions (each wave led by a priority-3 job whose weighted share
    must measurably skew tick allocation), a mid-run preemption of the
    whole fleet, reincarnation with staged (prefetched) restores, and a
    clean drain.
 
-6. **Control plane** — Unix socket vs TCP listener: request round-trip
+5. **Control plane** — Unix socket vs TCP listener: request round-trip
    latency (ping) and submit throughput while poller threads hammer
    ``status`` (the monitoring-storm regime a sweep dashboard creates).
 
-7. **Fault storm** — a repeating transient-fault window over the store's
+6. **Fault storm** — a repeating transient-fault window over the store's
    write and read paths (``FlakyBackend.arm_schedule``).  Unretried, the
    storm fails a measurable fraction of checkpoint saves; behind
    ``ReliableBackend`` + ``RetryPolicy`` every op completes, and the added
    latency is exactly the policy's deterministic backoff (recorded, not
    slept) — recovered-op rate and added p50/p90/max latency per save.
 
-8. **Observability overhead** — the identical CPU-bound save workload
+7. **Observability overhead** — the identical CPU-bound save workload
    (pool + chunk store, zlib pack, no artificial latency) run fully
    instrumented (live ``MetricsRegistry`` + an installed trace sink
    recording every span) vs fully disabled (``enabled=False`` registry,
    no sink).  Best-of-N wall time per leg; the instrumented/disabled
    ratio must stay ≤ 1.05 — telemetry may not tax the hot path.
 
-9. **Metadata index** — discovery-path latency on synthetic on-disk
+8. **Metadata index** — discovery-path latency on synthetic on-disk
    stores of 1k and 10k manifest objects: per-job
    ``latest``/``has_checkpoints`` and fleet ``jobs()`` scanned (no
    index, every probe lists the store) vs indexed (one SQLite point
@@ -509,139 +504,6 @@ def test_restore_latency_sweep(report):
     assert warm_ratio < TIER_WARM_FRACTION, (
         f"tier-warm restore cost {warm_ratio:.1%} of cold "
         f"(target < {TIER_WARM_FRACTION:.0%})"
-    )
-
-
-# ---------------------------------------------------------------------------
-# Chain-restore read-ahead: cold delta-chain latency with/without prefetch
-# ---------------------------------------------------------------------------
-
-CHAIN_LINKS = 8
-READAHEAD_LINKS = 3
-# Object-store-like fetch cost, really slept by the throttled backend.
-READ_RTT_SECONDS = 0.002
-READ_BANDWIDTH = 5e6  # 5 MB/s: a cold WAN object store
-DECODE_BANDWIDTH = 200e6  # modelled zlib decode throughput
-# The measured wall-clock speedup read-ahead must deliver on the cold chain.
-PREFETCH_WALL_SPEEDUP_TARGET = 1.2
-
-
-def _chain_snapshot(step: int) -> TrainingSnapshot:
-    """Chain links with real per-step statevector churn (nothing dedups)."""
-    rng = np.random.default_rng(4000 + step)
-    elems = 1 << 14  # 256 KiB of complex128 per link
-    return TrainingSnapshot(
-        step=step,
-        params=rng.standard_normal(96),
-        optimizer_state={"name": "adam", "t": step},
-        rng_state={"bit_generator": "PCG64", "state": {"state": step}},
-        model_fingerprint="chain-sweep",
-        loss_history=rng.standard_normal(step),
-        statevector=rng.standard_normal(elems) + 1j * rng.standard_normal(elems),
-    )
-
-
-def test_chain_restore_readahead_sweep(report):
-    """Delta-chain restore: read-ahead must beat the sequential walk.
-
-    A full checkpoint plus 7 XOR deltas live behind a store whose reads
-    cost RTT + bytes/bandwidth in *real slept time*.  The sequential
-    restore (readahead_links=0) fetches link i+1 only after decoding link
-    i; the read-ahead restore keeps up to 3 links of transfer in flight
-    behind the decode cursor.  Both must produce bitwise-identical
-    tensors; the pipelined walk must be measurably faster, and the
-    modelled pipeline latency (same cost model the restore-latency sweep
-    uses) must agree on the direction.
-    """
-    from repro.core.store import CheckpointStore
-
-    inner = InMemoryBackend()
-    build_store = CheckpointStore(inner)
-    snapshots = [_chain_snapshot(step) for step in range(1, CHAIN_LINKS + 1)]
-    record = build_store.save_full(snapshots[0])
-    for snapshot in snapshots[1:]:
-        record = build_store.save_delta(snapshot, base_id=record.ckpt_id)
-    tip = record.ckpt_id
-    reference = snapshots[-1]
-
-    throttled = ThrottledBackend(inner)
-    throttled.read_rtt_seconds = READ_RTT_SECONDS
-    throttled.read_bandwidth_bytes_per_s = READ_BANDWIDTH
-
-    def timed_restore(readahead: int):
-        store = CheckpointStore(throttled, readahead_links=readahead)
-        started = time.perf_counter()
-        restored = store.load_snapshot("default", tip)
-        wall = time.perf_counter() - started
-        assert restored == reference, "chain restore not bitwise"
-        return wall, store
-
-    wall_sequential, store = timed_restore(0)
-    wall_readahead, _ = timed_restore(READAHEAD_LINKS)
-    speedup = wall_sequential / wall_readahead
-
-    # Modelled pipeline latency from the actual plans (fetch = RTT +
-    # bytes/bw per link; decode = raw bytes / decode bandwidth).  The
-    # pipelined model overlaps fetch i with decode i-1, with up to
-    # READAHEAD_LINKS transfers sharing the wire.
-    plans = store.plan_restore("default", tip).links()
-    fetch = [  # a full restore reads each link's object whole
-        READ_RTT_SECONDS + plan.total_stored_bytes / READ_BANDWIDTH
-        for plan in plans
-    ]
-    decode = [
-        sum(t.blocks[0].raw_nbytes for t in plan.tensors.values())
-        / DECODE_BANDWIDTH
-        for plan in plans
-    ]
-    modelled_sequential = sum(fetch) + sum(decode)
-    width = max(1, READAHEAD_LINKS)
-    modelled_readahead = (
-        fetch[0]
-        + sum(
-            max(decode[i - 1], fetch[i] / width)
-            for i in range(1, len(plans))
-        )
-        + decode[-1]
-    )
-
-    payload = {
-        "links": CHAIN_LINKS,
-        "readahead_links": READAHEAD_LINKS,
-        "read_rtt_seconds": READ_RTT_SECONDS,
-        "read_bandwidth_bytes_per_s": READ_BANDWIDTH,
-        "chain_fetch_bytes": plans[-1].fetch_bytes,  # the tip's plan: all links
-        "wall_sequential_seconds": wall_sequential,
-        "wall_readahead_seconds": wall_readahead,
-        "wall_speedup": speedup,
-        "modelled_sequential_seconds": modelled_sequential,
-        "modelled_readahead_seconds": modelled_readahead,
-        "modelled_speedup": modelled_sequential / modelled_readahead,
-        "restore_bitwise": True,
-    }
-    _write_json("chain_readahead", payload)
-
-    table = "\n".join(
-        [
-            f"{'chain links':<26} {CHAIN_LINKS}",
-            f"{'fetch bytes':<26} {payload['chain_fetch_bytes']}",
-            f"{'sequential wall (s)':<26} {wall_sequential:.3f}",
-            f"{'read-ahead wall (s)':<26} {wall_readahead:.3f}",
-            f"{'measured speedup':<26} {speedup:.2f}x",
-            f"{'modelled sequential (s)':<26} {modelled_sequential:.3f}",
-            f"{'modelled read-ahead (s)':<26} {modelled_readahead:.3f}",
-            f"{'modelled speedup':<26} "
-            f"{modelled_sequential / modelled_readahead:.2f}x",
-        ]
-    )
-    report("Fleet service: delta-chain read-ahead", table)
-
-    assert modelled_readahead < modelled_sequential, (
-        "read-ahead must reduce modelled cold-chain restore latency"
-    )
-    assert speedup > PREFETCH_WALL_SPEEDUP_TARGET, (
-        f"chain read-ahead speedup {speedup:.2f}x below the "
-        f"{PREFETCH_WALL_SPEEDUP_TARGET}x target"
     )
 
 

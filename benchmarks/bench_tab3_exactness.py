@@ -10,7 +10,7 @@ from repro.bench.experiments import tab3_exactness
 from repro.bench.reporting import format_table
 from repro.bench.workloads import classifier_trainer
 from repro.core.policy import EveryKSteps
-from repro.core.store import CheckpointStore
+from repro.service.chunkstore import ChunkStore
 from repro.service.manager import ServiceCheckpointManager
 from repro.storage.memory import InMemoryBackend
 
@@ -23,7 +23,7 @@ def test_tab3_exactness(benchmark, report):
         assert row["bitwise_exact"], row
         assert row["max_param_delta"] == 0.0, row
 
-    store = CheckpointStore(InMemoryBackend())
+    store = ChunkStore(InMemoryBackend())
     trainer = classifier_trainer(n_qubits=4, n_samples=32, batch_size=4)
     manager = ServiceCheckpointManager(store, policy=EveryKSteps(5))
     trainer.run(5, hooks=[manager])

@@ -3,13 +3,14 @@
 Reproduced claim: slower tiers raise the per-checkpoint cost, which raises
 the optimal interval as sqrt(cost) — WAN object storage checkpoints ~6x less
 often than local SSD for the same snapshot and MTBF.
-Kernel timed: a full save through the simulated datacenter-tier backend.
+Kernel timed: a save into an empty chunk store through the simulated
+datacenter-tier backend.
 """
 
 from repro.bench.experiments import tab4_remote
 from repro.bench.reporting import format_table
 from repro.bench.workloads import synthetic_snapshot
-from repro.core.store import CheckpointStore
+from repro.service.chunkstore import ChunkStore
 from repro.storage.simulated import SimulatedRemoteBackend, TransferCostModel
 
 
@@ -30,7 +31,10 @@ def test_tab4_remote(benchmark, report):
     )
     assert by_tier["local-ssd"]["ckpts_per_hour"] > by_tier["wan"]["ckpts_per_hour"]
 
-    backend = SimulatedRemoteBackend(TransferCostModel.datacenter_object_store())
-    store = CheckpointStore(backend)
+    model = TransferCostModel.datacenter_object_store()
     snapshot = synthetic_snapshot(14)
-    benchmark(store.save_full, snapshot, "zlib-1")
+    benchmark(
+        lambda: ChunkStore(
+            SimulatedRemoteBackend(model), codec="zlib-1"
+        ).save_snapshot("default", snapshot)
+    )

@@ -13,7 +13,7 @@ import numpy as np
 from repro import (
     Adam,
     CheckpointManager,
-    CheckpointStore,
+    ChunkStore,
     EveryKSteps,
     InMemoryBackend,
     PoissonStepFailures,
@@ -39,7 +39,7 @@ def make_trainer() -> Trainer:
 
 
 def run(strategy_name: str, with_checkpoints: bool):
-    store = CheckpointStore(InMemoryBackend())
+    store = ChunkStore(InMemoryBackend())
     failure_hook = PoissonStepFailures(
         MTBF_STEPS, seed=99, fixed_step_seconds=1.0
     )

@@ -14,7 +14,7 @@ import numpy as np
 from repro import (
     Adam,
     CheckpointManager,
-    CheckpointStore,
+    ChunkStore,
     EveryKSteps,
     Hamiltonian,
     InMemoryBackend,
@@ -28,7 +28,7 @@ N_QUBITS = 12
 STEPS = 20
 
 
-def monitor(store: CheckpointStore, backend: InMemoryBackend) -> None:
+def monitor(store: ChunkStore, backend: InMemoryBackend) -> None:
     """What a dashboard poll does: latest loss curve + parameter norm."""
     latest = store.checkpoints("default")[-1]
     backend.reset_counters()
@@ -50,7 +50,7 @@ def main() -> None:
         Hamiltonian.transverse_field_ising(N_QUBITS, 1.0, 0.8),
     )
     backend = InMemoryBackend()
-    store = CheckpointStore(backend)
+    store = ChunkStore(backend)
     trainer = Trainer(
         model,
         Adam(lr=0.1),

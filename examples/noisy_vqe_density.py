@@ -13,7 +13,7 @@ import numpy as np
 from repro import (
     Adam,
     CheckpointManager,
-    CheckpointStore,
+    ChunkStore,
     EveryKSteps,
     Hamiltonian,
     InMemoryBackend,
@@ -55,7 +55,7 @@ def main() -> None:
         return Trainer(model, Adam(lr=0.1), config=config)
 
     # Crash mid-run; every snapshot carries the density matrix.
-    store = CheckpointStore(InMemoryBackend())
+    store = ChunkStore(InMemoryBackend())
     trainer = make_trainer()
     manager = CheckpointManager(store, policy=EveryKSteps(5))
     try:

@@ -18,7 +18,7 @@ import networkx as nx
 from repro import (
     Adam,
     CheckpointManager,
-    CheckpointStore,
+    ChunkStore,
     EveryKSteps,
     InMemoryBackend,
     QAOAMaxCutModel,
@@ -57,7 +57,7 @@ def main() -> None:
     )
 
     # Preempted runs: each session is a fresh process image.
-    store = CheckpointStore(InMemoryBackend())
+    store = ChunkStore(InMemoryBackend())
     sessions = 0
     for preempt_step in PREEMPT_AT:
         sessions += 1

@@ -16,14 +16,13 @@ from pathlib import Path
 from repro import (
     Adam,
     CheckpointManager,
-    CheckpointStore,
     EveryKSteps,
     Hamiltonian,
-    LocalDirectoryBackend,
     Trainer,
     TrainerConfig,
     VQEModel,
     hardware_efficient,
+    open_store,
 )
 
 CKPT_DIR = Path(__file__).with_name("quickstart_ckpts")
@@ -36,7 +35,7 @@ def main() -> None:
     model = VQEModel(hardware_efficient(2, 2), hamiltonian)
     trainer = Trainer(model, Adam(lr=0.1), config=TrainerConfig(seed=42))
 
-    store = CheckpointStore(LocalDirectoryBackend(CKPT_DIR))
+    store = open_store(CKPT_DIR, shards=1)  # a chunk store, new or reopened
     manager = CheckpointManager(store, policy=EveryKSteps(10))
     ckpt_id = manager.resume(trainer)
     if ckpt_id is None:

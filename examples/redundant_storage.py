@@ -3,9 +3,11 @@
 
 Storage-layer walk-through of the deployment section:
 
-1. a VQE run checkpoints into a 3-way :class:`ReplicatedBackend`;
-2. one replica dies entirely and another suffers silent bit rot — a quorum
-   read with read-repair restores the damaged copy and the run resumes;
+1. a VQE run checkpoints into a chunk store over a 3-way
+   :class:`ReplicatedBackend`;
+2. one replica dies entirely and another suffers silent bit rot — a scrub
+   finds the rotted chunk by its content address, quarantines it, rewrites
+   it from the surviving copy, and the run resumes;
 3. the same run is repeated against a :class:`TieredBackend` (small fast
    tier over a slow tier) and the fast tier is wiped — restores fall back
    to the slow tier transparently.
@@ -16,7 +18,7 @@ import numpy as np
 from repro import (
     Adam,
     CheckpointManager,
-    CheckpointStore,
+    ChunkStore,
     EveryKSteps,
     Hamiltonian,
     InMemoryBackend,
@@ -27,6 +29,7 @@ from repro import (
     VQEModel,
     hardware_efficient,
 )
+from repro.service.scrub import scrub_store
 
 TOTAL_STEPS = 20
 SEED = 31
@@ -39,7 +42,7 @@ def build_model() -> VQEModel:
     )
 
 
-def train_with(store: CheckpointStore, model: VQEModel, steps: int) -> Trainer:
+def train_with(store: ChunkStore, model: VQEModel, steps: int) -> Trainer:
     trainer = Trainer(model, Adam(lr=0.1), config=TrainerConfig(seed=SEED))
     manager = CheckpointManager(store, policy=EveryKSteps(5))
     trainer.run(steps, hooks=[manager])
@@ -51,25 +54,24 @@ def replicated_scenario(model: VQEModel, reference: np.ndarray) -> None:
     print("=== 3-way replication with quorum reads ===")
     replicas = [InMemoryBackend() for _ in range(3)]
     backend = ReplicatedBackend(replicas, consistency="quorum")
-    trainer = train_with(CheckpointStore(backend), model, 12)
+    store = ChunkStore(backend)
+    trainer = train_with(store, model, 12)
     print(f"checkpointed through step {trainer.step_count} across 3 replicas")
+    params_chunk = store.plan_restore("default").tensors["params"].blocks[0]
 
     # Disaster strikes: replica 0 is lost, replica 1 rots silently.  With
-    # replica 0 gone, byte-voting on the rotted object is a 1-vs-1 tie; the
-    # checkpoint manifest's SHA-256 breaks it.
+    # replica 0 gone, byte-voting on the rotted chunk is a 1-vs-1 tie; the
+    # chunk's content address breaks it.
     replicas[0]._objects.clear()
-    latest_name = sorted(replicas[1].list("ckpt-"))[-1]
-    rotten = bytearray(replicas[1].read(latest_name))
+    rotten = bytearray(replicas[1].read(params_chunk.object_name))
     rotten[len(rotten) // 2] ^= 0xFF
-    replicas[1]._objects[latest_name] = bytes(rotten)
+    replicas[1]._objects[params_chunk.object_name] = bytes(rotten)
     print("replica 0 lost, replica 1 bit-rotted")
 
-    validator = CheckpointStore(backend).object_validator()
-    report = backend.scrub(validator)
-    print(f"scrub report: {report}")
+    print(scrub_store(backend, repair=True).summary())
 
     resumed = Trainer(model, Adam(lr=0.1), config=TrainerConfig(seed=SEED))
-    CheckpointManager(CheckpointStore(backend)).resume(resumed, required=True)
+    CheckpointManager(ChunkStore(backend)).resume(resumed, required=True)
     resumed_at = resumed.step_count
     resumed.run(TOTAL_STEPS - resumed.step_count)
     assert np.array_equal(resumed.params, reference)
@@ -80,7 +82,7 @@ def tiered_scenario(model: VQEModel, reference: np.ndarray) -> None:
     print("=== tiered storage: fast tier loss ===")
     fast, slow = InMemoryBackend(), InMemoryBackend()
     tiered = TieredBackend(fast, slow, fast_capacity_bytes=1 << 20)
-    trainer = train_with(CheckpointStore(tiered), model, 12)
+    trainer = train_with(ChunkStore(tiered), model, 12)
     print(
         f"checkpointed through step {trainer.step_count}; "
         f"fast tier holds {tiered.fast_bytes_used()} B"
@@ -91,7 +93,7 @@ def tiered_scenario(model: VQEModel, reference: np.ndarray) -> None:
 
     rebuilt = TieredBackend(InMemoryBackend(), slow, fast_capacity_bytes=1 << 20)
     resumed = Trainer(model, Adam(lr=0.1), config=TrainerConfig(seed=SEED))
-    CheckpointManager(CheckpointStore(rebuilt)).resume(resumed, required=True)
+    CheckpointManager(ChunkStore(rebuilt)).resume(resumed, required=True)
     resumed_at = resumed.step_count
     resumed.run(TOTAL_STEPS - resumed.step_count)
     assert np.array_equal(resumed.params, reference)

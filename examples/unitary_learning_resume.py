@@ -12,7 +12,7 @@ import numpy as np
 from repro import (
     Adam,
     CheckpointManager,
-    CheckpointStore,
+    ChunkStore,
     EveryKSteps,
     InMemoryBackend,
     SimulatedFailure,
@@ -48,7 +48,7 @@ def main() -> None:
     print(f"uninterrupted: fidelity {model.mean_fidelity(reference.params):.6f}")
 
     # Crashing run with checkpoints every 10 steps.
-    store = CheckpointStore(InMemoryBackend())
+    store = ChunkStore(InMemoryBackend())
     trainer = make_trainer()
     manager = CheckpointManager(store, policy=EveryKSteps(10))
     try:

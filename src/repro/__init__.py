@@ -10,12 +10,13 @@ Open-source reproduction of *"Quantum Neural Networks Need Checkpointing"*
 * ``repro.ml`` — optimizers, datasets, models, and a trainer whose state is
   fully capturable,
 * ``repro.core`` — the contribution: the QCKPT checkpoint format, codecs,
-  lossy statevector transforms, delta checkpoints, the manifest store with
-  its recovery walk, and interval policies (Young–Daly),
+  lossy statevector transforms, the restore pipeline, the read-only reader
+  of QCKPT store directories, and interval policies (Young–Daly),
 * ``repro.storage`` — local / in-memory / simulated-remote / fault-injecting
   / replicated / tiered / hash-sharded backends,
-* ``repro.service`` — the multi-job checkpoint service: content-addressed
-  chunk store with cross-job dedup, the trainer hook (``CheckpointManager``)
+* ``repro.service`` — the multi-job checkpoint service: the
+  content-addressed chunk store (``ChunkStore``, the one store that writes)
+  with cross-job dedup, the trainer hook (``CheckpointManager``)
   and the writer pool it saves through, the fleet harness for
   preemption-storm scenarios, and ``open_store`` — from a directory a run
   left behind to the store it holds,
@@ -26,13 +27,12 @@ Quickstart::
 
     import numpy as np
     from repro import (
-        Adam, CheckpointManager, CheckpointStore, EveryKSteps,
-        Hamiltonian, LocalDirectoryBackend, Trainer, TrainerConfig,
-        VQEModel, hardware_efficient,
+        Adam, CheckpointManager, EveryKSteps, Hamiltonian, Trainer,
+        TrainerConfig, VQEModel, hardware_efficient, open_store,
     )
 
     model = VQEModel(hardware_efficient(2, 2), Hamiltonian.h2_minimal())
-    store = CheckpointStore(LocalDirectoryBackend("./ckpts"))
+    store = open_store("./ckpts", shards=1)
     trainer = Trainer(model, Adam(lr=0.1), config=TrainerConfig(seed=1))
     manager = CheckpointManager(store, policy=EveryKSteps(10))
     manager.resume(trainer)          # no-op on first run
@@ -47,10 +47,8 @@ from repro.autodiff import (
 from repro.core import (
     AdaptiveOverheadPolicy,
     CheckpointRecord,
-    CheckpointStore,
     EveryKSteps,
     FixedTimeInterval,
-    RetentionPolicy,
     TrainingSnapshot,
     YoungDalyPolicy,
     young_daly_interval,
@@ -99,7 +97,7 @@ from repro.quantum.templates import (
     real_amplitudes,
     strongly_entangling,
 )
-from repro.service import open_store
+from repro.service import ChunkStore, open_store
 from repro.service.manager import ServiceCheckpointManager as CheckpointManager
 from repro.service.pool import WriterPool
 from repro.storage import (
@@ -143,11 +141,10 @@ __all__ = [
     "UnitaryLearningModel",
     # core
     "TrainingSnapshot",
-    "CheckpointStore",
+    "ChunkStore",
     "CheckpointRecord",
     "CheckpointManager",
     "open_store",
-    "RetentionPolicy",
     "WriterPool",
     "EveryKSteps",
     "FixedTimeInterval",

@@ -22,11 +22,10 @@ from repro.bench.workloads import (
     vqe_trainer,
 )
 from repro.core.codecs import get_transform
-from repro.core.delta import delta_sparsity, encode_delta
 from repro.core.policy import EveryKSteps, young_daly_interval
 from repro.core.serialize import pack_payload, pack_snapshot, unpack_payload, unpack_snapshot
 from repro.core.snapshot import TrainingSnapshot
-from repro.core.store import DEFAULT_JOB, CheckpointStore
+from repro.core.store import DEFAULT_JOB
 from repro.faults.daly import (
     expected_makespan,
     mean_simulated_makespan,
@@ -40,6 +39,7 @@ from repro.quantum.haar import haar_state
 from repro.quantum.observables import Hamiltonian
 from repro.quantum.statevector import apply_circuit, zero_state
 from repro.quantum.templates import hardware_efficient
+from repro.service.chunkstore import ChunkStore
 from repro.service.manager import ServiceCheckpointManager as CheckpointManager
 from repro.service.pool import WriterPool
 from repro.storage.memory import InMemoryBackend
@@ -233,7 +233,7 @@ def fig3_overhead(
     for mode in ("sync", "async"):
         for interval in intervals:
             trainer = vqe_trainer(n_qubits=n_qubits, seed=3)
-            store = CheckpointStore(InMemoryBackend(), codec="zlib-1")
+            store = ChunkStore(InMemoryBackend(), codec="zlib-1")
             pool = WriterPool(1) if mode == "async" else None
             manager = CheckpointManager(
                 store,
@@ -359,135 +359,108 @@ def tab2_lossy(
 
 
 # ---------------------------------------------------------------------------
-# Fig. 5 — delta vs full checkpoint bytes over a training run
+# Fig. 5 — content-addressed dedup vs full checkpoint bytes over a run
 # ---------------------------------------------------------------------------
 
 
-def _fig5_series(
-    trainer: Trainer,
-    workload: str,
-    n_steps: int,
-    full_every: int,
-) -> List[Dict]:
-    store = CheckpointStore(
-        InMemoryBackend(), delta=True, full_every=full_every, codec="zlib-6"
-    )
+def _fig5_series(trainer: Trainer, workload: str, n_steps: int) -> List[Dict]:
+    store = ChunkStore(InMemoryBackend(), codec="zlib-6")
     manager = CheckpointManager(store)
     rows = []
-    cumulative_delta_mode = 0
+    cumulative_dedup = 0
     cumulative_full_mode = 0
     for _ in range(n_steps):
         trainer.run(1, hooks=[manager])
         record = manager.stats.last_record
+        # What this save added: its new chunks and its manifest.
+        nbytes = record.physical_bytes + store.backend.size(record.object_name)
         full_equivalent = len(pack_snapshot(trainer.capture(), codec="zlib-6"))
-        cumulative_delta_mode += record.nbytes
+        cumulative_dedup += nbytes
         cumulative_full_mode += full_equivalent
         rows.append(
             {
                 "workload": workload,
                 "step": trainer.step_count,
-                "kind": record.kind,
-                "bytes": record.nbytes,
+                "new_blocks": record.n_new_blocks,
+                "bytes": nbytes,
                 "full_equivalent": full_equivalent,
-                "cum_delta_mode": cumulative_delta_mode,
+                "cum_dedup": cumulative_dedup,
                 "cum_full_mode": cumulative_full_mode,
-                "savings": 1.0 - cumulative_delta_mode / cumulative_full_mode,
+                "savings": 1.0 - cumulative_dedup / cumulative_full_mode,
             }
         )
     return rows
 
 
-def fig5_delta(
+def fig5_dedup(
     n_steps: int = 30,
-    full_every: int = 10,
     n_qubits: int = 10,
     seed: int = 7,
 ) -> List[Dict]:
-    """Cumulative bytes written: delta+periodic-full vs full-every-step.
+    """Cumulative bytes written: chunk-store dedup vs full-every-step.
 
     Two workloads bracket the crossover the figure demonstrates:
 
     * ``classifier`` — no statevector cache; the snapshot is dominated by
-      step-invariant (sampler permutation → XOR zero runs) and append-only
-      (loss history → suffix-only storage) components, so delta mode wins;
+      step-invariant blocks (the sampler permutation) that every save after
+      the first references instead of rewriting, so dedup wins;
     * ``vqe+sv`` — the 2^n statevector cache changes entirely every step, so
-      its XOR delta is full-entropy and delta mode buys nothing.
+      every block is new and dedup buys nothing.
 
-    Delta checkpointing is a *classical-state* optimization: capture of the
-    quantum cache defeats it.  The classifier series models a run resumed
-    mid-training (300 accumulated loss entries, 4096-sample dataset): full
-    mode re-serializes the whole history and permutation every step (O(T^2)
-    bytes over a run), append/XOR modes store only the growth.
+    Dedup is a *classical-state* optimization: capture of the quantum cache
+    defeats it.  The classifier series models a run resumed mid-training
+    (300 accumulated loss entries, 4096-sample dataset).  An XOR codec
+    against the job's previous blocks saved under 1% more chunk bytes on
+    these workloads, which is why no delta encoding is written.
     """
     classifier = classifier_trainer(
         n_qubits=min(n_qubits, 8), n_samples=4096, seed=seed
     )
     # As if resumed at step 300: the history is live classical state the
-    # snapshot must carry, and its size is what append mode amortizes.
+    # snapshot must carry.
     history_rng = np.random.default_rng(seed)
     classifier.loss_history = [
         float(x) for x in 1.0 + 0.01 * history_rng.standard_normal(300).cumsum()
     ]
     classifier.step_count = 300
-    rows = _fig5_series(classifier, "classifier", n_steps, full_every)
+    rows = _fig5_series(classifier, "classifier", n_steps)
     vqe = vqe_trainer(n_qubits=n_qubits, seed=seed)
-    rows += _fig5_series(vqe, "vqe+sv", n_steps, full_every)
+    rows += _fig5_series(vqe, "vqe+sv", n_steps)
     return rows
 
 
-def delta_sparsity_probe(n_qubits: int = 10, seed: int = 7) -> float:
-    """Fraction of identical bytes between consecutive-step snapshots."""
-    trainer = vqe_trainer(n_qubits=n_qubits, seed=seed)
-    trainer.run(5)
-    _, base = trainer.capture().to_payload()
-    trainer.run(1)
-    _, current = trainer.capture().to_payload()
-    delta_tensors, delta_meta = encode_delta(base, current)
-    return delta_sparsity(delta_tensors, delta_meta)
-
-
 # ---------------------------------------------------------------------------
-# Fig. 6 — recovery time vs size and chain length
+# Fig. 6 — recovery time vs size and objects per restore
 # ---------------------------------------------------------------------------
+
+#: Chunk sizes Fig. 6 sweeps: smaller blocks, more objects per restore.
+FIG6_BLOCK_BYTES = (64 << 10, 16 << 10, 4 << 10)
 
 
 def fig6_recovery(
     qubit_counts: Sequence[int] = (8, 12, 14),
-    chain_lengths: Sequence[int] = (1, 4, 8),
     seed: int = 3,
 ) -> List[Dict]:
-    """Restore latency as statevector size and delta chain length grow."""
+    """Restore latency as the statevector grows and as the chunk store
+    splits it into more, smaller objects."""
     rows = []
     for n in qubit_counts:
-        for chain in chain_lengths:
-            store = CheckpointStore(InMemoryBackend())
-            snapshot = synthetic_snapshot(n, seed=seed)
-            record = store.save_full(snapshot, codec="zlib-1")
-            rng = np.random.default_rng(seed)
-            for link in range(chain - 1):
-                mutated = snapshot.copy()
-                mutated.step += link + 1
-                mutated.params = mutated.params + 1e-3 * rng.standard_normal(
-                    mutated.params.shape
-                )
-                record = store.save_delta(
-                    mutated, record.ckpt_id, codec="zlib-1"
-                )
-                snapshot = mutated
-            target = record.ckpt_id
-            _, load_seconds = _timed(
-                lambda t=target: store.load_snapshot(DEFAULT_JOB, t)
-            )
-            backend = store.backend
+        snapshot = synthetic_snapshot(n, seed=seed)
+        for block_bytes in FIG6_BLOCK_BYTES:
+            backend = InMemoryBackend()
+            store = ChunkStore(backend, codec="zlib-1", block_bytes=block_bytes)
+            store.save_snapshot(DEFAULT_JOB, snapshot)
+            _, load_seconds = _timed(lambda: store.load_snapshot(DEFAULT_JOB))
             backend.reset_counters()
             _, partial_seconds = _timed(
-                lambda t=target: store.load_tensors(DEFAULT_JOB, t, ["params"])
+                lambda: store.load_tensors(DEFAULT_JOB, None, ["params"])
             )
             partial_bytes = backend.bytes_read // 3  # _timed repeats 3x
             rows.append(
                 {
                     "n_qubits": n,
-                    "chain_len": store.chain_length(target),
+                    "block_KiB": block_bytes >> 10,
+                    "objects": len(store.plan_restore(DEFAULT_JOB).objects),
                     "stored_bytes": store.total_physical_bytes(),
                     "restore_s": load_seconds,
                     "params_only_s": partial_seconds,
@@ -512,7 +485,7 @@ def _exactness_case(
     reference = make_trainer()
     reference.run(target_steps)
 
-    store = CheckpointStore(InMemoryBackend())
+    store = ChunkStore(InMemoryBackend())
     result = run_with_failures(
         make_trainer,
         store,
@@ -581,7 +554,7 @@ def fig7_end_to_end(
     rows = []
     for mtbf in mtbf_steps:
         for strategy in ("checkpoint", "none"):
-            store = CheckpointStore(InMemoryBackend())
+            store = ChunkStore(InMemoryBackend())
             failure_hook = PoissonStepFailures(
                 mtbf_seconds=float(mtbf), seed=seed, fixed_step_seconds=1.0
             )

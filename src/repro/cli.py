@@ -28,10 +28,11 @@ Subcommands::
     qckpt daemon drain ...         finish running jobs, then stop the daemon
     qckpt daemon stop ...          stop now: flush queued saves, halt jobs
 
-``<dir>`` is whatever a run left behind — a QCKPT store, a flat chunk
-store, or a daemon root with one or many shards: every verb opens it through
-:func:`repro.open_store` (``scrub``/``fsck`` read chunk objects, so they
-refuse a QCKPT store).
+``<dir>`` is whatever a run left behind — a flat chunk store, a daemon root
+with one or many shards, or a QCKPT store an earlier release wrote: every
+verb opens it through :func:`repro.open_store` (a QCKPT store is read-only,
+so ``gc`` refuses it; ``scrub``/``fsck`` read chunk objects, so they refuse
+it too).
 
 Every daemon client verb reaches its daemon through ``--control DIR``
 (the Unix socket ``DIR/daemon.sock``, same host) or ``--connect HOST:PORT
@@ -175,9 +176,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_gc(args: argparse.Namespace) -> int:
     store = open_store(args.store)
-    deleted = store.gc(
-        keep_last_per_job=args.keep_last, keep_every=args.keep_every
-    )
+    deleted = store.gc(keep_last_per_job=args.keep_last)
     print(
         f"deleted {deleted['manifests']} checkpoint(s), "
         f"{deleted['chunks']} object(s), {_human_bytes(deleted['bytes'])}"
@@ -1406,14 +1405,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--keep-last",
         type=int,
         default=None,
-        help="retain the N checkpoints with the highest steps",
-    )
-    p_gc.add_argument(
-        "--keep-every",
-        type=int,
-        default=None,
-        help="additionally retain checkpoints whose step is a multiple of N "
-        "(QCKPT stores only)",
+        help="retain each job's N newest checkpoints",
     )
     p_gc.set_defaults(func=cmd_gc)
 

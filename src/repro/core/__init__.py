@@ -12,15 +12,17 @@ Mechanism
 * :mod:`repro.core.serialize` — the pickle-free QCKPT binary format,
 * :mod:`repro.core.codecs` — lossless byte codecs and lossy statevector
   transforms,
-* :mod:`repro.core.delta` — XOR-based incremental checkpoints,
+* :mod:`repro.core.delta` — decoding of XOR / append delta checkpoints,
 * :mod:`repro.core.integrity` — CRC32/SHA-256 validation,
-* :mod:`repro.core.store` — manifest, discovery, full/delta cadence,
-  retention/GC, and the newest-first damage-skipping recovery walk,
+* :mod:`repro.core.store` — the read-only reader of QCKPT store
+  directories (listing, delta-chain resolution, the newest-first
+  damage-skipping recovery walk),
 * :mod:`repro.core.policy` — when to checkpoint (fixed, Young–Daly, adaptive),
 * :mod:`repro.core.restore` — the unified restore pipeline (plan → ranged
   fetch → verify → assemble) every read path runs through.
 
-The trainer hook tying it together and the writers it saves through live in
+The store every checkpoint is written to, the trainer hook and the writers
+it saves through live in :mod:`repro.service.chunkstore`,
 :mod:`repro.service.manager` and :mod:`repro.service.pool`.
 """
 
@@ -39,7 +41,7 @@ from repro.core.restore import (
     RestoreSource,
 )
 from repro.core.snapshot import TrainingSnapshot
-from repro.core.store import CheckpointRecord, CheckpointStore, RetentionPolicy
+from repro.core.store import CheckpointRecord, CheckpointStore
 
 __all__ = [
     "TrainingSnapshot",
@@ -50,7 +52,6 @@ __all__ = [
     "QckptSource",
     "WARM_START_TENSORS",
     "CheckpointRecord",
-    "RetentionPolicy",
     "EveryKSteps",
     "FixedTimeInterval",
     "YoungDalyPolicy",

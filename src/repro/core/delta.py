@@ -1,27 +1,21 @@
-"""Incremental (delta) checkpoints.
+"""Decoding of the incremental (delta) checkpoints in QCKPT stores.
 
-A delta checkpoint stores, per tensor, the cheapest exact encoding against a
-base checkpoint:
+Nothing writes deltas any more; :class:`~repro.core.store.CheckpointStore`
+still restores the chains earlier releases wrote.  A delta checkpoint
+stores, per tensor, one exact encoding against its base checkpoint:
 
-* ``"xor"`` — same shape/dtype: the XOR of the raw byte streams.  Identical
-  regions XOR to zero runs that zlib collapses, so XOR deltas pay exactly
-  when bytes are *bitwise unchanged* (a frozen sampler permutation, untouched
-  optimizer slots) — float tensors whose values move at all produce
-  full-entropy XOR streams and gain nothing (Fig. 5 quantifies this).
-* ``"append"`` — 1-D, same dtype, and the base is a bitwise prefix of the
-  current tensor: only the appended suffix is stored.  This is the
-  loss-history case — append-only arrays would otherwise be re-stored in
-  full every step because their shapes differ.
-* ``"full"`` — anything else (shape/dtype changes) stores the tensor whole.
+* ``"xor"`` — same shape/dtype: the XOR of the raw byte streams,
+* ``"append"`` — 1-D, same dtype, the base a bitwise prefix of the current
+  tensor: only the appended suffix (the loss-history case),
+* ``"full"`` — anything else: the tensor whole.
 
-All modes are exact: applying the delta to the base reproduces the current
-tensor bitwise.  Tensors absent from the current snapshot are recorded in
-``removed``.
+Applying the delta to the base reproduces the current tensor bitwise.
+Tensors absent from the current snapshot are recorded in ``removed``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -30,17 +24,6 @@ from repro.errors import SerializationError
 MODE_XOR = "xor"
 MODE_APPEND = "append"
 MODE_FULL = "full"
-
-
-def xor_bytes(a: bytes, b: bytes) -> bytes:
-    """XOR two equal-length byte strings."""
-    if len(a) != len(b):
-        raise SerializationError(
-            f"xor_bytes length mismatch: {len(a)} vs {len(b)}"
-        )
-    left = np.frombuffer(a, dtype=np.uint8)
-    right = np.frombuffer(b, dtype=np.uint8)
-    return np.bitwise_xor(left, right).tobytes()
 
 
 def _byte_view(array: np.ndarray) -> np.ndarray:
@@ -71,50 +54,6 @@ def _xor_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return out
     np.bitwise_xor(left, right, out=out)
     return out
-
-
-def encode_delta(
-    base: Dict[str, np.ndarray], current: Dict[str, np.ndarray]
-) -> Tuple[Dict[str, np.ndarray], Dict]:
-    """Compute delta tensors + metadata taking ``base`` to ``current``.
-
-    Returns ``(delta_tensors, delta_meta)`` where XOR-mode entries are uint8
-    arrays and full-mode entries are the current tensors unchanged.
-    """
-    delta_tensors: Dict[str, np.ndarray] = {}
-    entries: Dict[str, Dict] = {}
-    for name, array in current.items():
-        base_array = base.get(name)
-        if (
-            base_array is not None
-            and base_array.dtype == array.dtype
-            and base_array.shape == array.shape
-        ):
-            delta_tensors[name] = _xor_arrays(base_array, array)
-            entries[name] = {
-                "mode": MODE_XOR,
-                "dtype": np.dtype(array.dtype).str,
-                "shape": list(array.shape),
-            }
-        elif (
-            base_array is not None
-            and base_array.dtype == array.dtype
-            and base_array.ndim == 1
-            and array.ndim == 1
-            and base_array.size < array.size
-            and np.array_equal(base_array, array[: base_array.size])
-        ):
-            delta_tensors[name] = np.ascontiguousarray(array[base_array.size :])
-            entries[name] = {
-                "mode": MODE_APPEND,
-                "dtype": np.dtype(array.dtype).str,
-                "base_size": int(base_array.size),
-            }
-        else:
-            delta_tensors[name] = array
-            entries[name] = {"mode": MODE_FULL}
-    removed = sorted(set(base) - set(current))
-    return delta_tensors, {"entries": entries, "removed": removed}
 
 
 def apply_delta(
@@ -181,15 +120,3 @@ def apply_delta(
         current.pop(name, None)
     return current
 
-
-def delta_sparsity(delta_tensors: Dict[str, np.ndarray], delta_meta: Dict) -> float:
-    """Fraction of zero bytes across XOR-mode delta tensors (1.0 = identical)."""
-    zero = 0
-    total = 0
-    for name, entry in delta_meta.get("entries", {}).items():
-        if entry.get("mode") != MODE_XOR:
-            continue
-        array = delta_tensors[name]
-        total += array.size
-        zero += int(np.count_nonzero(array == 0))
-    return zero / total if total else 1.0

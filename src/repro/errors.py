@@ -92,6 +92,10 @@ class CheckpointNotFoundError(CheckpointError):
     """No checkpoint matching the request exists in the store."""
 
 
+class ReadOnlyStoreError(CheckpointError):
+    """A write was asked of a store that only reads (a QCKPT directory)."""
+
+
 class IncompatibleCheckpointError(CheckpointError):
     """A checkpoint exists but cannot be applied to the current trainer.
 

@@ -43,7 +43,6 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from repro.core.snapshot import TrainingSnapshot
-from repro.core.store import CheckpointStore
 from repro.faults.crashpoints import REGISTRY, CrashPointTriggered
 from repro.service.chunkstore import ChunkStore
 from repro.service.daemon import (
@@ -108,20 +107,19 @@ def _trigger(point: str, action: Callable[[], object]) -> Optional[str]:
 # -- scenarios, one per point prefix -------------------------------------------
 
 
-def _scenario_store(point: str, make_store, invariant=None) -> CrashPointResult:
-    """Save, arm, save, reopen; what is committed restores bitwise; save
-    again.  One experiment for both stores, through the job-scoped verbs
-    they share; ``invariant(backend)`` yields a store's extra violations."""
+def _scenario_store(point: str) -> CrashPointResult:
+    """Save, arm, save, reopen; what is committed restores bitwise, fsck
+    finds nothing but orphan chunks; save again."""
     backend = InMemoryBackend()
-    store = make_store(backend)
+    store = ChunkStore(backend)
     snap1, snap2 = _snapshot(1), _snapshot(2)
     store.save_snapshot("chaos", snap1)
     miss = _trigger(point, lambda: store.save_snapshot("chaos", snap2))
     if miss:
         return CrashPointResult(point, False, [miss])
 
-    reopened = make_store(backend)  # the process restart
-    violations: List[str] = list(invariant(backend)) if invariant else []
+    reopened = ChunkStore(backend)  # the process restart
+    violations = _chunk_fsck(backend)
     # Only a crash *after* the manifest barrier leaves the new checkpoint
     # committed; at every earlier point the store must fall back to snap1.
     expect = [snap1, snap2] if point.endswith("manifest.after-write") else [snap1]
@@ -160,9 +158,9 @@ def _scenario_store(point: str, make_store, invariant=None) -> CrashPointResult:
 
 
 def _chunk_fsck(backend) -> List[str]:
-    """The chunk store's own invariant: a read-only scrub finds nothing but
-    orphan chunks (written before the manifest that would have named them,
-    so a crash between the two legitimately leaves some for gc)."""
+    """Violations a read-only scrub finds: anything but orphan chunks
+    (written before the manifest that would have named them, so a crash
+    between the two legitimately leaves some for gc)."""
     fsck = scrub_store(backend, repair=False)
     violations = [
         f"fsck after crash: [{finding.kind}] {finding.name}: {finding.detail}"
@@ -405,8 +403,7 @@ def _scenario_metadb(point: str) -> CrashPointResult:
 
 
 _SCENARIOS = [
-    ("chunkstore.", lambda p: _scenario_store(p, ChunkStore, _chunk_fsck)),
-    ("corestore.", lambda p: _scenario_store(p, CheckpointStore)),
+    ("chunkstore.", _scenario_store),
     ("placement.record.", _scenario_placement_record),
     ("placement.compact.", _scenario_placement_compact),
     ("daemon.", _scenario_daemon),

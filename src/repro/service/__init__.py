@@ -92,8 +92,10 @@ def open_store(
 
     Reopening is all detection (:mod:`repro.storage.layout`): ``shard-N``
     sub-directories are a sharded backend, several roots are replicas, the
-    marker objects say whether it is a :class:`CheckpointStore` or a
-    :class:`ChunkStore`, and a ``.qckpt-meta.db`` beside a chunk store is
+    marker objects say whether it is a :class:`ChunkStore` or a QCKPT
+    directory an earlier release wrote (opened by the read-only
+    :class:`~repro.core.store.CheckpointStore` reader, which refuses every
+    write), and a ``.qckpt-meta.db`` beside a chunk store is
     attached as its index (unless ``index`` or the environment, see
     :func:`~repro.storage.metadb.metadb_enabled`, says otherwise).
     ``options`` go to the store's constructor.

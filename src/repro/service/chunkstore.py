@@ -1,7 +1,8 @@
 """Content-addressed, sharded chunk store for multi-job checkpointing.
 
-Where :class:`~repro.core.store.CheckpointStore` persists each checkpoint as
-one monolithic QCKPT object, the service chunk store splits every snapshot
+The one store that writes checkpoints.  Where the QCKPT stores of earlier
+releases (read by :class:`~repro.core.store.CheckpointStore`) persisted each
+checkpoint as one monolithic object, the chunk store splits every snapshot
 into fixed-size blocks of canonical tensor bytes and addresses each block by
 the SHA-256 of its *raw* content:
 
@@ -20,11 +21,11 @@ Layout inside the backend (flat namespace, possibly sharded)::
     ch-<sha256[:32]>             # one compressed block of tensor bytes
     job-<job>-ckpt-000001.json   # checkpoint manifest: meta tree + block map
 
-Ordering guarantee (same as the core store): every referenced chunk is fully
-written *before* the checkpoint manifest that names it, so a crash leaves at
-most orphan chunks — swept by :meth:`ChunkStore.gc` against the set of
-blocks reachable from surviving manifests.  Refcounts are therefore never
-persisted; manifests are the single source of truth.
+Ordering guarantee: every referenced chunk is fully written *before* the
+checkpoint manifest that names it, so a crash leaves at most orphan chunks —
+swept by :meth:`ChunkStore.gc` against the set of blocks reachable from
+surviving manifests.  Refcounts are therefore never persisted; manifests are
+the single source of truth.
 """
 
 from __future__ import annotations
@@ -266,8 +267,7 @@ class ChunkCheckpointRecord:
 
     @property
     def nbytes(self) -> int:
-        """Bytes this save added to the store (what a
-        :class:`~repro.core.store.CheckpointRecord` calls its size)."""
+        """Bytes this save added to the store."""
         return self.physical_bytes
 
     @property
@@ -1198,17 +1198,13 @@ class ChunkStore:
             for block in entry["blocks"]
         }
 
-    def gc(
-        self,
-        keep_last_per_job: Optional[int] = None,
-        keep_every: Optional[int] = None,
-    ) -> Dict[str, int]:
-        """Apply retention and sweep unreferenced chunks.
+    def gc(self, keep_last_per_job: Optional[int] = None) -> Dict[str, int]:
+        """Keep each job's newest ``keep_last_per_job`` checkpoints (all,
+        when ``None``) and sweep unreferenced chunks.
 
-        Returns ``{"manifests": n, "chunks": n, "bytes": n}`` deleted.
-        Unlike per-job retention in the core store, the sweep is global: a
-        chunk survives as long as *any* job still references it.
-        ``keep_every`` is the QCKPT store's; here it is refused.
+        Returns ``{"manifests": n, "chunks": n, "bytes": n}`` deleted.  The
+        sweep is global: a chunk survives as long as *any* job still
+        references it.
 
         Concurrency: the bulk of the work — reading every manifest — runs
         without the index lock, so concurrent saves are not stalled for the
@@ -1220,11 +1216,6 @@ class ChunkStore:
         if keep_last_per_job is not None and keep_last_per_job < 1:
             raise ConfigError(
                 f"keep_last_per_job must be >= 1, got {keep_last_per_job}"
-            )
-        if keep_every is not None:
-            raise ConfigError(
-                "a chunk store retains by count only (keep_last_per_job); "
-                "keep_every needs a QCKPT checkpoint store"
             )
         deleted_manifests = 0
         if keep_last_per_job is not None:

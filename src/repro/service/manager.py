@@ -8,12 +8,13 @@ store's ``save_snapshot(job_id, snapshot, extra=)``.  After a crash,
 :meth:`ServiceCheckpointManager.resume` restores a fresh trainer through the
 store's own newest-first, damage-skipping walk (``latest_valid`` /
 ``latest_valid_partial``).  Those three job-scoped verbs are all the hook
-asks of a store, so it runs over a
-:class:`~repro.service.chunkstore.ChunkStore` and a
-:class:`~repro.core.store.CheckpointStore` alike; how a save is encoded
-(codec, full-vs-delta cadence, content-addressed dedup, retention) is the
-store's.  Each submit carries a degraded fallback (a ``lite`` capture
-without the warm-start cache) for channels with ``degrade`` backpressure.
+asks of a store; the store that answers them is a
+:class:`~repro.service.chunkstore.ChunkStore`, and how a save is encoded
+(codec, block size, content-addressed dedup) is the store's.  (A
+:class:`~repro.core.store.CheckpointStore` over an old QCKPT directory
+resumes a trainer too, but refuses its saves.)  Each submit carries a
+degraded fallback (a ``lite`` capture without the warm-start cache) for
+channels with ``degrade`` backpressure.
 """
 
 from __future__ import annotations

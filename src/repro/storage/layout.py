@@ -2,7 +2,7 @@
 
 Under a store root (``docs/FORMATS.md``, "Directory layout")::
 
-    MANIFEST.json + ckpt-*.qckpt    a QCKPT store (CheckpointStore)
+    MANIFEST.json + ckpt-*.qckpt    a QCKPT store (read-only CheckpointStore)
     job-*-ckpt-*.json + ch-*        a chunk store (ChunkStore), flat, or
     shard-0/ .. shard-N/            hashed over shards (one shard: that
                                     directory alone; several: ShardedBackend)
@@ -23,7 +23,7 @@ import uuid
 from pathlib import Path
 from typing import List, Optional
 
-from repro.errors import ReproError
+from repro.errors import ReadOnlyStoreError, ReproError
 from repro.storage.backend import StorageBackend
 from repro.storage.local import LocalDirectoryBackend
 from repro.storage.memory import InMemoryBackend
@@ -61,10 +61,18 @@ def data_backend(root=None, shards: Optional[int] = None) -> StorageBackend:
     """The backend holding a root's objects.
 
     ``shards=N`` lays the root out as ``shard-0`` .. ``shard-(N-1)`` (created
-    if missing; in memory when ``root`` is ``None``).  ``shards=None``
-    reopens what is there — the ``shard-N`` sub-directories, else the
-    directory itself — and refuses a path that is not a directory.
+    if missing; in memory when ``root`` is ``None``) and refuses a root that
+    holds a QCKPT store, which is read-only.  ``shards=None`` reopens what
+    is there — the ``shard-N`` sub-directories, else the directory itself —
+    and refuses a path that is not a directory.
     """
+    if shards is not None and root is not None:
+        if (Path(root) / MANIFEST_MARKER).exists():
+            raise ReadOnlyStoreError(
+                f"{root} holds a QCKPT store, which is read-only: restore "
+                "from it as it is, and write new checkpoints to another "
+                "directory"
+            )
     if shards is None:
         root = Path(root)
         if not root.is_dir():

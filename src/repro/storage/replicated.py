@@ -7,14 +7,15 @@ failures:
 
 * **writes** succeed when at least ``write_quorum`` replicas accept the
   object (default: majority); failed replicas leave the object *degraded*
-  until :meth:`repair`,
+  until a quorum read or ``qckpt scrub`` fills the copy in,
 * **reads** either take the first available copy (``consistency="first"``,
   the fast path — object integrity is already guaranteed end-to-end by the
-  QCKPT checksums) or compare all available copies and return the majority
-  value (``consistency="quorum"``), rewriting divergent minority replicas
-  when ``read_repair`` is on,
-* :meth:`scrub` walks the namespace and repairs missing/divergent copies in
-  bulk, returning a report the operator (or a cron job) can act on.
+  store's checksums and content addresses) or compare all available
+  copies and return the majority value (``consistency="quorum"``),
+  rewriting divergent minority replicas when ``read_repair`` is on.
+
+Bulk repair of a whole store is :func:`repro.service.scrub.scrub_store`
+(``qckpt scrub``), which breaks ties by content address.
 
 Determinism: replica order is significant and iteration is always in the
 given order, so tests can inject faults per replica.
@@ -173,10 +174,10 @@ class ReplicatedBackend(StorageBackend):
         winners = [data for data, count in votes.items() if count == best_count]
         if len(winners) > 1:
             # A tie is unresolvable at this layer; surface it rather than
-            # silently picking a side (QCKPT checksums break the tie upstream).
+            # silently picking a side (content addresses break the tie upstream).
             raise StorageError(
                 f"object {name!r} has {len(winners)} equally-voted divergent "
-                "copies; run scrub with a validating reader"
+                "copies; run qckpt scrub to repair it"
             )
         return winners[0]
 
@@ -247,55 +248,3 @@ class ReplicatedBackend(StorageBackend):
             if replica.exists(name):
                 return replica.size(name)
         raise StorageError(f"object {name!r} not found on any replica")
-
-    # -- maintenance ---------------------------------------------------------------
-
-    def scrub(self, validator=None) -> Dict[str, str]:
-        """Repair every object; returns ``{name: action}`` for touched objects.
-
-        Actions: ``"replicated"`` (missing copies filled in), ``"repaired"``
-        (divergent copies rewritten to the majority value), or
-        ``"validated"`` (a majority tie broken by ``validator``).  Objects
-        whose divergence cannot be resolved are reported as ``"conflict"``
-        and left untouched.
-
-        ``validator`` is an optional ``(name, data) -> bool`` callback used
-        only when voting ties: with end-to-end checksums one level up (the
-        QCKPT container), :meth:`repro.core.store.CheckpointStore.object_validator`
-        identifies the intact copy that byte-voting alone cannot.
-        """
-        report: Dict[str, str] = {}
-        for name in self.list():
-            copies = self._read_copies(name)
-            if not copies:
-                continue
-            action = None
-            try:
-                winner = self._majority_value(name, copies)
-            except StorageError:
-                winner = self._validated_value(name, copies, validator)
-                if winner is None:
-                    report[name] = "conflict"
-                    continue
-                action = "validated"
-            divergent = any(data != winner for data in copies.values())
-            missing = len(copies) < len(self.replicas)
-            if not divergent and not missing:
-                continue
-            if action is None:
-                action = "repaired" if divergent else "replicated"
-            if self._repair_object(name, winner, copies):
-                report[name] = action
-        return report
-
-    def _validated_value(
-        self, name: str, copies: Dict[int, bytes], validator
-    ) -> Optional[bytes]:
-        """Break a voting tie: the unique distinct value ``validator`` accepts."""
-        if validator is None:
-            return None
-        accepted = []
-        for data in copies.values():
-            if data not in accepted and validator(name, data):
-                accepted.append(data)
-        return accepted[0] if len(accepted) == 1 else None

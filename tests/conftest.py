@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.store import CheckpointStore
+from repro.service.chunkstore import ChunkStore
 from repro.storage.local import LocalDirectoryBackend
 from repro.storage.memory import InMemoryBackend
 
@@ -17,18 +17,12 @@ def rng() -> np.random.Generator:
 
 
 @pytest.fixture
-def memory_store() -> CheckpointStore:
-    """Checkpoint store over an in-memory backend."""
-    return CheckpointStore(InMemoryBackend())
+def memory_store() -> ChunkStore:
+    """Chunk store over an in-memory backend."""
+    return ChunkStore(InMemoryBackend())
 
 
 @pytest.fixture
 def local_backend(tmp_path) -> LocalDirectoryBackend:
     """Filesystem backend rooted in a temp directory."""
     return LocalDirectoryBackend(tmp_path / "store")
-
-
-@pytest.fixture
-def local_store(local_backend) -> CheckpointStore:
-    """Checkpoint store over a temp filesystem backend."""
-    return CheckpointStore(local_backend)

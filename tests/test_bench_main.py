@@ -12,6 +12,7 @@ from repro.bench.__main__ import (
     _check,
     _fig1_checks,
     _fig5_checks,
+    _fig6_checks,
     _sections,
     _tab3_checks,
     _tab5_checks,
@@ -51,11 +52,11 @@ class TestCheckFunctions:
         bad = [dict(r, statevector_bytes=100) for r in good]
         assert any(c.startswith("FAIL") for c in _fig1_checks(bad))
 
-    def test_fig5_detects_delta_regression(self):
-        def series(workload, delta, full):
+    def test_fig5_detects_dedup_regression(self):
+        def series(workload, dedup, full):
             return {
                 "workload": workload,
-                "cum_delta_mode": delta,
+                "cum_dedup": dedup,
                 "cum_full_mode": full,
             }
 
@@ -63,6 +64,25 @@ class TestCheckFunctions:
         assert all(c.startswith("PASS") for c in _fig5_checks(good))
         bad = [series("classifier", 90, 100), series("vqe+sv", 99, 100)]
         assert any(c.startswith("FAIL") for c in _fig5_checks(bad))
+
+    def test_fig6_detects_restore_ordering_regression(self):
+        def row(n, block_kib, restore_s):
+            return {
+                "n_qubits": n,
+                "block_KiB": block_kib,
+                "restore_s": restore_s,
+                "stored_bytes": 100_000,
+                "params_only_bytes": 3_000,
+            }
+
+        good = [row(8, 64, 1.0), row(8, 4, 1.1), row(14, 64, 2.0), row(14, 4, 3.0)]
+        assert all(c.startswith("PASS") for c in _fig6_checks(good))
+        bad = [row(8, 64, 1.0), row(8, 4, 1.1), row(14, 64, 2.0), row(14, 4, 1.5)]
+        assert [c.startswith("FAIL") for c in _fig6_checks(bad)] == [
+            False,
+            True,
+            False,
+        ]
 
     def test_tab3_requires_exact_zero(self):
         good = [{"max_param_delta": 0.0, "bitwise_exact": True}]

@@ -31,7 +31,6 @@ class TestRegistry:
         prefixes = {name.split(".")[0] for name in names}
         assert {
             "chunkstore",
-            "corestore",
             "placement",
             "daemon",
             "scrub",

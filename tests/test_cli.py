@@ -7,21 +7,19 @@ import pytest
 from repro import open_store
 from repro.cli import main
 from repro.core.serialize import inspect_header, unpack_snapshot
-from repro.core.store import CheckpointStore
 from repro.service.chunkstore import ChunkStore
 from repro.storage.local import LocalDirectoryBackend
 from tests.test_snapshot import sample_snapshot
+from tests.test_store import copy_fixture
 
 
 @pytest.fixture
 def populated_store(tmp_path):
-    root = tmp_path / "store"
-    store = CheckpointStore(LocalDirectoryBackend(root))
-    base = store.save_full(sample_snapshot(step=10))
-    nxt = sample_snapshot(step=10).copy()
-    nxt.step = 20
-    store.save_delta(nxt, base.ckpt_id)
-    return root, store
+    """A copy of the QCKPT store an earlier release wrote: job ``default``
+    is a full save (step 10), a delta chain on it (steps 11, 12) and a
+    lossy full save (step 13); job ``other`` one full save (step 3)."""
+    root = copy_fixture(tmp_path)
+    return root, open_store(root)
 
 
 @pytest.fixture(params=["flat", "shards-1", "shards-2"])
@@ -76,9 +74,6 @@ class TestOneVerbSetOverEveryLayout:
         assert not list(chunk_root.rglob("MANIFEST.json"))
         assert main(["restore", str(chunk_root), "--job", "a"]) == 0
         assert "job a ckpt-000003 at step 3" in capsys.readouterr().out
-        # --keep-every is the QCKPT store's: refused, nothing deleted
-        assert main(["gc", str(chunk_root), "--keep-every", "2"]) == 2
-        assert "keep_every" in capsys.readouterr().err
 
     def test_restore_from_the_root_is_bitwise(self, chunk_root, tmp_path, capsys):
         out_file = tmp_path / "a.qckpt"
@@ -123,9 +118,10 @@ class TestLs:
         root, _ = populated_store
         assert main(["ls", str(root)]) == 0
         out = capsys.readouterr().out
-        assert "ckpt-000001" in out and "ckpt-000002" in out
-        assert "full zlib-6" in out and "delta zlib-6 on ckpt-000001" in out
-        assert "latest of default: ckpt-000002" in out
+        assert "ckpt-000001" in out and "ckpt-000005" in out
+        assert "full zlib-6" in out and "delta zlib-6 on ckpt-000002" in out
+        assert "latest of default: ckpt-000004" in out
+        assert "latest of other: ckpt-000005" in out
 
 
 class TestInspect:
@@ -159,7 +155,7 @@ class TestVerify:
     def test_detects_corruption(self, populated_store, capsys):
         root, store = populated_store
         assert main(["verify", str(root)]) == 0
-        assert "2/2 checkpoints valid" in capsys.readouterr().out
+        assert "5/5 checkpoints valid" in capsys.readouterr().out
         victim = store.checkpoints("default")[1]
         path = root / victim.object_name
         blob = bytearray(path.read_bytes())
@@ -167,22 +163,27 @@ class TestVerify:
         path.write_bytes(bytes(blob))
         assert main(["verify", str(root)]) == 1
         out = capsys.readouterr().out
+        # the delta on it fails too: its chain runs through the damage
         assert "BAD default/ckpt-000002" in out
-        assert "1/2 checkpoints valid" in out
+        assert "BAD default/ckpt-000003" in out
+        assert "3/5 checkpoints valid" in out
 
 
 class TestGc:
-    def test_keep_last(self, populated_store, capsys):
+    def test_qckpt_store_is_refused(self, populated_store, capsys):
         root, _ = populated_store
-        # keep_last=1 keeps the delta AND its pinned base.
-        assert main(["gc", str(root), "--keep-last", "1"]) == 0
-        assert "deleted 0" in capsys.readouterr().out
+        before = {p.name: p.read_bytes() for p in root.iterdir()}
+        assert main(["gc", str(root), "--keep-last", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: gc: a QCKPT store is read-only")
+        assert err.count("\n") == 1
+        assert {p.name: p.read_bytes() for p in root.iterdir()} == before
 
     def test_deletes_unreferenced(self, tmp_path, capsys):
         root = tmp_path / "s"
-        store = CheckpointStore(LocalDirectoryBackend(root))
+        store = ChunkStore(LocalDirectoryBackend(root))
         for step in range(1, 6):
-            store.save_full(sample_snapshot(step=step))
+            store.save_snapshot("default", sample_snapshot(step=step))
         assert main(["gc", str(root), "--keep-last", "2"]) == 0
         assert "deleted 3" in capsys.readouterr().out
         assert len(open_store(root).checkpoints("default")) == 2
@@ -193,7 +194,7 @@ class TestDiff:
         root, _ = populated_store
         assert main(["diff", str(root), "ckpt-000001", "ckpt-000002"]) == 0
         out = capsys.readouterr().out
-        assert "step 10" in out and "step 20" in out
+        assert "step 10" in out and "step 11" in out
         assert "identical" in out
         assert "TENSOR" in out
 
@@ -228,17 +229,17 @@ class TestStats:
         root, _ = populated_store
         assert main(["stats", str(root)]) == 0
         out = capsys.readouterr().out
-        assert "default" in out and "10..20" in out
-        assert "delta zlib-6 on ckpt-000001" in out
-        assert "2 checkpoint(s)" in out and "total stored" in out
+        assert "default" in out and "10..13" in out
+        assert "other" in out and "3..3" in out
+        assert "5 checkpoint(s)" in out and "total stored" in out
 
 
 class TestPeek:
     def test_peek_params(self, populated_store, capsys):
         root, _ = populated_store
-        assert main(["peek", str(root), "ckpt-000002", "params"]) == 0
+        assert main(["peek", str(root), "ckpt-000003", "params"]) == 0
         out = capsys.readouterr().out
-        assert "at step 20" in out
+        assert "at step 12" in out
         assert "params: float64" in out
 
     def test_peek_unknown_tensor_errors(self, populated_store, capsys):
@@ -296,36 +297,43 @@ class TestFleet:
 class TestRestore:
     def test_full_restore_core_store(self, populated_store, capsys):
         root, _ = populated_store
-        assert main(["restore", str(root)]) == 0
+        assert main(["restore", str(root), "--job", "default"]) == 0
         out = capsys.readouterr().out
         assert "plan [qckpt]" in out
-        assert "ckpt-000002 at step 20" in out
+        assert "ckpt-000004 at step 13" in out
         assert "params" in out
 
     def test_warm_start_plans_fewer_bytes(self, populated_store, capsys):
         root, _ = populated_store
-        assert main(["restore", str(root), "--warm-start"]) == 0
+        assert main(
+            ["restore", str(root), "--id", "ckpt-000003", "--warm-start"]
+        ) == 0
         out = capsys.readouterr().out
-        assert "tensors params" in out
-        assert "params" in out
+        assert "tensors params: 3 block(s) from 3 object(s)" in out  # the chain
         assert main(["restore", str(root), "--warm-start", "--out", "x"]) == 2
 
     def test_plan_only_transfers_nothing(self, populated_store, capsys):
         root, _ = populated_store
-        assert main(["restore", str(root), "--plan"]) == 0
+        assert main(["restore", str(root), "--job", "other", "--plan"]) == 0
         out = capsys.readouterr().out
         assert "plan [qckpt]" in out
         assert "at step" not in out
 
     def test_out_writes_standalone_file(self, populated_store, tmp_path, capsys):
-        root, _ = populated_store
+        root, store = populated_store
         target = tmp_path / "standalone.qckpt"
-        assert main(["restore", str(root), "--out", str(target)]) == 0
-        assert unpack_snapshot(target.read_bytes()).step == 20
+        assert main(
+            ["restore", str(root), "--id", "ckpt-000003", "--out", str(target)]
+        ) == 0
+        restored = unpack_snapshot(target.read_bytes())
+        assert restored == store.load_snapshot("default", "ckpt-000003")
+        assert restored.step == 12
 
     def test_tensors_subset(self, populated_store, capsys):
         root, _ = populated_store
-        assert main(["restore", str(root), "--tensors", "params"]) == 0
+        assert main(
+            ["restore", str(root), "--job", "default", "--tensors", "params"]
+        ) == 0
         out = capsys.readouterr().out
         assert "params:" in out
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.policy import EveryKSteps
-from repro.core.store import CheckpointStore
 from repro.errors import ConfigError
 from repro.faults.daly import (
     expected_makespan,
@@ -19,9 +18,7 @@ from repro.faults.injector import (
     SimulatedClock,
     SimulatedFailure,
 )
-from repro.service.chunkstore import ChunkStore
 from repro.service.manager import ServiceCheckpointManager
-from repro.storage.memory import InMemoryBackend
 from tests.test_trainer import make_classifier_trainer, make_vqe_trainer
 
 
@@ -172,11 +169,10 @@ class TestHarness:
         assert result.failures == 0
         assert result.wasted_steps == 0
 
-    @pytest.mark.parametrize("store_cls", [CheckpointStore, ChunkStore])
-    def test_crash_recover_loses_only_uncheckpointed_steps(self, store_cls):
+    def test_crash_recover_loses_only_uncheckpointed_steps(self, memory_store):
         result = run_with_failures(
             self._factory(),
-            store_cls(InMemoryBackend()),
+            memory_store,
             lambda s: ServiceCheckpointManager(s, policy=EveryKSteps(3)),
             target_steps=10,
             failure_hooks=[CrashAtStep(5)],

@@ -1,6 +1,8 @@
 """The detection table of ``repro.storage.layout`` / ``repro.open_store``:
 what a directory holds is read off the directory, never told."""
 
+import shutil
+
 import pytest
 
 from repro import open_store
@@ -12,12 +14,13 @@ from repro.storage.local import LocalDirectoryBackend
 from repro.storage.replicated import ReplicatedBackend
 from repro.storage.sharded import ShardedBackend
 from tests.test_snapshot import sample_snapshot
+from tests.test_store import FIXTURE, assert_digests
 
 SNAPSHOT = sample_snapshot(step=3)
 
 
 def _qckpt(root):
-    CheckpointStore(LocalDirectoryBackend(root)).save_snapshot("a", SNAPSHOT)
+    shutil.copytree(FIXTURE / "store", root)  # what an earlier release wrote
 
 
 def _chunks(root, shards=None, **options):
@@ -50,7 +53,11 @@ def test_reopens_what_was_written(tmp_path, build, store_cls, dirs):
     build(tmp_path / "s")
     store = open_store(tmp_path / "s")
     assert type(store) is store_cls and _dirs(store.backend) == dirs
-    assert store.load_snapshot("a") == SNAPSHOT
+    if store_cls is CheckpointStore:
+        ckpt_id, snapshot, _ = store.latest_valid("other")
+        assert_digests(f"other/{ckpt_id}", snapshot.to_payload()[1])
+    else:
+        assert store.load_snapshot("a") == SNAPSHOT
 
 
 def test_several_roots_are_replicas_that_readers_do_not_repair(tmp_path):

@@ -1,6 +1,5 @@
-"""One contract for both stores' job verbs, one test of the trainer hook over
-both stores and both writers, and the full/delta cadence of
-``CheckpointStore.save_snapshot``."""
+"""One contract for the store's job verbs, and one test of the trainer hook
+over both writers."""
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ import pytest
 from repro.core.policy import EveryKSteps, FixedTimeInterval
 from repro.core.restore import WARM_START_TENSORS
 from repro.core.snapshot import TrainingSnapshot
-from repro.core.store import CheckpointStore, RetentionPolicy
 from repro.errors import (
     CheckpointNotFoundError,
     ConfigError,
@@ -18,16 +16,14 @@ from repro.errors import (
 )
 from repro.faults.injector import SimulatedClock
 from repro.service.chunkstore import ChunkStore
-from repro.service.fleet import ThrottledBackend
 from repro.service.manager import ServiceCheckpointManager
 from repro.service.pool import WriterPool
 from repro.storage.flaky import FlakyBackend
+from repro.storage.local import LocalDirectoryBackend
 from repro.storage.memory import InMemoryBackend
 from repro.storage.sharded import ShardedBackend
 from tests.test_snapshot import sample_snapshot
 from tests.test_trainer import make_classifier_trainer, make_vqe_trainer
-
-STORES = [CheckpointStore, ChunkStore]
 
 
 def _damage(backend, names, how):
@@ -51,23 +47,24 @@ def _save_damaged(store, job_id, snapshot, how):
     return record
 
 
-def _sharded():
-    return ShardedBackend([InMemoryBackend(), InMemoryBackend()])
+BACKENDS = {
+    "InMemoryBackend": lambda tmp_path: InMemoryBackend(),
+    "sharded": lambda tmp_path: ShardedBackend(
+        [InMemoryBackend(), InMemoryBackend()]
+    ),
+    "local": lambda tmp_path: LocalDirectoryBackend(tmp_path / "store"),
+}
 
 
-@pytest.fixture(
-    params=[(cls, backend) for cls in STORES for backend in (InMemoryBackend, _sharded)],
-    ids=lambda p: f"{p[0].__name__}-{p[1].__name__.strip('_')}",
-)
-def new_store(request):
-    """The store class under test over a fresh backend."""
-    store_cls, backend = request.param
-    return lambda: store_cls(backend())
+@pytest.fixture(params=list(BACKENDS))
+def new_store(request, tmp_path):
+    """A chunk store over a fresh backend."""
+    return lambda: ChunkStore(BACKENDS[request.param](tmp_path))
 
 
 class TestJobStoreContract:
-    """What both stores promise above the backend: everything a trainer
-    hook, the CLI, the daemon and the chaos sweep ask of a store."""
+    """What the store promises above the backend: everything a trainer
+    hook, the CLI, the daemon and the chaos sweep ask of it."""
 
     def test_save_then_latest_valid_is_bitwise(self, new_store):
         store = new_store()
@@ -123,7 +120,7 @@ class TestJobStoreContract:
             for job, step in (("a", 1), ("b", 5), ("a", 2))
         ]
         assert store.jobs() == ["a", "b"]
-        for reader in (store, type(store)(store.backend)):
+        for reader in (store, ChunkStore(store.backend)):
             records = reader.checkpoints("a")
             assert [r.ckpt_id for r in records] == [
                 r.ckpt_id for job, r in saved if job == "a"
@@ -215,79 +212,9 @@ class TestJobStoreContract:
         assert store.latest_valid("b")[1] == b
 
 
-class TestCheckpointStoreJobs:
-    def test_record_without_a_job_is_the_default_jobs(self, memory_store):
-        """Stores written before jobs were recorded read unchanged."""
-        old = sample_snapshot(step=1)
-        memory_store.save_full(old)
-        assert memory_store.latest_valid("default")[1] == old
-
-    def test_damaged_delta_base_skips_its_chain(self):
-        store = CheckpointStore(InMemoryBackend(), delta=True, full_every=2)
-        snapshots = [sample_snapshot(step=step) for step in (1, 2, 4)]
-        for snapshot in snapshots[:2]:
-            store.save_snapshot("a", snapshot)  # full, delta
-        base = _save_damaged(store, "a", snapshots[2], "rot")  # full
-        dependent = snapshots[2].copy()
-        dependent.step = 5
-        store.save_snapshot("a", dependent)  # delta on the damaged full
-        assert store.checkpoints("a")[-1].base_id == base.ckpt_id
-        ckpt_id, snapshot, skipped = store.latest_valid("a")
-        assert ckpt_id == "ckpt-000002" and snapshot == snapshots[1]
-        assert [bad for bad, _ in skipped] == ["ckpt-000004", base.ckpt_id]
-
-    @pytest.mark.parametrize("pooled", [False, True])
-    def test_delta_cadence_is_decided_at_commit(self, pooled):
-        """A writer queueing saves ahead of a slow backend must not skew
-        the cadence (decided at submit, this read F F F F D D D D D F F F),
-        and every record restores bitwise."""
-        backend = ThrottledBackend(InMemoryBackend())
-        backend.write_delay_seconds = 0.03 if pooled else 0.0
-        store = CheckpointStore(backend, delta=True, full_every=3)
-        pool = WriterPool(1) if pooled else None
-        manager = ServiceCheckpointManager(
-            store, channel=pool and pool.channel("default", max_pending=3)
-        )
-        captured = {}
-
-        class Recorder:
-            def on_step_end(self, trainer, info):
-                captured[trainer.step_count] = trainer.capture()
-
-        make_vqe_trainer().run(12, hooks=[manager, Recorder()])
-        manager.close()
-        if pool:
-            pool.close()
-        records = store.checkpoints("default")
-        assert [r.kind for r in records] == ["full", "delta", "delta"] * 4
-        for record in records:
-            restored = store.load_snapshot("default", record.ckpt_id)
-            assert restored == captured[record.step]
-
-    def test_retention_runs_after_each_save_per_job(self):
-        store = CheckpointStore(
-            InMemoryBackend(), retention=RetentionPolicy(keep_last=2)
-        )
-        for step in range(1, 7):
-            store.save_snapshot("a", sample_snapshot(step=step))
-        store.save_snapshot("b", sample_snapshot(step=1))
-        kept = [(job, r.step) for job in "ab" for r in store.checkpoints(job)]
-        assert kept == [("a", 5), ("a", 6), ("b", 1)]
-
-    def test_options_validated(self):
-        with pytest.raises(ConfigError, match="lossless"):
-            CheckpointStore(
-                InMemoryBackend(),
-                delta=True,
-                transforms={"statevector": "f16-pair"},
-            )
-        with pytest.raises(ConfigError):
-            CheckpointStore(InMemoryBackend(), full_every=0)
-
-
-@pytest.fixture(params=STORES)
-def store(request):
-    return request.param(FlakyBackend(InMemoryBackend()))
+@pytest.fixture
+def store():
+    return ChunkStore(FlakyBackend(InMemoryBackend()))
 
 
 @pytest.fixture(params=["inline", "pool"])

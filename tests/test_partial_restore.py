@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.serialize import pack_payload, read_header_ranged, unpack_partial
-from repro.core.store import DEFAULT_JOB, CheckpointStore
 from repro.errors import (
     IntegrityError,
     SerializationError,
@@ -13,7 +12,6 @@ from repro.errors import (
 from repro.storage.local import LocalDirectoryBackend
 from repro.storage.memory import InMemoryBackend
 from repro.storage.simulated import SimulatedRemoteBackend, TransferCostModel
-from repro.bench.workloads import vqe_trainer
 
 
 def _reader_over(data: bytes):
@@ -170,51 +168,3 @@ class TestUnpackPartial:
         data, _ = payload
         with pytest.raises(IntegrityError):
             unpack_partial(_reader_over(data[:40]), ("params",))
-
-
-# ---------------------------------------------------------------------------
-# Store-level partial restore
-# ---------------------------------------------------------------------------
-
-
-class TestPartialThroughDeltaChains:
-    """Tensor subsets of a delta chain (what both stores do with ``names=``
-    on a single object is ``TestJobStoreContract``'s)."""
-
-    def _populated(self, n_qubits=10, deltas=2):
-        backend = InMemoryBackend()
-        store = CheckpointStore(backend)
-        trainer = vqe_trainer(n_qubits=n_qubits, seed=3)
-        trainer.run(1)
-        record = store.save_full(trainer.capture())
-        for _ in range(deltas):
-            trainer.run(1)
-            record = store.save_delta(trainer.capture(), record.ckpt_id)
-        return backend, store, trainer, record.ckpt_id
-
-    def test_delta_chain_partial(self):
-        _, store, trainer, tip = self._populated(deltas=2)
-        _, tensors = store.load_tensors(
-            DEFAULT_JOB, tip, ["params", "statevector"]
-        )
-        full = store.load_snapshot(DEFAULT_JOB, tip)
-        np.testing.assert_array_equal(tensors["params"], full.params)
-        np.testing.assert_array_equal(tensors["statevector"], full.statevector)
-
-    def test_partial_transfers_far_fewer_bytes(self):
-        backend, store, _, tip = self._populated(n_qubits=12, deltas=1)
-        backend.reset_counters()
-        store.load_tensors(DEFAULT_JOB, tip, ["params"])
-        partial_bytes = backend.bytes_read
-        backend.reset_counters()
-        store.load_snapshot(DEFAULT_JOB, tip)
-        full_bytes = backend.bytes_read
-        assert partial_bytes < full_bytes / 10
-
-    def test_growing_history_resolves_through_append_deltas(self):
-        _, store, trainer, tip = self._populated(deltas=3)
-        _, tensors = store.load_tensors(DEFAULT_JOB, tip, ["loss_history"])
-        np.testing.assert_array_equal(
-            tensors["loss_history"],
-            np.asarray(trainer.loss_history, dtype=np.float64),
-        )

@@ -1,4 +1,4 @@
-"""Delta-chain read-ahead: correctness, faults, window bounds, cancel."""
+"""Restore read-ahead: faults, window bounds, cancel, chunk-store staging."""
 
 from __future__ import annotations
 
@@ -8,12 +8,13 @@ import pytest
 from repro.core.restore import QckptSource, RestoreExecutor
 from repro.core.serialize import pack_snapshot
 from repro.core.snapshot import TrainingSnapshot
-from repro.core.store import DEFAULT_JOB as JOB, CheckpointStore
+from repro.core.store import CheckpointStore
 from repro.errors import IntegrityError, ReproError, StorageError
 from repro.service.chunkstore import ChunkStore
 from repro.storage.flaky import FlakyBackend
 from repro.storage.memory import InMemoryBackend
 from repro.storage.tiered import TieredBackend
+from tests.test_store import assert_digests, fixture_into
 
 
 def _snapshot(step: int, elems: int = 2048) -> TrainingSnapshot:
@@ -29,55 +30,17 @@ def _snapshot(step: int, elems: int = 2048) -> TrainingSnapshot:
     )
 
 
-def _build_chain(backend, links: int = 5):
-    """A full checkpoint followed by ``links - 1`` XOR deltas."""
-    store = CheckpointStore(backend)
-    snapshots = [_snapshot(step) for step in range(1, links + 1)]
-    record = store.save_full(snapshots[0])
-    for snapshot in snapshots[1:]:
-        record = store.save_delta(snapshot, base_id=record.ckpt_id)
-    return store, record.ckpt_id, snapshots[-1]
+CHAIN_TIP = "ckpt-000003"  # of the fixture's job "default": three links
+SUBSET = ["params", "statevector", "loss_history"]
 
 
-class TestChainReadahead:
-    def test_plans_carry_chain_identity(self):
-        backend = InMemoryBackend()
-        store, tip, _ = _build_chain(backend, links=4)
-        plans = store.plan_restore(JOB, tip).links()
-        assert len(plans) == 4
-        assert plans[0].base_id is None  # the full base
-        for previous, plan in zip(plans, plans[1:]):
-            assert plan.base_id == previous.checkpoint_id
-
-    @pytest.mark.parametrize("readahead", [0, 1, 2, 8])
-    def test_full_chain_restore_bitwise_any_readahead(self, readahead):
-        backend = InMemoryBackend()
-        _, tip, expected = _build_chain(backend, links=5)
-        store = CheckpointStore(backend, readahead_links=readahead)
-        assert store.load_snapshot(JOB, tip) == expected
-
-    @pytest.mark.parametrize("readahead", [0, 2])
-    def test_partial_chain_restore_bitwise(self, readahead):
-        backend = InMemoryBackend()
-        _, tip, expected = _build_chain(backend, links=5)
-        store = CheckpointStore(backend, readahead_links=readahead)
-        _, tensors = store.load_tensors(JOB, tip, ["params", "loss_history"])
-        np.testing.assert_array_equal(tensors["params"], expected.params)
-        np.testing.assert_array_equal(
-            tensors["loss_history"], expected.loss_history
-        )
-
-    def test_readahead_matches_sequential_exactly(self):
-        backend = InMemoryBackend()
-        _, tip, _ = _build_chain(backend, links=6)
-        sequential = CheckpointStore(backend, readahead_links=0)
-        pipelined = CheckpointStore(backend, readahead_links=3)
-        meta_a, tensors_a = sequential.load_tensors(JOB, tip)
-        meta_b, tensors_b = pipelined.load_tensors(JOB, tip)
-        assert meta_a == meta_b
-        assert set(tensors_a) == set(tensors_b)
-        for name in tensors_a:
-            np.testing.assert_array_equal(tensors_a[name], tensors_b[name])
+def _restore_chain_twice(store):
+    """A full restore of the chain tip (3 whole-object reads), then a
+    ranged one of ``SUBSET`` (15 reads); both bitwise or a raised error."""
+    full = store.load_tensors("default", CHAIN_TIP)[1]
+    assert_digests(f"default/{CHAIN_TIP}", full)
+    subset = store.load_tensors("default", CHAIN_TIP, SUBSET)[1]
+    assert_digests(f"default/{CHAIN_TIP}", subset, SUBSET)
 
 
 class TestPrefetchFaults:
@@ -124,33 +87,27 @@ class TestPrefetchFaults:
     ):
         """Bitwise result or a clean error — wherever the fault lands.
 
-        The read ordinal sweeps across planning reads (not retried: the
-        error propagates) and prefetch reads (retried synchronously); in no
-        case may the restore return wrong tensors.
+        The read ordinal sweeps across the whole-object reads of a full
+        restore and the ranged reads of a partial one, every link of the
+        chain; in no case may the restore return wrong tensors.
         """
-        inner = InMemoryBackend()
-        _, tip, expected = _build_chain(inner, links=5)
-        flaky = FlakyBackend(inner)
-        store = CheckpointStore(flaky, readahead_links=2)
+        flaky = FlakyBackend(fixture_into(InMemoryBackend()))
+        store = CheckpointStore(flaky)
         flaky.arm_read("error", fail_on_read=fail_on_read)
         try:
-            restored = store.load_snapshot(JOB, tip)
+            _restore_chain_twice(store)
         except (StorageError, IntegrityError):
             return  # clean failure is acceptable; corruption is not
-        assert restored == expected
 
     @pytest.mark.parametrize("fail_on_read", [2, 6, 10])
     def test_chain_restore_with_bitflip_never_corrupts(self, fail_on_read):
-        inner = InMemoryBackend()
-        _, tip, expected = _build_chain(inner, links=5)
-        flaky = FlakyBackend(inner)
-        store = CheckpointStore(flaky, readahead_links=2)
+        flaky = FlakyBackend(fixture_into(InMemoryBackend()))
+        store = CheckpointStore(flaky)
         flaky.arm_read("bitflip", fail_on_read=fail_on_read)
         try:
-            restored = store.load_snapshot(JOB, tip)
+            _restore_chain_twice(store)
         except ReproError:
             return
-        assert restored == expected
 
 
 class TestWindowAndCancel:

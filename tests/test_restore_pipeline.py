@@ -29,7 +29,7 @@ from repro.core.restore import (
 )
 from repro.core.serialize import unpack_payload
 from repro.core.snapshot import TrainingSnapshot
-from repro.core.store import DEFAULT_JOB as J, CheckpointStore
+from repro.core.store import CheckpointStore
 from repro.errors import (
     CheckpointError,
     ConfigError,
@@ -46,6 +46,7 @@ from repro.storage.local import LocalDirectoryBackend
 from repro.storage.memory import InMemoryBackend
 from repro.storage.sharded import ShardedBackend
 from repro.storage.tiered import TieredBackend
+from tests.test_store import DIGESTS, assert_digests, fixture_into
 
 
 def snapshot_at(step: int, seed: int = 7, extra_elems: int = 2048):
@@ -123,32 +124,25 @@ CODECS = ("none", "zlib-1", "zlib-6")
 
 
 class TestBitwiseIdentity:
-    @pytest.mark.parametrize("codec", CODECS)
     @pytest.mark.parametrize(
         "backend_name", ["memory", "local", "sharded", "tiered"]
     )
-    def test_core_store_full_and_delta(self, tmp_path, codec, backend_name):
-        backend = backend_factories(tmp_path)[backend_name]()
+    def test_core_store_full_and_delta(self, tmp_path, backend_name):
+        # A QCKPT store an earlier release wrote, on each backend.
+        backend = fixture_into(backend_factories(tmp_path)[backend_name]())
         store = CheckpointStore(backend)
-        record = store.save_full(snapshot_at(1), codec=codec)
-        for step in (2, 3):
-            record = store.save_delta(
-                snapshot_at(step), record.ckpt_id, codec=codec
-            )
-        # Pipeline full restore == legacy unpack of the stored objects,
-        # resolved through the same delta chain.
-        for check in store.checkpoints(J):
-            snapshot = store.load_snapshot(J, check.ckpt_id)
-            assert snapshot == snapshot_at(check.step), (
-                f"{backend_name}/{codec}: {check.ckpt_id} not bitwise"
-            )
+        # Pipeline full restore, delta chains resolved, == what that
+        # release restored.
+        for key in DIGESTS:
+            job, ckpt_id = key.split("/")
+            assert_digests(key, store.load_tensors(job, ckpt_id)[1])
         # Legacy oracle at the format level: the full record's bytes unpack
         # to exactly what the pipeline returned.
-        full = store.checkpoints(J)[0]
+        full = store.checkpoints("default")[0]
         legacy_meta, legacy_tensors = unpack_payload(
             backend.read(full.object_name)
         )
-        _, pipeline_tensors = store.load_tensors(J, full.ckpt_id)
+        _, pipeline_tensors = store.load_tensors("default", full.ckpt_id)
         assert tensors_equal(legacy_tensors, pipeline_tensors)
 
     @pytest.mark.parametrize("codec", CODECS)
@@ -183,12 +177,12 @@ class TestBitwiseIdentity:
 
     def test_partial_equals_full_subset(self, tmp_path):
         for backend_name, factory in backend_factories(tmp_path).items():
-            backend = factory()
-            store = CheckpointStore(backend)
-            record = store.save_full(snapshot_at(1))
-            record = store.save_delta(snapshot_at(2), record.ckpt_id)
-            _, full = store.load_tensors(J)
-            _, part = store.load_tensors(J, names=["params", "loss_history"])
+            store = CheckpointStore(fixture_into(factory()))
+            chain_tip = ("default", "ckpt-000003")
+            _, full = store.load_tensors(*chain_tip)
+            _, part = store.load_tensors(
+                *chain_tip, names=["params", "loss_history"]
+            )
             assert np.array_equal(part["params"], full["params"])
             assert np.array_equal(part["loss_history"], full["loss_history"])
 
@@ -359,14 +353,9 @@ class TestBlockAssembly:
 
 
 class TestPlanAccounting:
-    @pytest.mark.parametrize(
-        "make_store",
-        [CheckpointStore, lambda b: ChunkStore(b, block_bytes=1024)],
-        ids=["core", "chunk"],
-    )
-    def test_partial_fetches_fewer_bytes(self, make_store):
+    def test_partial_fetches_fewer_bytes(self):
         backend = InMemoryBackend()
-        store = make_store(backend)
+        store = ChunkStore(backend, block_bytes=1024)
         store.save_snapshot("j", snapshot_at(1, extra_elems=1 << 14))
         backend.reset_counters()
         store.load_tensors("j", names=["params"])
@@ -377,40 +366,34 @@ class TestPlanAccounting:
         assert partial_bytes < full_bytes / 5
 
     def test_core_plan_modes(self, tmp_path):
-        store = CheckpointStore(LocalDirectoryBackend(tmp_path / "s"))
-        record = store.save_full(snapshot_at(1))
-        full_plan = store.plan_restore(J, record.ckpt_id)
-        part_plan = store.plan_restore(J, record.ckpt_id, ["params"])
+        store = CheckpointStore(
+            fixture_into(LocalDirectoryBackend(tmp_path / "s"))
+        )
+        full_plan = store.plan_restore("other")
+        part_plan = store.plan_restore("other", names=["params"])
         assert full_plan.objects[0].mode == "whole"
         assert part_plan.objects[0].mode == "ranged"
         assert part_plan.fetch_bytes < full_plan.fetch_bytes
 
-    @pytest.mark.parametrize(
-        "make_store",
-        [CheckpointStore, lambda b: ChunkStore(b, block_bytes=1024)],
-        ids=["core", "chunk"],
-    )
-    def test_plan_introspection_transfers_no_payload(self, make_store):
+    def test_plan_introspection_transfers_no_payload(self):
         backend = InMemoryBackend()
-        store = make_store(backend)
+        store = ChunkStore(backend, block_bytes=1024)
         store.save_snapshot("j", snapshot_at(1, extra_elems=1 << 14))
         backend.reset_counters()
         plan = store.plan_restore("j")
-        # Planning a full restore reads a header or a manifest, no payload.
+        # Planning a full restore reads the manifest, no payload.
         assert backend.bytes_read < plan.fetch_bytes / 10
 
     def test_minimal_backend_coalesces_to_one_read(self):
-        backend = MinimalBackend()
+        backend = fixture_into(MinimalBackend())
         store = CheckpointStore(backend)
-        record = store.save_full(snapshot_at(1))
         backend.reads = 0
-        _, tensors = store.load_tensors(
-            J, record.ckpt_id, ["params", "loss_history"]
-        )
+        names = ["params", "loss_history"]
+        _, tensors = store.load_tensors("other", "ckpt-000005", names)
         # No ranged support: the planner fetches the object once, not once
         # per header-probe plus once per tensor.
         assert backend.reads == 1
-        assert np.array_equal(tensors["params"], snapshot_at(1).params)
+        assert_digests("other/ckpt-000005", tensors, names)
 
     def test_shared_chunk_fetched_once(self):
         backend = InMemoryBackend()
@@ -578,26 +561,24 @@ class TestRestoreFaults:
         return store
 
     def test_flaky_error_mid_ranged_read_core(self):
-        flaky = FlakyBackend(InMemoryBackend())
+        flaky = FlakyBackend(fixture_into(InMemoryBackend()))
         store = CheckpointStore(flaky)
-        record = store.save_full(snapshot_at(1))
         # Fail the third read of the partial restore (header probes first).
         flaky.arm_read("error", fail_on_read=3)
         with pytest.raises(StorageError, match="injected read error"):
-            store.load_tensors(J, names=["params", "statevector"])
+            store.load_tensors("other", names=["params", "statevector"])
         flaky.disarm()
-        _, tensors = store.load_tensors(J, names=["params"])
-        assert np.array_equal(tensors["params"], snapshot_at(1).params)
+        _, tensors = store.load_tensors("other", names=["params"])
+        assert_digests("other/ckpt-000005", tensors, ["params"])
 
     def test_flaky_bitflip_mid_ranged_read_detected(self):
-        flaky = FlakyBackend(InMemoryBackend())
+        flaky = FlakyBackend(fixture_into(InMemoryBackend()))
         store = CheckpointStore(flaky)
-        record = store.save_full(snapshot_at(1))
         # Corrupt whichever payload range the planner fetches third; the
         # block CRC must catch it regardless of which tensor it hits.
         flaky.arm_read("bitflip", fail_on_read=3, flip_offset=5)
         with pytest.raises(IntegrityError):
-            store.load_tensors(J, names=["params", "statevector"])
+            store.load_tensors("other", names=["params", "statevector"])
 
     def test_flaky_error_mid_chunk_fetch(self):
         flaky = FlakyBackend(InMemoryBackend())

@@ -258,9 +258,7 @@ class TestScrubCli:
         assert (dir_a / f"{QUARANTINE_PREFIX}{address}").exists()
 
     def test_monolithic_store_redirected_to_verify(self, tmp_path, capsys):
-        from repro.core.store import CheckpointStore
+        from tests.test_store import copy_fixture
 
-        backend = LocalDirectoryBackend(tmp_path / "mono")
-        CheckpointStore(backend).save_full(_snapshot(1))
-        assert qckpt_main(["fsck", str(tmp_path / "mono")]) == 2
+        assert qckpt_main(["fsck", str(copy_fixture(tmp_path))]) == 2
         assert "qckpt verify" in capsys.readouterr().err

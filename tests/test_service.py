@@ -7,8 +7,9 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.core.restore import QckptSource, RestoreExecutor
+from repro.core.serialize import pack_snapshot, unpack_snapshot
 from repro.core.snapshot import TrainingSnapshot
-from repro.core.store import CheckpointStore
 from repro.errors import (
     CheckpointError,
     ConfigError,
@@ -538,28 +539,30 @@ class TestStoredAndDeflatedChunks:
         assert "0 finding(s)" in capsys.readouterr().out
 
     def test_qckpt_ranged_reads_of_stored_and_deflated_tensors(self):
-        # The monolithic store encodes whole tensors through the same codec:
+        # The QCKPT container encodes whole tensors through the same codec:
         # params (dense, stored) and a sparse statevector (deflated) sit in
         # one file and are read back by byte range.
         backend = InMemoryBackend()
         assert backend.supports_ranged_reads
-        store = CheckpointStore(backend)
         snapshot = make_snapshot(n_params=1024, seed=5)
         snapshot.statevector = np.zeros(1 << 12, dtype=np.complex128)
         snapshot.statevector[3] = 1.0
-        record = store.save_full(snapshot)
-        plan = store.plan_restore("default", record.ckpt_id)
+        backend.write("one.qckpt", pack_snapshot(snapshot))
+        plan = QckptSource(backend, "one.qckpt").plan(prefetch=False)
         (params_block,) = plan.tensors["params"].blocks
         (state_block,) = plan.tensors["statevector"].blocks
         assert params_block.stored_nbytes > params_block.raw_nbytes  # stored
         assert state_block.stored_nbytes < state_block.raw_nbytes // 50
         for name in ("params", "statevector"):
-            _, tensors = store.load_tensors("default", names=[name])
+            source = QckptSource(backend, "one.qckpt")
+            ranged = source.plan([name])
+            assert ranged.objects[0].mode == "ranged"
+            _, tensors = RestoreExecutor().run(source, ranged)
             assert np.array_equal(
                 tensors[name].view(np.uint8),
                 getattr(snapshot, name).view(np.uint8),
             )
-        assert store.load_snapshot("default") == snapshot
+        assert unpack_snapshot(backend.read("one.qckpt")) == snapshot
 
 
 # ---------------------------------------------------------------------------

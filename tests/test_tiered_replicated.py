@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.policy import EveryKSteps
-from repro.core.store import CheckpointStore
 from repro.errors import ConfigError, StorageError
 from repro.ml.optimizers import Adam
 from repro.ml.trainer import Trainer, TrainerConfig
 from repro.quantum.observables import Hamiltonian
 from repro.quantum.templates import hardware_efficient
 from repro.ml.models import VQEModel
+from repro.service.chunkstore import ChunkStore
 from repro.service.manager import ServiceCheckpointManager
 from repro.storage.flaky import FlakyBackend
 from repro.storage.memory import InMemoryBackend
@@ -150,87 +150,10 @@ class TestReplicatedNamespace:
             backend.size("ghost")
 
 
-class TestScrub:
-    def test_scrub_fills_missing_copies(self):
-        backend, replicas = make_replicated(3)
-        backend.write("obj", b"payload")
-        replicas[1].delete("obj")
-        report = backend.scrub()
-        assert report == {"obj": "replicated"}
-        assert replicas[1].read("obj") == b"payload"
-
-    def test_scrub_repairs_divergence(self):
-        backend, replicas = make_replicated(3)
-        backend.write("obj", b"good")
-        replicas[0].write("obj", b"rot!")
-        report = backend.scrub()
-        assert report == {"obj": "repaired"}
-        assert replicas[0].read("obj") == b"good"
-
-    def test_scrub_reports_conflicts(self):
-        backend, replicas = make_replicated(2)
-        replicas[0].write("obj", b"aaaa")
-        replicas[1].write("obj", b"bbbb")
-        assert backend.scrub() == {"obj": "conflict"}
-
-    def test_scrub_clean_store_is_empty_report(self):
-        backend, _ = make_replicated(3)
-        backend.write("obj", b"payload")
-        assert backend.scrub() == {}
-
-    def test_validator_breaks_tie(self):
-        backend, replicas = make_replicated(2)
-        replicas[0].write("obj", b"good")
-        replicas[1].write("obj", b"rot!")
-        report = backend.scrub(lambda name, data: data == b"good")
-        assert report == {"obj": "validated"}
-        assert replicas[1].read("obj") == b"good"
-
-    def test_validator_rejecting_everything_keeps_conflict(self):
-        backend, replicas = make_replicated(2)
-        replicas[0].write("obj", b"aaaa")
-        replicas[1].write("obj", b"bbbb")
-        assert backend.scrub(lambda name, data: False) == {"obj": "conflict"}
-
-    def test_validator_accepting_both_keeps_conflict(self):
-        backend, replicas = make_replicated(2)
-        replicas[0].write("obj", b"aaaa")
-        replicas[1].write("obj", b"bbbb")
-        assert backend.scrub(lambda name, data: True) == {"obj": "conflict"}
-
-    def test_store_object_validator_identifies_intact_copy(self):
-        backend, replicas = make_replicated(2)
-        store = CheckpointStore(backend)
-        model = VQEModel(
-            hardware_efficient(2, 1),
-            Hamiltonian.transverse_field_ising(2, 1.0, 0.8),
-        )
-        trainer = Trainer(model, Adam(lr=0.1), config=TrainerConfig(seed=4))
-        manager = ServiceCheckpointManager(store, policy=EveryKSteps(1))
-        trainer.run(1, hooks=[manager])
-        manager.close()
-
-        name = store.checkpoints("default")[-1].object_name
-        rotten = bytearray(replicas[1].read(name))
-        rotten[len(rotten) // 2] ^= 0xFF
-        replicas[1].write(name, bytes(rotten))
-
-        validator = store.object_validator()
-        assert validator(name, replicas[0].read(name))
-        assert not validator(name, bytes(rotten))
-        assert not validator("unknown-object", b"anything")
-        assert validator("MANIFEST.json", replicas[0].read("MANIFEST.json"))
-        assert not validator("MANIFEST.json", b"\xff not json")
-
-        report = backend.scrub(validator)
-        assert report[name] == "validated"
-        assert replicas[1].read(name) == replicas[0].read(name)
-
-
 class TestReplicatedCheckpointing:
     def test_store_survives_one_dead_replica(self):
         backend, replicas = make_replicated(3)
-        store = CheckpointStore(backend)
+        store = ChunkStore(backend)
         model = VQEModel(
             hardware_efficient(2, 1),
             Hamiltonian.transverse_field_ising(2, 1.0, 0.8),
@@ -245,7 +168,7 @@ class TestReplicatedCheckpointing:
         # Lose an entire replica, then resume through a fresh store handle.
         replicas[0]._objects.clear()  # simulate total replica loss
         resumed = Trainer(model, Adam(lr=0.1), config=config)
-        fresh = CheckpointStore(backend)
+        fresh = ChunkStore(backend)
         assert ServiceCheckpointManager(fresh).resume(resumed) is not None
         assert resumed.step_count == 4
         resumed.run(2)
@@ -411,7 +334,7 @@ class TestTieredCheckpointing:
     def test_checkpoint_roundtrip_through_tiers(self):
         fast, slow = InMemoryBackend(), InMemoryBackend()
         tiered = TieredBackend(fast, slow, 1 << 20)
-        store = CheckpointStore(tiered)
+        store = ChunkStore(tiered)
         model = VQEModel(
             hardware_efficient(2, 1),
             Hamiltonian.transverse_field_ising(2, 1.0, 0.8),
@@ -424,7 +347,7 @@ class TestTieredCheckpointing:
 
         # Losing the entire fast tier must not lose checkpoints.
         fast._objects.clear()
-        fresh = CheckpointStore(TieredBackend(InMemoryBackend(), slow, 1 << 20))
+        fresh = ChunkStore(TieredBackend(InMemoryBackend(), slow, 1 << 20))
         assert fresh.load_snapshot("default").step == 4
 
 
@@ -487,7 +410,7 @@ class TestWriteBackDurabilityWindow:
     def _train_write_back(self, steps, fast_capacity=1 << 20):
         fast, slow = _OpLogBackend(), _OpLogBackend()
         tiered = TieredBackend(fast, slow, fast_capacity, policy="write-back")
-        store = CheckpointStore(tiered)
+        store = ChunkStore(tiered)
         model = VQEModel(
             hardware_efficient(2, 1),
             Hamiltonian.transverse_field_ising(2, 1.0, 0.8),
@@ -505,7 +428,7 @@ class TestWriteBackDurabilityWindow:
         assert dirty  # every object is still fast-tier-only
         assert slow.write_count == 0
         # Simulated crash: the fast tier (node-local SSD) is gone, no flush.
-        survivor = CheckpointStore(
+        survivor = ChunkStore(
             TieredBackend(InMemoryBackend(), slow, 1 << 20)
         )
         assert survivor.jobs() == []  # the whole window was lost
@@ -515,7 +438,7 @@ class TestWriteBackDurabilityWindow:
         flushed = tiered.flush()
         assert sorted(flushed) == sorted(set(flushed))
         assert tiered.dirty_objects() == []
-        survivor = CheckpointStore(
+        survivor = ChunkStore(
             TieredBackend(InMemoryBackend(), slow, 1 << 20)
         )
         assert survivor.load_snapshot("default").step == 3
@@ -524,7 +447,7 @@ class TestWriteBackDurabilityWindow:
         """Crash after an early flush: recovery lands on the flushed state."""
         fast, slow = InMemoryBackend(), InMemoryBackend()
         tiered = TieredBackend(fast, slow, 1 << 20, policy="write-back")
-        store = CheckpointStore(tiered)
+        store = ChunkStore(tiered)
         model = VQEModel(
             hardware_efficient(2, 1),
             Hamiltonian.transverse_field_ising(2, 1.0, 0.8),
@@ -536,7 +459,7 @@ class TestWriteBackDurabilityWindow:
         trainer.run(2, hooks=[manager])
         manager.close()
         assert tiered.dirty_objects()  # steps 3-4 still in the window
-        survivor = CheckpointStore(
+        survivor = ChunkStore(
             TieredBackend(InMemoryBackend(), slow, 1 << 20)
         )
         # Manifest and objects are consistent at the flushed prefix.
