@@ -6,8 +6,8 @@ engine into a *ladder of tiers* plus a fan-out axis:
 
 * **numpy** — the pure-numpy kernels, always available, and the oracle every
   other tier is property-tested against.
-* **compiled** — C builds of the hot 1q/2q gate kernels (plus delta-XOR and
-  the fast content-hash primitive), compiled on first use with the host C
+* **compiled** — C builds of the hot 1q/2q gate kernels (plus the XOR-delta
+  decoder and the fast content-hash primitive), compiled on first use with the host C
   compiler and loaded through ``ctypes`` (:mod:`repro.quantum.engines.compiled`).
   No third-party dependency: if the host has no working C compiler the tier
   reports unavailable and the ladder falls back to numpy.
@@ -186,8 +186,8 @@ def storage_library():
     Returns the :class:`~repro.quantum.engines.compiled.CompiledKernels`
     facade when the ladder permits the compiled tier (``QCKPT_ENGINE`` is
     ``auto`` or ``compiled`` *and* the library builds on this host), else
-    ``None``.  Never raises: storage callers (delta-XOR, fast content
-    digests) always have an exact numpy/python fallback, so a pinned
+    ``None``.  Never raises: storage callers (XOR-delta decoding, fast
+    content digests) always have an exact numpy/python fallback, so a pinned
     ``QCKPT_ENGINE=numpy`` or a malformed env value simply means the
     fallback runs.
     """

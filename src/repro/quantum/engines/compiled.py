@@ -19,8 +19,8 @@ load-time self-test asserts bitwise equality against the numpy oracle on
 randomized states; any deviation (exotic compiler, aggressive default
 flags) marks the tier unavailable rather than silently changing results.
 
-Also exported: ``xor_into`` (delta-XOR for :mod:`repro.core.delta`) and
-``fnv1a64`` (the fast pre-filter digest for :mod:`repro.core.hashing`).
+Also exported: ``xor_to`` (the XOR-delta decoder of :mod:`repro.core.delta`)
+and ``fnv1a64`` (the fast pre-filter digest for :mod:`repro.core.hashing`).
 
 The library is loaded through two handles, ``ctypes.PyDLL`` (a call keeps
 the interpreter lock) and ``ctypes.CDLL`` (a call releases it); the size of
@@ -191,19 +191,6 @@ int qk_apply_2q(double *psi, long m_count, long mid, long block,
     return 0; /* general dense 4x4: numpy path */
 }
 
-/* dst ^= src over n bytes (delta encoding hot loop). */
-void qk_xor_bytes(unsigned char *dst, const unsigned char *src, long n) {
-    long i = 0;
-    for (; i + 8 <= n; i += 8) {
-        uint64_t a, b;
-        __builtin_memcpy(&a, dst + i, 8);
-        __builtin_memcpy(&b, src + i, 8);
-        a ^= b;
-        __builtin_memcpy(dst + i, &a, 8);
-    }
-    for (; i < n; i++) dst[i] ^= src[i];
-}
-
 /* out = a ^ b over n bytes -- one pass, no copy of either operand. */
 void qk_xor3(unsigned char *out, const unsigned char *a,
              const unsigned char *b, long n) {
@@ -290,10 +277,9 @@ def _build(compiler: str) -> str:
 _VOID_P, _LONG = ctypes.c_void_p, ctypes.c_long
 
 #: Work of a call -- amplitudes for the gate kernels (``states.size``, so a
-#: batch counts its columns), bytes for ``xor_into`` / ``xor_to`` /
-#: ``fnv1a64`` -- from which it releases the interpreter lock.  Smaller calls
-#: keep it.  Measured on the 2-CPU reference box at the sizes the e2e
-#: benchmark runs:
+#: batch counts its columns), bytes for ``xor_to`` / ``fnv1a64`` -- from
+#: which it releases the interpreter lock.  Smaller calls keep it.  Measured
+#: on the 2-CPU reference box at the sizes the e2e benchmark runs:
 #:
 #: * 2^8-2^10 (the daemon's 8q classifier step, 448 calls of 1-2 us):
 #:   releasing beside threads queued for the lock costs ~25 us of futex
@@ -358,7 +344,6 @@ class CompiledKernels:
             ctypes.c_int,
             [_VOID_P, _LONG, _LONG, _LONG, _VOID_P, _VOID_P],
         )
-        self._xor = _bind(dlls, "qk_xor_bytes", None, [_VOID_P, _VOID_P, _LONG])
         self._xor3 = _bind(dlls, "qk_xor3", None, [_VOID_P, _VOID_P, _VOID_P, _LONG])
         self._fnv = _bind(dlls, "qk_fnv1a64", ctypes.c_uint64, [_VOID_P, _LONG])
         # indexed by "wires reversed"
@@ -421,19 +406,6 @@ class CompiledKernels:
             self._vmaps[w0 > w1],
         )
         return bool(handled)
-
-    def xor_into(self, dst: np.ndarray, src: np.ndarray) -> bool:
-        """``dst ^= src`` over uint8 arrays; False when not eligible."""
-        if (
-            dst.dtype != np.uint8
-            or src.dtype != np.uint8
-            or not dst.flags["C_CONTIGUOUS"]
-            or not src.flags["C_CONTIGUOUS"]
-            or dst.size != src.size
-        ):
-            return False
-        self._xor[self._side(dst.size)](dst.ctypes.data, src.ctypes.data, dst.size)
-        return True
 
     def xor_to(self, out: np.ndarray, a: np.ndarray, b: np.ndarray) -> bool:
         """``out = a ^ b`` over uint8 arrays in one pass; False when not eligible."""
@@ -547,11 +519,6 @@ def _parity_failure(lib: CompiledKernels) -> Optional[str]:
 
     blob = rng.integers(0, 256, size=1031, dtype=np.uint8)
     other = rng.integers(0, 256, size=1031, dtype=np.uint8)
-    got = blob.copy()
-    if not lib.xor_into(got, other):
-        return "xor_into rejected an eligible array"
-    if not np.array_equal(got, blob ^ other):
-        return "xor_into mismatch"
     out3 = np.zeros_like(blob)
     if not lib.xor_to(out3, blob, other):
         return "xor_to rejected eligible arrays"

@@ -81,6 +81,7 @@ from repro.service.pool import WriterPool
 from repro.service.scheduler import FleetJobSpec, Scheduler, _JobRuntime
 from repro.service.transport import (
     SOCKET_NAME,
+    Request,
     SocketControlClient,
     SocketTransport,
     TransportConnectError,
@@ -98,16 +99,21 @@ CP_META_BEFORE_WRITE = register_crash_point(
     "must be able to claim the control directory)",
 )
 
-# Responses already sent, kept so a redelivered request id (a client retry
-# after a connection died post-send) replays the answer instead of applying
-# the operation twice.  Bounded: old entries fall off; by then the retry
-# window (seconds) is long past.
+#: Ops that only read state: answered between a pass's training-step slots.
+#: Every other op may change the job table, so it waits for the pass
+#: boundary, and only its answer is kept for replay.
+READ_ONLY_OPS = frozenset({"ping", "status", "metrics", "health", "series"})
+
+# Answers to write ops already sent, kept so a redelivered request id (a
+# client retry after a connection died post-send) replays the answer instead
+# of applying the operation twice.  Bounded: old entries fall off; by then
+# the retry window (seconds) is long past.
 IDEMPOTENCY_CACHE_SIZE = 256
 
 # How long a socket connection thread waits for the serve loop to answer
-# before self-reporting a timeout envelope.  Requests are only handled
-# between scheduler passes, and a pass's duration is bounded by the slowest
-# training steps in flight — sized to the workload, not the network.
+# before self-reporting a timeout envelope.  A read waits at most one training
+# step, a write one scheduler pass (bounded by the slowest training steps in
+# flight) — sized to the workload, not the network.
 SOCKET_RESPONSE_TIMEOUT_SECONDS = 60.0
 
 # A heartbeat older than this means a dead or hung daemon (unless the
@@ -289,7 +295,8 @@ class FleetDaemon:
     same server serves the op set over TCP too (see
     :class:`~repro.service.transport.SocketTransport`); ``auth_token`` is
     that listener's shared secret.  The one serve loop drains the server's
-    request queue and steps :attr:`scheduler`, so handlers never race the
+    request queue and steps :attr:`scheduler`: reads are answered between
+    training-step slots, writes between passes, so handlers never race the
     job table.
     """
 
@@ -354,6 +361,7 @@ class FleetDaemon:
             "duplicates": self._c_duplicates.value,
         }
         self._served_responses: "OrderedDict[str, Dict]" = OrderedDict()
+        self._held_writes: List[Request] = []  # taken mid-pass, run after it
         # Observatory state: the timeseries history (opened in serve()
         # when an obs dir exists), its sampler, and the health engine's
         # most recent report (written into daemon.json by the heartbeat).
@@ -446,31 +454,46 @@ class FleetDaemon:
     # -- control plane ----------------------------------------------------------
 
     def _serve_requests(self, wait: float = 0.0) -> int:
-        """Answer every queued request, waiting up to ``wait`` seconds for
-        the first; returns how many were answered.
+        """At a pass boundary: answer the writes held during the pass, then
+        every queued request, waiting up to ``wait`` seconds for the first
+        when there is none; returns how many were answered."""
+        requests, self._held_writes = self._held_writes, []
+        requests += self.server.requests(0.0 if requests else wait)
+        for request in requests:
+            self._answer(*request)
+        return len(requests)
 
-        Unix and TCP requests feed the same :meth:`_handle` dispatch.  A
-        bad request must never kill the daemon; the error goes back to the
-        requester as an envelope instead.
-        """
-        requests = self.server.requests(wait)
-        for request, respond, listener in requests:
-            request_id = request["id"]
-            response = self._served_responses.get(request_id)
-            if response is not None:
-                # A retried delivery (same request id): replay the answer
-                # so the op — a submit, a preempt — is applied exactly once
-                # no matter how often the client resends.
-                self._c_duplicates.inc()
+    def _serve_reads(self) -> None:
+        """Between training-step slots: answer queued reads, hold writes for
+        the pass boundary (a connection sends its next request only once its
+        last is answered, so no connection's answers are reordered)."""
+        for request in self.server.requests():
+            if request[0].get("op") in READ_ONLY_OPS:
+                self._answer(*request)
             else:
-                response = self._handle_traced(request, listener)
-                response["id"] = request_id
+                self._held_writes.append(request)
+
+    def _answer(self, request: Dict, respond, listener: str) -> None:
+        """Handle one request and send the answer.  A bad request must never
+        kill the daemon; its error goes back to the requester as an envelope.
+        """
+        request_id = request["id"]
+        write = request.get("op") not in READ_ONLY_OPS
+        response = self._served_responses.get(request_id) if write else None
+        if response is not None:
+            # A retried delivery (same request id): replay the answer so
+            # the op — a submit, a preempt — is applied exactly once no
+            # matter how often the client resends.
+            self._c_duplicates.inc()
+        else:
+            response = self._handle_traced(request, listener)
+            response["id"] = request_id
+            if write:
                 self._served_responses[request_id] = response
                 while len(self._served_responses) > IDEMPOTENCY_CACHE_SIZE:
                     self._served_responses.popitem(last=False)
-                self._c_requests.inc()
-            respond(dict(response))
-        return len(requests)
+            self._c_requests.inc()
+        respond(dict(response))
 
     def _handle_traced(self, request: Dict, transport: str) -> Dict:
         """Dispatch one request under a span joined to the client's trace.
@@ -953,7 +976,7 @@ class FleetDaemon:
                 # After a pass that did nothing, the idle wait is on the
                 # request queue: a request that lands ends it at once.
                 handled = self._serve_requests(idle_wait)
-                progressed = self.scheduler.step()
+                progressed = self.scheduler.step(between=self._serve_reads)
                 if (
                     self.state == STATE_DRAINING
                     and self.scheduler.active_jobs == 0

@@ -8,10 +8,11 @@ one tick.  Nothing here knows who is driving:
 :class:`~repro.service.fleet.FleetHarness` submits a fixed fleet and steps
 it to completion under scripted storms and brownouts;
 :class:`~repro.service.daemon.FleetDaemon` submits and preempts on behalf of
-control-plane requests and steps between polls.  Crash semantics (abandoned
-queues, wait-for-in-flight-save, restore-validation saves), priorities,
-parking of failed jobs and restore read-ahead are therefore the same
-whichever one runs the fleet.
+control-plane requests between passes and answers reads between a pass's
+training-step slots.  Crash semantics (abandoned queues, the wait for an
+in-flight save, restore-validation saves), priorities, parking of failed
+jobs and restore read-ahead are therefore the same whichever one runs the
+fleet.
 """
 
 from __future__ import annotations
@@ -221,8 +222,12 @@ class Scheduler:
         job.down_until = self.tick + 1 + delay
         self._stage_restore(job)
 
-    def step(self) -> bool:
-        """One scheduler pass; returns whether any job advanced."""
+    def step(self, between: Optional[Callable[[], None]] = None) -> bool:
+        """One scheduler pass; returns whether any job advanced.
+
+        ``between`` runs after every training-step slot, on this thread; it
+        may read the job table but must not change it.
+        """
         progressed = False
         # 1. reincarnate preempted jobs whose delay elapsed
         for job in self.jobs.values():
@@ -265,6 +270,8 @@ class Scheduler:
                 self._advance_job(job)
             except ReproError as exc:
                 self._park_failed(job, exc)
+            if between is not None:
+                between()
             if not job.running:
                 runnable.remove(job)
                 if not runnable:

@@ -500,8 +500,9 @@ class SocketTransport:
                 done.set()
 
         self._queue.put((request, responder, kind))
-        # The daemon thread handles the request between scheduler passes; a
-        # wedged daemon must not wedge the connection forever.
+        # The daemon thread answers a read between training steps and a
+        # write between scheduler passes; a wedged daemon must not wedge
+        # the connection forever.
         done.wait(timeout=self.response_timeout_seconds)
         with req_lock:
             if slot:

@@ -16,7 +16,13 @@ from repro.service import (
     FleetDaemon,
     WriterPool,
 )
-from repro.service.daemon import STATE_STOPPED
+from repro.service.daemon import BUILTIN_WORKLOADS, STATE_STOPPED
+from repro.service.transport import (
+    SOCKET_NAME,
+    SocketControlClient,
+    recv_frame,
+    send_frame,
+)
 from repro.storage.memory import InMemoryBackend
 from repro.storage.metadb import MetaDB
 from repro.storage.tiered import TieredBackend
@@ -77,6 +83,7 @@ class _DaemonFixture:
             except ConfigError:
                 pass
             self.thread.join(timeout=10.0)
+        self.client.close()
         self.pool.close()
 
 
@@ -390,3 +397,175 @@ class TestDrain:
         assert result["state"] == STATE_STOPPED
         fixture.thread.join(timeout=10.0)
         assert not fixture.thread.is_alive()
+
+
+class _HookedTrainer:
+    """Delegating trainer whose first step after ``armed`` is set runs
+    ``hook`` (once), on the daemon's serve thread, before it returns."""
+
+    def __init__(self, inner, armed: threading.Event, hook):
+        self._inner = inner
+        self._armed = armed
+        self._hook = hook
+
+    def train_step(self):
+        info = self._inner.train_step()
+        if self._armed.is_set():
+            self._armed.clear()
+            self._hook()
+        return info
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def _queue_request(daemon, send):
+    """Run ``send`` on a client thread; return ``(thread, answer)`` once its
+    request is in the daemon's queue.  Called on the serve thread, so nothing
+    takes the request off the queue meanwhile."""
+    queued = daemon.server._queue.qsize() + 1
+    answer: dict = {}
+    thread = threading.Thread(
+        target=lambda: answer.update(send()), daemon=True
+    )
+    thread.start()
+    deadline = time.monotonic() + 10.0
+    while (
+        daemon.server._queue.qsize() < queued
+        and time.monotonic() < deadline
+    ):
+        time.sleep(0.001)
+    return thread, answer
+
+
+def _one_request(control, op, **payload):
+    client = DaemonClient(control, timeout=30.0)
+    try:
+        return client.request(op, **payload)
+    finally:
+        client.close()
+
+
+def _joined(sent, timeout=30.0):
+    for thread, _ in sent:
+        thread.join(timeout=timeout)
+        assert not thread.is_alive(), "a request was never answered"
+    return [answer for _, answer in sent]
+
+
+class TestReadsBetweenSlots:
+    """Reads are answered between training-step slots, writes only at pass
+    boundaries.  Jobs ``b`` and ``c`` run at one priority, so every pass
+    steps ``b`` and then ``c``; ``b``'s hooked step queues requests and
+    returns once they are queued, so the first moment the daemon can take
+    them is right after ``b``'s slot, before ``c``'s."""
+
+    PREEMPT_C = {"op": "preempt", "job": "c", "restart_delay_ticks": 10**6}
+
+    def _run(self, fixture_factory, send):
+        """Start ``b`` and ``c``; in a pass both run in, ``b``'s step calls
+        ``send(fixture)`` -> list of ``(thread, answer)``.  Returns the
+        answers and each job's ``steps_executed`` just before that slot."""
+        armed = threading.Event()
+        before: dict = {}
+        sent: list = []
+
+        def hook():
+            jobs = fixture.daemon.scheduler.jobs
+            before.update(
+                {job_id: jobs[job_id].result.steps_executed for job_id in "bc"}
+            )
+            sent.extend(send(fixture))
+
+        def hooked(params):
+            inner_factory = BUILTIN_WORKLOADS["classifier"](params)
+            return lambda: _HookedTrainer(inner_factory(), armed, hook)
+
+        fixture = fixture_factory(workloads={"hooked": hooked})
+        client = fixture.start()
+        assert client.submit(_tiny_spec("b", 500, workload="hooked"))["ok"]
+        assert client.submit(_tiny_spec("c", 500))["ok"]
+        deadline = time.monotonic() + 30.0
+        while not client.status("c")["jobs"]["c"]["steps_executed"]:
+            assert time.monotonic() < deadline, "c never joined the passes"
+            time.sleep(0.001)
+        armed.set()
+        while not sent:
+            assert time.monotonic() < deadline, "b's hooked step never ran"
+            time.sleep(0.001)
+        return _joined(sent), before, fixture
+
+    def test_status_is_answered_mid_pass(self, fixture_factory):
+        def send(fixture):
+            def status():
+                return _one_request(fixture.control, "status")
+
+            return [_queue_request(fixture.daemon, status)]
+
+        [status], before, _ = self._run(fixture_factory, send)
+        jobs = status["jobs"]
+        assert jobs["b"]["steps_executed"] == before["b"] + 1  # b's slot ran
+        assert jobs["c"]["steps_executed"] == before["c"]  # c's did not yet
+
+    def test_preempt_waits_for_the_pass_boundary(self, fixture_factory):
+        def send(fixture):
+            control = fixture.control
+            return [
+                _queue_request(
+                    fixture.daemon,
+                    lambda: _one_request(control, **self.PREEMPT_C),
+                ),
+                _queue_request(
+                    fixture.daemon,
+                    lambda: _one_request(control, "status", job="c"),
+                ),
+            ]
+
+        (preempt, status), before, fixture = self._run(fixture_factory, send)
+        # The status, queued after the preempt, was answered first: mid-pass,
+        # with c still running and its slot still to come.
+        mid = status["jobs"]["c"]
+        assert mid["state"] == "running" and mid["preemptions"] == 0
+        assert mid["steps_executed"] == before["c"]
+        assert preempt["ok"] and preempt["preempted"] == ["c"]
+        # The preempt took effect after the pass: c still stepped in it.
+        after = fixture.client.status("c")["jobs"]["c"]
+        assert after["preemptions"] == 1 and after["state"] == "down"
+        assert after["steps_executed"] == before["c"] + 1
+
+    def test_one_connection_is_answered_in_send_order(self, fixture_factory):
+        frames = [
+            {"id": "read-first", "op": "status"},
+            {"id": "write-next", **self.PREEMPT_C},
+            {"id": "read-last", "op": "status"},
+        ]
+
+        def send(fixture):
+            client = SocketControlClient(fixture.control / SOCKET_NAME)
+
+            def pipelined():
+                sock = client._connect(30.0)
+                try:
+                    for frame in frames:  # all sent before any answer
+                        send_frame(sock, frame)
+                    return {"answers": [recv_frame(sock) for _ in frames]}
+                finally:
+                    sock.close()
+
+            return [_queue_request(fixture.daemon, pipelined)]
+
+        [result], before, _ = self._run(fixture_factory, send)
+        first, write, last = result["answers"]
+        assert [a["id"] for a in (first, write, last)] == [
+            frame["id"] for frame in frames
+        ]
+        # The read sent first was answered mid-pass ...
+        assert first["jobs"]["b"]["steps_executed"] == before["b"] + 1
+        assert first["jobs"]["c"]["steps_executed"] == before["c"]
+        # ... the write at a later pass boundary (which one depends on when
+        # the connection thread hands it over), and the read sent last
+        # sees it.
+        assert write["ok"] and write["preempted"] == ["c"]
+        c = last["jobs"]["c"]
+        assert c["preemptions"] == 1
+        assert c["steps_executed"] > before["c"]

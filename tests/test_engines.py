@@ -285,20 +285,19 @@ class TestKernelBoundary:
 
     def test_storage_calls_pick_the_handle_by_bytes(self):
         lib, log = _facade(), []
-        for slot in ("_xor", "_xor3", "_fnv"):
+        for slot in ("_xor3", "_fnv"):
             _recording(lib, slot, log)
         rng = np.random.default_rng(6)
         for size, side in ((LIMIT - 1, "kept"), (LIMIT, "released")):
             a = rng.integers(0, 256, size=size, dtype=np.uint8)
             b = rng.integers(0, 256, size=size, dtype=np.uint8)
-            out, acc = np.empty_like(a), a.copy()
-            assert lib.xor_into(acc, b)
+            out = np.empty_like(a)
             assert lib.xor_to(out, a, b)
-            assert np.array_equal(acc, a ^ b) and np.array_equal(out, a ^ b)
+            assert np.array_equal(out, a ^ b)
             assert lib.fnv1a64(a) == _hashing._fast_digest_python(memoryview(a))
-            assert log == [side] * 3
+            assert log == [side] * 2
             del log[:]
-        assert lib.calls == [3, 3]
+        assert lib.calls == [2, 2]
 
     @pytest.mark.parametrize("n,tail", [case for pair in BELOW_AT for case in pair])
     def test_either_handle_gives_the_numpy_bits(self, monkeypatch, n, tail):

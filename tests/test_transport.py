@@ -1109,6 +1109,21 @@ class TestDaemonIdempotency:
             assert daemon.duplicate_requests == 1
             assert list(daemon.scheduler.jobs) == ["j0"]
 
+    def test_resent_read_gets_a_fresh_answer(self, tmp_path):
+        """Only write ops are remembered: a status resent under its id is
+        answered again, not replayed, and is no duplicate."""
+        control = tmp_path / "ctl"
+        with _serving(control) as daemon:
+            client = SocketControlClient(control / "daemon.sock")
+            frame = {"op": "status", "id": "fixedid00002"}
+            try:
+                first = client.request(frame)
+                second = client.request(frame)
+            finally:
+                client.close()
+            assert second["requests_served"] == first["requests_served"] + 1
+            assert daemon.duplicate_requests == 0
+
     def test_distinct_ids_are_not_deduplicated(self, tmp_path):
         control = tmp_path / "ctl"
         with _serving(control) as daemon:
