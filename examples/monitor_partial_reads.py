@@ -4,8 +4,8 @@
 Operations use case for tensor-selective restore: a dashboard (or an
 operator with ``qckpt peek``) wants the live loss curve and parameter norm
 of a run whose checkpoints are dominated by the 2^n statevector cache.
-Partial reads fetch the O(kB) classical tensors through ranged I/O and never
-transfer the cache — here a ~40x traffic reduction at just 12 qubits, and
+Partial reads fetch only the chunk objects of the O(kB) classical tensors and
+never transfer the cache — here a ~40x traffic reduction at just 12 qubits, and
 the gap doubles with every added qubit.
 """
 

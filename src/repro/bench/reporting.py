@@ -43,13 +43,3 @@ def format_table(
     for row in rendered:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
-
-
-def human_bytes(n: float) -> str:
-    """Format a byte count with binary units."""
-    size = float(n)
-    for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if size < 1024 or unit == "TiB":
-            return f"{size:.0f} {unit}" if unit == "B" else f"{size:.2f} {unit}"
-        size /= 1024
-    return f"{n} B"

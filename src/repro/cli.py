@@ -8,7 +8,7 @@ Subcommands::
     qckpt gc <dir> --keep-last N   apply a retention policy
     qckpt diff <dir> <id_a> <id_b> compare two checkpoints tensor by tensor
     qckpt export <dir> <id> <out>  materialize a checkpoint as a standalone file
-    qckpt peek <dir> <id> <t...>   read named tensors via ranged (partial) I/O
+    qckpt peek <dir> <id> <t...>   read named tensors (a partial restore)
     qckpt restore <dir> [...]      restore through the unified pipeline
                                    (--tensors subset / --warm-start / --plan)
     qckpt stats <dir>              aggregate store statistics
@@ -54,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.serialize import inspect_header, pack_snapshot
+from repro.core.serialize import pack_snapshot, read_header
 from repro.errors import ReproError
 from repro.service import open_store
 from repro.storage import layout
@@ -129,7 +129,7 @@ def _plan_header(plan, blocks: bool) -> dict:
 def cmd_inspect(args: argparse.Namespace) -> int:
     path = Path(args.target)
     if path.is_file():
-        header = inspect_header(path.read_bytes())
+        header, _ = read_header(path.read_bytes())
         if not args.tensors:
             header = dict(header)
             header["tensors"] = [
@@ -258,7 +258,7 @@ def cmd_restore(args: argparse.Namespace) -> int:
 
     Works on whatever store the directory holds.  ``--tensors`` /
     ``--warm-start`` restrict the plan to a tensor subset; ``--plan`` prints
-    what would be fetched without fetching it.  An explicit id has no
+    what a restore would fetch instead of restoring.  An explicit id has no
     fallback: damage (a manifest naming a garbage-collected chunk, a
     bit-rotted object) surfaces as one clean error line.  Without one the
     store's own newest-first walk picks the checkpoint — the walk fleet
@@ -1430,7 +1430,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_peek = sub.add_parser(
-        "peek", help="read named tensors without transferring the rest"
+        "peek", help="read named tensors (a partial restore)"
     )
     p_peek.add_argument("store", help="store directory")
     p_peek.add_argument("id", help="checkpoint id")
@@ -1460,7 +1460,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tensors",
         nargs="+",
         default=None,
-        help="restore only these tensors (ranged/partial fetch)",
+        help="restore only these tensors (fetches the objects they live in)",
     )
     p_restore.add_argument(
         "--warm-start",
@@ -1470,7 +1470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_restore.add_argument(
         "--plan",
         action="store_true",
-        help="print the fetch plan without transferring payload",
+        help="print the fetch plan instead of restoring",
     )
     p_restore.add_argument(
         "--out", default=None, help="write a standalone .qckpt file here"

@@ -18,8 +18,8 @@ Mechanism
   directories (listing, delta-chain resolution, the newest-first
   damage-skipping recovery walk),
 * :mod:`repro.core.policy` — when to checkpoint (fixed, Young–Daly, adaptive),
-* :mod:`repro.core.restore` — the unified restore pipeline (plan → ranged
-  fetch → verify → assemble) every read path runs through.
+* :mod:`repro.core.restore` — the unified restore pipeline (plan → fetch
+  whole objects → verify → assemble) every read path runs through.
 
 The store every checkpoint is written to, the trainer hook and the writers
 it saves through live in :mod:`repro.service.chunkstore`,

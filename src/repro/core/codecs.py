@@ -336,14 +336,6 @@ for _transform in [
     TRANSFORMS[_transform.name] = _transform
 
 
-def register_codec(codec: Codec, replace: bool = False) -> Codec:
-    """Add a byte codec to the global registry (used by extensions)."""
-    if codec.name in CODECS and not replace:
-        raise ConfigError(f"codec {codec.name!r} is already registered")
-    CODECS[codec.name] = codec
-    return codec
-
-
 def register_transform(
     transform: TensorTransform, replace: bool = False
 ) -> TensorTransform:

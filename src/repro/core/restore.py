@@ -5,14 +5,12 @@ restore, warm start, fleet reincarnation, CLI ``qckpt restore`` — runs
 through the same three stages:
 
 1. a :class:`RestoreSource` (one per checkpoint format) turns one stored
-   checkpoint into a :class:`RestorePlan`: the *minimal* set of byte ranges
-   or chunk objects that must be transferred to materialize the requested
-   tensor subset, plus the integrity evidence each block must satisfy,
-2. a :class:`RestoreExecutor` fetches the plan's blocks — ranged reads where
-   the backend supports them, whole-object reads where it does not or where
-   whole-file integrity is wanted, in parallel when the plan has independent
-   blocks — and verifies every transferred byte (CRC32, content address, or
-   whole-object SHA-256),
+   checkpoint into a :class:`RestorePlan`: the objects the requested
+   tensor subset lives in, plus the integrity evidence each block must
+   satisfy,
+2. a :class:`RestoreExecutor` reads each of those objects whole — in
+   parallel when the plan has several — and verifies every transferred
+   byte (CRC32, content address, or whole-object SHA-256),
 3. each verified raw block is copied into its place in the tensor's
    preallocated array (:func:`~repro.core.serialize.empty_tensor`), which is
    what the caller gets once the transform is decoded: no joined byte
@@ -32,13 +30,11 @@ was saved or raises :class:`~repro.errors.IntegrityError` /
 every block is verified against evidence recorded at save time before any
 byte of it reaches an array.
 
-Read-ahead: plans carry chain identity (``checkpoint_id``/``base_id``), and
-:meth:`RestoreExecutor.prefetch` starts a plan's transfers in the
-background — bounded by a byte window, cancellable, and advisory (a failed
-or skipped prefetch unit is re-fetched synchronously at run time).  Chain
-restores in :class:`~repro.core.store.CheckpointStore` use it to hide the
-next delta's fetch latency behind the current delta's decode; the service
-chunk store uses it to stage (and tier-promote) a restore before it runs.
+Read-ahead: :meth:`RestoreExecutor.prefetch` starts a plan's transfers in
+the background — bounded by a byte window, cancellable, and advisory (a
+failed or skipped prefetch unit is re-fetched synchronously at run time).
+The service chunk store uses it to stage (and tier-promote) a restore
+before it runs.
 """
 
 from __future__ import annotations
@@ -56,12 +52,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.codecs import get_codec, get_transform
-from repro.core.integrity import SHA256_NBYTES, sha256_hex
-from repro.core.serialize import (
-    decode_stored_chunk,
-    empty_tensor,
-    read_header_ranged,
-)
+from repro.core.integrity import sha256_hex
+from repro.core.serialize import decode_stored_chunk, empty_tensor, read_header
 from repro.errors import (
     ConfigError,
     IntegrityError,
@@ -110,9 +102,9 @@ class BlockSpec:
     """One verifiable unit of stored bytes belonging to one tensor.
 
     ``start`` is a byte offset inside ``object_name`` (0 for chunk objects,
-    which are fetched whole).  Exactly one kind of evidence is set: ``crc32``
-    checks the *stored* (encoded) bytes, ``chunk_address`` checks the decoded
-    raw bytes against their content address.
+    which are blocks themselves).  Exactly one kind of evidence is set:
+    ``crc32`` checks the *stored* (encoded) bytes, ``chunk_address`` checks
+    the decoded raw bytes against their content address.
     """
 
     tensor: str
@@ -142,41 +134,29 @@ class TensorPlan:
         return sum(block.stored_nbytes for block in self.blocks)
 
 
-MODE_RANGED = "ranged"
-MODE_WHOLE = "whole"
-
-
 @dataclass(frozen=True)
 class ObjectPlan:
-    """How one backend object participates in a plan.
-
-    ``whole`` objects are read in one piece (and, when ``sha256`` is set,
-    verified end to end before any block is sliced out); ``ranged`` objects
-    contribute only the byte ranges their blocks name.
-    """
+    """One backend object a plan reads, whole."""
 
     name: str
-    mode: str
-    sha256: Optional[str] = None
-    nbytes: Optional[int] = None
+    nbytes: int
 
 
 @dataclass
 class RestorePlan:
-    """Minimal fetch set for one checkpoint restore.
+    """Fetch set for one checkpoint restore: ``objects`` are what it
+    reads, each whole and once.
 
     ``requested`` is ``None`` for a full restore; otherwise the tensor names
-    asked for.  ``fetch_bytes`` is what the executor will transfer;
+    asked for.  ``fetch_bytes`` is what the restore transfers;
     ``total_stored_bytes`` is what a *full* restore would transfer from
     this link — their ratio is what partial restore saves.
 
-    Chain identity (read-ahead support): ``checkpoint_id`` names the
-    checkpoint this plan restores and ``base_id`` the checkpoint its delta
-    applies to (``None`` for self-contained records).  A delta's plan carries
-    the plan of that older link as ``base``, so one plan is the whole
-    restore: the byte and block accounting below covers every link, and the
-    executor can :meth:`~RestoreExecutor.prefetch` the next link's blocks
-    while the current link decodes.
+    Chain identity: ``checkpoint_id`` names the checkpoint this plan
+    restores and ``base_id`` the checkpoint its delta applies to (``None``
+    for self-contained records).  A delta's plan carries the plan of that
+    older link as ``base``, so one plan is the whole restore: the byte and
+    block accounting below covers every link.
     """
 
     kind: str  # "qckpt" | "chunks"
@@ -202,25 +182,9 @@ class RestorePlan:
 
     @property
     def fetch_bytes(self) -> int:
-        """Bytes the restore transfers (ranged blocks + whole objects),
-        older links included."""
+        """Bytes the restore transfers, older links included."""
         total = 0 if self.base is None else self.base.fetch_bytes
-        whole = {o.name: o for o in self.objects if o.mode == MODE_WHOLE}
-        counted: set = set()
-        for plan in self.tensors.values():
-            for block in plan.blocks:
-                if block.object_name in whole:
-                    if block.object_name not in counted:
-                        counted.add(block.object_name)
-                        obj = whole[block.object_name]
-                        total += (
-                            obj.nbytes
-                            if obj.nbytes is not None
-                            else block.stored_nbytes
-                        )
-                else:
-                    total += block.stored_nbytes
-        return total
+        return total + sum(obj.nbytes for obj in self.objects)
 
     @property
     def n_blocks(self) -> int:
@@ -265,15 +229,6 @@ class RestoreSource(ABC):
         writable buffer ``into`` (a view of the filled part is returned) when
         one is given, which only happens if :attr:`supports_read_into`."""
 
-    @abstractmethod
-    def read_range(self, name: str, start: int, length: int) -> bytes:
-        """Bytes ``[start, start+length)`` of one backend object."""
-
-    @property
-    def supports_ranged(self) -> bool:
-        """Whether ranged reads transfer less than whole objects here."""
-        return False
-
     @property
     def supports_read_into(self) -> bool:
         """Whether :meth:`read_object` fills a buffer the caller hands it."""
@@ -283,6 +238,11 @@ class RestoreSource(ABC):
 # ---------------------------------------------------------------------------
 # Executor
 # ---------------------------------------------------------------------------
+
+
+def _block_bytes(data, block: BlockSpec):
+    """The stored bytes of ``block`` inside its object's ``data``."""
+    return data[block.start : block.start + block.stored_nbytes]
 
 
 class PrefetchedPlan:
@@ -298,7 +258,6 @@ class PrefetchedPlan:
     def __init__(self, plan: RestorePlan):
         self.plan = plan
         self.object_futures: Dict[str, "object"] = {}
-        self.block_futures: Dict[int, "object"] = {}
         #: Bytes submitted to the fetch pool (bounded by the window).
         self.enqueued_bytes = 0
         #: Bytes the window bound kept out of the read-ahead.
@@ -308,7 +267,7 @@ class PrefetchedPlan:
     @property
     def n_enqueued(self) -> int:
         """Fetch units this read-ahead actually submitted to the pool."""
-        return len(self.object_futures) + len(self.block_futures)
+        return len(self.object_futures)
 
     def cancel(self) -> int:
         """Cancel not-yet-started fetches; returns how many were cancelled.
@@ -318,10 +277,7 @@ class PrefetchedPlan:
         starts after this returns.
         """
         cancelled = 0
-        for future in (
-            list(self.object_futures.values())
-            + list(self.block_futures.values())
-        ):
+        for future in list(self.object_futures.values()):
             if future.cancel():
                 cancelled += 1
         self.cancelled = True
@@ -330,10 +286,7 @@ class PrefetchedPlan:
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until every enqueued fetch finished; ``False`` on timeout."""
         deadline = None if timeout is None else time.monotonic() + timeout
-        for future in (
-            list(self.object_futures.values())
-            + list(self.block_futures.values())
-        ):
+        for future in list(self.object_futures.values()):
             remaining = None
             if deadline is not None:
                 remaining = max(0.0, deadline - time.monotonic())
@@ -345,9 +298,10 @@ class PrefetchedPlan:
                 return False
         return True
 
-    @staticmethod
-    def _result_or_none(future) -> Optional[bytes]:
-        """A future's bytes, or ``None`` when it failed/was cancelled."""
+    def take_object(self, name: str) -> Optional[bytes]:
+        """Prefetched bytes of one object (``None`` = fetch yourself: it was
+        never enqueued, failed, or was cancelled)."""
+        future = self.object_futures.get(name)
         if future is None:
             return None
         try:
@@ -357,22 +311,13 @@ class PrefetchedPlan:
         except Exception:  # noqa: BLE001 - sync fallback is the retry
             return None
 
-    def take_object(self, name: str) -> Optional[bytes]:
-        """Prefetched bytes of one whole object (``None`` = fetch yourself)."""
-        return self._result_or_none(self.object_futures.get(name))
-
-    def take_block(self, block: BlockSpec) -> Optional[bytes]:
-        """Prefetched bytes of one ranged block (``None`` = fetch yourself)."""
-        return self._result_or_none(self.block_futures.get(id(block)))
-
 
 class RestoreExecutor:
     """Fetches a plan's blocks, verifies them, and assembles tensors.
 
-    ``max_workers`` bounds the parallel ranged-read fan-out.  Independent
-    fetch units (distinct chunk objects, distinct byte ranges) run
-    concurrently — backend reads release the GIL for files and sleep for
-    simulated remotes, so restore latency approaches the slowest single
+    ``max_workers`` bounds the parallel fetch fan-out.  Distinct objects are
+    read concurrently — backend reads release the GIL for files and sleep
+    for simulated remotes, so restore latency approaches the slowest single
     fetch rather than the sum.  Verification, decode and the copy into the
     destination run on the calling thread, block by block in plan order, so
     the result does not depend on completion order; where the source can
@@ -380,12 +325,12 @@ class RestoreExecutor:
     threads fill one the caller allocated and allocate nothing themselves.
 
     Read-ahead: :meth:`prefetch` starts a plan's fetches in the background —
-    bounded by ``prefetch_window_bytes``, cancellable — so a delta-chain
-    restore can overlap the next link's transfers with the current link's
-    decode.  Prefetched bytes are consumed by passing the handle back to
-    :meth:`run`; anything the window skipped, a fault killed, or a cancel
-    dropped is re-fetched synchronously there, so prefetch never weakens the
-    integrity contract (every consumed byte is verified the same way).
+    bounded by ``prefetch_window_bytes``, cancellable — so a restore's
+    transfers can run before the restore does.  Prefetched bytes are
+    consumed by passing the handle back to :meth:`run`; anything the window
+    skipped, a fault killed, or a cancel dropped is re-fetched synchronously
+    there, so prefetch never weakens the integrity contract (every consumed
+    byte is verified the same way).
     """
 
     def __init__(
@@ -424,27 +369,6 @@ class RestoreExecutor:
                 )
             return self._pool
 
-    # -- fetch units ------------------------------------------------------------
-
-    @staticmethod
-    def _fetch_units(
-        plan: RestorePlan,
-    ) -> Tuple[List[ObjectPlan], List[BlockSpec]]:
-        """A plan's transfer list: distinct whole objects + ranged blocks."""
-        whole = {o.name: o for o in plan.objects if o.mode == MODE_WHOLE}
-        needed_whole: List[ObjectPlan] = []
-        seen: set = set()
-        ranged_blocks: List[BlockSpec] = []
-        for tensor_plan in plan.tensors.values():
-            for block in tensor_plan.blocks:
-                if block.object_name in whole:
-                    if block.object_name not in seen:
-                        seen.add(block.object_name)
-                        needed_whole.append(whole[block.object_name])
-                else:
-                    ranged_blocks.append(block)
-        return needed_whole, ranged_blocks
-
     def prefetch(
         self, source: RestoreSource, plan: RestorePlan
     ) -> PrefetchedPlan:
@@ -459,27 +383,14 @@ class RestoreExecutor:
         """
         handle = PrefetchedPlan(plan)
         pool = self._ensure_pool()
-        needed_whole, ranged_blocks = self._fetch_units(plan)
         budget = self.prefetch_window_bytes
-        for obj in needed_whole:
-            cost = obj.nbytes if obj.nbytes is not None else 0
-            if handle.enqueued_bytes + cost > budget:
-                handle.skipped_bytes += cost
+        for obj in plan.objects:
+            if handle.enqueued_bytes + obj.nbytes > budget:
+                handle.skipped_bytes += obj.nbytes
                 continue
-            handle.enqueued_bytes += cost
+            handle.enqueued_bytes += obj.nbytes
             handle.object_futures[obj.name] = pool.submit(
                 source.read_object, obj.name
-            )
-        for block in ranged_blocks:
-            if handle.enqueued_bytes + block.stored_nbytes > budget:
-                handle.skipped_bytes += block.stored_nbytes
-                continue
-            handle.enqueued_bytes += block.stored_nbytes
-            handle.block_futures[id(block)] = pool.submit(
-                source.read_range,
-                block.object_name,
-                block.start,
-                block.stored_nbytes,
             )
         return handle
 
@@ -501,24 +412,17 @@ class RestoreExecutor:
         profiler's critical-path attribution.
         """
         codec_obj = get_codec(plan.codec)
-        needed_whole, ranged_blocks = self._fetch_units(plan)
 
         stage_t0 = time.perf_counter()
-        buffers = self._fetch_whole_objects(
-            source, needed_whole, verify, prefetched
-        )
-        ranged_bytes = self._fetch_ranged_blocks(
-            source, ranged_blocks, prefetched
-        )
+        buffers = self._fetch_objects(source, plan.objects, prefetched)
         fetch_s = time.perf_counter() - stage_t0
 
-        # Each whole object is dropped with the last block that reads it,
-        # so the fetched bytes shrink as the destinations fill.
+        # Each object is dropped with the last block that reads it, so the
+        # fetched bytes shrink as the destinations fill.
         uses = Counter(
             block.object_name
             for tensor_plan in plan.tensors.values()
             for block in tensor_plan.blocks
-            if block.object_name in buffers
         )
         verify_s = 0.0
         assemble_s = 0.0
@@ -533,14 +437,10 @@ class RestoreExecutor:
             assemble_s += time.perf_counter() - stage_t0
             filled = 0
             for block in tensor_plan.blocks:
-                stored = buffers.get(block.object_name)
-                if stored is None:
-                    stored = ranged_bytes.pop(id(block))
-                else:
-                    uses[block.object_name] -= 1
-                    if not uses[block.object_name]:
-                        del buffers[block.object_name]
-                    stored = stored[block.start : block.start + block.stored_nbytes]
+                stored = _block_bytes(buffers[block.object_name], block)
+                uses[block.object_name] -= 1
+                if not uses[block.object_name]:
+                    del buffers[block.object_name]
                 stage_t0 = time.perf_counter()
                 raw = self._block_raw(source, block, stored, codec_obj, verify)
                 stage_t1 = time.perf_counter()
@@ -561,11 +461,10 @@ class RestoreExecutor:
             stages["assemble"] = stages.get("assemble", 0.0) + assemble_s
         return plan.meta, tensors
 
-    def _fetch_whole_objects(
+    def _fetch_objects(
         self,
         source: RestoreSource,
         objects: List[ObjectPlan],
-        verify: bool,
         prefetched: Optional[PrefetchedPlan] = None,
     ) -> Dict[str, bytes]:
         # Where the source can fill a buffer, each object still to be read
@@ -575,7 +474,7 @@ class RestoreExecutor:
         if source.supports_read_into:
             ahead = prefetched.object_futures if prefetched is not None else ()
             for obj in objects:
-                if obj.nbytes is not None and obj.name not in ahead:
+                if obj.name not in ahead:
                     slots[obj.name] = memoryview(
                         np.empty(obj.nbytes, dtype=np.uint8)
                     )
@@ -587,36 +486,9 @@ class RestoreExecutor:
             if data is None:
                 into = slots.get(obj.name)
                 data = self._read(lambda: source.read_object(obj.name, into))
-            if verify and obj.sha256 is not None:
-                actual = sha256_hex(data)
-                if actual != obj.sha256:
-                    raise IntegrityError(
-                        f"object {obj.name!r}: expected SHA-256 "
-                        f"{obj.sha256[:16]}..., got {actual[:16]}..."
-                    )
             return obj.name, data
 
         return dict(self._map(fetch, objects))
-
-    def _fetch_ranged_blocks(
-        self,
-        source: RestoreSource,
-        blocks: List[BlockSpec],
-        prefetched: Optional[PrefetchedPlan] = None,
-    ) -> Dict[int, bytes]:
-        def fetch(block: BlockSpec) -> Tuple[int, bytes]:
-            data = None
-            if prefetched is not None:
-                data = prefetched.take_block(block)
-            if data is None:
-                data = self._read(
-                    lambda: source.read_range(
-                        block.object_name, block.start, block.stored_nbytes
-                    )
-                )
-            return id(block), data
-
-        return dict(self._map(fetch, blocks))
 
     def _read(self, fn: Callable[[], bytes]) -> bytes:
         """One source read, retried on transient failures if a policy is set."""
@@ -634,10 +506,10 @@ class RestoreExecutor:
     ) -> bytes:
         """Verify one block; on damage, refetch fresh and re-verify.
 
-        The retry path bypasses every buffer (prefetch, whole-object cache)
-        and goes straight back to the source: the point is to observe the
-        backend *again*, where a transient lie has cleared or a replicated
-        backend falls through to a surviving copy.
+        The retry re-reads the block's object from the source, past the
+        prefetch: the point is to observe the backend *again*, where a
+        transient lie has cleared or a replicated backend falls through to
+        a surviving copy.
         """
         try:
             return self._verified_raw(block, stored, codec_obj, verify)
@@ -646,10 +518,10 @@ class RestoreExecutor:
                 raise
 
             def refetch_and_verify() -> bytes:
-                fresh = source.read_range(
-                    block.object_name, block.start, block.stored_nbytes
+                fresh = source.read_object(block.object_name)
+                return self._verified_raw(
+                    block, _block_bytes(fresh, block), codec_obj, verify
                 )
-                return self._verified_raw(block, fresh, codec_obj, verify)
 
             return self.retry.call(
                 refetch_and_verify,
@@ -719,13 +591,12 @@ class RestoreExecutor:
 class QckptSource(RestoreSource):
     """Restore source over one QCKPT container object.
 
-    Planning parses the container's JSON header through ranged reads; block
-    specs are the header's tensor directory entries (one stored chunk per
-    tensor, CRC32-verified).  A full restore against a known whole-file
-    SHA-256 plans a single whole-object fetch instead — same transfer as the
-    legacy path, plus its end-to-end integrity check.  On backends without
-    ranged-read support the source reads the object once and serves every
-    "ranged" read from that buffer, so planning never multiplies transfers.
+    The object is read once, whole, and checked against the expected
+    SHA-256 (the manifest's) before its header is parsed: every restore,
+    full or a tensor subset, establishes end-to-end integrity before any
+    byte is interpreted.  Block specs are the header's tensor directory
+    entries (one stored chunk per tensor, CRC32-verified), sliced out of
+    that one buffer.
     """
 
     kind = "qckpt"
@@ -739,87 +610,37 @@ class QckptSource(RestoreSource):
         self.backend = backend
         self.object_name = object_name
         self.expected_sha256 = expected_sha256
-        self._buffer: Optional[bytes] = None
-        self._verified = False
+        self._data: Optional[bytes] = None
         self._lock = threading.Lock()
 
-    @property
-    def supports_ranged(self) -> bool:
-        if self._buffer is not None:
-            return True  # slicing a resident buffer is free
-        return bool(getattr(self.backend, "supports_ranged_reads", False))
-
-    def _whole(self) -> bytes:
-        with self._lock:
-            if self._buffer is None:
-                self._buffer = self.backend.read(self.object_name)
-            return self._buffer
-
-    def _whole_verified(self) -> bytes:
-        """Whole object, checked against the expected SHA-256 exactly once.
-
-        Matches the legacy full-restore ordering: end-to-end integrity is
-        established *before* any byte of the object is interpreted.
-        """
-        data = self._whole()
-        with self._lock:
-            if self.expected_sha256 is not None and not self._verified:
-                actual = sha256_hex(data)
-                if actual != self.expected_sha256:
-                    raise IntegrityError(
-                        f"checkpoint object {self.object_name!r}: expected "
-                        f"SHA-256 {self.expected_sha256[:16]}..., "
-                        f"got {actual[:16]}..."
-                    )
-                self._verified = True
-        return data
-
     def read_object(self, name: str, into=None) -> bytes:
-        return self._whole_verified()
-
-    def read_range(self, name: str, start: int, length: int) -> bytes:
-        if self._buffer is not None or not self.supports_ranged:
-            return self._whole()[start : start + length]
-        return self.backend.read_range(name, start, length)
+        with self._lock:
+            if self._data is None:
+                data = self.backend.read(self.object_name)
+                if self.expected_sha256 is not None:
+                    actual = sha256_hex(data)
+                    if actual != self.expected_sha256:
+                        raise IntegrityError(
+                            f"checkpoint object {self.object_name!r}: "
+                            f"expected SHA-256 {self.expected_sha256[:16]}..., "
+                            f"got {actual[:16]}..."
+                        )
+                self._data = data
+            return self._data
 
     def plan(
         self,
         names: Optional[Sequence[str]] = None,
         require_all: bool = True,
-        prefetch: bool = True,
     ) -> RestorePlan:
-        # A full restore is one whole-object read (verified end to end when
-        # the caller knows the object's SHA-256); so is any restore against a
-        # backend where ranged reads cannot transfer less.  With ``prefetch``
-        # (the load path) that read happens now, so integrity is established
-        # *before* header parsing — the legacy ordering — and the executor
-        # reuses the buffer.  ``prefetch=False`` (plan introspection, e.g.
-        # ``qckpt restore --plan``) keeps planning to header-sized reads.
         wanted = None if names is None else tuple(dict.fromkeys(names))
-        whole = wanted is None or not self.supports_ranged
-        if whole and prefetch:
-            self._whole_verified()
-        header, payload_offset = read_header_ranged(
-            lambda start, length: self.read_range(
-                self.object_name, start, length
-            )
-        )
-        entries = header["tensors"]
-        payload_stored = sum(int(e["stored_nbytes"]) for e in entries)
-        # What a full restore transfers: the whole container
-        # (magic + header + payload + SHA-256 footer).
-        total_stored = (
-            len(self._buffer)
-            if self._buffer is not None
-            else payload_offset + payload_stored + SHA256_NBYTES
-        )
+        data = self.read_object(self.object_name)
+        header, payload_offset = read_header(data)
         tensors: Dict[str, TensorPlan] = {}
-        found: set = set()
-        for entry in entries:
+        for entry in header["tensors"]:
             name = entry["name"]
             if wanted is not None and name not in wanted:
                 continue
-            found.add(name)
             block = BlockSpec(
                 tensor=name,
                 seq=0,
@@ -837,27 +658,17 @@ class QckptSource(RestoreSource):
                 transform_meta=entry.get("transform_meta", {}),
                 blocks=(block,),
             )
-        if require_all and wanted is not None and found != set(wanted):
-            missing = sorted(set(wanted) - found)
+        if require_all and wanted is not None and set(tensors) != set(wanted):
+            missing = sorted(set(wanted) - set(tensors))
             raise SerializationError(
                 f"tensors not in this checkpoint: {missing}"
             )
-        objects = [
-            ObjectPlan(
-                name=self.object_name,
-                mode=MODE_WHOLE if whole else MODE_RANGED,
-                # The source verifies whole reads itself (before header
-                # parse); no second hash at the executor.
-                sha256=None,
-                nbytes=total_stored,
-            )
-        ]
         return RestorePlan(
             kind=self.kind,
             meta=header["meta"],
             codec=header["codec"],
             tensors=tensors,
-            objects=objects,
+            objects=[ObjectPlan(name=self.object_name, nbytes=len(data))],
             requested=wanted,
-            total_stored_bytes=total_stored,
+            total_stored_bytes=len(data),
         )

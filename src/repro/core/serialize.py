@@ -188,39 +188,51 @@ def pack_payload(
     return body + sha256_of(body)
 
 
-def unpack_payload(
-    data: bytes, verify: bool = True
-) -> Tuple[Dict, Dict[str, np.ndarray]]:
-    """Inverse of :func:`pack_payload`; validates checksums when ``verify``."""
-    minimum = len(MAGIC) + 4 + SHA256_NBYTES
-    if len(data) < minimum:
+def read_header(data: bytes) -> Tuple[Dict, int]:
+    """Parse the header of the QCKPT file ``data``: ``(header,
+    payload_offset)``.
+
+    The one header parser: every check the bytes read from disk must pass
+    before anything interprets them — magic, a header length inside the
+    file, valid JSON, the format version.  The SHA-256 footer is the
+    caller's to check (before this, when it wants integrity first).
+    """
+    header_start = len(MAGIC) + 4
+    if len(data) < header_start + SHA256_NBYTES:
         raise IntegrityError(
             f"data of {len(data)} bytes is shorter than a minimal QCKPT file"
         )
     if data[: len(MAGIC)] != MAGIC:
         raise IntegrityError("bad magic: not a QCKPT file")
-    body, footer = data[:-SHA256_NBYTES], data[-SHA256_NBYTES:]
-    if verify:
-        verify_sha256(body, footer, label="QCKPT file")
-
     (header_len,) = struct.unpack_from("<I", data, len(MAGIC))
-    header_start = len(MAGIC) + 4
     header_end = header_start + header_len
-    if header_end > len(body):
+    if header_end > len(data) - SHA256_NBYTES:
         raise IntegrityError("header length exceeds file size")
     try:
         header = json.loads(data[header_start:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IntegrityError(f"header is not valid JSON: {exc}") from exc
-
-    version = header.get("format_version")
+    version = header.get("format_version") if isinstance(header, dict) else None
     if version != FORMAT_VERSION:
         raise SerializationError(
             f"unsupported QCKPT format version {version!r} "
             f"(this build reads {FORMAT_VERSION})"
         )
+    return header, header_end
+
+
+def unpack_payload(
+    data: bytes, verify: bool = True
+) -> Tuple[Dict, Dict[str, np.ndarray]]:
+    """Inverse of :func:`pack_payload`; validates checksums when ``verify``
+    (the SHA-256 footer before the header is parsed)."""
+    if verify:
+        verify_sha256(
+            data[:-SHA256_NBYTES], data[-SHA256_NBYTES:], label="QCKPT file"
+        )
+    header, payload_offset = read_header(data)
     codec_obj = get_codec(header["codec"])
-    payload = body[header_end:]
+    payload = data[payload_offset:-SHA256_NBYTES]
 
     tensors: Dict[str, np.ndarray] = {}
     for entry in header["tensors"]:
@@ -285,70 +297,6 @@ def _decode_directory_entry(
     )
 
 
-def read_header_ranged(reader) -> Tuple[Dict, int]:
-    """Parse a QCKPT header through a ``(start, length) -> bytes`` reader.
-
-    Returns ``(header, payload_offset)``.  Used by partial restores, which
-    must not transfer the whole object.
-    """
-    prefix = reader(0, len(MAGIC) + 4)
-    if len(prefix) < len(MAGIC) + 4 or prefix[: len(MAGIC)] != MAGIC:
-        raise IntegrityError("bad magic: not a QCKPT file")
-    (header_len,) = struct.unpack_from("<I", prefix, len(MAGIC))
-    header_start = len(MAGIC) + 4
-    header_bytes = reader(header_start, header_len)
-    if len(header_bytes) != header_len:
-        raise IntegrityError("header length exceeds file size")
-    try:
-        header = json.loads(header_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise IntegrityError(f"header is not valid JSON: {exc}") from exc
-    version = header.get("format_version")
-    if version != FORMAT_VERSION:
-        raise SerializationError(
-            f"unsupported QCKPT format version {version!r} "
-            f"(this build reads {FORMAT_VERSION})"
-        )
-    return header, header_start + header_len
-
-
-def unpack_partial(
-    reader,
-    names: Optional[Tuple[str, ...]] = None,
-    verify: bool = True,
-    require_all: bool = True,
-) -> Tuple[Dict, Dict[str, np.ndarray]]:
-    """Selective unpack through a ``(start, length) -> bytes`` reader.
-
-    Transfers the header plus only the chunks of the requested ``names``
-    (``None`` selects every tensor).  Per-chunk CRC32s are verified; the
-    whole-file SHA-256 is *not* (it would require reading everything) —
-    partial restores trade whole-file integrity for bandwidth, which is safe
-    because every byte consumed is still CRC-checked.
-
-    With ``require_all=False``, names absent from this file's directory are
-    silently skipped (delta chains store a tensor only in the records where
-    it changed).
-    """
-    header, payload_offset = read_header_ranged(reader)
-    codec_obj = get_codec(header["codec"])
-    wanted = None if names is None else set(names)
-    found = set()
-    tensors: Dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        name = entry["name"]
-        if wanted is not None and name not in wanted:
-            continue
-        found.add(name)
-        start = payload_offset + int(entry["offset"])
-        stored = reader(start, int(entry["stored_nbytes"]))
-        tensors[name] = _decode_directory_entry(entry, stored, codec_obj, verify)
-    if require_all and wanted is not None and found != wanted:
-        missing = sorted(wanted - found)
-        raise SerializationError(f"tensors not in this checkpoint: {missing}")
-    return header["meta"], tensors
-
-
 # ---------------------------------------------------------------------------
 # Snapshot-level convenience API
 # ---------------------------------------------------------------------------
@@ -376,14 +324,3 @@ def unpack_snapshot(data: bytes, verify: bool = True) -> TrainingSnapshot:
         )
     return TrainingSnapshot.from_payload(meta["snapshot"], tensors)
 
-
-def inspect_header(data: bytes) -> Dict:
-    """Return the parsed header without decoding tensors (CLI support)."""
-    if data[: len(MAGIC)] != MAGIC:
-        raise IntegrityError("bad magic: not a QCKPT file")
-    (header_len,) = struct.unpack_from("<I", data, len(MAGIC))
-    start = len(MAGIC) + 4
-    try:
-        return json.loads(data[start : start + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise IntegrityError(f"header is not valid JSON: {exc}") from exc

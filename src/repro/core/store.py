@@ -102,10 +102,10 @@ class CheckpointStore:
 
     Every read — full load, partial load, recovery probe — runs through the
     unified restore pipeline (:mod:`repro.core.restore`): the store builds a
-    :class:`~repro.core.restore.QckptSource` per stored object and lets the
-    planner decide between one SHA-verified whole-object fetch (full
-    restores, non-ranged backends) and CRC-verified ranged fetches (tensor
-    subsets).  A delta chain is restored link by link, full base first.
+    :class:`~repro.core.restore.QckptSource` per stored object, which reads
+    it whole and checks the manifest's SHA-256 before parsing it, whatever
+    tensors were asked for.  A delta chain is restored link by link, full
+    base first.
     """
 
     def __init__(self, backend: StorageBackend):
@@ -216,17 +216,15 @@ class CheckpointStore:
         ckpt_id: Optional[str] = None,
         names: Optional[Sequence[str]] = None,
     ) -> RestorePlan:
-        """Fetch plan for one restore, delta chain included (header-sized
-        I/O only): each link's plan carries the older link's as ``base``,
-        and :meth:`~repro.core.restore.RestorePlan.links` lists them
-        oldest first."""
+        """Fetch plan for one restore, delta chain included (planning reads
+        each link's object): each link's plan carries the older link's as
+        ``base``, and :meth:`~repro.core.restore.RestorePlan.links` lists
+        them oldest first."""
         chain = self._resolve_chain(self._record(job_id, ckpt_id).ckpt_id)
         wanted = None if names is None else tuple(dict.fromkeys(names))
         plan = None
         for record in reversed(chain):
-            link = self._source_for(record).plan(
-                wanted, require_all=False, prefetch=False
-            )
+            link = self._source_for(record).plan(wanted, require_all=False)
             link.checkpoint_id = record.ckpt_id
             link.base_id = record.base_id
             link.base = plan
@@ -256,8 +254,7 @@ class CheckpointStore:
     ) -> Tuple[Dict, Dict[str, np.ndarray]]:
         """Restore ``chain`` (newest record first) link by link: the full
         base, then each delta applied on top of what the links before it
-        restored.  A whole-object read is verified before its header is
-        parsed."""
+        restored.  Each object is verified before its header is parsed."""
         meta: Dict = {}
         tensors: Dict[str, np.ndarray] = {}
         for record in reversed(chain):
@@ -284,12 +281,11 @@ class CheckpointStore:
         """Resolve one checkpoint (through its delta chain) to
         ``(snapshot_meta, tensors)``.
 
-        ``names`` restores only those tensors, transferring only their
-        chunks: reading the O(kB) parameters out of a checkpoint whose 2^n
-        statevector cache is orders of magnitude larger.  Delta chains are
-        resolved per tensor (XOR/append entries pull the tensor's base;
-        untouched records are skipped).  Ranged fetches cannot check the
-        whole-file SHA-256; every transferred chunk is still CRC32-verified.
+        ``names`` restores only those tensors: the rest are neither decoded
+        nor returned, though each object is still read whole and checked
+        against its SHA-256 — damage anywhere in it fails the restore.
+        Delta chains are resolved per tensor (XOR/append entries pull the
+        tensor's base).
         """
         record = self._record(job_id, ckpt_id)
         wanted = None if names is None else tuple(dict.fromkeys(names))
@@ -345,8 +341,8 @@ class CheckpointStore:
     ) -> Tuple[Optional[str], Optional[Dict], List[Tuple[str, str]]]:
         """Newest checkpoint whose named tensors restore:
         ``(id, {name: array} or None, skipped)``.  Only the requested
-        tensors' chunks are planned and fetched per candidate, so probing a
-        damaged history costs ranged reads, not full transfers."""
+        tensors are decoded per candidate; a candidate whose object fails
+        its SHA-256 anywhere is skipped."""
         if not tuple(names):
             raise ConfigError(
                 "latest_valid_partial needs at least one tensor name"

@@ -131,10 +131,6 @@ def set_trace_sink(sink: Optional[TraceSink]) -> Optional[TraceSink]:
     return previous
 
 
-def get_trace_sink() -> Optional[TraceSink]:
-    return _SINK
-
-
 def tracing_enabled() -> bool:
     return _SINK is not None
 
@@ -266,7 +262,6 @@ __all__ = [
     "capture_context",
     "current_span",
     "current_trace_id",
-    "get_trace_sink",
     "new_span_id",
     "new_trace_id",
     "parse_context",

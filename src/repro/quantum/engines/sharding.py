@@ -379,10 +379,6 @@ def get_executor(workers: int) -> ShardExecutor:
         return _default
 
 
-def current_executor() -> Optional[ShardExecutor]:
-    return _default
-
-
 def shutdown_default() -> None:
     global _default
     with _default_lock:

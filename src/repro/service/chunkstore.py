@@ -44,7 +44,6 @@ from repro.core.hashing import block_address_stream
 from repro.core.restore import (
     CONTENT_ADDRESS_PREFIX,
     BlockSpec,
-    MODE_WHOLE,
     ObjectPlan,
     RestoreExecutor,
     RestorePlan,
@@ -178,9 +177,6 @@ class ChunkManifestSource(RestoreSource):
                 ) from exc
             raise
 
-    def read_range(self, name: str, start: int, length: int) -> bytes:
-        return self.read_object(name)[start : start + length]
-
     def plan(
         self,
         names: Optional[Sequence[str]] = None,
@@ -221,9 +217,7 @@ class ChunkManifestSource(RestoreSource):
                 )
                 if address not in objects:
                     objects[address] = ObjectPlan(
-                        name=address,
-                        mode=MODE_WHOLE,
-                        nbytes=int(block["stored_nbytes"]),
+                        name=address, nbytes=int(block["stored_nbytes"])
                     )
             tensors[name] = TensorPlan(
                 name=name,

@@ -82,15 +82,6 @@ class ThrottledBackend(StorageBackend):
         self._read_delay(len(data))
         return data
 
-    def read_range(self, name: str, start: int, length: int) -> bytes:
-        data = self.inner.read_range(name, start, length)
-        self._read_delay(len(data))
-        return data
-
-    @property
-    def supports_ranged_reads(self) -> bool:
-        return self.inner.supports_ranged_reads
-
     @property
     def supports_read_into(self) -> bool:
         return self.inner.supports_read_into

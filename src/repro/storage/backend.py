@@ -57,18 +57,6 @@ class StorageBackend(ABC):
         return len(self.read(name))
 
     @property
-    def supports_ranged_reads(self) -> bool:
-        """Whether :meth:`read_range` transfers less than a full object.
-
-        ``False`` here (the base class slices a whole-object read), so the
-        restore planner knows to coalesce a partial restore into one
-        whole-object fetch instead of paying a full transfer per range.
-        Backends with real random access override this to ``True``;
-        decorators delegate to what they wrap.
-        """
-        return False
-
-    @property
     def supports_read_into(self) -> bool:
         """Whether :meth:`read` takes ``into=``: a writable buffer the object
         is read into, a view of the filled part coming back in place of new
@@ -87,17 +75,3 @@ class StorageBackend(ABC):
         device regardless of how backends are stacked.
         """
         return None
-
-    def read_range(self, name: str, start: int, length: int) -> bytes:
-        """Bytes ``[start, start+length)`` of object ``name``.
-
-        The base implementation reads the whole object and slices; backends
-        with random access (files, memory) override it so partial checkpoint
-        restores transfer only the chunks they need.  Short reads past the
-        end of the object return the available suffix (like ``pread``).
-        """
-        if start < 0 or length < 0:
-            raise StorageError(
-                f"invalid range [{start}, {start}+{length}) for {name!r}"
-            )
-        return self.read(name)[start : start + length]

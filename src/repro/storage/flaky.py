@@ -105,11 +105,11 @@ class FlakyBackend(StorageBackend):
     ) -> None:
         """Schedule one fault on the ``fail_on_read``-th subsequent read.
 
-        ``read`` and ``read_range`` share the ordinal counter, so a restore
-        pipeline issuing many ranged fetches can be failed mid-stream at a
-        chosen fetch.  ``error`` raises; ``truncate`` returns a prefix;
-        ``bitflip`` corrupts one byte of the returned data — the latter two
-        model a backend that *lies*, which integrity verification must catch.
+        Every ``read`` counts, so a restore pipeline fetching many objects
+        can be failed mid-stream at a chosen fetch.  ``error`` raises;
+        ``truncate`` returns a prefix; ``bitflip`` corrupts one byte of the
+        returned data — the latter two model a backend that *lies*, which
+        integrity verification must catch.
         """
         if mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -257,15 +257,6 @@ class FlakyBackend(StorageBackend):
 
     def read(self, name: str) -> bytes:
         return self._maybe_damage_read(name, self.inner.read(name))
-
-    def read_range(self, name: str, start: int, length: int) -> bytes:
-        return self._maybe_damage_read(
-            name, self.inner.read_range(name, start, length)
-        )
-
-    @property
-    def supports_ranged_reads(self) -> bool:
-        return self.inner.supports_ranged_reads
 
     def tier_for(self, name: str):
         return self.inner.tier_for(name)

@@ -83,25 +83,6 @@ class LocalDirectoryBackend(StorageBackend):
     def supports_read_into(self) -> bool:
         return True
 
-    def read_range(self, name: str, start: int, length: int) -> bytes:
-        if start < 0 or length < 0:
-            raise StorageError(
-                f"invalid range [{start}, {start}+{length}) for {name!r}"
-            )
-        path = self._path(name)
-        try:
-            with open(path, "rb") as handle:
-                handle.seek(start)
-                return handle.read(length)
-        except FileNotFoundError:
-            raise StorageError(f"object {name!r} does not exist") from None
-        except OSError as exc:
-            raise StorageError(f"read of {name!r} failed: {exc}") from exc
-
-    @property
-    def supports_ranged_reads(self) -> bool:
-        return True  # seek + read transfers only the requested range
-
     def exists(self, name: str) -> bool:
         return self._path(name).is_file()
 

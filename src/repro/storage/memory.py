@@ -46,26 +46,6 @@ class InMemoryBackend(StorageBackend):
             self.read_count += 1
             return data
 
-    def read_range(self, name: str, start: int, length: int) -> bytes:
-        validate_name(name)
-        if start < 0 or length < 0:
-            raise StorageError(
-                f"invalid range [{start}, {start}+{length}) for {name!r}"
-            )
-        with self._lock:
-            try:
-                data = self._objects[name]
-            except KeyError:
-                raise StorageError(f"object {name!r} does not exist") from None
-            chunk = data[start : start + length]
-            self.bytes_read += len(chunk)
-            self.read_count += 1
-            return chunk
-
-    @property
-    def supports_ranged_reads(self) -> bool:
-        return True  # slicing transfers (and accounts) only the range
-
     def exists(self, name: str) -> bool:
         validate_name(name)
         with self._lock:

@@ -105,9 +105,6 @@ class ReliableBackend(StorageBackend):
         kwargs = {} if into is None else {"into": into}
         return self._run(lambda: self.inner.read(name, **kwargs))
 
-    def read_range(self, name: str, start: int, length: int) -> bytes:
-        return self._run(lambda: self.inner.read_range(name, start, length))
-
     def exists(self, name: str) -> bool:
         return self._run(lambda: self.inner.exists(name))
 
@@ -119,10 +116,6 @@ class ReliableBackend(StorageBackend):
 
     def size(self, name: str) -> int:
         return self._run(lambda: self.inner.size(name))
-
-    @property
-    def supports_ranged_reads(self) -> bool:
-        return self.inner.supports_ranged_reads
 
     @property
     def supports_read_into(self) -> bool:

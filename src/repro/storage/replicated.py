@@ -197,29 +197,6 @@ class ReplicatedBackend(StorageBackend):
             self.stats.repaired_objects += 1
         return repaired
 
-    def read_range(self, name: str, start: int, length: int) -> bytes:
-        """Ranged read from the first replica holding the object.
-
-        Quorum comparison is intentionally skipped for ranged reads — they
-        serve partial restores whose chunks are CRC-verified end to end.
-        """
-        last_error: Optional[StorageError] = None
-        for replica in self.replicas:
-            try:
-                if replica.exists(name):
-                    return replica.read_range(name, start, length)
-            except StorageError as exc:
-                last_error = exc
-        if last_error is not None:
-            raise StorageError(
-                f"all replicas failed ranged read of {name!r}: {last_error}"
-            )
-        raise StorageError(f"object {name!r} not found on any replica")
-
-    @property
-    def supports_ranged_reads(self) -> bool:
-        return all(r.supports_ranged_reads for r in self.replicas)
-
     # -- namespace ---------------------------------------------------------------
 
     def exists(self, name: str) -> bool:

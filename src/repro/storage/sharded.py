@@ -44,10 +44,6 @@ class ShardedBackend(StorageBackend):
     # -- StorageBackend contract ----------------------------------------------------
 
     @property
-    def supports_ranged_reads(self) -> bool:
-        return all(shard.supports_ranged_reads for shard in self.shards)
-
-    @property
     def supports_read_into(self) -> bool:
         return all(shard.supports_read_into for shard in self.shards)
 
@@ -60,9 +56,6 @@ class ShardedBackend(StorageBackend):
     def read(self, name: str, into=None) -> bytes:
         kwargs = {} if into is None else {"into": into}
         return self.shard_for(name).read(name, **kwargs)
-
-    def read_range(self, name: str, start: int, length: int) -> bytes:
-        return self.shard_for(name).read_range(name, start, length)
 
     def exists(self, name: str) -> bool:
         return self.shard_for(name).exists(name)

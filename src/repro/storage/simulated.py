@@ -82,15 +82,6 @@ class SimulatedRemoteBackend(StorageBackend):
         self._account(len(data))
         return data
 
-    def read_range(self, name: str, start: int, length: int) -> bytes:
-        chunk = self.inner.read_range(name, start, length)
-        self._account(len(chunk))  # ranged reads pay only transferred bytes
-        return chunk
-
-    @property
-    def supports_ranged_reads(self) -> bool:
-        return self.inner.supports_ranged_reads
-
     def tier_for(self, name: str):
         return self.inner.tier_for(name)
 

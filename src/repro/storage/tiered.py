@@ -372,27 +372,6 @@ class TieredBackend(StorageBackend):
                 self.stats.promotions += 1
         return data
 
-    def read_range(self, name: str, start: int, length: int) -> bytes:
-        """Ranged read: fast tier when resident, slow tier otherwise.
-
-        Ranged misses do not promote — partial restores deliberately avoid
-        pulling whole objects into the fast tier.  Ranged *hits* refresh the
-        LRU position, so objects a partial-restore workload keeps touching
-        stay hot.
-        """
-        with self._lock:
-            if name in self._resident:
-                self.stats.fast_hits += 1
-                self._touch(name, self._resident[name])
-                return self.fast.read_range(name, start, length)
-            self.stats.fast_misses += 1
-        return self.slow.read_range(name, start, length)
-
-    @property
-    def supports_ranged_reads(self) -> bool:
-        # The hint describes the miss path; fast-tier hits slice locally.
-        return self.slow.supports_ranged_reads
-
     def exists(self, name: str) -> bool:
         with self._lock:
             if name in self._resident:

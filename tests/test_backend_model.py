@@ -71,12 +71,6 @@ class _BackendEquivalence(RuleBasedStateMachine):
         assert bytes(self.backend.read(name, into=into)) == expected
         assert bytes(into[: len(expected)]) == expected
 
-    @rule(name=_NAMES, start=st.integers(0, 70), length=st.integers(0, 70))
-    def read_range(self, name, start, length):
-        if name in self.model:
-            expected = self.model[name][start : start + length]
-            assert self.backend.read_range(name, start, length) == expected
-
     @rule(name=_NAMES)
     def delete(self, name):
         self.backend.delete(name)

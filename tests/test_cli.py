@@ -6,7 +6,7 @@ import pytest
 
 from repro import open_store
 from repro.cli import main
-from repro.core.serialize import inspect_header, unpack_snapshot
+from repro.core.serialize import read_header, unpack_snapshot
 from repro.service.chunkstore import ChunkStore
 from repro.storage.local import LocalDirectoryBackend
 from tests.test_snapshot import sample_snapshot
@@ -221,7 +221,7 @@ class TestExport:
         assert main(
             ["export", str(root), "ckpt-000001", str(out_file), "--codec", "lzma"]
         ) == 0
-        assert inspect_header(out_file.read_bytes())["codec"] == "lzma"
+        assert read_header(out_file.read_bytes())[0]["codec"] == "lzma"
 
 
 class TestStats:

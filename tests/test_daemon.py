@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import socket
 import threading
 import time
 
@@ -397,6 +399,53 @@ class TestDrain:
         assert result["state"] == STATE_STOPPED
         fixture.thread.join(timeout=10.0)
         assert not fixture.thread.is_alive()
+
+
+class TestStopVerb:
+    def test_qckpt_daemon_stop_halts_an_unfinished_job_resumably(
+        self, fixture_factory, capsys
+    ):
+        from repro.cli import main as qckpt_main
+        from repro.service.daemon import META_NAME
+        from repro.service.transport import _short_path
+
+        fixture = fixture_factory()
+        client = fixture.start()
+        assert client.submit(_tiny_spec("j1", steps=100_000))["ok"]
+        deadline = time.monotonic() + 30.0
+        while (client.status("j1")["jobs"]["j1"]["step"] or 0) < 3:
+            assert time.monotonic() < deadline, "j1 never took 3 steps"
+            time.sleep(0.01)
+
+        control = str(fixture.control)
+        assert qckpt_main(["daemon", "stop", "--control", control]) == 0
+        assert "daemon: stopping" in capsys.readouterr().out
+        fixture.thread.join(timeout=30.0)
+        assert not fixture.thread.is_alive()
+        meta = json.loads((fixture.control / META_NAME).read_text())
+        assert meta["state"] == STATE_STOPPED
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            with _short_path(str(fixture.control / SOCKET_NAME)) as path:
+                with pytest.raises(ConnectionRefusedError):
+                    sock.connect(path)
+
+        # The job was halted, not finished: a daemon over the same backend
+        # resumes a re-submit from its last committed checkpoint and ends
+        # bitwise where an uninterrupted run of the same spec ends.
+        last = fixture.store.load_snapshot("j1").step
+        assert 3 <= last < 100_000
+        successor = fixture_factory("d1", backend=fixture.backend)
+        response = successor.start().submit(_tiny_spec("j1", steps=last + 4))
+        assert response["ok"] and response["resumed_from_step"] == last
+        successor.wait_job("j1")
+        reference = fixture_factory("d2")
+        reference.start().submit(_tiny_spec("j1", steps=last + 4))
+        reference.wait_job("j1")
+        resumed = successor.store.load_snapshot("j1").to_payload()[1]
+        uninterrupted = reference.store.load_snapshot("j1").to_payload()[1]
+        assert set(resumed) == set(uninterrupted)
+        for name, array in resumed.items():
+            assert array.tobytes() == uninterrupted[name].tobytes(), name
 
 
 class _HookedTrainer:

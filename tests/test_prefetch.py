@@ -9,7 +9,7 @@ from repro.core.restore import QckptSource, RestoreExecutor
 from repro.core.serialize import pack_snapshot
 from repro.core.snapshot import TrainingSnapshot
 from repro.core.store import CheckpointStore
-from repro.errors import IntegrityError, ReproError, StorageError
+from repro.errors import IntegrityError, StorageError
 from repro.service.chunkstore import ChunkStore
 from repro.storage.flaky import FlakyBackend
 from repro.storage.memory import InMemoryBackend
@@ -35,8 +35,9 @@ SUBSET = ["params", "statevector", "loss_history"]
 
 
 def _restore_chain_twice(store):
-    """A full restore of the chain tip (3 whole-object reads), then a
-    ranged one of ``SUBSET`` (15 reads); both bitwise or a raised error."""
+    """A full restore of the chain tip (read ordinals 1-3: one whole-object
+    read per link), then one of ``SUBSET`` (ordinals 4-6, the same three
+    objects); both bitwise or a raised error."""
     full = store.load_tensors("default", CHAIN_TIP)[1]
     assert_digests(f"default/{CHAIN_TIP}", full)
     subset = store.load_tensors("default", CHAIN_TIP, SUBSET)[1]
@@ -45,21 +46,21 @@ def _restore_chain_twice(store):
 
 class TestPrefetchFaults:
     def _planned_source(self):
-        """A QCKPT object behind a flaky backend, planned for ranged reads."""
-        inner = InMemoryBackend()
+        """A chunk-store checkpoint behind a flaky backend, planned (its
+        manifest read) but none of its chunks fetched yet."""
+        flaky = FlakyBackend(InMemoryBackend())
+        store = ChunkStore(flaky, block_bytes=1024)
         snapshot = _snapshot(9)
-        inner.write("ckpt.qckpt", pack_snapshot(snapshot))
-        flaky = FlakyBackend(inner)
-        source = QckptSource(flaky, "ckpt.qckpt")
-        plan = source.plan(
-            ["params", "statevector", "loss_history"], prefetch=False
-        )
+        store.save_snapshot("job", snapshot)
+        source = store.restore_source("job")
+        plan = source.plan(["params", "statevector", "loss_history"])
+        assert len(plan.objects) > 1
         return flaky, source, plan, snapshot
 
     def test_read_error_mid_prefetch_falls_back_bitwise(self):
         flaky, source, plan, snapshot = self._planned_source()
         executor = RestoreExecutor(max_workers=2)
-        # Arm after planning: the very next read is a prefetch block fetch.
+        # Arm after planning: the very next read is a prefetch chunk fetch.
         flaky.arm_read("error", fail_on_read=1)
         handle = executor.prefetch(source, plan)
         assert handle.wait(timeout=30.0)
@@ -77,37 +78,38 @@ class TestPrefetchFaults:
         flaky.arm_read("bitflip", fail_on_read=1)
         handle = executor.prefetch(source, plan)
         assert handle.wait(timeout=30.0)
+        assert flaky.faults_injected == 1, "fault must hit the prefetch"
         with pytest.raises(IntegrityError):
             executor.run(source, plan, prefetched=handle)
         executor.close()
 
-    @pytest.mark.parametrize("fail_on_read", [1, 3, 5, 8, 12])
+    @pytest.mark.parametrize("fail_on_read", [1, 2, 3, 4, 5, 6])
     def test_chain_restore_with_injected_fault_never_corrupts(
         self, fail_on_read
     ):
-        """Bitwise result or a clean error — wherever the fault lands.
+        """A clean error wherever the fault lands, never wrong tensors.
 
-        The read ordinal sweeps across the whole-object reads of a full
-        restore and the ranged reads of a partial one, every link of the
-        chain; in no case may the restore return wrong tensors.
+        The read ordinal sweeps across every link's whole-object read, of
+        the full restore and of the partial one; the restores before the
+        fault come back bitwise.
         """
         flaky = FlakyBackend(fixture_into(InMemoryBackend()))
         store = CheckpointStore(flaky)
         flaky.arm_read("error", fail_on_read=fail_on_read)
-        try:
+        with pytest.raises(StorageError, match="injected read error"):
             _restore_chain_twice(store)
-        except (StorageError, IntegrityError):
-            return  # clean failure is acceptable; corruption is not
+        assert flaky.faults_injected == 1
 
-    @pytest.mark.parametrize("fail_on_read", [2, 6, 10])
+    @pytest.mark.parametrize("fail_on_read", [1, 2, 3, 4, 5, 6])
     def test_chain_restore_with_bitflip_never_corrupts(self, fail_on_read):
         flaky = FlakyBackend(fixture_into(InMemoryBackend()))
         store = CheckpointStore(flaky)
         flaky.arm_read("bitflip", fail_on_read=fail_on_read)
-        try:
+        # Every QCKPT read is checked against its SHA-256: a lie anywhere
+        # in the object fails the restore.
+        with pytest.raises(IntegrityError, match="SHA-256"):
             _restore_chain_twice(store)
-        except ReproError:
-            return
+        assert flaky.faults_injected == 1
 
 
 class TestWindowAndCancel:
@@ -116,9 +118,7 @@ class TestWindowAndCancel:
         snapshot = _snapshot(4, elems=4096)
         inner.write("ckpt.qckpt", pack_snapshot(snapshot))
         source = QckptSource(inner, "ckpt.qckpt")
-        plan = source.plan(
-            ["params", "statevector", "loss_history"], prefetch=False
-        )
+        plan = source.plan(["params", "statevector", "loss_history"])
         executor = RestoreExecutor(max_workers=2, prefetch_window_bytes=1024)
         handle = executor.prefetch(source, plan)
         assert handle.skipped_bytes > 0, "window must bound the read-ahead"
@@ -134,7 +134,7 @@ class TestWindowAndCancel:
         snapshot = _snapshot(4)
         inner.write("ckpt.qckpt", pack_snapshot(snapshot))
         source = QckptSource(inner, "ckpt.qckpt")
-        plan = source.plan(["params"], prefetch=False)
+        plan = source.plan(["params"])
         executor = RestoreExecutor(max_workers=2, prefetch_window_bytes=0)
         handle = executor.prefetch(source, plan)
         assert handle.n_enqueued == 0
@@ -147,9 +147,7 @@ class TestWindowAndCancel:
         snapshot = _snapshot(4)
         inner.write("ckpt.qckpt", pack_snapshot(snapshot))
         source = QckptSource(inner, "ckpt.qckpt")
-        plan = source.plan(
-            ["params", "statevector", "loss_history"], prefetch=False
-        )
+        plan = source.plan(["params", "statevector", "loss_history"])
         executor = RestoreExecutor(max_workers=2)
         handle = executor.prefetch(source, plan)
         handle.cancel()

@@ -345,16 +345,6 @@ class TestFlakySchedules:
         with pytest.raises(ConfigError, match="never heal"):
             flaky.arm_schedule("write", "error", count=3, period=2)
 
-    def test_read_schedule_shares_ordinal_with_read_range(self):
-        inner = InMemoryBackend()
-        inner.write("obj", b"0123456789")
-        flaky = FlakyBackend(inner)
-        flaky.arm_schedule("read", "error", first=2, count=1)
-        assert flaky.read("obj") == b"0123456789"  # ordinal 1
-        with pytest.raises(TransientStorageError):
-            flaky.read_range("obj", 0, 4)  # ordinal 2: scheduled failure
-        assert flaky.read_range("obj", 0, 4) == b"0123"
-
     def test_disarm_clears_schedules(self):
         flaky = FlakyBackend(InMemoryBackend())
         flaky.arm_schedule("write", "error", first=1, count=100)

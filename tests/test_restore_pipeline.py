@@ -8,7 +8,7 @@ Covers the acceptance criteria of the restore-path refactor:
 * parallel executor and whole-object-fallback correctness,
 * tier-aware chunk placement (pinned manifests, promote-on-restore,
   cold-chunk demotion),
-* fault injection: a backend failing mid-ranged-read, truncated manifests,
+* fault injection: a backend failing mid-restore, truncated manifests,
   and chunks vanishing or moving tiers between plan and fetch all either
   restore bitwise or raise — never return corrupt tensors.
 """
@@ -89,7 +89,7 @@ def backend_factories(tmp_path):
 
 
 class MinimalBackend(StorageBackend):
-    """Abstract surface only: no ranged reads, counts whole-object reads."""
+    """Abstract surface only; counts reads."""
 
     def __init__(self):
         self.objects = {}
@@ -365,15 +365,14 @@ class TestPlanAccounting:
         full_bytes = backend.bytes_read
         assert partial_bytes < full_bytes / 5
 
-    def test_core_plan_modes(self, tmp_path):
-        store = CheckpointStore(
-            fixture_into(LocalDirectoryBackend(tmp_path / "s"))
-        )
+    def test_core_plans_read_the_whole_object(self, tmp_path):
+        backend = fixture_into(LocalDirectoryBackend(tmp_path / "s"))
+        store = CheckpointStore(backend)
         full_plan = store.plan_restore("other")
         part_plan = store.plan_restore("other", names=["params"])
-        assert full_plan.objects[0].mode == "whole"
-        assert part_plan.objects[0].mode == "ranged"
-        assert part_plan.fetch_bytes < full_plan.fetch_bytes
+        size = backend.size(store.checkpoints("other")[0].object_name)
+        assert [o.nbytes for o in part_plan.objects] == [size]
+        assert part_plan.fetch_bytes == full_plan.fetch_bytes == size
 
     def test_plan_introspection_transfers_no_payload(self):
         backend = InMemoryBackend()
@@ -390,8 +389,8 @@ class TestPlanAccounting:
         backend.reads = 0
         names = ["params", "loss_history"]
         _, tensors = store.load_tensors("other", "ckpt-000005", names)
-        # No ranged support: the planner fetches the object once, not once
-        # per header-probe plus once per tensor.
+        # The planner reads the object once and the executor reuses that
+        # read: not once per tensor.
         assert backend.reads == 1
         assert_digests("other/ckpt-000005", tensors, names)
 
@@ -560,25 +559,31 @@ class TestRestoreFaults:
         store.save_snapshot("j", snapshot_at(2))
         return store
 
-    def test_flaky_error_mid_ranged_read_core(self):
+    def test_flaky_error_mid_chain_read_core(self):
         flaky = FlakyBackend(fixture_into(InMemoryBackend()))
         store = CheckpointStore(flaky)
-        # Fail the third read of the partial restore (header probes first).
+        tip = ("default", "ckpt-000003")
+        # Fail the third read of the partial restore: the tip's own object,
+        # after its two older links were read.
         flaky.arm_read("error", fail_on_read=3)
         with pytest.raises(StorageError, match="injected read error"):
-            store.load_tensors("other", names=["params", "statevector"])
+            store.load_tensors(*tip, names=["params", "statevector"])
+        assert flaky.faults_injected == 1
         flaky.disarm()
-        _, tensors = store.load_tensors("other", names=["params"])
-        assert_digests("other/ckpt-000005", tensors, ["params"])
+        _, tensors = store.load_tensors(*tip, names=["params"])
+        assert_digests("default/ckpt-000003", tensors, ["params"])
 
-    def test_flaky_bitflip_mid_ranged_read_detected(self):
+    def test_flaky_bitflip_mid_chain_read_detected(self):
         flaky = FlakyBackend(fixture_into(InMemoryBackend()))
         store = CheckpointStore(flaky)
-        # Corrupt whichever payload range the planner fetches third; the
-        # block CRC must catch it regardless of which tensor it hits.
+        # Corrupt the third object read, inside its magic: the SHA-256 is
+        # checked before the header is parsed, so that is what catches it.
         flaky.arm_read("bitflip", fail_on_read=3, flip_offset=5)
-        with pytest.raises(IntegrityError):
-            store.load_tensors("other", names=["params", "statevector"])
+        with pytest.raises(IntegrityError, match="SHA-256"):
+            store.load_tensors(
+                "default", "ckpt-000003", names=["params", "statevector"]
+            )
+        assert flaky.faults_injected == 1
 
     def test_flaky_error_mid_chunk_fetch(self):
         flaky = FlakyBackend(InMemoryBackend())

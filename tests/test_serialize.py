@@ -6,9 +6,9 @@ import pytest
 from repro.core.serialize import (
     FORMAT_VERSION,
     MAGIC,
-    inspect_header,
     pack_payload,
     pack_snapshot,
+    read_header,
     unpack_payload,
     unpack_snapshot,
 )
@@ -72,7 +72,7 @@ class TestRoundtrip:
         data = pack_payload(
             {"k": 1}, {"sv": vec}, transforms={"sv": "f16-pair"}
         )
-        header = inspect_header(data)
+        header, _ = read_header(data)
         entry = header["tensors"][0]
         assert entry["transform"] == "f16-pair"
         assert entry["dtype"] == "<f2"
@@ -139,14 +139,8 @@ class TestIntegrity:
         data = bytearray(self._packed())
         # Damage payload *and* recompute nothing; skip sha with verify=False:
         # the per-chunk CRC must still catch it.
-        header = inspect_header(bytes(data))
+        header, payload_start = read_header(bytes(data))
         first = header["tensors"][0]
-        payload_start = data.index(b"}", len(MAGIC)) + 1  # end of header JSON
-        # find payload offset precisely: header length field
-        import struct
-
-        (header_len,) = struct.unpack_from("<I", data, len(MAGIC))
-        payload_start = len(MAGIC) + 4 + header_len
         data[payload_start + first["offset"]] ^= 0xFF
         # With sha skipped the damage is still caught — either by the chunk
         # CRC or by the codec failing to decode.
@@ -180,13 +174,44 @@ class TestIntegrity:
         with pytest.raises(SerializationError, match="version"):
             unpack_payload(data)
 
-    def test_inspect_header_reads_without_decode(self):
+    def test_corrupt_chunk_under_a_valid_footer_fails_its_crc(self):
+        # The chunk is damaged before the footer was computed, so only the
+        # chunk's own CRC32 can tell.
+        from repro.core.integrity import SHA256_NBYTES, sha256_of
+
         data = self._packed()
-        header = inspect_header(data)
+        header, payload_start = read_header(data)
+        entry = next(e for e in header["tensors"] if e["name"] == "f64")
+        body = bytearray(data[:-SHA256_NBYTES])
+        body[payload_start + entry["offset"] + 3] ^= 0xFF
+        with pytest.raises(IntegrityError, match="CRC32"):
+            unpack_payload(bytes(body) + sha256_of(bytes(body)))
+
+    def test_read_header_reads_without_decode(self):
+        data = self._packed()
+        header, payload_offset = read_header(data)
         assert header["format_version"] == FORMAT_VERSION
         assert header["codec"] == "zlib-6"
         assert {t["name"] for t in header["tensors"]} == set(sample_tensors())
+        last = max(header["tensors"], key=lambda t: t["offset"])
+        assert payload_offset + last["offset"] + last["stored_nbytes"] == (
+            len(data) - 32
+        )
 
-    def test_inspect_header_rejects_non_qckpt(self):
-        with pytest.raises(IntegrityError):
-            inspect_header(b"\x00" * 64)
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda data: b"\x00" * 64, "magic"),
+            (lambda data: b"NOTQCKPT" + b"\0" * 64, "magic"),
+            (lambda data: data[:5], "shorter than a minimal"),
+            (lambda data: data[: len(MAGIC) + 4 + 40], "header length"),
+            (
+                lambda data: data[: len(MAGIC) + 4] + b"x" + data[len(MAGIC) + 5 :],
+                "not valid JSON",
+            ),
+        ],
+        ids=["zeros", "bad-magic", "too-short", "truncated-header", "not-json"],
+    )
+    def test_read_header_rejects_damaged_bytes(self, damage, message):
+        with pytest.raises(IntegrityError, match=message):
+            read_header(damage(self._packed()))

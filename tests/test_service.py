@@ -99,7 +99,6 @@ class TestShardedBackend:
             assert sharded.exists(name)
             assert sharded.read(name) == name.encode()
             assert sharded.size(name) == len(name)
-            assert sharded.read_range(name, 3, 2) == name.encode()[3:5]
         sharded.delete(names[0])
         assert not sharded.exists(names[0])
 
@@ -538,26 +537,25 @@ class TestStoredAndDeflatedChunks:
         assert qckpt_main(["scrub", str(directory)]) == 0
         assert "0 finding(s)" in capsys.readouterr().out
 
-    def test_qckpt_ranged_reads_of_stored_and_deflated_tensors(self):
+    def test_qckpt_partial_restores_of_stored_and_deflated_tensors(self):
         # The QCKPT container encodes whole tensors through the same codec:
         # params (dense, stored) and a sparse statevector (deflated) sit in
-        # one file and are read back by byte range.
+        # one file; restoring either alone reads that file whole.
         backend = InMemoryBackend()
-        assert backend.supports_ranged_reads
         snapshot = make_snapshot(n_params=1024, seed=5)
         snapshot.statevector = np.zeros(1 << 12, dtype=np.complex128)
         snapshot.statevector[3] = 1.0
         backend.write("one.qckpt", pack_snapshot(snapshot))
-        plan = QckptSource(backend, "one.qckpt").plan(prefetch=False)
+        plan = QckptSource(backend, "one.qckpt").plan()
         (params_block,) = plan.tensors["params"].blocks
         (state_block,) = plan.tensors["statevector"].blocks
         assert params_block.stored_nbytes > params_block.raw_nbytes  # stored
         assert state_block.stored_nbytes < state_block.raw_nbytes // 50
         for name in ("params", "statevector"):
             source = QckptSource(backend, "one.qckpt")
-            ranged = source.plan([name])
-            assert ranged.objects[0].mode == "ranged"
-            _, tensors = RestoreExecutor().run(source, ranged)
+            alone = source.plan([name])
+            assert alone.fetch_bytes == len(backend.read("one.qckpt"))
+            _, tensors = RestoreExecutor().run(source, alone)
             assert np.array_equal(
                 tensors[name].view(np.uint8),
                 getattr(snapshot, name).view(np.uint8),

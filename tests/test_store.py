@@ -244,34 +244,27 @@ class TestRecovery:
         plan = store.plan_restore("default", "ckpt-000003", ["params"])
         assert [set(link.tensors) for link in plan.links()] == [{"params"}] * 3
         full = store.plan_restore("default", "ckpt-000003")
-        assert plan.fetch_bytes < full.fetch_bytes
+        assert plan.fetch_bytes == full.fetch_bytes
 
-    def test_partial_restore_reads_only_the_planned_bytes(self):
+    def test_partial_restore_reads_each_link_whole(self):
         # Bytes the backend actually serves through the three-link chain: a
-        # params-only restore reads each link's header and then only the
-        # planned params chunks; a full one reads the three whole objects.
-        # The fixture's tensors are small, so headers (7 103 B) dominate the
-        # partial read; its payload (269 B) is ~3% of the full read.
+        # params-only restore reads each link's object whole, once, exactly
+        # as a full one does; planning either reads the same.
         backend = fixture_into(InMemoryBackend())
         store = CheckpointStore(backend)
         tip = ("default", "ckpt-000003")
-        backend.reset_counters()
-        plan = store.plan_restore(*tip, ["params"])
-        header_bytes = backend.bytes_read
-        backend.reset_counters()
-        store.load_tensors(*tip, ["params"])
-        partial_bytes = backend.bytes_read
-        backend.reset_counters()
-        store.load_tensors(*tip)
-        full_bytes = backend.bytes_read
-        assert partial_bytes == header_bytes + plan.fetch_bytes
-        assert full_bytes == store.plan_restore(*tip).fetch_bytes
-        assert plan.fetch_bytes * 10 < full_bytes
-        assert partial_bytes < full_bytes
+        whole = sum(r.nbytes for r in store.checkpoints("default")[:3])
+        for names in (["params"], None):
+            backend.reset_counters()
+            plan = store.plan_restore(*tip, names)
+            assert backend.bytes_read == plan.fetch_bytes == whole
+            backend.reset_counters()
+            store.load_tensors(*tip, names)
+            assert (backend.bytes_read, backend.read_count) == (whole, 3)
 
     def test_byte_flipped_object_is_skipped_and_named(self, qckpt_root):
         # One flipped byte inside the newest statevector's stored chunk:
-        # the full walk (SHA-256) and the partial one (CRC32) both skip it.
+        # the full walk and the partial one both skip it on its SHA-256.
         plan = open_store(qckpt_root).plan_restore(
             "default", "ckpt-000004", ["statevector"]
         )
@@ -352,10 +345,14 @@ class TestReadVerbsOnEveryBackend:
         assert store.verify("default", "ckpt-000002") == (True, "ok")
         ok, detail = store.verify("default", "ckpt-000003")
         assert not ok and detail
-        # a parameters-only probe may read past rot elsewhere in an object,
-        # but what it returns is bitwise that checkpoint's
-        ckpt_id, tensors, _ = store.latest_valid_partial("default", ["params"])
-        assert_digests(f"default/{ckpt_id}", tensors, ["params"])
+        # a parameters-only probe skips the same two: each object is
+        # checked whole, whatever tensors are asked for
+        ckpt_id, tensors, skipped = store.latest_valid_partial(
+            "default", ["params"]
+        )
+        assert ckpt_id == "ckpt-000002"
+        assert [bad for bad, _ in skipped] == ["ckpt-000004", "ckpt-000003"]
+        assert_digests("default/ckpt-000002", tensors, ["params"])
         # with every checkpoint of the job damaged there is nothing, all
         # four are named, and the other job is untouched
         for name in ("ckpt-000002.qckpt", "ckpt-000001.qckpt"):
@@ -363,6 +360,18 @@ class TestReadVerbsOnEveryBackend:
         ckpt_id, snapshot, skipped = store.latest_valid("default")
         assert (ckpt_id, snapshot, len(skipped)) == (None, None, 4)
         assert store.latest_valid("other")[0] == "ckpt-000005"
+
+    def test_every_checkpoint_and_every_tensor_alone_is_bitwise(
+        self, on_backend
+    ):
+        # full, XOR / append delta links and the lossy int8-block save
+        store = CheckpointStore(on_backend)
+        for key in DIGESTS:
+            job, ckpt_id = key.split("/")
+            assert_digests(key, store.load_tensors(job, ckpt_id)[1])
+            for name in DIGESTS[key]["tensors"]:
+                tensors = store.load_tensors(job, ckpt_id, [name])[1]
+                assert_digests(key, tensors, [name])
 
     def test_partial_returns_only_the_named_tensors(self, on_backend):
         store = CheckpointStore(on_backend)
@@ -402,9 +411,35 @@ class TestReadVerbsOnEveryBackend:
         assert list(params.tensors) == ["params"]
         assert (full.step, full.checkpoint_id) == (3, "ckpt-000005")
         assert 0 < params.n_blocks < full.n_blocks
-        assert 0 < params.fetch_bytes < full.fetch_bytes
-        assert full.fetch_bytes <= full.total_stored_bytes
+        # one object, read whole either way
+        (record,) = store.checkpoints("other")
+        assert params.fetch_bytes == full.fetch_bytes == record.nbytes
         assert params.total_stored_bytes == full.total_stored_bytes
+        assert full.total_stored_bytes == record.nbytes
+
+    def test_damage_in_an_unrequested_chunk_fails_a_partial_restore(
+        self, on_backend
+    ):
+        # One flipped bit inside the newest checkpoint's statevector chunk.
+        # A params-only restore never decodes that chunk, but it reads the
+        # object whole and checks its SHA-256, so the damage fails it and
+        # the parameters-only walk steps back to the previous checkpoint.
+        plan = CheckpointStore(on_backend).plan_restore(
+            "default", "ckpt-000004", ["statevector"]
+        )
+        block = plan.tensors["statevector"].blocks[0]
+        data = bytearray(on_backend.read(block.object_name))
+        data[block.start + block.stored_nbytes // 2] ^= 0x01
+        on_backend.write(block.object_name, bytes(data))
+        store = CheckpointStore(on_backend)
+        with pytest.raises(IntegrityError, match="SHA-256"):
+            store.load_tensors("default", "ckpt-000004", ["params"])
+        ckpt_id, tensors, skipped = store.latest_valid_partial(
+            "default", WARM_START_TENSORS
+        )
+        assert ckpt_id == "ckpt-000003"
+        assert [bad for bad, _ in skipped] == ["ckpt-000004"]
+        assert_digests("default/ckpt-000003", tensors, ["params"])
 
     def test_load_tensors_subset_unknown_name_and_none(self, on_backend):
         store = CheckpointStore(on_backend)
@@ -468,5 +503,6 @@ class TestEveryTensorAlone:
         links = plan.links()
         assert [link.checkpoint_id for link in links] == chain_of(key)
         assert all(set(link.tensors) <= {name} for link in links)
+        # every link is read whole, whatever it stores of ``name``
         full = store.plan_restore(job, ckpt_id)
-        assert 0 < plan.fetch_bytes < full.fetch_bytes
+        assert plan.fetch_bytes == full.fetch_bytes
