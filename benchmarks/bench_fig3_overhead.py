@@ -9,7 +9,7 @@ chunk store.
 
 from repro.bench.experiments import fig3_overhead
 from repro.bench.reporting import format_table
-from repro.bench.workloads import vqe_trainer
+from repro.ml.catalogue import build_trainer
 from repro.service.chunkstore import ChunkStore
 from repro.service.manager import ServiceCheckpointManager
 from repro.storage.memory import InMemoryBackend
@@ -25,7 +25,7 @@ def test_fig3_overhead(benchmark, report):
     # Checkpoint counts follow the interval.
     assert sync[1]["checkpoints"] == 20 and sync[10]["checkpoints"] == 2
 
-    trainer = vqe_trainer(n_qubits=8, seed=3)
+    trainer = build_trainer("vqe", qubits=8, seed=3)
     trainer.run(1)
     snapshot = trainer.capture()
     benchmark(

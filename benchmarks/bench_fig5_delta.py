@@ -13,7 +13,7 @@ snapshot (its unchanged blocks dedup against the previous save).
 
 from repro.bench.experiments import fig5_dedup
 from repro.bench.reporting import format_table
-from repro.bench.workloads import classifier_trainer
+from repro.ml.catalogue import build_trainer
 from repro.service.chunkstore import ChunkStore
 from repro.storage.memory import InMemoryBackend
 
@@ -37,7 +37,15 @@ def test_fig5_dedup(benchmark, report):
     quantum = by_workload["vqe+sv"][-1]
     assert quantum["cum_dedup"] > quantum["cum_full_mode"] * 0.9
 
-    trainer = classifier_trainer(n_qubits=8, n_samples=256, seed=7)
+    trainer = build_trainer(
+        "classifier",
+        qubits=8,
+        layers=2,
+        samples=256,
+        batch_size=8,
+        seed=7,
+        lr=0.05,
+    )
     trainer.run(5)
     previous = trainer.capture()
     trainer.run(1)

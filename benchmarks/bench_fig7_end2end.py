@@ -6,10 +6,10 @@ checkpointed run wastes at most one interval per failure.
 Kernel timed: a resume (recover latest + trainer restore).
 """
 
-from repro.bench.experiments import fig7_end_to_end
+from repro.bench.experiments import SMALL_CLASSIFIER, fig7_end_to_end
 from repro.bench.reporting import format_table
-from repro.bench.workloads import classifier_trainer
 from repro.core.policy import EveryKSteps
+from repro.ml.catalogue import build_trainer
 from repro.service.chunkstore import ChunkStore
 from repro.service.manager import ServiceCheckpointManager
 from repro.storage.memory import InMemoryBackend
@@ -34,12 +34,12 @@ def test_fig7_end_to_end(benchmark, report):
     )
 
     store = ChunkStore(InMemoryBackend())
-    trainer = classifier_trainer(n_qubits=4, n_samples=32, batch_size=4)
+    trainer = build_trainer("classifier", **SMALL_CLASSIFIER)
     manager = ServiceCheckpointManager(store, policy=EveryKSteps(5))
     trainer.run(5, hooks=[manager])
 
     def resume():
-        fresh = classifier_trainer(n_qubits=4, n_samples=32, batch_size=4)
+        fresh = build_trainer("classifier", **SMALL_CLASSIFIER)
         return manager.resume(fresh, required=True)
 
     benchmark(resume)

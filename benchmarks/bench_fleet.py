@@ -589,7 +589,7 @@ def test_daemon_churn_storm_drain(report):
 
     final = {
         job_id: job
-        for job_id, job in daemon._op_status(None)["jobs"].items()
+        for job_id, job in daemon._op_status({})["jobs"].items()
     }
     assert len(final) == 2 * DAEMON_JOBS_PER_WAVE
     assert all(job["state"] == "finished" for job in final.values()), final

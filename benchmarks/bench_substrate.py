@@ -23,12 +23,9 @@ from repro.autodiff.parameter_shift import (
     parameter_shift_gradient,
     shift_rule_evaluations,
 )
-from repro.bench.workloads import (
-    classifier_trainer,
-    gradient_workload,
-    synthetic_snapshot,
-)
+from repro.bench.workloads import gradient_workload, synthetic_snapshot
 from repro.core.codecs import get_codec
+from repro.ml.catalogue import build_trainer
 from repro.quantum.haar import haar_state
 from repro.quantum.observables import Hamiltonian
 from repro.quantum.sampling import estimate_expectation
@@ -501,7 +498,15 @@ def test_step_beside_writers(report):
     gates on it.
     """
     rounds, steps, depth = 4, 40, 32
-    trainer = classifier_trainer(n_qubits=8, n_layers=1, batch_size=4)
+    trainer = build_trainer(
+        "classifier",
+        qubits=8,
+        layers=1,
+        samples=64,
+        batch_size=4,
+        seed=1234,
+        lr=0.05,
+    )
     store = ChunkStore(InMemoryBackend())
     pool = WriterPool(workers=2)
     # One channel's saves run in order, one at a time: two keep both workers busy.

@@ -6,10 +6,10 @@ histories — across exact-gradient, shot-based, and VQE workloads.
 Kernel timed: loading the final checkpoint of the classifier case.
 """
 
-from repro.bench.experiments import tab3_exactness
+from repro.bench.experiments import SMALL_CLASSIFIER, tab3_exactness
 from repro.bench.reporting import format_table
-from repro.bench.workloads import classifier_trainer
 from repro.core.policy import EveryKSteps
+from repro.ml.catalogue import build_trainer
 from repro.service.chunkstore import ChunkStore
 from repro.service.manager import ServiceCheckpointManager
 from repro.storage.memory import InMemoryBackend
@@ -24,7 +24,7 @@ def test_tab3_exactness(benchmark, report):
         assert row["max_param_delta"] == 0.0, row
 
     store = ChunkStore(InMemoryBackend())
-    trainer = classifier_trainer(n_qubits=4, n_samples=32, batch_size=4)
+    trainer = build_trainer("classifier", **SMALL_CLASSIFIER)
     manager = ServiceCheckpointManager(store, policy=EveryKSteps(5))
     trainer.run(5, hooks=[manager])
     benchmark(store.load_snapshot, "default")

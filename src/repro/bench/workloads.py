@@ -1,22 +1,20 @@
 """Canonical workloads for the evaluation.
 
-Everything the benchmark modules need to construct — models, trainers, and
-snapshots of controlled size/structure — is defined here once so figures are
-comparable to each other.
+The gradient workload and snapshots of controlled size/structure the
+benchmark modules need are defined here once so figures are comparable to
+each other; their trainers come from the catalogue
+(:mod:`repro.ml.catalogue`).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.core.snapshot import TrainingSnapshot
-from repro.ml.dataset import ArrayDataset, make_moons
-from repro.ml.models import VariationalClassifier, VQEModel
 from repro.ml.optimizers import Adam
 from repro.ml.rng import capture_rng_state
-from repro.ml.trainer import Trainer, TrainerConfig
 from repro.quantum.circuit import Circuit
 from repro.quantum.haar import haar_state
 from repro.quantum.observables import Hamiltonian
@@ -41,55 +39,6 @@ def gradient_workload(
     params = initial_parameters(circuit, np.random.default_rng(seed))
     hamiltonian = Hamiltonian.transverse_field_ising(n_qubits, 1.0, 0.8)
     return circuit, params, hamiltonian
-
-
-def classifier_workload(
-    n_qubits: int = 8,
-    n_layers: int = 2,
-    n_samples: int = 64,
-    seed: int = 1234,
-) -> Tuple[VariationalClassifier, ArrayDataset]:
-    """The hybrid-classifier training workload (two moons, HEA ansatz)."""
-    rng = np.random.default_rng(seed)
-    dataset = make_moons(n_samples, rng, noise=0.1)
-    model = VariationalClassifier(hardware_efficient(n_qubits, n_layers))
-    return model, dataset
-
-
-def classifier_trainer(
-    n_qubits: int = 8,
-    n_layers: int = 2,
-    n_samples: int = 64,
-    seed: int = 1234,
-    batch_size: int = 8,
-    shots: Optional[int] = None,
-    lr: float = 0.05,
-) -> Trainer:
-    """A ready-to-run classifier trainer (deterministic for a given seed)."""
-    model, dataset = classifier_workload(n_qubits, n_layers, n_samples, seed)
-    config = TrainerConfig(batch_size=batch_size, seed=seed, shots=shots)
-    return Trainer(model, Adam(lr=lr), dataset, config)
-
-
-def vqe_workload(
-    n_qubits: int = 10, n_layers: int = DEFAULT_LAYERS
-) -> VQEModel:
-    """The VQE workload: TFIM chain on a hardware-efficient ansatz."""
-    hamiltonian = Hamiltonian.transverse_field_ising(n_qubits, 1.0, 0.8)
-    return VQEModel(hardware_efficient(n_qubits, n_layers), hamiltonian)
-
-
-def vqe_trainer(
-    n_qubits: int = 10,
-    n_layers: int = DEFAULT_LAYERS,
-    seed: int = 7,
-    lr: float = 0.05,
-    capture_statevector: bool = True,
-) -> Trainer:
-    """A ready-to-run VQE trainer whose snapshots include the statevector."""
-    model = vqe_workload(n_qubits, n_layers)
-    config = TrainerConfig(seed=seed, capture_statevector=capture_statevector)
-    return Trainer(model, Adam(lr=lr), config=config)
 
 
 def hea_param_count(n_qubits: int, n_layers: int = DEFAULT_LAYERS) -> int:

@@ -1068,19 +1068,15 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         ThrottledBackend,
         WriterPool,
     )
-    from repro.service.daemon import BUILTIN_WORKLOADS
+    from repro.ml.catalogue import BUILTIN_WORKLOADS
 
-    def trainer_factory(lr: float):
-        # The recipe `qckpt daemon submit` names "classifier".
-        return BUILTIN_WORKLOADS["classifier"](
-            {
-                "qubits": args.qubits,
-                "layers": args.layers,
-                "samples": args.samples,
-                "seed": args.seed,
-                "lr": lr,
-            }
-        )
+    classifier = BUILTIN_WORKLOADS["classifier"]
+    params = {
+        "qubits": args.qubits,
+        "layers": args.layers,
+        "samples": args.samples,
+        "seed": args.seed,
+    }
 
     # No --store: the same shards, in memory.
     store = open_store(
@@ -1094,7 +1090,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     specs = [
         FleetJobSpec(
             job_id=f"job{i:02d}",
-            trainer_factory=trainer_factory(0.01 * (1 + i)),
+            trainer_factory=classifier(dict(params, lr=0.01 * (1 + i))),
             target_steps=args.steps,
             checkpoint_every=args.every,
             cadence_offset=i if args.staggered else 0,
@@ -1235,34 +1231,22 @@ def _daemon_client(args: argparse.Namespace):
 
 
 def cmd_daemon_submit(args: argparse.Namespace) -> int:
-    """Submit one job to a running daemon over its control plane."""
-    client = _daemon_client(args)
-    spec = {
-        "job_id": args.job,
-        "workload": args.workload,
-        "target_steps": args.steps,
-        "checkpoint_every": args.every,
-        "max_pending": args.max_pending,
-        "backpressure": args.backpressure,
-        "restore_mode": args.restore_mode,
-        "priority": args.priority,
-        "shard_workers": args.shard_workers,
-        "params": {
-            "qubits": args.qubits,
-            "layers": args.layers,
-            "lr": args.lr,
-            "samples": args.samples,
-            "batch_size": args.batch_size,
-            "seed": args.seed,
-            "gradient_method": args.gradient_method,
-        },
-    }
-    response = client.submit(spec)
+    """Submit one job to a running daemon over its control plane.
+
+    The wire dict carries the submission keys and workload parameters the
+    flags gave (a parameter not given takes its workload's default)."""
+    from repro.ml.catalogue import parameters
+    from repro.service.scheduler import WIRE_KEYS
+
+    given = vars(args)
+    wire = {key: given[key] for key in WIRE_KEYS if key in given}
+    wire["params"] = {key: given[key] for key in parameters() if key in given}
+    response = _daemon_client(args).submit(wire)
     if not response.get("ok"):
         raise ReproError(f"submit refused: {response.get('error')}")
     resumed = response.get("resumed_from_step", 0)
     print(
-        f"submitted {args.job} ({args.workload}, {args.steps} steps)"
+        f"submitted {response.get('job')} ({args.workload})"
         + (f", resumed from step {resumed}" if resumed else "")
     )
     return 0
@@ -1372,6 +1356,9 @@ def _add_daemon_client_flags(parser, timeout_default: float = 30.0) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.ml.catalogue import BUILTIN_WORKLOADS, parameters
+    from repro.service.scheduler import BACKPRESSURE_POLICIES, RESTORE_MODES
+
     parser = argparse.ArgumentParser(
         prog="qckpt", description="Inspect and validate QCkpt checkpoint stores."
     )
@@ -1641,7 +1628,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fleet.add_argument(
         "--backpressure",
-        choices=["block", "drop-oldest", "degrade"],
+        choices=BACKPRESSURE_POLICIES,
         default="block",
         help="per-job channel policy when its save queue is full",
     )
@@ -1788,7 +1775,33 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", help="submit one job to a running daemon"
     )
     _add_daemon_client_flags(d_submit)
-    d_submit.add_argument("--job", required=True, help="job id (unique)")
+    # Flags with a submission key as dest: cmd_daemon_submit sends every
+    # one; a key without a flag (save_on_start) takes the spec's default.
+    d_submit.add_argument(
+        "--job", dest="job_id", required=True, help="job id (unique)"
+    )
+    d_submit.add_argument(
+        "--workload",
+        default="classifier",
+        help="catalogue recipe the job is built from: "
+        + ", ".join(sorted(BUILTIN_WORKLOADS)),
+    )
+    d_submit.add_argument(
+        "--steps",
+        dest="target_steps",
+        metavar="N",
+        type=int,
+        default=4,
+        help="training steps to run",
+    )
+    d_submit.add_argument(
+        "--every",
+        dest="checkpoint_every",
+        metavar="N",
+        type=int,
+        default=1,
+        help="checkpoint cadence (steps)",
+    )
     d_submit.add_argument(
         "--priority",
         type=int,
@@ -1804,24 +1817,6 @@ def build_parser() -> argparse.ArgumentParser:
         "processes (0 = in-process; results are bitwise identical)",
     )
     d_submit.add_argument(
-        "--gradient-method",
-        choices=["adjoint", "parameter-shift"],
-        default="adjoint",
-        help="analytic differentiator for the workload; parameter-shift "
-        "batches are what shard workers fan out",
-    )
-    d_submit.add_argument(
-        "--workload",
-        default="classifier",
-        help="registered workload recipe the job is built from",
-    )
-    d_submit.add_argument(
-        "--steps", type=int, default=4, help="training steps to run"
-    )
-    d_submit.add_argument(
-        "--every", type=int, default=1, help="checkpoint cadence (steps)"
-    )
-    d_submit.add_argument(
         "--max-pending",
         type=int,
         default=2,
@@ -1829,32 +1824,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     d_submit.add_argument(
         "--backpressure",
-        choices=["block", "drop-oldest", "degrade"],
+        choices=BACKPRESSURE_POLICIES,
         default="block",
         help="policy when the job's save queue is full",
     )
     d_submit.add_argument(
         "--restore-mode",
-        choices=["exact", "warm-start"],
+        choices=RESTORE_MODES,
         default="exact",
         help="how a preempted incarnation reincarnates",
     )
-    d_submit.add_argument(
-        "--qubits", type=int, default=4, help="circuit width"
-    )
-    d_submit.add_argument(
-        "--layers", type=int, default=2, help="ansatz layers"
-    )
-    d_submit.add_argument(
-        "--lr", type=float, default=0.01, help="optimizer learning rate"
-    )
-    d_submit.add_argument(
-        "--samples", type=int, default=64, help="training set size"
-    )
-    d_submit.add_argument(
-        "--batch-size", type=int, default=8, help="minibatch size"
-    )
-    d_submit.add_argument("--seed", type=int, default=11, help="RNG seed")
+    # One flag per catalogue parameter, sent only when given.
+    for key, defaults in parameters().items():
+        d_submit.add_argument(
+            "--" + key.replace("_", "-"),
+            type=type(next(iter(defaults.values()))),
+            default=argparse.SUPPRESS,
+            help="workload parameter (default: "
+            + ", ".join(f"{name} {value}" for name, value in defaults.items())
+            + ")",
+        )
     d_submit.set_defaults(func=cmd_daemon_submit)
 
     d_status = dsub.add_parser(

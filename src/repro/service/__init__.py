@@ -19,7 +19,8 @@ that service layer:
   completion under preemption storms and brownouts,
 * :mod:`repro.service.daemon` — the same scheduler served as a
   long-running process: socket control plane (``qckpt daemon``), dynamic
-  job submission from a JSON workload registry, and lease-gated
+  job submission by name from the workload catalogue
+  (:mod:`repro.ml.catalogue`), one op table, and lease-gated
   cross-daemon tier rebalancing,
 * :mod:`repro.service.transport` — the daemon's control plane: one socket
   server (a Unix socket in the control directory, plus TCP with

@@ -12,15 +12,19 @@ loop, identical crash semantics — from a long-lived serve loop that:
   socket ``daemon.sock`` in the control directory and, with
   ``listen=...``, a TCP listener as well, so a daemon on one host can be
   driven and monitored from another with no shared filesystem for control
-  traffic.  Both listeners feed the same :meth:`FleetDaemon._handle`
-  dispatch,
+  traffic.  Both listeners feed one op table, :data:`OPS` (op name ->
+  handler, read-only flag): read-only ops are answered between the
+  training-step slots of a pass, the others at the pass boundary, and an
+  op not in the table is refused at once,
 * steps the scheduler once per pass (weighted round-robin by
   ``priority``, failed jobs parked, restores staged the moment a job is
   preempted so the restart delay doubles as the read-ahead window),
-* survives job churn: jobs are created from a **workload registry** (named
-  trainer recipes + JSON parameters — never unpickled callables), die on
-  ``preempt``, and reincarnate through the shared restore pipeline after
-  their restart delay,
+* survives job churn: a submission is parsed by
+  :meth:`~repro.service.scheduler.FleetJobSpec.from_wire` into a job built
+  from the **workload catalogue** (:mod:`repro.ml.catalogue`: named
+  trainer recipes + JSON parameters — never unpickled callables; an
+  unknown key is refused), jobs die on ``preempt``, and reincarnate
+  through the shared restore pipeline after their restart delay,
 * coordinates placement across daemons: with a
   :class:`~repro.storage.placement.PlacementJournal` on the store, pins
   are durable/shared and the periodic ``rebalance_tiers()`` sweep runs
@@ -37,6 +41,7 @@ Operator surface (see ``docs/OPERATIONS.md``)::
     qckpt daemon start  <store> --control <dir>     # run the loop (foreground)
     qckpt daemon start  <store> --listen 0.0.0.0:7777 --token s3cret
     qckpt daemon submit --control <dir> --job lr01 --steps 8 --lr 0.02
+    qckpt daemon submit --control <dir> --job v1 --workload vqe --qubits 3
     qckpt daemon submit --connect host:7777 --token s3cret --job lr01 ...
     qckpt daemon status --control <dir> [--job lr01]
     qckpt daemon preempt --connect host:7777 --job lr01
@@ -53,9 +58,7 @@ import uuid
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
-
-import numpy as np
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import (
     ConfigError,
@@ -75,6 +78,7 @@ from repro.obs.timeseries import (
     TimeSeriesSampler,
     rate_from_samples,
 )
+from repro.ml.catalogue import BUILTIN_WORKLOADS
 from repro.reliability import Deadline, current_deadline
 from repro.service.chunkstore import ChunkStore
 from repro.service.pool import WriterPool
@@ -99,11 +103,6 @@ CP_META_BEFORE_WRITE = register_crash_point(
     "must be able to claim the control directory)",
 )
 
-#: Ops that only read state: answered between a pass's training-step slots.
-#: Every other op may change the job table, so it waits for the pass
-#: boundary, and only its answer is kept for replay.
-READ_ONLY_OPS = frozenset({"ping", "status", "metrics", "health", "series"})
-
 # Answers to write ops already sent, kept so a redelivered request id (a
 # client retry after a connection died post-send) replays the answer instead
 # of applying the operation twice.  Bounded: old entries fall off; by then
@@ -127,55 +126,6 @@ POLL_SECONDS = 0.05
 STATE_RUNNING = "running"
 STATE_DRAINING = "draining"
 STATE_STOPPED = "stopped"
-
-
-# ---------------------------------------------------------------------------
-# Workload registry
-# ---------------------------------------------------------------------------
-
-
-def _classifier_workload(params: Dict) -> Callable[[], object]:
-    """Builtin workload: the moons variational classifier used everywhere.
-
-    JSON-parameterized so submissions never carry code: ``qubits``,
-    ``layers``, ``lr``, ``samples``, ``batch_size``, ``seed``,
-    ``gradient_method`` (``"parameter-shift"`` makes the job's gradients
-    shardable under ``FleetJobSpec.shard_workers``).
-    """
-    from repro.ml.dataset import make_moons
-    from repro.ml.models import VariationalClassifier
-    from repro.ml.optimizers import Adam
-    from repro.ml.trainer import Trainer, TrainerConfig
-    from repro.quantum.templates import hardware_efficient
-
-    qubits = int(params.get("qubits", 4))
-    layers = int(params.get("layers", 2))
-    lr = float(params.get("lr", 0.01))
-    samples = int(params.get("samples", 64))
-    batch_size = int(params.get("batch_size", 8))
-    seed = int(params.get("seed", 11))
-    gradient_method = str(params.get("gradient_method", "adjoint"))
-
-    def make():
-        model = VariationalClassifier(
-            hardware_efficient(qubits, layers),
-            gradient_method=gradient_method,
-        )
-        dataset = make_moons(samples, np.random.default_rng(seed))
-        return Trainer(
-            model,
-            Adam(lr=lr),
-            dataset=dataset,
-            config=TrainerConfig(batch_size=batch_size, seed=seed),
-        )
-
-    return make
-
-
-#: Name -> builder; a builder maps JSON params to a trainer factory.
-BUILTIN_WORKLOADS: Dict[str, Callable[[Dict], Callable[[], object]]] = {
-    "classifier": _classifier_workload,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -468,17 +418,17 @@ class FleetDaemon:
         the pass boundary (a connection sends its next request only once its
         last is answered, so no connection's answers are reordered)."""
         for request in self.server.requests():
-            if request[0].get("op") in READ_ONLY_OPS:
-                self._answer(*request)
-            else:
+            if _is_write(request[0]):
                 self._held_writes.append(request)
+            else:
+                self._answer(*request)
 
     def _answer(self, request: Dict, respond, listener: str) -> None:
         """Handle one request and send the answer.  A bad request must never
         kill the daemon; its error goes back to the requester as an envelope.
         """
         request_id = request["id"]
-        write = request.get("op") not in READ_ONLY_OPS
+        write = _is_write(request)
         response = self._served_responses.get(request_id) if write else None
         if response is not None:
             # A retried delivery (same request id): replay the answer so
@@ -503,93 +453,63 @@ class FleetDaemon:
         the handling span as its child makes the daemon-side span tree —
         including pool tasks and backend writes triggered while handling —
         part of the client's trace.  Handle latency lands in the
-        ``daemon.handle_seconds`` histogram, labeled by op.
+        ``daemon.handle_seconds`` histogram, labeled by op (every op not
+        in :data:`OPS` as ``unknown``, so no request adds a series).
         """
-        op = str(request.get("op"))
+        op = request.get("op")
+        entry = OPS.get(op) if isinstance(op, str) else None
+        label = op if entry is not None else "unknown"
         parent = obs_trace.parse_context(request.get(obs_trace.TRACE_KEY))
         started = time.perf_counter()
         with obs_trace.span_scope(
-            f"daemon.{op}", parent=parent, transport=transport
+            f"daemon.{label}", parent=parent, transport=transport
         ):
             try:
-                response = self._handle(request)
+                if entry is None:
+                    response = {"ok": False, "error": f"unknown op {op!r}"}
+                else:
+                    response = entry[0](self, request)
             except Exception as exc:  # noqa: BLE001
                 response = {
                     "ok": False,
                     "error": f"{type(exc).__name__}: {exc}",
                 }
-        self.metrics.histogram("daemon.handle_seconds", op=op).observe(
+        self.metrics.histogram("daemon.handle_seconds", op=label).observe(
             time.perf_counter() - started
         )
         return response
 
-    def _handle(self, request: Dict) -> Dict:
-        op = request.get("op")
-        if op == "ping":
-            return {
-                "ok": True,
-                "state": self.state,
-                "tick": self.tick,
-                "daemon_id": self.daemon_id,
-            }
-        if op == "submit":
-            return self._op_submit(request.get("spec") or {})
-        if op == "status":
-            return self._op_status(request.get("job"))
-        if op == "drain":
-            if self.state == STATE_RUNNING:
-                self.state = STATE_DRAINING
-            return {"ok": True, "state": self.state}
-        if op == "stop":
-            self._stop_requested = True
-            return {"ok": True, "state": self.state}
-        if op == "preempt":
-            return self._op_preempt(
-                request.get("job"), request.get("restart_delay_ticks")
-            )
-        if op == "metrics":
-            return self._op_metrics()
-        if op == "health":
-            return self._op_health()
-        if op == "series":
-            return self._op_series(request)
-        return {"ok": False, "error": f"unknown op {op!r}"}
+    # -- ops (see OPS below) ----------------------------------------------------
 
-    def _op_submit(self, spec: Dict) -> Dict:
+    def _op_ping(self, request: Dict) -> Dict:
+        return {
+            "ok": True,
+            "state": self.state,
+            "tick": self.tick,
+            "daemon_id": self.daemon_id,
+        }
+
+    def _op_drain(self, request: Dict) -> Dict:
+        if self.state == STATE_RUNNING:
+            self.state = STATE_DRAINING
+        return {"ok": True, "state": self.state}
+
+    def _op_stop(self, request: Dict) -> Dict:
+        self._stop_requested = True
+        return {"ok": True, "state": self.state}
+
+    def _op_submit(self, request: Dict) -> Dict:
         if self.state != STATE_RUNNING:
             return {
                 "ok": False,
                 "error": f"daemon is {self.state}; not accepting jobs",
             }
-        job_id = spec.get("job_id")
-        if not job_id:
-            return {"ok": False, "error": "submission needs a job_id"}
-        workload = spec.get("workload", "classifier")
-        builder = self.workloads.get(workload)
-        if builder is None:
-            return {
-                "ok": False,
-                "error": f"unknown workload {workload!r} "
-                f"(have: {sorted(self.workloads)})",
-            }
-        factory = builder(dict(spec.get("params") or {}))
-        job_spec = FleetJobSpec(
-            job_id=job_id,
-            trainer_factory=factory,
-            target_steps=int(spec.get("target_steps", 1)),
-            checkpoint_every=int(spec.get("checkpoint_every", 1)),
-            max_pending=int(spec.get("max_pending", 2)),
-            backpressure=str(spec.get("backpressure", "block")),
-            save_on_start=bool(spec.get("save_on_start", True)),
-            restore_mode=str(spec.get("restore_mode", "exact")),
-            priority=int(spec.get("priority", 1)),
-            shard_workers=int(spec.get("shard_workers", 0)),
-        )
+        spec = FleetJobSpec.from_wire(request.get("spec"), self.workloads)
         # A re-submitted job id *resumes* its history.
-        job = self.scheduler.submit(job_spec)
+        job = self.scheduler.submit(spec)
         return {
             "ok": True,
-            "job": job_id,
+            "job": job.result.job_id,
             "resumed_from_step": (job.result.resumed_from_steps or [0])[-1],
             "submitted_at_tick": self.tick,
         }
@@ -643,7 +563,8 @@ class FleetDaemon:
             job.ticks_scheduled for job in self.scheduler.jobs.values()
         )
 
-    def _op_status(self, job_id: Optional[str]) -> Dict:
+    def _op_status(self, request: Dict) -> Dict:
+        job_id = request.get("job")
         # Scheduling shares are fractions of *all* ticks ever granted, so a
         # single-job query still reports its share of the contended loop.
         total_ticks = self._sched_total_ticks()
@@ -743,7 +664,7 @@ class FleetDaemon:
                 0 if reliability["breaker_state"] == "closed" else 1
             )
 
-    def _op_metrics(self) -> Dict:
+    def _op_metrics(self, request: Dict) -> Dict:
         from repro.quantum import engines
 
         self._refresh_gauges()
@@ -779,7 +700,7 @@ class FleetDaemon:
             response["reliability"] = reliability
         return response
 
-    def _op_health(self) -> Dict:
+    def _op_health(self, request: Dict) -> Dict:
         """Evaluate the health rules fresh and report the verdict."""
         self._refresh_gauges()
         report = self._health.evaluate(
@@ -845,9 +766,9 @@ class FleetDaemon:
         except ReproError:
             pass
 
-    def _op_preempt(
-        self, job_id: Optional[str], delay: Optional[int]
-    ) -> Dict:
+    def _op_preempt(self, request: Dict) -> Dict:
+        job_id = request.get("job")
+        delay = request.get("restart_delay_ticks")
         delay = (
             self.config.restart_delay_ticks if delay is None else int(delay)
         )
@@ -1101,6 +1022,31 @@ class FleetDaemon:
             pass
 
 
+#: The control plane's ops: name -> (handler, read_only).  A read-only op
+#: is answered between a pass's training-step slots.  Any other op may
+#: change the job table, so it waits for the pass boundary, and only its
+#: answer is kept for replay.  A new op is one entry here.
+OPS: Dict[str, Tuple[Callable[[FleetDaemon, Dict], Dict], bool]] = {
+    "ping": (FleetDaemon._op_ping, True),
+    "status": (FleetDaemon._op_status, True),
+    "metrics": (FleetDaemon._op_metrics, True),
+    "health": (FleetDaemon._op_health, True),
+    "series": (FleetDaemon._op_series, True),
+    "submit": (FleetDaemon._op_submit, False),
+    "preempt": (FleetDaemon._op_preempt, False),
+    "drain": (FleetDaemon._op_drain, False),
+    "stop": (FleetDaemon._op_stop, False),
+}
+READ_ONLY_OPS = frozenset(op for op, (_, reads) in OPS.items() if reads)
+
+
+def _is_write(request: Dict) -> bool:
+    """Whether ``request`` is an op that may change the job table.  An
+    unknown op changes nothing: its error is answered like a read."""
+    op = request.get("op")
+    return isinstance(op, str) and op in OPS and op not in READ_ONLY_OPS
+
+
 # ---------------------------------------------------------------------------
 # Client
 # ---------------------------------------------------------------------------
@@ -1260,7 +1206,7 @@ class DaemonClient:
         return self.request("ping", timeout=timeout)
 
     def submit(self, spec: Dict, timeout: Optional[float] = None) -> Dict:
-        """Submit one job spec (see :meth:`FleetDaemon._op_submit`)."""
+        """Submit one job (keys: see :meth:`FleetJobSpec.from_wire`)."""
         return self.request("submit", timeout=timeout, spec=spec)
 
     def status(

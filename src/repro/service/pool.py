@@ -42,8 +42,6 @@ from repro.errors import CheckpointError, ConfigError
 from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry, StatsView
 
-_POLICIES = ("block", "drop-oldest", "degrade")
-
 
 class WriteStats(StatsView):
     """Aggregate accounting for a writer's lifetime.
@@ -127,7 +125,11 @@ class ChannelStats(WriteStats):
 
 
 class PoolChannel:
-    """One job's bounded submission queue into a :class:`WriterPool`."""
+    """One job's bounded submission queue into a :class:`WriterPool`.
+
+    ``max_pending`` (>= 1) and ``backpressure`` are taken as given:
+    :class:`~repro.service.scheduler.FleetJobSpec` validates a job's.
+    """
 
     def __init__(
         self,
@@ -136,12 +138,6 @@ class PoolChannel:
         max_pending: int,
         backpressure: str,
     ):
-        if max_pending < 1:
-            raise ConfigError(f"max_pending must be >= 1, got {max_pending}")
-        if backpressure not in _POLICIES:
-            raise ConfigError(
-                f"backpressure must be one of {_POLICIES}, got {backpressure!r}"
-            )
         self.pool = pool
         self.job_id = job_id
         self.max_pending = int(max_pending)

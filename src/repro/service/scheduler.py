@@ -18,13 +18,18 @@ fleet.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Mapping, Optional, get_type_hints
 
 from repro.core.policy import EveryKSteps
 from repro.errors import ConfigError, ReproError
+from repro.ml.catalogue import checked
 from repro.service.chunkstore import ChunkStore
 from repro.service.manager import ServiceCheckpointManager
 from repro.service.pool import PoolChannel, WriterPool
+
+#: What a job's save channel does when its queue is full.
+BACKPRESSURE_POLICIES = ("block", "drop-oldest", "degrade")
+RESTORE_MODES = ("exact", "warm-start")
 
 
 @dataclass(frozen=True)
@@ -52,6 +57,9 @@ class FleetJobSpec:
     resolution in effect.  A trainer whose own config sets the knob
     explicitly overrides the spec.  Sharded gradients are bitwise identical
     to in-process ones, so the fleet's determinism guarantees are unchanged.
+
+    ``max_pending`` bounds the job's save queue; ``backpressure`` (one of
+    :data:`BACKPRESSURE_POLICIES`) says what a save into a full one does.
     """
 
     job_id: str
@@ -67,31 +75,71 @@ class FleetJobSpec:
     shard_workers: int = 0
 
     def __post_init__(self) -> None:
-        if self.target_steps < 1:
+        if not self.job_id:
+            raise ConfigError("job_id must be a non-empty string")
+        for key, least in _LEAST.items():
+            if getattr(self, key) < least:
+                raise ConfigError(
+                    f"{key} must be >= {least}, got {getattr(self, key)}"
+                )
+        for key, allowed in _ONE_OF.items():
+            if getattr(self, key) not in allowed:
+                raise ConfigError(
+                    f"{key} must be one of {allowed}, "
+                    f"got {getattr(self, key)!r}"
+                )
+
+    @classmethod
+    def from_wire(cls, wire, workloads: Mapping) -> "FleetJobSpec":
+        """The spec a submission describes: the only parser of one.
+
+        Its keys (:data:`WIRE_KEYS`) are the spec's fields, with
+        ``workload`` (a name in ``workloads``, default ``"classifier"``)
+        and ``params`` in place of ``trainer_factory``; ``cadence_offset``
+        is harness-only.  An unknown or missing key, or a value of the
+        wrong type, is a :class:`~repro.errors.ConfigError` naming it.
+        """
+        wire = dict(checked("spec", wire, dict))
+        unknown = sorted(set(wire) - set(WIRE_KEYS))
+        if unknown:
             raise ConfigError(
-                f"target_steps must be >= 1, got {self.target_steps}"
+                f"unknown submission key {unknown[0]!r} (have: {WIRE_KEYS})"
             )
-        if self.checkpoint_every < 1:
+        name = checked("workload", wire.pop("workload", "classifier"), str)
+        if name not in workloads:
             raise ConfigError(
-                f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
+                f"unknown workload {name!r} (have: {sorted(workloads)})"
             )
-        if self.cadence_offset < 0:
-            raise ConfigError(
-                f"cadence_offset must be >= 0, got {self.cadence_offset}"
+        params = checked("params", wire.pop("params", {}), dict)
+        factory = workloads[name](params)
+        try:
+            return cls(
+                trainer_factory=factory,
+                **{
+                    key: checked(key, value, _FIELD_TYPES[key])
+                    for key, value in wire.items()
+                },
             )
-        if self.restore_mode not in ("exact", "warm-start"):
-            raise ConfigError(
-                f"restore_mode must be 'exact' or 'warm-start', "
-                f"got {self.restore_mode!r}"
-            )
-        if self.priority < 1:
-            raise ConfigError(
-                f"priority must be >= 1, got {self.priority}"
-            )
-        if self.shard_workers < 0:
-            raise ConfigError(
-                f"shard_workers must be >= 0, got {self.shard_workers}"
-            )
+        except TypeError as exc:  # a field with no default is missing
+            raise ConfigError(f"submission: {exc}") from None
+
+
+#: The least value of each integer field, and the values of each choice.
+_LEAST = dict(
+    target_steps=1, checkpoint_every=1, cadence_offset=0, max_pending=1,
+    priority=1, shard_workers=0,
+)
+_ONE_OF = dict(backpressure=BACKPRESSURE_POLICIES, restore_mode=RESTORE_MODES)
+#: The spec's fields a submission carries, by type: a harness alone sets
+#: ``trainer_factory`` and ``cadence_offset`` (a daemon job starts when
+#: submitted).
+_FIELD_TYPES = {
+    key: kind
+    for key, kind in get_type_hints(FleetJobSpec).items()
+    if key not in ("trainer_factory", "cadence_offset")
+}
+#: The keys of a submission (see :meth:`FleetJobSpec.from_wire`).
+WIRE_KEYS = tuple(_FIELD_TYPES) + ("workload", "params")
 
 
 @dataclass

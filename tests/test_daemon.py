@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
 import socket
 import threading
 import time
@@ -18,7 +20,13 @@ from repro.service import (
     FleetDaemon,
     WriterPool,
 )
-from repro.service.daemon import BUILTIN_WORKLOADS, STATE_STOPPED
+from repro.service.daemon import (
+    BUILTIN_WORKLOADS,
+    OPS,
+    READ_ONLY_OPS,
+    STATE_STOPPED,
+)
+from repro.service.scheduler import WIRE_KEYS, FleetJobSpec
 from repro.service.transport import (
     SOCKET_NAME,
     SocketControlClient,
@@ -152,8 +160,29 @@ class TestLifecycle:
         with pytest.raises(ConfigError, match="did not answer"):
             client.ping()
 
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ({"job_id": "b", "target_step": 2}, "target_step"),
+            (_tiny_spec("b", params={"qubtis": 3}), "qubtis"),
+            (_tiny_spec("b", save_on_start="false"), "save_on_start"),
+            (_tiny_spec("b", steps=2.9), "target_steps"),
+            (_tiny_spec("b", steps=True), "target_steps"),
+            (_tiny_spec("b", params=[1]), "params"),
+            ([1, 2], "spec"),
+        ],
+        ids=[
+            "misspelt-key",
+            "misspelt-param",
+            "string-for-bool",
+            "float-for-int",
+            "bool-for-int",
+            "params-not-object",
+            "spec-not-object",
+        ],
+    )
     def test_duplicate_active_job_and_unknown_workload_refused(
-        self, fixture_factory
+        self, fixture_factory, spec, key
     ):
         fixture = fixture_factory()
         client = fixture.start()
@@ -162,6 +191,15 @@ class TestLifecycle:
         assert not duplicate["ok"] and "already active" in duplicate["error"]
         unknown = client.submit(_tiny_spec("j2", workload="nope"))
         assert not unknown["ok"] and "unknown workload" in unknown["error"]
+        refused = client.submit(spec)
+        assert not refused["ok"]
+        error = refused["error"]
+        assert error.startswith("ConfigError: "), error
+        # Named before any list of the keys there are.
+        assert re.search(rf"\b{key}\b", error.split(" (have:")[0]), error
+        assert list(client.status()["jobs"]) == ["j1"]
+        fixture.pool.drain()
+        assert set(fixture.store.jobs()) <= {"j1"}
 
 
 class TestReincarnation:
@@ -618,3 +656,188 @@ class TestReadsBetweenSlots:
         c = last["jobs"]["c"]
         assert c["preemptions"] == 1
         assert c["steps_executed"] > before["c"]
+
+    def test_unknown_op_is_answered_between_slots(self, fixture_factory):
+        """``b``'s step queues an unknown op; ``c``'s step, the next slot of
+        the same pass, waits for its answer.  Held to the pass boundary, as
+        a write would be, the answer could only come after ``c``'s slot."""
+        armed_b, armed_c = threading.Event(), threading.Event()
+        answered = threading.Event()
+        seen_in_c_slot: list = []
+        sent: list = []
+
+        def unknown_op():
+            answer = _one_request(fixture.control, "frobnicate")
+            answered.set()
+            return answer
+
+        def queue_unknown_op():
+            sent.append(_queue_request(fixture.daemon, unknown_op))
+            armed_c.set()
+
+        def hooked(armed, hook):
+            def builder(params):
+                factory = BUILTIN_WORKLOADS["classifier"](params)
+                return lambda: _HookedTrainer(factory(), armed, hook)
+
+            return builder
+
+        fixture = fixture_factory(
+            workloads={
+                "b": hooked(armed_b, queue_unknown_op),
+                "c": hooked(
+                    armed_c,
+                    lambda: seen_in_c_slot.append(answered.wait(10.0)),
+                ),
+            }
+        )
+        client = fixture.start()
+        assert client.submit(_tiny_spec("b", 500, workload="b"))["ok"]
+        assert client.submit(_tiny_spec("c", 500, workload="c"))["ok"]
+        deadline = time.monotonic() + 30.0
+        while not client.status("c")["jobs"]["c"]["steps_executed"]:
+            assert time.monotonic() < deadline, "c never joined the passes"
+            time.sleep(0.001)
+        armed_b.set()
+        while not seen_in_c_slot:
+            assert time.monotonic() < deadline, "c's hooked step never ran"
+            time.sleep(0.001)
+        [answer] = _joined(sent)
+        assert seen_in_c_slot == [True]
+        assert not answer["ok"] and "unknown op 'frobnicate'" in answer["error"]
+        # Answered like a read: nothing kept for replay, and no histogram
+        # series of its own.
+        assert answer["id"] not in fixture.daemon._served_responses
+        handled = fixture.daemon.metrics.snapshot()["series"]
+        ops = {
+            s["labels"]["op"]
+            for s in handled
+            if s["name"] == "daemon.handle_seconds"
+        }
+        assert "unknown" in ops and "frobnicate" not in ops
+
+
+def test_read_only_ops_are_the_tables_read_only_entries():
+    assert READ_ONLY_OPS == {
+        op for op, (_, read_only) in OPS.items() if read_only
+    }
+    assert {"submit", "preempt", "drain", "stop"} <= set(OPS) - READ_ONLY_OPS
+
+
+class TestOneJobSpec:
+    """`qckpt daemon submit` argv -> wire -> FleetJobSpec.from_wire."""
+
+    PARAMS = {
+        "qubits": 2,
+        "layers": 1,
+        "samples": 16,
+        "batch_size": 4,
+        "lr": 0.02,
+        "seed": 3,
+    }
+
+    @staticmethod
+    def _sent_by(argv, monkeypatch):
+        from repro.cli import main as qckpt_main
+
+        sent = []
+
+        def submit(self, spec, timeout=None):
+            sent.append(json.loads(json.dumps(spec)))  # what crosses the wire
+            return {"ok": True, "job": spec["job_id"]}
+
+        monkeypatch.setattr(DaemonClient, "submit", submit)
+        assert qckpt_main(["daemon", "submit", "--control", "-", *argv]) == 0
+        [wire] = sent
+        return wire
+
+    def test_cli_spec_equals_the_harness_spec(self, monkeypatch):
+        wire = self._sent_by(
+            [
+                "--job", "rt", "--steps", "5", "--every", "2",
+                "--priority", "2", "--max-pending", "3",
+                "--backpressure", "drop-oldest", "--restore-mode", "warm-start",
+                "--qubits", "2", "--layers", "1", "--samples", "16",
+                "--batch-size", "4", "--lr", "0.02", "--seed", "3",
+            ],
+            monkeypatch,
+        )
+        parsed = FleetJobSpec.from_wire(wire, BUILTIN_WORKLOADS)
+        harness = FleetJobSpec(
+            job_id="rt",
+            trainer_factory=BUILTIN_WORKLOADS["classifier"](self.PARAMS),
+            target_steps=5,
+            checkpoint_every=2,
+            max_pending=3,
+            backpressure="drop-oldest",
+            restore_mode="warm-start",
+            priority=2,
+        )
+        for field in dataclasses.fields(FleetJobSpec):
+            if field.name != "trainer_factory":
+                assert getattr(parsed, field.name) == getattr(
+                    harness, field.name
+                ), field.name
+        trainers = [parsed.trainer_factory(), harness.trainer_factory()]
+        for trainer in trainers:
+            trainer.run(2)
+        ours, theirs = (t.capture().to_payload()[1] for t in trainers)
+        assert set(ours) == set(theirs)
+        for name, array in ours.items():
+            assert array.tobytes() == theirs[name].tobytes(), name
+
+    def test_only_the_workload_flags_given_are_sent(self, monkeypatch):
+        wire = self._sent_by(
+            ["--job", "v", "--workload", "vqe", "--qubits", "3"], monkeypatch
+        )
+        assert wire["workload"] == "vqe" and wire["params"] == {"qubits": 3}
+        assert set(wire) <= set(WIRE_KEYS)
+
+
+class TestVqeThroughTheCli:
+    def test_vqe_job_resumes_bitwise_after_a_preempt(
+        self, fixture_factory, capsys
+    ):
+        from repro.cli import main as qckpt_main
+        from repro.ml.catalogue import build_trainer
+
+        fixture = fixture_factory()
+        client = fixture.start()
+        steps = 40
+        assert qckpt_main([
+            "daemon", "submit", "--control", str(fixture.control),
+            "--job", "v", "--workload", "vqe", "--qubits", "3",
+            "--steps", str(steps),
+        ]) == 0
+        assert "submitted v (vqe)" in capsys.readouterr().out
+        deadline = time.monotonic() + 30.0
+        while (client.status("v")["jobs"]["v"]["step"] or 0) < 3:
+            assert time.monotonic() < deadline, "the vqe job never stepped"
+            time.sleep(0.001)
+        assert client.preempt("v", restart_delay_ticks=2)["ok"]
+        status = fixture.wait_job("v")
+        assert status["preemptions"] == 1 and status["resumed_from_steps"]
+        resumed = fixture.store.load_snapshot("v")
+        assert resumed.step == steps and resumed.statevector.shape == (8,)
+        reference = build_trainer("vqe", qubits=3)
+        reference.run(steps)
+        ours = resumed.to_payload()[1]
+        theirs = reference.capture().to_payload()[1]
+        assert set(ours) == set(theirs)
+        for name, array in ours.items():
+            assert array.tobytes() == theirs[name].tobytes(), name
+
+    def test_a_parameter_the_workload_lacks_is_refused(
+        self, fixture_factory, capsys
+    ):
+        from repro.cli import main as qckpt_main
+
+        fixture = fixture_factory()
+        client = fixture.start()
+        code = qckpt_main([
+            "daemon", "submit", "--control", str(fixture.control),
+            "--job", "v", "--workload", "vqe", "--samples", "8",
+        ])
+        assert code != 0
+        assert "samples" in capsys.readouterr().err
+        assert client.status()["jobs"] == {}

@@ -134,8 +134,9 @@ def _under_daemon(tmp_path):
     released = {job_id: threading.Event() for job_id in JOBS}
 
     def workload(params):
+        params = dict(params)
+        job_id = params.pop("job")
         factory = BUILTIN_WORKLOADS["classifier"](params)
-        job_id = params["job"]
 
         def before_step(step):
             if step == KILL_AT_STEP - 1 and not released[job_id].is_set():

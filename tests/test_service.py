@@ -574,12 +574,6 @@ class TestWriterPool:
             WriterPool(workers=0)
         with pytest.raises(ConfigError):
             WriterPool(close_timeout=0.0)
-        pool = WriterPool(workers=1)
-        with pytest.raises(ConfigError):
-            pool.channel("a", max_pending=0)
-        with pytest.raises(ConfigError):
-            pool.channel("a", backpressure="bogus")
-        pool.close()
 
     def test_per_job_fifo_order(self):
         pool = WriterPool(workers=4)
@@ -1004,6 +998,15 @@ class TestFleetHarness:
                 target_steps=1,
                 checkpoint_every=0,
             )
+        # A job's channel arguments are checked where the job is described.
+        for bad in ({"max_pending": 0}, {"backpressure": "bogus"}):
+            with pytest.raises(ConfigError, match=next(iter(bad))):
+                FleetJobSpec(
+                    job_id="x",
+                    trainer_factory=classifier_factory(0.01),
+                    target_steps=1,
+                    **bad,
+                )
 
 
 class TestTrainerLiteCapture:

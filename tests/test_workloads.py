@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from repro.bench.workloads import (
-    classifier_trainer,
-    classifier_workload,
     footprint_breakdown,
     hea_param_count,
     sparse_excitation_state,
     synthetic_snapshot,
-    vqe_trainer,
 )
 from repro.mps.entanglement import schmidt_rank
 
@@ -84,28 +81,3 @@ class TestFootprint:
     def test_param_count_matches_template(self):
         assert footprint_breakdown(6)["n_params"] == hea_param_count(6)
 
-
-class TestTrainerFactories:
-    def test_classifier_trainer_deterministic(self):
-        a = classifier_trainer(n_qubits=4, n_samples=16, seed=3)
-        b = classifier_trainer(n_qubits=4, n_samples=16, seed=3)
-        a.run(3)
-        b.run(3)
-        np.testing.assert_array_equal(a.params, b.params)
-
-    def test_classifier_workload_shapes(self):
-        model, dataset = classifier_workload(n_qubits=4, n_samples=20)
-        assert len(dataset) == 20
-        assert model.n_qubits == 4
-
-    def test_vqe_trainer_captures_statevector(self):
-        trainer = vqe_trainer(n_qubits=4, seed=2)
-        trainer.run(1)
-        snapshot = trainer.capture()
-        assert snapshot.statevector is not None
-        assert snapshot.statevector.shape == (16,)
-
-    def test_vqe_trainer_loss_decreases(self):
-        trainer = vqe_trainer(n_qubits=4, seed=2)
-        reports = trainer.run(12)
-        assert reports[-1].loss < reports[0].loss

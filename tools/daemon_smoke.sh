@@ -7,7 +7,9 @@
 # mid-run, polls status until both finish, verifies a wrong token is
 # refused.  Through ``--control`` (the Unix socket ``daemon.sock`` in the
 # control directory, no token): checks the socket is owner-only (0600),
-# submits a third job, polls it to the finish and drains; no ``req-*`` /
+# submits a third job and a ``vqe`` one by catalogue name, polls them to
+# the finish, checks that a parameter the workload lacks (``--samples`` on
+# ``vqe``) is refused by name, and drains; no ``req-*`` /
 # ``res-*`` object may ever appear in the control directory.  Then restores
 # every job's final checkpoint through the unified pipeline (which verifies
 # every block against its content address — bitwise fidelity, not just
@@ -115,12 +117,28 @@ for _ in $(seq 1 300); do
 done
 echo "$status"
 echo "$status" | grep -Eq "^c +finished" || { echo "job c never finished"; exit 1; }
+
+echo "== a VQE job by catalogue name, and a parameter the workload lacks"
+$QCKPT daemon submit --control "$CONTROL" --job v --workload vqe --qubits 2 \
+  --steps "$STEPS"
+for _ in $(seq 1 300); do
+  status=$($QCKPT daemon status --control "$CONTROL" --timeout 10)
+  echo "$status" | grep -Eq "^v +finished" && break
+  sleep 0.2
+done
+echo "$status" | grep -Eq "^v +finished" || { echo "job v never finished"; exit 1; }
+if err=$($QCKPT daemon submit --control "$CONTROL" --job w --workload vqe \
+    --samples 8 2>&1); then
+  echo "a vqe job with --samples was accepted"; exit 1
+fi
+echo "$err"
+echo "$err" | grep -q "samples" || { echo "the refusal does not name samples"; exit 1; }
 $QCKPT daemon drain --control "$CONTROL" --timeout 120
 wait "$DAEMON_PID"
 no_request_files
 
 echo "== restoring every job (content-addressed blocks: bitwise verification)"
-for job in a b c; do
+for job in a b c v; do
   restored=$($QCKPT restore "$STORE" --job "$job")
   echo "$restored"
   echo "$restored" | grep -q "at step $STEPS" \
