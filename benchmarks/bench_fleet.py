@@ -26,8 +26,8 @@ Eight experiments, all written to ``BENCH_fleet.json`` at the repo root:
 4. **Daemon churn** — the long-running daemon absorbing two waves of job
    submissions (each wave led by a priority-3 job whose weighted share
    must measurably skew tick allocation), a mid-run preemption of the
-   whole fleet, reincarnation with staged (prefetched) restores, and a
-   clean drain.
+   whole fleet, reincarnation through the restore pipeline, and a clean
+   drain.
 
 5. **Control plane** — Unix socket vs TCP listener: request round-trip
    latency (ping) and submit throughput while poller threads hammer
@@ -522,7 +522,7 @@ def test_daemon_churn_storm_drain(report):
     """The long-running daemon absorbs churn, a storm, and a drain.
 
     Two waves of submissions (the second arriving while the first runs),
-    a fleet-wide preemption with staged restores during the restart delay,
+    a fleet-wide preemption whose jobs restore after the restart delay,
     then a drain that finishes every job.  Every job must complete at its
     target step with its history restorable bitwise from the shared store.
 

@@ -1159,7 +1159,7 @@ def cmd_daemon_start(args: argparse.Namespace) -> int:
     # One identity for heartbeats AND journal records: without --daemon-id
     # it must be unique per process, never derived from paths — two daemons
     # sharing a store would otherwise collide journal record names and both
-    # "hold" the rebalance lease.
+    # "hold" the compact lease.
     daemon_id = args.daemon_id or f"daemon-{uuid.uuid4().hex[:8]}"
     # Shards, optional fast tier + placement journal (--fast-bytes), retry
     # layer (--retries) and metadata index (--index or QCKPT_METADB=1; one
@@ -1179,7 +1179,6 @@ def cmd_daemon_start(args: argparse.Namespace) -> int:
     pool = WriterPool(workers=args.workers, metrics=registry)
     config = DaemonConfig(
         tick_seconds=args.tick_seconds,
-        rebalance_every_ticks=args.rebalance_every,
         restart_delay_ticks=args.restart_delay,
         max_ticks=args.max_ticks if args.max_ticks > 0 else None,
         compact_journal_records=args.compact_journal_records,
@@ -1716,12 +1715,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.02,
         help="idle sleep between scheduler passes",
-    )
-    d_start.add_argument(
-        "--rebalance-every",
-        type=int,
-        default=0,
-        help="run a lease-gated tier rebalance every N ticks (0 = never)",
     )
     d_start.add_argument(
         "--compact-journal-records",

@@ -29,12 +29,6 @@ was saved or raises :class:`~repro.errors.IntegrityError` /
 :class:`~repro.errors.StorageError`.  It never returns corrupt tensors —
 every block is verified against evidence recorded at save time before any
 byte of it reaches an array.
-
-Read-ahead: :meth:`RestoreExecutor.prefetch` starts a plan's transfers in
-the background — bounded by a byte window, cancellable, and advisory (a
-failed or skipped prefetch unit is re-fetched synchronously at run time).
-The service chunk store uses it to stage (and tier-promote) a restore
-before it runs.
 """
 
 from __future__ import annotations
@@ -44,8 +38,7 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from collections import Counter
-from concurrent.futures import CancelledError, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -245,73 +238,6 @@ def _block_bytes(data, block: BlockSpec):
     return data[block.start : block.start + block.stored_nbytes]
 
 
-class PrefetchedPlan:
-    """Handle over the in-flight read-ahead of one plan's fetch units.
-
-    Produced by :meth:`RestoreExecutor.prefetch`; consumed by passing it back
-    to :meth:`RestoreExecutor.run` for the same plan instance.  The handle is
-    *advisory*: a cancelled, failed, or window-skipped unit is simply fetched
-    synchronously at run time, so prefetch can never change what a restore
-    returns — only when its bytes arrive.
-    """
-
-    def __init__(self, plan: RestorePlan):
-        self.plan = plan
-        self.object_futures: Dict[str, "object"] = {}
-        #: Bytes submitted to the fetch pool (bounded by the window).
-        self.enqueued_bytes = 0
-        #: Bytes the window bound kept out of the read-ahead.
-        self.skipped_bytes = 0
-        self.cancelled = False
-
-    @property
-    def n_enqueued(self) -> int:
-        """Fetch units this read-ahead actually submitted to the pool."""
-        return len(self.object_futures)
-
-    def cancel(self) -> int:
-        """Cancel not-yet-started fetches; returns how many were cancelled.
-
-        In-flight reads complete on their worker thread and are discarded —
-        backends have no abort primitive — but no *new* read-ahead I/O
-        starts after this returns.
-        """
-        cancelled = 0
-        for future in list(self.object_futures.values()):
-            if future.cancel():
-                cancelled += 1
-        self.cancelled = True
-        return cancelled
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until every enqueued fetch finished; ``False`` on timeout."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        for future in list(self.object_futures.values()):
-            remaining = None
-            if deadline is not None:
-                remaining = max(0.0, deadline - time.monotonic())
-            try:
-                future.exception(timeout=remaining)
-            except CancelledError:
-                continue
-            except FuturesTimeoutError:
-                return False
-        return True
-
-    def take_object(self, name: str) -> Optional[bytes]:
-        """Prefetched bytes of one object (``None`` = fetch yourself: it was
-        never enqueued, failed, or was cancelled)."""
-        future = self.object_futures.get(name)
-        if future is None:
-            return None
-        try:
-            return future.result()
-        except CancelledError:
-            return None
-        except Exception:  # noqa: BLE001 - sync fallback is the retry
-            return None
-
-
 class RestoreExecutor:
     """Fetches a plan's blocks, verifies them, and assembles tensors.
 
@@ -323,31 +249,16 @@ class RestoreExecutor:
     the result does not depend on completion order; where the source can
     read into a buffer (:attr:`RestoreSource.supports_read_into`) the fetch
     threads fill one the caller allocated and allocate nothing themselves.
-
-    Read-ahead: :meth:`prefetch` starts a plan's fetches in the background —
-    bounded by ``prefetch_window_bytes``, cancellable — so a restore's
-    transfers can run before the restore does.  Prefetched bytes are
-    consumed by passing the handle back to :meth:`run`; anything the window
-    skipped, a fault killed, or a cancel dropped is re-fetched synchronously
-    there, so prefetch never weakens the integrity contract (every consumed
-    byte is verified the same way).
     """
 
     def __init__(
         self,
         max_workers: int = 4,
-        prefetch_window_bytes: int = 64 << 20,
         retry: Optional[RetryPolicy] = None,
     ):
         if max_workers < 1:
             raise ConfigError(f"max_workers must be >= 1, got {max_workers}")
-        if prefetch_window_bytes < 0:
-            raise ConfigError(
-                f"prefetch_window_bytes must be >= 0, "
-                f"got {prefetch_window_bytes}"
-            )
         self.max_workers = int(max_workers)
-        self.prefetch_window_bytes = int(prefetch_window_bytes)
         # Per-fetch-unit retry: transient backend failures are retried
         # with backoff, and a block that fails *verification* is refetched
         # fresh and re-verified (a backend that lied once — a flaky read —
@@ -369,52 +280,23 @@ class RestoreExecutor:
                 )
             return self._pool
 
-    def prefetch(
-        self, source: RestoreSource, plan: RestorePlan
-    ) -> PrefetchedPlan:
-        """Start fetching ``plan``'s blocks in the background (read-ahead).
-
-        Fetches are enqueued in plan order until ``prefetch_window_bytes``
-        is reached; the rest stays for run time.  The returned handle is
-        passed to :meth:`run` (same plan instance) to consume the bytes, or
-        :meth:`PrefetchedPlan.cancel`-ed when the restore is abandoned.
-        Verification does *not* happen here — the bytes are checked when
-        :meth:`run` consumes them, exactly as on the synchronous path.
-        """
-        handle = PrefetchedPlan(plan)
-        pool = self._ensure_pool()
-        budget = self.prefetch_window_bytes
-        for obj in plan.objects:
-            if handle.enqueued_bytes + obj.nbytes > budget:
-                handle.skipped_bytes += obj.nbytes
-                continue
-            handle.enqueued_bytes += obj.nbytes
-            handle.object_futures[obj.name] = pool.submit(
-                source.read_object, obj.name
-            )
-        return handle
-
     def run(
         self,
         source: RestoreSource,
         plan: RestorePlan,
         verify: bool = True,
-        prefetched: Optional[PrefetchedPlan] = None,
         stages: Optional[Dict[str, float]] = None,
     ) -> Tuple[Dict, Dict[str, np.ndarray]]:
         """Execute ``plan`` against ``source``; returns ``(meta, tensors)``.
 
-        ``prefetched`` consumes a read-ahead started by :meth:`prefetch` for
-        this plan instance; missing/failed/cancelled units fall back to
-        synchronous fetches (the retry), so the result is identical with or
-        without it.  ``stages`` (if given) accumulates wall seconds per
-        pipeline stage — ``fetch`` / ``verify`` / ``assemble`` — for the
-        profiler's critical-path attribution.
+        ``stages`` (if given) accumulates wall seconds per pipeline stage —
+        ``fetch`` / ``verify`` / ``assemble`` — for the profiler's
+        critical-path attribution.
         """
         codec_obj = get_codec(plan.codec)
 
         stage_t0 = time.perf_counter()
-        buffers = self._fetch_objects(source, plan.objects, prefetched)
+        buffers = self._fetch_objects(source, plan.objects)
         fetch_s = time.perf_counter() - stage_t0
 
         # Each object is dropped with the last block that reads it, so the
@@ -462,31 +344,21 @@ class RestoreExecutor:
         return plan.meta, tensors
 
     def _fetch_objects(
-        self,
-        source: RestoreSource,
-        objects: List[ObjectPlan],
-        prefetched: Optional[PrefetchedPlan] = None,
+        self, source: RestoreSource, objects: List[ObjectPlan]
     ) -> Dict[str, bytes]:
-        # Where the source can fill a buffer, each object still to be read
-        # gets one allocated here, on the calling thread: the fetch threads
+        # Where the source can fill a buffer, each object gets one
+        # allocated here, on the calling thread: the fetch threads
         # allocate nothing (what they allocate, their malloc arenas keep).
         slots: Dict[str, memoryview] = {}
         if source.supports_read_into:
-            ahead = prefetched.object_futures if prefetched is not None else ()
             for obj in objects:
-                if obj.name not in ahead:
-                    slots[obj.name] = memoryview(
-                        np.empty(obj.nbytes, dtype=np.uint8)
-                    )
+                slots[obj.name] = memoryview(np.empty(obj.nbytes, np.uint8))
 
         def fetch(obj: ObjectPlan) -> Tuple[str, bytes]:
-            data = None
-            if prefetched is not None:
-                data = prefetched.take_object(obj.name)
-            if data is None:
-                into = slots.get(obj.name)
-                data = self._read(lambda: source.read_object(obj.name, into))
-            return obj.name, data
+            into = slots.get(obj.name)
+            return obj.name, self._read(
+                lambda: source.read_object(obj.name, into)
+            )
 
         return dict(self._map(fetch, objects))
 
@@ -506,10 +378,9 @@ class RestoreExecutor:
     ) -> bytes:
         """Verify one block; on damage, refetch fresh and re-verify.
 
-        The retry re-reads the block's object from the source, past the
-        prefetch: the point is to observe the backend *again*, where a
-        transient lie has cleared or a replicated backend falls through to
-        a surviving copy.
+        The retry re-reads the block's object from the source: the point
+        is to observe the backend *again*, where a transient lie has
+        cleared or a replicated backend falls through to a surviving copy.
         """
         try:
             return self._verified_raw(block, stored, codec_obj, verify)

@@ -13,15 +13,13 @@ that service layer:
 * :mod:`repro.service.manager` — the trainer hook (one per job, over either
   store) submitting into a writer,
 * :mod:`repro.service.scheduler` — the one fleet scheduler: job table,
-  priority-weighted tick loop, preempt / reincarnate / park, restore
-  read-ahead during restart delays,
+  priority-weighted tick loop, preempt / reincarnate / park,
 * :mod:`repro.service.fleet` — the harness that scripts the scheduler to
   completion under preemption storms and brownouts,
 * :mod:`repro.service.daemon` — the same scheduler served as a
   long-running process: socket control plane (``qckpt daemon``), dynamic
   job submission by name from the workload catalogue
-  (:mod:`repro.ml.catalogue`), one op table, and lease-gated
-  cross-daemon tier rebalancing,
+  (:mod:`repro.ml.catalogue`) and one op table,
 * :mod:`repro.service.transport` — the daemon's control plane: one socket
   server (a Unix socket in the control directory, plus TCP with
   shared-secret auth for driving a daemon from another host) and its

@@ -298,10 +298,8 @@ class ChunkStore:
         self.block_bytes = int(block_bytes)
         self.restore_workers = int(restore_workers)
         self.tier_placement = bool(tier_placement)
-        # Shared placement journal (repro.storage.placement): when set,
-        # fleet-wide sweeps like rebalance_tiers() serialize on its
-        # "rebalance" lease, so two daemons sharing this store never demote
-        # the same chunk set concurrently.
+        # Shared placement journal (repro.storage.placement) the tiered
+        # backend's pins go through; a daemon compacts it.
         self.placement_journal = placement_journal
         # Optional repro.storage.metadb.MetaDB: manifest headers and chunk
         # refs are mirrored there (files written first, index second) so
@@ -498,71 +496,6 @@ class ChunkStore:
                         # Same contract as the pin above: advisory journal
                         # writes must never fail an already-committed save.
                         pass
-
-    def rebalance_tiers(self, hot_per_job: int = 1) -> Dict[str, int]:
-        """Demote cold chunks, promote the hot set; returns move counts.
-
-        The *hot set* is every chunk referenced by the newest ``hot_per_job``
-        checkpoints of each job — what the next fleet-wide restore would
-        touch.  Fast-tier-resident chunks outside it are demoted (making
-        room), hot chunks are promoted while capacity allows.  Manifests
-        stay pinned throughout.  A no-op without a tiered backend.
-
-        With a :attr:`placement_journal`, the sweep runs only while holding
-        the journal's ``rebalance`` lease: two daemons sharing the store
-        take turns instead of demoting the same chunks concurrently.  A
-        store that cannot get the lease returns zero moves and names the
-        current holder under ``"lease_holder"``.
-        """
-        if hot_per_job < 1:
-            raise ConfigError(f"hot_per_job must be >= 1, got {hot_per_job}")
-        journal = self.placement_journal
-        if journal is not None:
-            from repro.storage.placement import LEASE_REBALANCE
-
-            if not journal.acquire_lease(LEASE_REBALANCE):
-                return {
-                    "promoted": 0,
-                    "demoted": 0,
-                    "lease_holder": journal.lease_holder(LEASE_REBALANCE),
-                }
-            try:
-                return self._rebalance_tiers_locked(hot_per_job)
-            finally:
-                journal.release_lease(LEASE_REBALANCE)
-        return self._rebalance_tiers_locked(hot_per_job)
-
-    def _rebalance_tiers_locked(self, hot_per_job: int) -> Dict[str, int]:
-        hot: set = set()
-        for job_id in self.jobs():
-            for object_name in self.manifest_names(job_id)[-hot_per_job:]:
-                hot.update(self._manifest_references(object_name))
-        promoted = 0
-        demoted = 0
-        addresses = self.backend.list(CHUNK_PREFIX)
-        # Demote every cold chunk first so promotions land in freed space
-        # instead of evicting other hot chunks.
-        for address in addresses:
-            if address in hot:
-                continue
-            tier = self._tier_of(address)
-            if tier is None:
-                continue
-            try:
-                demoted += 1 if tier.demote(address) else 0
-            except (StorageError, ReproError):
-                continue  # placement is best-effort
-        for address in addresses:
-            if address not in hot:
-                continue
-            tier = self._tier_of(address)
-            if tier is None:
-                continue
-            try:
-                promoted += 1 if tier.promote(address) else 0
-            except (StorageError, ReproError):
-                continue
-        return {"promoted": promoted, "demoted": demoted}
 
     # -- saving -----------------------------------------------------------------
 
@@ -1044,30 +977,6 @@ class ChunkStore:
         return self.restore_source(job_id, ckpt_id).plan(
             names, require_all=False
         )
-
-    def prefetch_restore(
-        self,
-        job_id: str,
-        ckpt_id: Optional[str] = None,
-        names: Optional[Sequence[str]] = None,
-    ):
-        """Start read-ahead for a restore that has not happened yet.
-
-        Plans the restore and launches its chunk fetches on the executor's
-        threads (bounded by the prefetch window, cancellable).  Every fetch
-        goes through the normal backend read path, so with a
-        :class:`~repro.storage.tiered.TieredBackend` underneath the touched
-        chunks are *promoted* — by the time the actual restore runs, it is
-        tier-warm.  The fleet daemon calls this the moment a job is
-        preempted: the restart delay is exactly the window in which the
-        restore set can be staged.  Returns the
-        :class:`~repro.core.restore.PrefetchedPlan` handle (cancel it if
-        the restore is abandoned); the later restore does not need the
-        handle to benefit — promotion already happened.
-        """
-        source = self.restore_source(job_id, ckpt_id)
-        plan = source.plan(names, require_all=False)
-        return self._executor.prefetch(source, plan)
 
     def load_snapshot(
         self, job_id: str, ckpt_id: Optional[str] = None

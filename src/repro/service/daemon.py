@@ -17,18 +17,17 @@ loop, identical crash semantics — from a long-lived serve loop that:
   training-step slots of a pass, the others at the pass boundary, and an
   op not in the table is refused at once,
 * steps the scheduler once per pass (weighted round-robin by
-  ``priority``, failed jobs parked, restores staged the moment a job is
-  preempted so the restart delay doubles as the read-ahead window),
+  ``priority``, failed jobs parked),
 * survives job churn: a submission is parsed by
   :meth:`~repro.service.scheduler.FleetJobSpec.from_wire` into a job built
   from the **workload catalogue** (:mod:`repro.ml.catalogue`: named
   trainer recipes + JSON parameters — never unpickled callables; an
   unknown key is refused), jobs die on ``preempt``, and reincarnate
   through the shared restore pipeline after their restart delay,
-* coordinates placement across daemons: with a
+* shares placement with other daemons: with a
   :class:`~repro.storage.placement.PlacementJournal` on the store, pins
-  are durable/shared and the periodic ``rebalance_tiers()`` sweep runs
-  under the journal's ``rebalance`` lease.
+  are durable and shared, and the journal is compacted under its
+  ``compact`` lease.
 
 Single-instance is carried by ``daemon.json`` in the control directory: a
 thread of the daemon heartbeats it, whatever the serve loop is grinding
@@ -140,7 +139,6 @@ class DaemonConfig:
     tick_seconds: float = 0.02  # idle wait between scheduler passes
     heartbeat_seconds: float = 0.5  # daemon.json refresh cadence
     stale_after_seconds: float = STALE_AFTER_SECONDS
-    rebalance_every_ticks: int = 0  # 0 disables the periodic placement sweep
     restart_delay_ticks: int = 1  # default reincarnation delay on preempt
     max_ticks: Optional[int] = None  # loop bound for tests; None = forever
     # Compact the placement journal during serve() once its record count
@@ -166,11 +164,6 @@ class DaemonConfig:
             raise ConfigError(
                 "stale_after_seconds must exceed heartbeat_seconds "
                 f"({self.stale_after_seconds} vs {self.heartbeat_seconds})"
-            )
-        if self.rebalance_every_ticks < 0:
-            raise ConfigError(
-                f"rebalance_every_ticks must be >= 0, "
-                f"got {self.rebalance_every_ticks}"
             )
         if self.restart_delay_ticks < 0:
             raise ConfigError(
@@ -281,9 +274,7 @@ class FleetDaemon:
         )
         self._obs = ObsDir(obs_dir) if obs_dir is not None else None
         self.config = config or DaemonConfig()
-        self.scheduler = Scheduler(
-            store, pool, self.config.rebalance_every_ticks
-        )
+        self.scheduler = Scheduler(store, pool)
         self.workloads = dict(BUILTIN_WORKLOADS)
         if workloads:
             self.workloads.update(workloads)
@@ -529,9 +520,6 @@ class FleetDaemon:
             "resumed_from_steps": list(result.resumed_from_steps),
             "down_until_tick": job.down_until,
             "finish_tick": result.finish_tick,
-            "prefetching_restore": self.scheduler.prefetching(
-                job.spec.job_id
-            ),
             "priority": job.spec.priority,
             "ticks_scheduled": job.ticks_scheduled,
             "metrics": self._job_metrics(job),
@@ -919,7 +907,6 @@ class FleetDaemon:
                 self.server.close()
             except (TransportError, OSError):
                 pass
-            self.scheduler.close()
             try:
                 self.pool.drain()
                 self._compact_journal()

@@ -36,27 +36,17 @@ from repro.storage.backend import StorageBackend
 
 
 class ThrottledBackend(StorageBackend):
-    """Backend decorator adding settable real delays per operation.
+    """Backend decorator adding a settable real delay to every write.
 
-    Write side: the knob the brownout scenario turns — while the window is
-    active every write to the shared store stalls, the pool's queues grow,
-    and channel backpressure (block / drop-oldest / degrade) becomes
-    observable.
-
-    Read side: an RTT + bandwidth model with *real* sleeps
-    (``read_rtt_seconds`` + ``nbytes / read_bandwidth_bytes_per_s``), so
-    wall-clock restore benchmarks — notably the chain-restore read-ahead
-    sweep — experience object-store-like fetch latency that concurrent
-    fetches genuinely overlap.  Both default to free (0 / unlimited).
+    The knob the brownout scenario turns — while the window is active every
+    write to the shared store stalls, the pool's queues grow, and channel
+    backpressure (block / drop-oldest / degrade) becomes observable.
     """
 
     def __init__(self, inner: StorageBackend):
         self.inner = inner
         self.write_delay_seconds = 0.0
         self.delayed_writes = 0
-        self.read_rtt_seconds = 0.0
-        self.read_bandwidth_bytes_per_s = 0.0  # 0 = unlimited
-        self.delayed_reads = 0
         self._counter_lock = threading.Lock()  # pool workers write concurrently
 
     def write(self, name: str, data: bytes) -> None:
@@ -67,20 +57,9 @@ class ThrottledBackend(StorageBackend):
             time.sleep(delay)
         self.inner.write(name, data)
 
-    def _read_delay(self, nbytes: int) -> None:
-        delay = self.read_rtt_seconds
-        if self.read_bandwidth_bytes_per_s > 0:
-            delay += nbytes / self.read_bandwidth_bytes_per_s
-        if delay > 0:
-            with self._counter_lock:
-                self.delayed_reads += 1
-            time.sleep(delay)
-
     def read(self, name: str, into=None) -> bytes:
         kwargs = {} if into is None else {"into": into}
-        data = self.inner.read(name, **kwargs)
-        self._read_delay(len(data))
-        return data
+        return self.inner.read(name, **kwargs)
 
     @property
     def supports_read_into(self) -> bool:
@@ -175,46 +154,41 @@ class FleetHarness:
         scheduler = self.scheduler
         jobs = scheduler.jobs
         events_fired: List[str] = []
-        try:
-            for spec in self.specs:
-                scheduler.submit(spec)
-            while scheduler.active_jobs:
-                tick = scheduler.tick
-                if tick >= self.max_ticks:
-                    raise ConfigError(
-                        f"fleet did not finish within {self.max_ticks} ticks"
-                    )
-                for event in self.events:
-                    if isinstance(event, PreemptionStorm) and event.at_tick == tick:
-                        for job in jobs.values():
-                            if job.running and event.hits(job.spec.job_id):
-                                scheduler.preempt(
-                                    job, event.restart_delay_ticks
-                                )
-                        events_fired.append(f"storm@{tick}")
-                    if isinstance(event, Brownout) and self.throttle is not None:
-                        if tick == event.start_tick:
-                            events_fired.append(f"brownout-on@{tick}")
-                        if tick == event.end_tick:
-                            events_fired.append(f"brownout-off@{tick}")
-                if self.throttle is not None:
-                    # The slowest active window wins; overlapping brownouts
-                    # do not end each other early.
-                    self.throttle.write_delay_seconds = max(
-                        (
-                            event.write_delay_seconds
-                            for event in self.events
-                            if isinstance(event, Brownout)
-                            and event.active_at(tick)
-                        ),
-                        default=0.0,
-                    )
-                scheduler.step()
-                for job in jobs.values():
-                    if job.error is not None:
-                        raise job.error
-        finally:
-            scheduler.close()
+        for spec in self.specs:
+            scheduler.submit(spec)
+        while scheduler.active_jobs:
+            tick = scheduler.tick
+            if tick >= self.max_ticks:
+                raise ConfigError(
+                    f"fleet did not finish within {self.max_ticks} ticks"
+                )
+            for event in self.events:
+                if isinstance(event, PreemptionStorm) and event.at_tick == tick:
+                    for job in jobs.values():
+                        if job.running and event.hits(job.spec.job_id):
+                            scheduler.preempt(job, event.restart_delay_ticks)
+                    events_fired.append(f"storm@{tick}")
+                if isinstance(event, Brownout) and self.throttle is not None:
+                    if tick == event.start_tick:
+                        events_fired.append(f"brownout-on@{tick}")
+                    if tick == event.end_tick:
+                        events_fired.append(f"brownout-off@{tick}")
+            if self.throttle is not None:
+                # The slowest active window wins; overlapping brownouts
+                # do not end each other early.
+                self.throttle.write_delay_seconds = max(
+                    (
+                        event.write_delay_seconds
+                        for event in self.events
+                        if isinstance(event, Brownout)
+                        and event.active_at(tick)
+                    ),
+                    default=0.0,
+                )
+            scheduler.step()
+            for job in jobs.values():
+                if job.error is not None:
+                    raise job.error
         self.pool.drain()
         stats = self.store.stats
         return FleetResult(

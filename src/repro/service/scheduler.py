@@ -10,9 +10,8 @@ it to completion under scripted storms and brownouts;
 :class:`~repro.service.daemon.FleetDaemon` submits and preempts on behalf of
 control-plane requests between passes and answers reads between a pass's
 training-step slots.  Crash semantics (abandoned queues, the wait for an
-in-flight save, restore-validation saves), priorities, parking of failed
-jobs and restore read-ahead are therefore the same whichever one runs the
-fleet.
+in-flight save, restore-validation saves), priorities and parking of failed
+jobs are therefore the same whichever one runs the fleet.
 """
 
 from __future__ import annotations
@@ -209,24 +208,13 @@ class _JobRuntime:
 
 
 class Scheduler:
-    """Job table plus tick loop over one store and one writer pool.
+    """Job table plus tick loop over one store and one writer pool."""
 
-    ``rebalance_every_ticks`` > 0 runs the store's placement sweep
-    (lease-gated when a journal is set) every that many ticks.
-    """
-
-    def __init__(
-        self,
-        store: ChunkStore,
-        pool: WriterPool,
-        rebalance_every_ticks: int = 0,
-    ):
+    def __init__(self, store: ChunkStore, pool: WriterPool):
         self.store = store
         self.pool = pool
-        self.rebalance_every_ticks = int(rebalance_every_ticks)
         self.tick = 0
         self.jobs: Dict[str, _JobRuntime] = {}
-        self._prefetches: Dict[str, object] = {}  # job id -> PrefetchedPlan
         self._sched_clock = 0.0  # least pass among the jobs still running
 
     # -- the three verbs ---------------------------------------------------------
@@ -256,7 +244,7 @@ class Scheduler:
 
     def preempt(self, job: _JobRuntime, delay: int) -> None:
         """Kill ``job``'s incarnation; it reincarnates ``delay`` ticks after
-        the next one, its restore staged in the meantime."""
+        the next one."""
         # Record the crash point so recovery can compute the loss.
         job.steps_at_crash = job.trainer.step_count if job.trainer else 0
         job.result.preemptions += 1
@@ -268,7 +256,6 @@ class Scheduler:
         job.dead_channel = job.channel
         job.channel = None
         job.down_until = self.tick + 1 + delay
-        self._stage_restore(job)
 
     def step(self, between: Optional[Callable[[], None]] = None) -> bool:
         """One scheduler pass; returns whether any job advanced.
@@ -292,9 +279,6 @@ class Scheduler:
                     # A failed restore must not take the fleet (or its
                     # neighbours) down: park this job, keep going.
                     self._park_failed(job, exc)
-                # The read-ahead did its job (promotion/staging); drop the
-                # handle so its buffers are released.
-                self._cancel_prefetch(job.spec.job_id)
                 progressed = True
         # 2. advance runnable jobs by weighted round-robin (stride
         # scheduling).  The pass grants as many training-step slots as
@@ -326,13 +310,6 @@ class Scheduler:
                     break
         if runnable:
             self._sched_clock = min(job.sched_pass for job in runnable)
-        # 3. periodic placement sweep (lease-gated when a journal is set)
-        every = self.rebalance_every_ticks
-        if every > 0 and self.tick > 0 and self.tick % every == 0:
-            try:
-                self.store.rebalance_tiers()
-            except ReproError:
-                pass  # placement is advisory; the sweep retries next period
         self.tick += 1
         return progressed
 
@@ -341,15 +318,6 @@ class Scheduler:
         # A snapshot first: the daemon's heartbeat thread reads this while
         # the scheduler thread may be entering a newly submitted job.
         return sum(1 for job in list(self.jobs.values()) if not job.done)
-
-    def prefetching(self, job_id: str) -> bool:
-        """Whether a staged restore read-ahead is held for ``job_id``."""
-        return job_id in self._prefetches
-
-    def close(self) -> None:
-        """Cancel every staged read-ahead (jobs and pool are the caller's)."""
-        for job_id in list(self._prefetches):
-            self._cancel_prefetch(job_id)
 
     # -- lifecycle of one job ------------------------------------------------------
 
@@ -447,34 +415,6 @@ class Scheduler:
         job.manager = None
         job.trainer = None
         job.dead_channel = None
-        self._cancel_prefetch(job.spec.job_id)
-
-    # -- restore read-ahead -------------------------------------------------------
-
-    def _stage_restore(self, job: _JobRuntime) -> None:
-        """Start read-ahead for a preempted job's reincarnation restore.
-
-        The restart delay is dead time; spending it fetching — and, on a
-        tiered store, *promoting* — the newest checkpoint's chunks means
-        the actual restore finds everything already staged.  Only worth it
-        when a fast tier exists to stage into: without one the restore
-        cannot reuse the prefetched bytes, and staging would just read
-        every chunk twice.  Best-effort: a job that never checkpointed
-        simply has nothing to stage.
-        """
-        job_id = job.spec.job_id
-        self._cancel_prefetch(job_id)
-        if self.store.backend.tier_for("ch-staging-probe") is None:
-            return  # no fast tier to warm; staging would double the reads
-        try:
-            self._prefetches[job_id] = self.store.prefetch_restore(job_id)
-        except ReproError:
-            pass
-
-    def _cancel_prefetch(self, job_id: str) -> None:
-        handle = self._prefetches.pop(job_id, None)
-        if handle is not None:
-            handle.cancel()
 
     # -- stride scheduling ---------------------------------------------------------
 

@@ -26,7 +26,7 @@ implementations:
 :class:`~repro.storage.placement.PlacementJournal` is not a backend but the
 shared placement state *over* one: an append-only, on-store journal making
 tier pins durable across restarts and visible across processes, with
-lease-based single-holder roles for fleet-wide sweeps (rebalance, compact).
+lease-based single-holder roles for store-wide passes (compact, scrub).
 
 :class:`~repro.storage.metadb.MetaDB` is the optional SQLite index over all
 of that metadata — journal fold, manifest headers — kept strictly as a cache: the JSON files stay the durable truth, and a

@@ -1,6 +1,6 @@
 """Cross-process tier placement journal: durable pins, shared leases.
 
-:class:`~repro.storage.tiered.TieredBackend` keeps pin/promote/demote
+:class:`~repro.storage.tiered.TieredBackend` keeps pin/promote
 bookkeeping in per-process dicts, which has two failure modes the fleet
 daemon cannot live with:
 
@@ -9,7 +9,7 @@ daemon cannot live with:
   (the object every restore, discovery and gc pass reads first);
 * **two daemons sharing one store fight** — process A pins a manifest,
   process B (same slow tier, its own fast tier) knows nothing about it and
-  happily demotes or rebalances it away.
+  happily evicts it.
 
 :class:`PlacementJournal` fixes both by writing placement facts into the
 *store itself* as an append-only log of single-object records.  Every record
@@ -19,12 +19,11 @@ clobber each other — they interleave, and the deterministic fold order
 
 * ``pin`` / ``unpin`` — last operation per name wins.  Pins are durable: a
   reopened :class:`TieredBackend` re-adopts them before serving traffic.
-* ``lease`` / ``release`` — advisory single-holder roles (``"rebalance"``,
-  ``"compact"``) with wall-clock expiry.  A claim only takes the slot when
+* ``lease`` / ``release`` — advisory single-holder roles (``"compact"``,
+  ``"scrub"``) with wall-clock expiry.  A claim only takes the slot when
   it is free, expired, or already held by the claimant; losers observe that
-  they lost on the read-back.  This is what keeps two daemons from demoting
-  the same chunk set concurrently: ``ChunkStore.rebalance_tiers`` runs only
-  while holding the ``rebalance`` lease.
+  they lost on the read-back.  This is what keeps two daemons from
+  compacting the journal, or scrubbing the store, at the same time.
 * ``snapshot`` — compaction: the folded state re-written as one record so
   the log stays bounded.  Compaction requires the ``compact`` lease and is
   meant for quiescent moments (daemon drain); records that land concurrently
@@ -90,8 +89,6 @@ CP_COMPACT_MID_SWEEP = register_crash_point(
 RECORD_PREFIX = "plj-"
 JOURNAL_VERSION = 1
 
-#: Lease role serializing fleet-wide demote/promote sweeps across daemons.
-LEASE_REBALANCE = "rebalance"
 #: Lease role serializing journal compaction.
 LEASE_COMPACT = "compact"
 

@@ -21,16 +21,14 @@ Placement control (the chunk store's tier-aware read path drives these):
   never chosen as eviction victims, so chunk churn cannot push the small,
   always-read metadata out of the fast tier;
 * :meth:`promote` — pull one slow-tier object into the fast tier without
-  returning its bytes (warming a restore set ahead of time);
-* :meth:`demote` — flush-if-dirty and drop one object from the fast tier
-  (cold chunks referenced only by old checkpoints make room for hot ones).
+  returning its bytes (what :meth:`pin` does to an object not yet there).
 
 Cross-process placement: per-process pin state dies with the process and is
 invisible to other processes sharing the slow tier.  Passing a
 :class:`~repro.storage.placement.PlacementJournal` makes pins *durable*
 (a reopened backend re-adopts and re-promotes journal pins before serving
-traffic) and *shared* (eviction and demotion also honour names pinned by
-any other process writing the same journal).  The journal is advisory
+traffic) and *shared* (eviction also honours names pinned by any other
+process writing the same journal).  The journal is advisory
 metadata: losing it costs fast-tier residency, never data.
 
 Thread safety: the restore executor fetches chunks through this backend
@@ -71,7 +69,6 @@ class TierStats(StatsView):
             "promotions",
             "evictions",
             "flushes",
-            "demotions",
         ):
             self._bind(name, registry.counter(f"tier.{name}", tier="fast"))
 
@@ -109,7 +106,7 @@ class TieredBackend(StorageBackend):
         self._pinned: Set[str] = set()
         # name -> token of the newest write-through slow write still in
         # flight (performed outside the lock); the object stays dirty until
-        # its token completes, so eviction/demotion in that window flushes
+        # its token completes, so an eviction in that window flushes
         # instead of dropping the only copy.
         self._pending_slow: dict = {}
         self._lock = threading.RLock()
@@ -271,26 +268,6 @@ class TieredBackend(StorageBackend):
             self.fast.write(name, data)
             self._touch(name, len(data))
             self.stats.promotions += 1
-            return True
-
-    def demote(self, name: str) -> bool:
-        """Drop ``name`` from the fast tier (flushing first if dirty).
-
-        Pinned or non-resident objects are left alone (returns ``False``);
-        with a journal, pins held by *other* processes refuse the demotion
-        too.  The object stays fully readable from the slow tier — demotion
-        moves cold data out of the cache, it never loses it.
-        """
-        if self._journal_pinned(name):
-            return False
-        with self._lock:
-            if name not in self._resident or name in self._pinned:
-                return False
-            if name in self._dirty:
-                self._flush_one(name)
-            self.fast.delete(name)
-            self._resident.pop(name, None)
-            self.stats.demotions += 1
             return True
 
     def resident_objects(self, prefix: str = "") -> List[str]:

@@ -225,7 +225,7 @@ class TestReincarnation:
         # Recovered work: the reincarnation resumed, it did not start over.
         assert status["lost_steps"] <= 2
 
-    def test_restore_readahead_staged_during_restart_delay(
+    def test_tiered_store_job_restores_after_restart_delay(
         self, fixture_factory
     ):
         backend = TieredBackend(
@@ -239,14 +239,9 @@ class TestReincarnation:
             if (client.status("j1")["jobs"]["j1"]["step"] or 0) >= 2:
                 break
             time.sleep(0.01)
-        # A long restart delay: the daemon stages the restore meanwhile.
+        # A long restart delay: the job restores once, when it is over.
         response = client.preempt("j1", restart_delay_ticks=100)
         assert response["ok"]
-        status = client.status("j1")["jobs"]["j1"]
-        if status["state"] == "down":
-            assert status["prefetching_restore"], (
-                "preempted job should have its restore read-ahead in flight"
-            )
         status = fixture.wait_job("j1")
         assert status["restores"] == 1 and status["final_step"] == 40
 

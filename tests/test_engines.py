@@ -514,6 +514,31 @@ class TestShardRecovery:
         again = parameter_shift_gradient(circuit, params, obs, shard_workers=3)
         assert np.array_equal(single, again)
 
+    def test_failed_retry_falls_back_in_process_bitwise(self, monkeypatch):
+        """A worker dies mid-shard and its respawned successor fails too:
+        the shard runs in this process, and the gradient is unchanged."""
+        name, circuit, params, obs = _cases()[0]
+        single = parameter_shift_gradient(circuit, params, obs)
+        executor = sharding.get_executor(3)
+        fallbacks = engines.METRICS.counter("shard.fallbacks")
+        before = fallbacks.value
+        request = sharding._Worker.request
+
+        def dead_on_energies(worker, op, payload, **kwargs):
+            # The retry after a crash is the only "energies" request; the
+            # first dispatch goes straight down the pipe.
+            if op == "energies":
+                raise EOFError("respawned worker died too")
+            return request(worker, op, payload, **kwargs)
+
+        monkeypatch.setattr(sharding._Worker, "request", dead_on_energies)
+        executor.inject_worker_crash(1)
+        sharded = parameter_shift_gradient(
+            circuit, params, obs, shard_workers=3
+        )
+        assert np.array_equal(single, sharded)
+        assert fallbacks.value - before == 1
+
 
 class TestWorkerCaches:
     def test_prime_and_inspect_all_workers(self):

@@ -8,12 +8,8 @@ import pytest
 from repro.core.snapshot import TrainingSnapshot
 from repro.errors import ConfigError, StorageError
 from repro.service.chunkstore import ChunkStore
-from repro.storage.local import LocalDirectoryBackend
 from repro.storage.memory import InMemoryBackend
-from repro.storage.placement import (
-    LEASE_REBALANCE,
-    PlacementJournal,
-)
+from repro.storage.placement import LEASE_COMPACT, PlacementJournal
 from repro.storage.tiered import TieredBackend
 
 
@@ -95,30 +91,30 @@ class TestLeases:
         backend = InMemoryBackend()
         a = _journal(backend, "a")
         b = _journal(backend, "b")
-        assert a.acquire_lease(LEASE_REBALANCE)
-        assert not b.acquire_lease(LEASE_REBALANCE)
-        assert b.lease_holder(LEASE_REBALANCE) == "a"
-        a.release_lease(LEASE_REBALANCE)
-        assert b.acquire_lease(LEASE_REBALANCE)
-        assert a.lease_holder(LEASE_REBALANCE) == "b"
+        assert a.acquire_lease(LEASE_COMPACT)
+        assert not b.acquire_lease(LEASE_COMPACT)
+        assert b.lease_holder(LEASE_COMPACT) == "a"
+        a.release_lease(LEASE_COMPACT)
+        assert b.acquire_lease(LEASE_COMPACT)
+        assert a.lease_holder(LEASE_COMPACT) == "b"
 
     def test_renewal_by_holder(self):
         backend = InMemoryBackend()
         a = _journal(backend, "a")
-        assert a.acquire_lease(LEASE_REBALANCE)
-        assert a.acquire_lease(LEASE_REBALANCE)  # renew
-        assert a.holds_lease(LEASE_REBALANCE)
+        assert a.acquire_lease(LEASE_COMPACT)
+        assert a.acquire_lease(LEASE_COMPACT)  # renew
+        assert a.holds_lease(LEASE_COMPACT)
 
     def test_expiry_allows_takeover(self):
         backend = InMemoryBackend()
         now = [1000.0]
         a = _journal(backend, "a", clock=lambda: now[0], lease_seconds=5.0)
         b = _journal(backend, "b", clock=lambda: now[0], lease_seconds=5.0)
-        assert a.acquire_lease(LEASE_REBALANCE)
-        assert not b.acquire_lease(LEASE_REBALANCE)
+        assert a.acquire_lease(LEASE_COMPACT)
+        assert not b.acquire_lease(LEASE_COMPACT)
         now[0] += 10.0  # a's lease expires
-        assert b.acquire_lease(LEASE_REBALANCE)
-        assert a.lease_holder(LEASE_REBALANCE) == "b"
+        assert b.acquire_lease(LEASE_COMPACT)
+        assert a.lease_holder(LEASE_COMPACT) == "b"
 
     def test_concurrent_claims_agree_on_one_winner(self):
         """Both claimants write, then both read back the same winner."""
@@ -151,6 +147,25 @@ class TestCompaction:
         assert reopened.pinned_names() == before
         # One snapshot + the compact-lease release is all that remains.
         assert len(reopened.records()) <= 3
+
+    def test_compact_requires_lease(self):
+        """Two daemons never compact at once: while one holds the compact
+        lease the other's compaction deletes nothing."""
+        backend = InMemoryBackend()
+        a = _journal(backend, "daemon-a")
+        b = _journal(backend, "daemon-b")
+        for i in range(6):
+            b.pin(f"obj-{i}")
+        assert a.acquire_lease(LEASE_COMPACT)
+        records = b.records()
+        assert b.compact() == 0
+        assert b.records() == records
+        assert b.lease_holder(LEASE_COMPACT) == "daemon-a"
+        # A releases: B's compaction now runs and leaves the lease free.
+        a.release_lease(LEASE_COMPACT)
+        assert b.compact() > 0
+        assert b.pinned_names() == {f"obj-{i}" for i in range(6)}
+        assert a.lease_holder(LEASE_COMPACT) is None
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +267,7 @@ class TestDurablePins:
 
 
 class TestCrossProcessPins:
-    def test_other_process_pin_blocks_demote_and_eviction(self):
+    def test_other_process_pin_blocks_eviction(self):
         slow = InMemoryBackend()
         journal_store = InMemoryBackend()
         ja = _journal(journal_store, "a")
@@ -266,14 +281,13 @@ class TestCrossProcessPins:
         ta.write("hot", b"h" * 256)
         ta.pin("hot")
         tb.read("hot")  # resident in B's fast tier too
-        assert not tb.demote("hot"), "B must honour A's pin"
         _fill(tb, "churn", 20, 400)
-        assert "hot" in tb.resident_objects()
+        assert "hot" in tb.resident_objects(), "B must honour A's pin"
 
     def test_two_process_pin_property(self, rng):
         """Two backends sharing one store never violate a journal pin.
 
-        Random interleaving of pins, unpins, promotes, demotes, reads and
+        Random interleaving of pins, unpins, promotes, reads and
         eviction-pressure writes from two processes; after every operation,
         any journal-pinned name that was resident in a tier must still be
         resident there (residency may only end via an explicit unpin).
@@ -303,7 +317,7 @@ class TestCrossProcessPins:
             key = ("a", "b")[int(rng.integers(0, 2))]
             tier = tiers[key]
             name = names[int(rng.integers(0, len(names)))]
-            op = int(rng.integers(0, 6))
+            op = int(rng.integers(0, 5))
             if op == 0 and len(pinned) < 8:
                 try:
                     tier.pin(name)
@@ -319,11 +333,6 @@ class TestCrossProcessPins:
             elif op == 2:
                 tier.promote(name)
             elif op == 3:
-                demoted = tier.demote(name)
-                assert not (demoted and name in pinned), (
-                    f"{key} demoted pinned {name} at step {step}"
-                )
-            elif op == 4:
                 tier.write(f"churn-{step}", b"c" * 600)
             else:
                 tier.read(name)
@@ -338,37 +347,3 @@ class TestCrossProcessPins:
                 resident_pinned[tier_key] = {
                     n for n in pinned if n in current
                 }
-
-
-class TestRebalanceLease:
-    def test_rebalance_requires_lease(self, tmp_path):
-        slow = LocalDirectoryBackend(tmp_path / "slow")
-        journal_store = LocalDirectoryBackend(tmp_path / "journal")
-        ja = _journal(journal_store, "daemon-a")
-        jb = _journal(journal_store, "daemon-b")
-        store_a = ChunkStore(
-            TieredBackend(
-                InMemoryBackend(), slow, fast_capacity_bytes=1 << 20, journal=ja
-            ),
-            block_bytes=1024,
-            placement_journal=ja,
-        )
-        store_b = ChunkStore(
-            TieredBackend(
-                InMemoryBackend(), slow, fast_capacity_bytes=1 << 20, journal=jb
-            ),
-            block_bytes=1024,
-            placement_journal=jb,
-        )
-        store_a.save_snapshot("j1", _snapshot(1))
-        store_a.save_snapshot("j1", _snapshot(2))
-        # Daemon A holds the lease: B's sweep must refuse and name A.
-        assert ja.acquire_lease(LEASE_REBALANCE)
-        moves = store_b.rebalance_tiers()
-        assert moves["promoted"] == 0 and moves["demoted"] == 0
-        assert moves["lease_holder"] == "daemon-a"
-        # A releases; B's sweep now runs (and leaves the lease free after).
-        ja.release_lease(LEASE_REBALANCE)
-        moves = store_b.rebalance_tiers()
-        assert "lease_holder" not in moves
-        assert jb.lease_holder(LEASE_REBALANCE) is None

@@ -6,8 +6,7 @@ Covers the acceptance criteria of the restore-path refactor:
   backends (property test),
 * parameters-only restore transfers measurably fewer bytes than full,
 * parallel executor and whole-object-fallback correctness,
-* tier-aware chunk placement (pinned manifests, promote-on-restore,
-  cold-chunk demotion),
+* tier-aware chunk placement (pinned manifests, promote-on-restore),
 * fault injection: a backend failing mid-restore, truncated manifests,
   and chunks vanishing or moving tiers between plan and fetch all either
   restore bitwise or raise — never return corrupt tensors.
@@ -32,6 +31,7 @@ from repro.core.snapshot import TrainingSnapshot
 from repro.core.store import CheckpointStore
 from repro.errors import (
     CheckpointError,
+    CheckpointNotFoundError,
     ConfigError,
     IntegrityError,
     ReproError,
@@ -465,17 +465,33 @@ class TestTierPlacement:
         assert cold_tier.stats.promotions == first_promotions
         assert cold_tier.stats.fast_hits > hits_before
 
-    def test_rebalance_demotes_cold_promotes_hot(self):
-        tier, store = tiered_chunk_store(fast_capacity=1 << 20)
-        for step in range(1, 4):
-            store.save_snapshot("j", snapshot_at(step, extra_elems=4096))
-        moved = store.rebalance_tiers(hot_per_job=1)
-        assert moved["demoted"] > 0
-        # Everything the newest checkpoint references is now resident.
-        hot = store.plan_restore("j")
-        resident = set(tier.resident_objects())
-        assert all(o.name in resident for o in hot.objects)
-        assert tier.stats.demotions >= moved["demoted"]
+    def test_cold_restore_leaves_the_whole_plan_resident(self):
+        """Promote-on-read stages a restore by itself: after one cold
+        restore every object of its plan sits in the fast tier, so the
+        next restore needs nothing from the slow tier."""
+        slow = FlakyBackend(InMemoryBackend())
+        warm_tier = TieredBackend(
+            InMemoryBackend(), slow, fast_capacity_bytes=1 << 20
+        )
+        writer = ChunkStore(warm_tier, block_bytes=1024)
+        writer.save_snapshot("j", snapshot_at(1, extra_elems=4096))
+        cold_tier = TieredBackend(
+            InMemoryBackend(), slow, fast_capacity_bytes=1 << 20
+        )
+        cold_store = ChunkStore(cold_tier, block_bytes=1024)
+        planned = {obj.name for obj in cold_store.plan_restore("j").objects}
+        assert not planned & set(cold_tier.resident_objects())
+        assert cold_store.load_snapshot("j") == snapshot_at(
+            1, extra_elems=4096
+        )
+        assert planned <= set(cold_tier.resident_objects())
+        # The slow tier fails its next read: the tier-warm restore never
+        # makes one.
+        slow.arm_read("error", fail_on_read=1)
+        assert cold_store.load_snapshot("j") == snapshot_at(
+            1, extra_elems=4096
+        )
+        assert slow.faults_injected == 0
 
     def test_pinned_objects_never_evicted(self):
         tier = TieredBackend(
@@ -486,9 +502,10 @@ class TestTierPlacement:
         for i in range(20):
             tier.write(f"obj-{i}", b"x" * 1024)
         assert "keep" in tier.resident_objects()
-        assert tier.demote("keep") is False  # pinned: demote refuses
         tier.unpin("keep")
-        assert tier.demote("keep") is True
+        for i in range(20, 40):
+            tier.write(f"obj-{i}", b"x" * 1024)
+        assert "keep" not in tier.resident_objects()  # unpinned: evictable
         assert tier.read("keep") == b"k" * 512  # still in the slow tier
 
     def test_pin_squeezed_write_degrades_to_slow_only(self):
@@ -603,6 +620,34 @@ class TestRestoreFaults:
         with pytest.raises(IntegrityError):
             store.load_snapshot("j")
 
+    @pytest.mark.parametrize("fault", ["error", "bitflip"])
+    @pytest.mark.parametrize("read", ["manifest", "first_chunk", "last_chunk"])
+    def test_fault_on_any_chunk_store_read_never_corrupts(self, fault, read):
+        """A clean error wherever the fault lands in a chunk-store restore,
+        never wrong tensors; once it passes, the same store restores
+        bitwise (nothing damaged was kept)."""
+        flaky = FlakyBackend(InMemoryBackend())
+        store = self._chunk_store_on(flaky)
+        # One manifest read, then one whole-object read per planned chunk.
+        n_chunks = len(store.plan_restore("j").objects)
+        ordinal = {"manifest": 1, "first_chunk": 2, "last_chunk": 1 + n_chunks}
+        flaky.arm_read(fault, fail_on_read=ordinal[read])
+        expected = StorageError if fault == "error" else IntegrityError
+        with pytest.raises(expected):
+            store.load_snapshot("j")
+        assert flaky.faults_injected == 1
+        flaky.disarm()
+        assert store.load_snapshot("j") == snapshot_at(2)
+
+    def test_unknown_job_or_checkpoint_raises_not_found(self):
+        store = self._chunk_store_on(InMemoryBackend())
+        reads = (store.restore_source, store.plan_restore, store.load_snapshot)
+        for read in reads:
+            with pytest.raises(CheckpointNotFoundError):
+                read("ghost")
+            with pytest.raises(CheckpointNotFoundError):
+                read("j", "ckpt-000404")
+
     def test_chunk_gcd_between_plan_and_fetch(self):
         backend = InMemoryBackend()
         store = self._chunk_store_on(backend)
@@ -619,10 +664,12 @@ class TestRestoreFaults:
         store.save_snapshot("j", snapshot_at(4))
         source = store.restore_source("j")
         plan = source.plan()
-        # Placement races: chunks demoted (and one promoted back) after the
+        # Placement races: chunks evicted (and one promoted back) after the
         # plan was computed must not change restored bytes.
-        for obj in plan.objects:
-            tier.demote(obj.name)
+        for i in range(tier.fast_capacity_bytes // 1024):
+            tier.write(f"filler-{i}", b"f" * 1024)
+        resident = set(tier.resident_objects())
+        assert not resident & {obj.name for obj in plan.objects}
         tier.promote(plan.objects[0].name)
         meta, tensors = RestoreExecutor().run(source, plan)
         assert TrainingSnapshot.from_payload(meta, tensors) == snapshot_at(4)

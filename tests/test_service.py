@@ -26,6 +26,7 @@ from repro.service import (
     ChunkStore,
     FleetHarness,
     FleetJobSpec,
+    ServiceCheckpointManager,
     ThrottledBackend,
     WriterPool,
     chunk_name,
@@ -732,6 +733,43 @@ class TestWriterPool:
         assert channel.stats.degraded == 1
         assert channel.stats.dropped == 1  # the displaced queued save counts
         assert executed == ["lite-2"]
+
+    @pytest.mark.parametrize("given", ["lite_snapshot", "lite_factory"])
+    def test_degraded_manager_save_commits_a_lite_checkpoint(self, given):
+        """The manager's lite fallback, ready-made or built on demand, is
+        what a congested degrade channel commits, and it restores."""
+        trainer = Trainer(
+            VQEModel(
+                hardware_efficient(2, 1),
+                Hamiltonian.transverse_field_ising(2, 1.0, 0.8),
+            ),
+            Adam(lr=0.1),
+            config=TrainerConfig(seed=3, capture_statevector=True),
+        )
+        trainer.run(2, hooks=[])
+        store = ChunkStore(InMemoryBackend())
+        pool = WriterPool(workers=1)
+        channel = pool.channel("a", max_pending=2, backpressure="degrade")
+        manager = ServiceCheckpointManager(store, "a", channel)
+        gate = threading.Event()
+        channel.submit(gate.wait)
+        manager.save(trainer.capture())  # the queue is now at its bound
+        lite = trainer.capture(lite=True)
+        if given == "lite_snapshot":
+            manager.save(trainer.capture(), lite_snapshot=lite)
+        else:
+            manager.save(trainer.capture(), lite_factory=lambda: lite)
+        gate.set()
+        channel.drain()
+        pool.close()
+        assert channel.stats.degraded == 1
+        assert manager.stats.saves == 1 and manager.stats.lite_saves == 1
+        (record,) = store.checkpoints("a")
+        assert record.extra["lite"] is True
+        ckpt_id, restored, skipped = store.latest_valid("a")
+        assert ckpt_id == record.ckpt_id and not skipped
+        assert restored.statevector is None
+        assert restored.params.tobytes() == trainer.params.tobytes()
 
     def test_errors_are_per_job_and_exactly_once(self):
         pool = WriterPool(workers=2)

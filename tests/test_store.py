@@ -35,7 +35,9 @@ from repro.errors import (
     ReadOnlyStoreError,
     ReproError,
     SerializationError,
+    StorageError,
 )
+from repro.storage.flaky import FlakyBackend
 from repro.storage.local import LocalDirectoryBackend
 from repro.storage.memory import InMemoryBackend
 from repro.storage.replicated import ReplicatedBackend
@@ -224,6 +226,50 @@ class TestDeltaChains:
             "ckpt-000003",
             "ckpt-000002",
         ]
+
+
+CHAIN_TIP = "ckpt-000003"  # of the fixture's job "default": three links
+SUBSET = ["params", "statevector", "loss_history"]
+
+
+def _restore_chain_twice(store):
+    """A full restore of the chain tip (read ordinals 1-3: one whole-object
+    read per link), then one of ``SUBSET`` (ordinals 4-6, the same three
+    objects); both bitwise or a raised error."""
+    full = store.load_tensors("default", CHAIN_TIP)[1]
+    assert_digests(f"default/{CHAIN_TIP}", full)
+    subset = store.load_tensors("default", CHAIN_TIP, SUBSET)[1]
+    assert_digests(f"default/{CHAIN_TIP}", subset, SUBSET)
+
+
+class TestPrefetchFaults:
+    @pytest.mark.parametrize("fail_on_read", [1, 2, 3, 4, 5, 6])
+    def test_chain_restore_with_injected_fault_never_corrupts(
+        self, fail_on_read
+    ):
+        """A clean error wherever the fault lands, never wrong tensors.
+
+        The read ordinal sweeps across every link's whole-object read, of
+        the full restore and of the partial one; the restores before the
+        fault come back bitwise.
+        """
+        flaky = FlakyBackend(fixture_into(InMemoryBackend()))
+        store = CheckpointStore(flaky)
+        flaky.arm_read("error", fail_on_read=fail_on_read)
+        with pytest.raises(StorageError, match="injected read error"):
+            _restore_chain_twice(store)
+        assert flaky.faults_injected == 1
+
+    @pytest.mark.parametrize("fail_on_read", [1, 2, 3, 4, 5, 6])
+    def test_chain_restore_with_bitflip_never_corrupts(self, fail_on_read):
+        flaky = FlakyBackend(fixture_into(InMemoryBackend()))
+        store = CheckpointStore(flaky)
+        flaky.arm_read("bitflip", fail_on_read=fail_on_read)
+        # Every QCKPT read is checked against its SHA-256: a lie anywhere
+        # in the object fails the restore.
+        with pytest.raises(IntegrityError, match="SHA-256"):
+            _restore_chain_twice(store)
+        assert flaky.faults_injected == 1
 
 
 class TestRecovery:
